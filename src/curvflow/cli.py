@@ -26,12 +26,7 @@ import numpy as np
 
 from . import chains, curvature, plaplace, ricci_flow, separation
 from .errors import PreconditionError, SolverError, ValidationError
-from .graphs import (
-    WeightedGraph,
-    combinatorial_metric,
-    laplacian_matrix,
-    shortest_path_metric,
-)
+from .graphs import WeightedGraph, laplacian_matrix, shortest_path_metric
 
 __all__ = ["parse_graph", "parse_partition", "emit_trace", "main"]
 
@@ -56,6 +51,25 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _load_json(path: str, what: str) -> Any:
+    """The JSON document in a file; unreadable files and invalid JSON
+    raise ValidationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _float_array(doc: Any, path: str) -> np.ndarray:
+    try:
+        return np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: expected an array of numbers: {exc}") from exc
+
+
 def parse_graph(path: str) -> WeightedGraph:
     """Load and validate the JSON graph format.
 
@@ -64,13 +78,7 @@ def parse_graph(path: str) -> WeightedGraph:
     weights and lengths, no duplicate pairs, and a positive measure
     (default all 1.0).
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    doc = _load_json(path, "graph")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: graph document must be a JSON object")
     n = doc.get("vertices")
@@ -89,7 +97,11 @@ def parse_graph(path: str) -> WeightedGraph:
             raise ValidationError(
                 f"{path}: edges[{idx}] must satisfy 0 <= u < v < {n}, "
                 f"got u={u!r}, v={v!r}")
-        tuples.append((u, v, float(e["w"]), float(e["len"])))
+        try:
+            tuples.append((u, v, float(e["w"]), float(e["len"])))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}: edges[{idx}] w and len must be numbers: {exc}") from exc
     measure = doc.get("measure")
     if measure is not None:
         if not isinstance(measure, list) or len(measure) != n:
@@ -105,13 +117,7 @@ def parse_graph(path: str) -> WeightedGraph:
 
 def parse_partition(path: str, g: WeightedGraph) -> separation.PartitionXKY:
     """Load ``{"X": [...], "K": [...], "Y": [...]}`` and validate it."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read partition file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    doc = _load_json(path, "partition")
     if not isinstance(doc, dict) or not {"X", "K", "Y"} <= set(doc):
         raise ValidationError(f"{path}: partition needs arrays X, K, Y")
     try:
@@ -180,8 +186,7 @@ def _parse_vector(text: str | None, path: str | None, n: int,
         except ValueError as exc:
             raise ValidationError(f"cannot parse vector {text!r}") from exc
     elif path is not None:
-        with open(path) as fh:
-            vec = np.asarray(json.load(fh), dtype=float)
+        vec = _float_array(_load_json(path, "vector"), path)
     elif default is not None:
         return default
     else:
@@ -218,8 +223,7 @@ def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
     if kind == "counterexample":
         return chains.counterexample_operator(float(arg or 0.01))
     if kind == "linear":
-        with open(arg) as fh:
-            return chains.linear_chain_operator(np.asarray(json.load(fh), dtype=float))
+        return chains.linear_chain_operator(_float_array(_load_json(arg, "kernel"), arg))
     if kind == "pf":
         return chains.perron_frobenius_operator(_load_matrices(arg))
     if kind == "lazy-walk":
@@ -250,10 +254,12 @@ def _need_graph(g: WeightedGraph | None, kind: str) -> WeightedGraph:
 
 
 def _load_matrices(path: str) -> list[np.ndarray]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    mats = doc["matrices"] if isinstance(doc, dict) else doc
-    return [np.asarray(m, dtype=float) for m in mats]
+    doc = _load_json(path, "matrices")
+    mats = doc.get("matrices") if isinstance(doc, dict) else doc
+    if not isinstance(mats, list):
+        raise ValidationError(
+            f"{path}: expected a list of matrices or {{\"matrices\": [...]}}")
+    return [_float_array(m, path) for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +269,18 @@ def _load_matrices(path: str) -> list[np.ndarray]:
 def _cmd_curvature(args) -> tuple[int, dict, list[dict]]:
     g = parse_graph(args.graph)
     kinds = args.kinds.split(",")
-    known = {"ollivier", "alpha", "lly", "phi-convex", "phi-concave"}
-    unknown = set(kinds) - known
+    unknown = set(kinds) - set(curvature.KINDS)
     if unknown:
         raise ValidationError(f"unknown curvature kinds: {sorted(unknown)}")
-    d = shortest_path_metric(g)
-    d0 = combinatorial_metric(g)
+    specs = {kind: curvature.KINDS[kind] for kind in kinds}
+    metrics = {name: curvature._metric(g, name)
+               for name in dict.fromkeys(spec.metric for spec in specs.values())}
     table = []
     for u, v in g.edges():
         row: dict[str, Any] = {"u": u, "v": v}
-        for kind in kinds:
+        for kind, spec in specs.items():
             try:
-                if kind == "ollivier":
-                    row["kappa"] = curvature.ollivier_kappa(g, d, u, v)
-                elif kind == "alpha":
-                    row["kappa_alpha"] = curvature.kappa_alpha(g, d, u, v, args.alpha)
-                elif kind == "lly":
-                    row["kappa_lly"] = curvature.kappa_lly(g, d, u, v)
-                elif kind == "phi-convex":
-                    row["khat_convex"] = curvature.modified_kappa_phi(g, u, v, "convex", d0)
-                elif kind == "phi-concave":
-                    row["khat_concave"] = curvature.modified_kappa_phi(g, u, v, "concave", d0)
+                row[spec.column] = spec.kappa(g, metrics[spec.metric], u, v, args.alpha)
             except SolverError as exc:
                 row[f"{kind}_error"] = str(exc)
         table.append(row)

@@ -9,8 +9,9 @@ p-Laplace gradient estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
-from .errors import CurvflowError, ValidationError
+from .errors import SolverError, ValidationError
 from .graphs import (
     DistanceMatrix,
     WeightedGraph,
@@ -34,7 +35,7 @@ __all__ = [
 DEG_TOL = 1e-12
 
 
-class CurvatureError(CurvflowError):
+class CurvatureError(SolverError):
     """A curvature evaluation could not be completed reliably."""
 
 
@@ -70,16 +71,15 @@ def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> Prob
 
 def ollivier_kappa(g: WeightedGraph, d: DistanceMatrix, x: int, y: int) -> float:
     """kappa(x, y) = 1 - W(mu_x, mu_y) / d(x, y)."""
-    if x == y:
-        raise ValidationError("curvature needs two distinct vertices")
-    dxy = d.value(x, y)
-    cost, _ = wasserstein(vertex_measure(g, x), vertex_measure(g, y), d)
-    return 1.0 - cost / dxy
+    return kappa_alpha(g, d, x, y, None)
 
 
 def kappa_alpha(g: WeightedGraph, d: DistanceMatrix, x: int, y: int,
-                alpha: float) -> float:
-    """alpha-lazy curvature 1 - W(mu_x^alpha, mu_y^alpha) / d(x, y)."""
+                alpha: float | None) -> float:
+    """alpha-lazy curvature 1 - W(mu_x^alpha, mu_y^alpha) / d(x, y).
+
+    ``alpha=None`` uses the non-lazy measures (the Ollivier curvature).
+    """
     if x == y:
         raise ValidationError("curvature needs two distinct vertices")
     dxy = d.value(x, y)
@@ -122,12 +122,71 @@ def modified_kappa_phi(g: WeightedGraph, x: int, y: int, phi_shape: str,
     return value
 
 
+class _Kind(NamedTuple):
+    column: str  # the curvature command's table column
+    metric: str  # "path" (edge lengths) or "combinatorial" (hop count)
+    kappa: Callable[[WeightedGraph, DistanceMatrix, int, int, float | None], float]
+
+
+# every curvature kind: (g, d, x, y, alpha) -> value on edge (x, y), with d
+# the kind's metric; alpha is read by kind "alpha" only.  The entries look
+# the public functions up by name on each call, so rebinding one of them
+# on this module reaches every caller of the table.
+KINDS: dict[str, _Kind] = {
+    "ollivier": _Kind("kappa", "path",
+                      lambda g, d, x, y, alpha: ollivier_kappa(g, d, x, y)),
+    "alpha": _Kind("kappa_alpha", "path",
+                   lambda g, d, x, y, alpha: kappa_alpha(g, d, x, y, alpha)),
+    "lly": _Kind("kappa_lly", "path",
+                 lambda g, d, x, y, alpha: kappa_lly(g, d, x, y)),
+    "phi-convex": _Kind("khat_convex", "combinatorial",
+                        lambda g, d, x, y, alpha: modified_kappa_phi(g, x, y, "convex", d)),
+    "phi-concave": _Kind("khat_concave", "combinatorial",
+                         lambda g, d, x, y, alpha: modified_kappa_phi(g, x, y, "concave", d)),
+}
+
+
+def _metric(g: WeightedGraph, name: str) -> DistanceMatrix:
+    """The metric a kind names in its ``metric`` field."""
+    return combinatorial_metric(g) if name == "combinatorial" else shortest_path_metric(g)
+
+
+def _edge_curvatures(g: WeightedGraph, kind: str, d: DistanceMatrix | None = None,
+                     alpha: float | None = None) -> Iterator[tuple[tuple[int, int], float]]:
+    """Lazily yield ((u, v), curvature) for every edge, in edge order.
+
+    ``kind`` and ``alpha`` are checked before any edge is evaluated; ``d``
+    defaults to the kind's metric.
+    """
+    if kind not in KINDS:
+        raise ValidationError(f"unknown curvature kind {kind!r}")
+    if kind == "alpha" and alpha is None:
+        raise ValidationError("kind='alpha' needs an alpha value")
+    if d is None:
+        d = _metric(g, KINDS[kind].metric)
+    kappa = KINDS[kind].kappa
+    return (((u, v), kappa(g, d, u, v, alpha)) for u, v in g.edges())
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
     """Per-edge curvatures with per-component min/max/spread."""
 
     values: dict[tuple[int, int], float]
     component_stats: dict[int, tuple[float, float, float]]  # root -> (min, max, spread)
+
+    @classmethod
+    def from_values(cls, g: WeightedGraph,
+                    values: dict[tuple[int, int], float]) -> "CurvatureReport":
+        """Report on per-edge values; components without edges get no stats."""
+        stats: dict[int, tuple[float, float, float]] = {}
+        for comp in connected_components(g):
+            cset = set(comp)
+            inside = [values[e] for e in values if e[0] in cset]
+            if inside:
+                lo, hi = min(inside), max(inside)
+                stats[comp[0]] = (lo, hi, hi - lo)
+        return cls(dict(values), stats)
 
     @property
     def min(self) -> float:
@@ -146,28 +205,9 @@ def curvature_report(g: WeightedGraph, d: DistanceMatrix | None = None,
                      kind: str = "ollivier", alpha: float | None = None) -> CurvatureReport:
     """Curvature of every edge plus spread statistics per component.
 
-    ``kind`` is one of "ollivier", "alpha" (needs ``alpha``), "lly".
-    Components without edges contribute no statistics.
+    ``kind`` is one of "ollivier", "alpha" (needs ``alpha``), "lly",
+    "phi-convex", "phi-concave"; ``d`` defaults to the kind's metric (the
+    path metric, or the combinatorial one for the phi kinds).  Components
+    without edges contribute no statistics.
     """
-    if d is None:
-        d = shortest_path_metric(g)
-    values: dict[tuple[int, int], float] = {}
-    for u, v in g.edges():
-        if kind == "ollivier":
-            values[(u, v)] = ollivier_kappa(g, d, u, v)
-        elif kind == "alpha":
-            if alpha is None:
-                raise ValidationError("kind='alpha' needs an alpha value")
-            values[(u, v)] = kappa_alpha(g, d, u, v, alpha)
-        elif kind == "lly":
-            values[(u, v)] = kappa_lly(g, d, u, v)
-        else:
-            raise ValidationError(f"unknown curvature kind {kind!r}")
-    stats: dict[int, tuple[float, float, float]] = {}
-    for comp in connected_components(g):
-        cset = set(comp)
-        inside = [values[e] for e in values if e[0] in cset]
-        if inside:
-            lo, hi = min(inside), max(inside)
-            stats[comp[0]] = (lo, hi, hi - lo)
-    return CurvatureReport(values, stats)
+    return CurvatureReport.from_values(g, dict(_edge_curvatures(g, kind, d, alpha)))

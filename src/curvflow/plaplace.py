@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import modified_kappa_phi
+from .curvature import curvature_report
 from .errors import SolverError, ValidationError
 from .graphs import (
     DistanceMatrix,
@@ -574,9 +574,7 @@ def lipschitz_decay_bound(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
     f = np.asarray(f, dtype=float)
     if d0 is None:
         d0 = combinatorial_metric(g)
-    kappa_min = min(
-        (modified_kappa_phi(g, u, v, phi.shape, d0) for u, v in g.edges()),
-        default=0.0)
+    kappa_min = curvature_report(g, d0, kind=f"phi-{phi.shape}").min
     if K is None:
         K = kappa_min
     elif K > kappa_min + 1e-12:

@@ -17,10 +17,12 @@ the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .chains import _increments_cycle
 from .curvature import CurvatureReport, vertex_measure
 from .errors import ValidationError
 from .graphs import WeightedGraph, connected_components, shortest_path_metric
@@ -146,7 +148,7 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
         new_lengths[u, v] = new_lengths[v, u] = (1.0 - cfg.alpha) * ln + cfg.alpha * cost
 
     new_graph = g.with_lengths(new_lengths)
-    report = _report_from_kappas(g, kappas)
+    report = CurvatureReport.from_values(g, kappas)
     log_inc = [math.log1p(-cfg.alpha * k) for k in kappas.values()]
     prev_norm = (state.trace[-1].normalized if state.trace
                  else normalize_metric(state))
@@ -164,18 +166,6 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
         lambda_minus=min(log_inc, default=0.0),
         delta_sup=delta)
     return replace(new_state, trace=state.trace + (row,))
-
-
-def _report_from_kappas(g: WeightedGraph,
-                        kappas: dict[tuple[int, int], float]) -> CurvatureReport:
-    stats: dict[int, tuple[float, float, float]] = {}
-    for comp in connected_components(g):
-        cset = set(comp)
-        inside = [k for e, k in kappas.items() if e[0] in cset]
-        if inside:
-            lo, hi = min(inside), max(inside)
-            stats[comp[0]] = (lo, hi, hi - lo)
-    return CurvatureReport(dict(kappas), stats)
 
 
 def edge_deletion_step(state: FlowState, cfg: FlowConfig) -> FlowState:
@@ -246,7 +236,9 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
             f"initial max adjacent length ratio {ratio:g}")
 
     status = STATUS_MAX_ITER
-    recent_lognorm: list[dict[tuple[int, int], float]] = []
+    # normalized log metrics since the last deletion, in normalize_metric's
+    # edge order (fixed while the topology is)
+    recent_lognorm: deque[np.ndarray] = deque(maxlen=8)
     for _ in range(cfg.max_iterations):
         state = flow_step(state, cfg)
         state = edge_deletion_step(state, cfg)
@@ -259,10 +251,8 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
                 and row.kappa.max_spread < cfg.tolerance):
             status = STATUS_CONVERGED
             break
-        recent_lognorm.append({e: math.log(v) for e, v in row.normalized.items()})
-        if len(recent_lognorm) > 8:
-            recent_lognorm.pop(0)
-        if _lognorm_oscillates(recent_lognorm, cfg.tolerance):
+        recent_lognorm.append(np.array([math.log(v) for v in row.normalized.values()]))
+        if _increments_cycle(recent_lognorm, cfg.tolerance):
             status = STATUS_OSCILLATION
             break
 
@@ -296,18 +286,3 @@ def _rescale_components(state: FlowState) -> FlowState:
         lengths[u, v] = lengths[v, u] = val
     return replace(state, graph=state.graph.with_lengths(lengths))
 
-
-def _lognorm_oscillates(history: list[dict[tuple[int, int], float]],
-                        tol: float) -> bool:
-    """Period-2 increment cycle of the normalized log metric."""
-    if len(history) < 5 or any(set(h) != set(history[0]) for h in history):
-        return False
-    edges = sorted(history[0])
-    vals = [np.array([h[e] for e in edges]) for h in history]
-    incs = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    for k in range(len(incs) - 2):
-        if np.max(np.abs(incs[k + 2] - incs[k])) >= tol:
-            return False
-    alternation = max(float(np.max(np.abs(incs[k + 1] - incs[k])))
-                      for k in range(len(incs) - 1))
-    return alternation >= tol

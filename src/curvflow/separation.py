@@ -25,7 +25,7 @@ from .chains import (
     IterationResult,
     iterate_normalized,
 )
-from .curvature import modified_kappa_phi, ollivier_kappa
+from .curvature import _edge_curvatures
 from .errors import (
     DisconnectedError,
     PreconditionError,
@@ -35,7 +35,6 @@ from .errors import (
 from .graphs import (
     DistanceMatrix,
     WeightedGraph,
-    combinatorial_metric,
     laplacian_apply,
     shortest_path_metric,
 )
@@ -112,6 +111,15 @@ def _check_lip_on_k(part: PartitionXKY, d: DistanceMatrix, f: np.ndarray,
                     f"> d = {dab:g}")
 
 
+def _start_on_k(part: PartitionXKY, d: DistanceMatrix, f0: np.ndarray | None,
+                x0: int | None) -> tuple[np.ndarray, int]:
+    """A separation flow's start on K (zero by default, checked to be in
+    Lip(1, K)) and the K index of its base vertex (K's first by default)."""
+    f0 = np.zeros(len(part.k_set)) if f0 is None else np.asarray(f0, dtype=float)
+    _check_lip_on_k(part, d, f0)
+    return f0, part.k_index(part.k_set[0] if x0 is None else x0)
+
+
 def lipschitz_extend(part: PartitionXKY, d: DistanceMatrix, f: np.ndarray, *,
                      validate: bool = True, tol: float = 1e-9) -> np.ndarray:
     """Extremal extension: f on K, min_K (f + d) on Y, max_K (f - d) on X.
@@ -160,27 +168,30 @@ class SeparationResult:
     lip_trace: list[float] = field(default_factory=list)
 
 
+def _k_statistics(part: PartitionXKY, values: np.ndarray
+                  ) -> tuple[float, float, float | None, float | None]:
+    """(constant, spread_on_k, sign_min_x, sign_max_y) of per-vertex values:
+    their mean and spread on K, min over X and max over Y minus the mean."""
+    on_k = values[np.array(part.k_set)]
+    constant = float(np.mean(on_k))
+    spread = float(np.max(on_k) - np.min(on_k))
+    sign_min_x = (float(np.min(values[np.array(part.x_set)]) - constant)
+                  if part.x_set else None)
+    sign_max_y = (float(np.max(values[np.array(part.y_set)]) - constant)
+                  if part.y_set else None)
+    return constant, spread, sign_min_x, sign_max_y
+
+
 def _finish_linear_like(part: PartitionXKY, result: IterationResult,
                         delta_values: np.ndarray | None,
                         verified: bool, waived: bool,
                         lip_trace: list[float],
                         g_on_k: np.ndarray | None,
                         extension: np.ndarray | None) -> SeparationResult:
-    if result.status != CONVERGED or delta_values is None:
-        return SeparationResult(
-            g_on_k=None, extension=None, laplacian_constant=None,
-            spread_on_k=None, sign_min_x=None, sign_max_y=None,
-            status=result.status, iterations=result.iterations,
-            growth_constant=None, curvature_verified=verified, waived=waived,
-            engine=result, lip_trace=lip_trace)
-    ks = np.array(part.k_set)
-    on_k = delta_values[ks]
-    constant = float(np.mean(on_k))
-    spread = float(np.max(on_k) - np.min(on_k))
-    sign_min_x = (float(np.min(delta_values[np.array(part.x_set)]) - constant)
-                  if part.x_set else None)
-    sign_max_y = (float(np.max(delta_values[np.array(part.y_set)]) - constant)
-                  if part.y_set else None)
+    """Result of a converged flow (all of g_on_k, extension and
+    delta_values given) or of one that stopped early (all three None)."""
+    constant, spread, sign_min_x, sign_max_y = (
+        (None,) * 4 if delta_values is None else _k_statistics(part, delta_values))
     return SeparationResult(
         g_on_k=g_on_k, extension=extension, laplacian_constant=constant,
         spread_on_k=spread, sign_min_x=sign_min_x, sign_max_y=sign_max_y,
@@ -189,13 +200,14 @@ def _finish_linear_like(part: PartitionXKY, result: IterationResult,
         waived=waived, engine=result, lip_trace=lip_trace)
 
 
-def _verify_nonnegative_kappa(g: WeightedGraph, d: DistanceMatrix,
-                              tol: float) -> None:
-    for u, v in g.edges():
-        k = ollivier_kappa(g, d, u, v)
-        if k < -tol:
+def _require_nonnegative(g: WeightedGraph, kind: str, label: str,
+                         d: DistanceMatrix | None = None) -> None:
+    """Curvature sign gate: the first edge, in edge order, whose curvature
+    of ``kind`` is below -SIGN_TOL fails it."""
+    for (u, v), k in _edge_curvatures(g, kind, d):
+        if k < -SIGN_TOL:
             raise PreconditionError(
-                f"Ollivier curvature is negative at edge ({u}, {v}): {k:g}; "
+                f"{label} is negative at edge ({u}, {v}): {k:g}; "
                 "pass waive_curvature=True to run anyway")
 
 
@@ -220,16 +232,11 @@ def separation_flow_linear(g: WeightedGraph, part: PartitionXKY, eps: float,
     d = shortest_path_metric(g)
     verified = False
     if not waive_curvature:
-        _verify_nonnegative_kappa(g, d, tol=1e-12)
+        _require_nonnegative(g, "ollivier", "Ollivier curvature", d)
         verified = True
 
     ks = np.array(part.k_set)
-    if f0 is None:
-        f0 = np.zeros(len(part.k_set))
-    f0 = np.asarray(f0, dtype=float)
-    _check_lip_on_k(part, d, f0)
-    x0 = part.k_set[0] if x0 is None else x0
-    x0k = part.k_index(x0)
+    f0, x0k = _start_on_k(part, d, f0, x0)
 
     lip_trace: list[float] = []
     d_on_k = d.values[np.ix_(ks, ks)]
@@ -296,25 +303,14 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
     if p < 1:
         raise ValidationError(f"p must be at least 1, got {p}")
     phi_shape = PhiSpec.power(p).shape
-    d0 = combinatorial_metric(g)
     verified = False
     if not waive_curvature:
-        for u, v in g.edges():
-            k = modified_kappa_phi(g, u, v, phi_shape, d0)
-            if k < -1e-12:
-                raise PreconditionError(
-                    f"modified curvature ({phi_shape}) is negative at edge "
-                    f"({u}, {v}): {k:g}; pass waive_curvature=True to run anyway")
+        _require_nonnegative(g, f"phi-{phi_shape}", f"modified curvature ({phi_shape})")
         verified = True
 
     d = shortest_path_metric(g)
     ks = np.array(part.k_set)
-    if f0 is None:
-        f0 = np.zeros(len(part.k_set))
-    f0 = np.asarray(f0, dtype=float)
-    _check_lip_on_k(part, d, f0)
-    x0 = part.k_set[0] if x0 is None else x0
-    x0k = part.k_index(x0)
+    f0, x0k = _start_on_k(part, d, f0, x0)
     schedule = eps_schedule or [eps * 0.5 ** k for k in range(6)]
 
     stages: list[dict] = []
@@ -368,13 +364,7 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
         g_sub = (h_last - ftilde_last) / eps_last
     else:
         g_sub = p_laplacian(g, h_last, p)
-    on_k = g_sub[ks]
-    constant = float(np.mean(on_k))
-    spread = float(np.max(on_k) - np.min(on_k))
-    sign_min_x = (float(np.min(g_sub[np.array(part.x_set)]) - constant)
-                  if part.x_set else None)
-    sign_max_y = (float(np.max(g_sub[np.array(part.y_set)]) - constant)
-                  if part.y_set else None)
+    constant, spread, sign_min_x, sign_max_y = _k_statistics(part, g_sub)
     coeff = max(s["defect"] / s["eps"] for s in stages if s["defect"] is not None)
     return SeparationPResult(
         h=h_last, g_sub=g_sub, constant=constant, spread_on_k=spread,
@@ -516,12 +506,7 @@ def separation_flow_generic(P: ChainOperator, part: PartitionXKY,
             "pass allow_unverified=True to run anyway")
 
     ks = np.array(part.k_set)
-    if f0 is None:
-        f0 = np.zeros(len(part.k_set))
-    f0 = np.asarray(f0, dtype=float)
-    _check_lip_on_k(part, d, f0)
-    x0 = part.k_set[0] if x0 is None else x0
-    x0k = part.k_index(x0)
+    f0, x0k = _start_on_k(part, d, f0, x0)
 
     def apply(fk: np.ndarray) -> np.ndarray:
         full = lipschitz_extend(part, d, fk, validate=False)

@@ -15,7 +15,13 @@ from curvflow import (
     perron_frobenius_operator,
     verify_properties,
 )
-from curvflow.chains import CONVERGED, DIVERGED, MAX_ITERATIONS, OSCILLATING
+from curvflow.chains import (
+    CONVERGED,
+    DIVERGED,
+    MAX_ITERATIONS,
+    OSCILLATING,
+    _increments_cycle,
+)
 
 
 def lazy_swap():
@@ -283,3 +289,21 @@ def test_extension_iterates_from_off_family_points():
         assert np.all(np.isfinite(f))
     res = iterate_normalized(P, rng.normal(size=4), 0, 1e-6, max_iter=400)
     assert res.status in (OSCILLATING, MAX_ITERATIONS, DIVERGED)
+
+
+def test_increments_cycle_detector():
+    tol = 1e-9
+    # increments alternate +1, -0.5, +1, ...: a genuine period-2 cycle
+    alternating = [np.array([0.0, 0.0]), np.array([1.0, -1.0])]
+    for k in range(6):
+        step = np.array([1.0, -1.0]) if k % 2 else np.array([-0.5, 0.5])
+        alternating.append(alternating[-1] + step)
+    assert _increments_cycle(alternating, tol)
+    assert _increments_cycle(alternating[:5], tol)
+    # fewer than five entries never fire
+    assert not _increments_cycle(alternating[:4], tol)
+    # geometrically settling orbit: increments shrink, no period-2 cycle
+    settling = [np.array([1.0 - 0.5 ** k, 0.5 ** k]) for k in range(8)]
+    assert not _increments_cycle(settling, tol)
+    # a constant orbit has equal increments, nothing alternates
+    assert not _increments_cycle([np.array([2.0, 3.0])] * 6, tol)

@@ -384,3 +384,43 @@ def test_graph_immutability_of_distance_matrix():
     d = shortest_path_metric(g)
     with pytest.raises(ValueError):
         d.values[0, 1] = 9.0
+
+
+@pytest.mark.parametrize("case", ["linear-missing", "pf-no-matrices",
+                                  "weight-not-number", "f-file-missing"])
+def test_bad_file_inputs_exit_two(tmp_path, triangle, capsys, case):
+    missing = str(tmp_path / "missing.json")
+    if case == "linear-missing":
+        argv = ["ric", triangle, "--operator", f"linear:{missing}"]
+    elif case == "pf-no-matrices":
+        doc = tmp_path / "foo.json"
+        doc.write_text('{"foo": 1}')
+        argv = ["pf", str(doc)]
+    elif case == "weight-not-number":
+        doc = tmp_path / "wabc.json"
+        doc.write_text(json.dumps({"vertices": 2, "edges": [
+            {"u": 0, "v": 1, "w": "abc", "len": 1.0}]}))
+        argv = ["curvature", str(doc)]
+    else:
+        argv = ["resolvent", triangle, "--f-file", missing]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]
+
+
+def test_curvature_command_records_lly_failure_per_edge(triangle, capsys,
+                                                        monkeypatch):
+    import curvflow.curvature as curvature
+
+    def disagree(g, d, x, y, **kwargs):
+        if (x, y) == (0, 1):
+            raise curvature.CurvatureError("slopes disagree")
+        return 1.5
+
+    monkeypatch.setattr(curvature, "kappa_lly", disagree)
+    code = main(["curvature", triangle, "--kinds", "ollivier,lly"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["edges"]
+    assert rows[0]["lly_error"] == "slopes disagree" and "kappa_lly" not in rows[0]
+    assert all(row["kappa_lly"] == 1.5 for row in rows[1:])
+    assert all("kappa" in row for row in rows)

@@ -5,8 +5,10 @@ from conftest import complete_graph, cycle_graph, random_flow_graph
 from oracles import brute_force_wasserstein
 
 from curvflow import (
+    SolverError,
     ValidationError,
     WeightedGraph,
+    combinatorial_metric,
     curvature_report,
     kappa_alpha,
     kappa_lly,
@@ -177,3 +179,37 @@ def test_lazy_curvature_linear_near_zero():
         k4 = kappa_alpha(g, d, u, v, a / 4)
         assert k1 / a == pytest.approx(k2 / (a / 2), abs=1e-8)
         assert k2 / (a / 2) == pytest.approx(k4 / (a / 4), abs=1e-8)
+
+
+def test_curvature_report_matches_per_edge_functions():
+    # seed 707 is the one graph here where the convex phi transport is
+    # feasible on every edge; on the others it raises InfeasibleError
+    for seed in range(700, 708):
+        g = random_flow_graph(np.random.default_rng(seed), 4 + seed % 5)
+        d, d0 = shortest_path_metric(g), combinatorial_metric(g)
+        per_edge = {
+            "ollivier": lambda u, v: ollivier_kappa(g, d, u, v),
+            "alpha": lambda u, v: kappa_alpha(g, d, u, v, 0.3),
+            "lly": lambda u, v: kappa_lly(g, d, u, v),
+            "phi-convex": lambda u, v: modified_kappa_phi(g, u, v, "convex", d0),
+            "phi-concave": lambda u, v: modified_kappa_phi(g, u, v, "concave", d0),
+        }
+        for kind, kappa in per_edge.items():
+            try:
+                expected = {(u, v): kappa(u, v) for u, v in g.edges()}
+            except SolverError as exc:
+                with pytest.raises(type(exc)):
+                    curvature_report(g, kind=kind, alpha=0.3)
+                continue
+            rep = curvature_report(g, kind=kind, alpha=0.3)
+            assert rep.values == expected
+            assert (rep.min, rep.max) == (min(expected.values()), max(expected.values()))
+
+
+def test_curvature_report_checks_kind_before_edges():
+    edgeless = WeightedGraph.from_edges(3, [])
+    assert curvature_report(edgeless).values == {}
+    with pytest.raises(ValidationError, match="unknown curvature kind"):
+        curvature_report(edgeless, kind="forman")
+    with pytest.raises(ValidationError, match="alpha"):
+        curvature_report(edgeless, kind="alpha")
