@@ -500,6 +500,8 @@ def perron_frobenius_operator(family: Sequence[np.ndarray]) -> ChainOperator:
     mats = [np.asarray(a, dtype=float) for a in family]
     if not mats:
         raise ValidationError("matrix family must be nonempty")
+    if mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
+        raise ValidationError(f"matrix 0 must be square, got shape {mats[0].shape}")
     N = mats[0].shape[0]
     for idx, a in enumerate(mats):
         if a.shape != (N, N):

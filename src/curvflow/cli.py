@@ -196,6 +196,17 @@ def _parse_vector(text: str | None, path: str | None, n: int,
     return vec
 
 
+def _number(text: str, default: float, spec: str) -> float:
+    """A finite operator argument; ``default`` when the text is empty."""
+    try:
+        value = float(text) if text else default
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValidationError(f"operator {spec!r}: {text!r} is not a finite number")
+    return value
+
+
 def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
     """Built-in operator factory for the ric/verify/separation commands.
 
@@ -209,7 +220,7 @@ def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
         return chains.linear_chain_operator(np.eye(n), name="identity")
     if kind == "shift":
         n = _need_graph(g, kind).n
-        c = float(arg or 1.0)
+        c = _number(arg, 1.0, spec)
         return chains.ChainOperator(dimension=n, apply=lambda f, c=c: f + c,
                                     declared={"monotone": None,
                                               "constant-additive": None,
@@ -217,27 +228,27 @@ def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
                                     name=f"shift({c:g})")
     if kind == "scale":
         n = _need_graph(g, kind).n
-        a = float(arg or 2.0)
+        a = _number(arg, 2.0, spec)
         return chains.ChainOperator(dimension=n, apply=lambda f, a=a: a * f,
                                     name=f"scale({a:g})")
     if kind == "counterexample":
-        return chains.counterexample_operator(float(arg or 0.01))
+        return chains.counterexample_operator(_number(arg, 0.01, spec))
     if kind == "linear":
         return chains.linear_chain_operator(_float_array(_load_json(arg, "kernel"), arg))
     if kind == "pf":
         return chains.perron_frobenius_operator(_load_matrices(arg))
     if kind == "lazy-walk":
         graph = _need_graph(g, kind)
-        eps = float(arg or 0.1)
+        eps = _number(arg, 0.1, spec)
         M = np.eye(graph.n) + eps * laplacian_matrix(graph)
         if np.any(np.diag(M) <= 0):
             raise ValidationError(f"lazy-walk eps {eps:g} makes a diagonal entry nonpositive")
         return chains.linear_chain_operator(M, name=f"lazy-walk({eps:g})")
     if kind == "resolvent":
         graph = _need_graph(g, kind)
-        parts = arg.split(",") if arg else []
-        p = float(parts[0]) if parts else 2.0
-        eps = float(parts[1]) if len(parts) > 1 else 0.1
+        parts = arg.split(",") + [""]
+        p = _number(parts[0], 2.0, spec)
+        eps = _number(parts[1], 0.1, spec)
         return chains.ChainOperator(
             dimension=graph.n,
             apply=lambda f: plaplace.resolvent(graph, f, p, eps).g,
@@ -567,7 +578,8 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         code, error = EXIT_SOLVER, str(exc)
     finally:
-        # flush whatever trace exists, even on failure
+        # write the rows the handler returned; a handler that raised
+        # returned none, so its trace file holds only the header
         if args.trace and rows is not None:
             try:
                 emit_trace(rows, args.format, args.trace)

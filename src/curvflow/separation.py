@@ -28,6 +28,7 @@ from .chains import (
 from .curvature import _edge_curvatures
 from .errors import (
     DisconnectedError,
+    InfeasibleError,
     PreconditionError,
     SolverError,
     ValidationError,
@@ -203,12 +204,17 @@ def _finish_linear_like(part: PartitionXKY, result: IterationResult,
 def _require_nonnegative(g: WeightedGraph, kind: str, label: str,
                          d: DistanceMatrix | None = None) -> None:
     """Curvature sign gate: the first edge, in edge order, whose curvature
-    of ``kind`` is below -SIGN_TOL fails it."""
-    for (u, v), k in _edge_curvatures(g, kind, d):
-        if k < -SIGN_TOL:
-            raise PreconditionError(
-                f"{label} is negative at edge ({u}, {v}): {k:g}; "
-                "pass waive_curvature=True to run anyway")
+    of ``kind`` is below -SIGN_TOL or undefined (an infeasible modified
+    curvature LP) fails it."""
+    hint = "pass waive_curvature=True to run anyway"
+    try:
+        for (u, v), k in _edge_curvatures(g, kind, d):
+            if k < -SIGN_TOL:
+                raise PreconditionError(
+                    f"{label} is negative at edge ({u}, {v}): {k:g}; {hint}")
+    except InfeasibleError as exc:
+        # the message of the LP names the edge
+        raise PreconditionError(f"{label} is undefined: {exc}; {hint}") from exc
 
 
 def separation_flow_linear(g: WeightedGraph, part: PartitionXKY, eps: float,

@@ -3,8 +3,8 @@
 Solves ``min c @ x  s.t.  A @ x = b, x >= 0`` on a dense tableau with
 Bland's anti-cycling rule (entering: smallest eligible variable index;
 leaving: minimum ratio, ties broken by smallest basic variable index).
-Problem sizes here are tiny (transport polytopes on one-step balls and
-Kantorovich duals on support unions), so a dense tableau beats anything
+Problem sizes here are tiny (transportation polytopes of measure
+supports and of one-step balls), so a dense tableau beats anything
 fancier and keeps the solver fully self-contained.
 """
 

@@ -3,10 +3,11 @@
 Wasserstein distances are solved as transportation LPs with a
 self-contained simplex (northwest-corner starting basis, Bland's rule).
 Optimality of every plan can be certified through Kantorovich duality:
-a 1-Lipschitz potential whose dual value matches the plan cost.  An
-audit mode certifies every ``wasserstein`` call made inside it, which
-the acceptance suite uses to cross-check all transport work done by the
-flows.
+the c-transform of the simplex basis's own transport duals is a
+1-Lipschitz potential whose dual value matches the plan cost, so the
+certificate needs no second LP.  An audit mode certifies every
+``wasserstein`` call made inside it, which the acceptance suite uses to
+cross-check all transport work done by the flows.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ class TransportPlan:
     ``entries`` maps (source vertex, target vertex) to mass.  Row and
     column sums must reproduce the marginals within 1e-9.  ``basic_cells``
     records the simplex basis when the plan came from the LP; the dual
-    certificate uses it to propagate potentials by complementary
-    slackness.
+    certificate solves its transport duals by complementary slackness.
     """
 
     entries: dict[tuple[int, int], float]
@@ -221,7 +221,18 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure,
         plan = TransportPlan(entries, mu1, mu2,
                              basic_cells=tuple((int(x), int(x)) for x in mu1.support))
         return 0.0, plan
+    value, plan = _transport_lp(mu1, mu2, cost)
+    if _AUDIT.enabled:
+        _, gap = dual_certificate(mu1, mu2, d, plan)
+        _AUDIT.count += 1
+        _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
+    return value, plan
 
+
+def _transport_lp(mu1: ProbMeasure, mu2: ProbMeasure,
+                  cost: np.ndarray) -> tuple[float, TransportPlan]:
+    """The transportation LP on the supports' cost block, solved from the
+    northwest-corner basis; the plan records the optimal basis."""
     n1, n2 = mu1.support.size, mu2.support.size
     c = cost.reshape(-1)
     # rows: n1 source sums, then n2-1 target sums (last one is redundant)
@@ -242,112 +253,47 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure,
     basic = tuple((int(mu1.support[k // n2]), int(mu2.support[k % n2]))
                   for k in sorted(res.basis))
     plan = TransportPlan(entries, mu1, mu2, basic_cells=basic)
-    value = max(res.value, 0.0)
-    if _AUDIT.enabled:
-        _, gap = dual_certificate(mu1, mu2, d, plan)
-        _AUDIT.count += 1
-        _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
-    return value, plan
+    return max(res.value, 0.0), plan
 
 
 # ---------------------------------------------------------------------------
 # Kantorovich dual certificate
 
 
-def _potential_from_basis(plan: TransportPlan, d: DistanceMatrix,
-                          tol: float) -> dict[int, float] | None:
-    """Propagate phi(u) - phi(v) = d(u, v) over the basic cells.
+def _basis_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
+                     cost: np.ndarray,
+                     cells: tuple[tuple[int, int], ...] | None) -> np.ndarray | None:
+    """c-transform of the transport duals of a basis.
 
-    Returns None when the propagation is inconsistent or the basis
-    splits into pieces that cannot be shifted into a 1-Lipschitz whole.
+    Solves u_i + v_j = d(x_i, y_j) over the basic cells and returns
+    phi(z) = min_j d(z, y_j) - v_j on every vertex, with 0 off the
+    supports' component.  phi is 1-Lipschitz for any v, and for an
+    optimal basis it attains the LP value.  A simplex basis is a spanning
+    tree of the support bipartite graph, so the propagation is always
+    consistent; cells that do not span the supports give None.
     """
-    cells = plan.basic_cells
-    if not cells:
+    n1 = mu1.support.size
+    row = {x: i for i, x in enumerate(mu1.support.tolist())}
+    col = {y: n1 + j for j, y in enumerate(mu2.support.tolist())}
+    adjacency: list[list[int]] = [[] for _ in range(n1 + len(col))]
+    for x, y in cells or ():
+        if x in row and y in col:
+            adjacency[row[x]].append(col[y])
+            adjacency[col[y]].append(row[x])
+    c = cost.tolist()
+    duals: list[float | None] = [None] * len(adjacency)
+    duals[0] = 0.0
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adjacency[a]:
+            if duals[b] is None:
+                duals[b] = c[min(a, b)][max(a, b) - n1] - duals[a]
+                stack.append(b)
+    if None in duals:
         return None
-    adjacency: dict[int, list[tuple[int, float]]] = {}
-    for u, v in cells:
-        duv = d.value(u, v)
-        adjacency.setdefault(u, []).append((v, -duv))
-        adjacency.setdefault(v, []).append((u, duv))
-    phi: dict[int, float] = {}
-    pieces: list[list[int]] = []
-    for root in adjacency:
-        if root in phi:
-            continue
-        piece = [root]
-        phi[root] = 0.0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, delta in adjacency[u]:
-                val = phi[u] + delta
-                if v in phi:
-                    if abs(phi[v] - val) > tol:
-                        return None
-                else:
-                    phi[v] = val
-                    piece.append(v)
-                    stack.append(v)
-        pieces.append(piece)
-    # a degenerate basis can split; shift later pieces to stay 1-Lipschitz
-    placed = list(pieces[0])
-    for piece in pieces[1:]:
-        lo, hi = -np.inf, np.inf
-        for a in placed:
-            for y in piece:
-                day = d.value(a, y)
-                lo = max(lo, phi[a] - phi[y] - day)
-                hi = min(hi, phi[a] - phi[y] + day)
-        if lo > hi + tol:
-            return None
-        shift = min(max(0.0, lo), hi)
-        for y in piece:
-            phi[y] += shift
-        placed.extend(piece)
-    return phi
-
-
-def _potential_from_lp(mu1: ProbMeasure, mu2: ProbMeasure,
-                       d: DistanceMatrix) -> dict[int, float]:
-    """Solve the Kantorovich dual LP directly on the support union."""
-    union = np.unique(np.concatenate([mu1.support, mu2.support]))
-    k = union.size
-    weight = np.zeros(k)
-    for x, m in zip(mu1.support, mu1.mass):
-        weight[np.searchsorted(union, x)] += m
-    for x, m in zip(mu2.support, mu2.mass):
-        weight[np.searchsorted(union, x)] -= m
-    # max weight.phi s.t. phi_u - phi_v <= d(u, v); phi free -> split +/-
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    nrows = len(pairs)
-    nvars = 2 * k + nrows
-    A = np.zeros((nrows, nvars))
-    b = np.empty(nrows)
-    for r, (i, j) in enumerate(pairs):
-        A[r, i] += 1.0
-        A[r, k + i] -= 1.0
-        A[r, j] -= 1.0
-        A[r, k + j] += 1.0
-        A[r, 2 * k + r] = 1.0
-        b[r] = d.value(int(union[i]), int(union[j]))
-    c = np.zeros(nvars)
-    c[:k] = -weight
-    c[k:2 * k] = weight
-    res = require_optimal(solve_standard_lp(c, A, b), "Kantorovich dual LP")
-    phi = res.x[:k] - res.x[k:2 * k]
-    return {int(u): float(p) for u, p in zip(union, phi)}
-
-
-def _extend_potential(phi: dict[int, float], d: DistanceMatrix) -> np.ndarray:
-    """Largest 1-Lipschitz extension of phi to every reachable vertex."""
-    n = d.n
-    anchors = np.array(sorted(phi))
-    vals = np.array([phi[int(a)] for a in anchors])
-    dist = d.values[:, anchors]
-    full = np.min(vals[None, :] + dist, axis=1)
-    full = np.where(np.isfinite(full), full, 0.0)
-    full[anchors] = vals
-    return full
+    phi = np.min(d.values[:, mu2.support] - np.array(duals[n1:]), axis=1)
+    return np.where(np.isfinite(phi), phi, 0.0)
 
 
 def _verify_potential(full: np.ndarray, d: DistanceMatrix, tol: float) -> bool:
@@ -363,31 +309,30 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
 
     Returns the potential (on all vertices) and the duality gap
     ``|cost(plan) - sum phi d(mu1 - mu2)|``.  A gap below ``certify_tol``
-    proves the plan optimal.  A certificate is first rebuilt from the
-    plan's simplex basis and independently verified; if that fails the
-    dual LP is solved from scratch.  With ``require`` set, a gap above
-    tolerance raises CertificateError — it signals an LP bug.
+    proves the plan optimal.  The potential is the c-transform of the
+    transport duals of the plan's simplex basis, so no LP is solved for a
+    plan that ``wasserstein`` returned.  A plan whose basic cells do not
+    span the supports (a hand-built plan) is measured against the basis
+    of a fresh solve of the same transport LP; identical measures get
+    phi = 0, since their distance is 0.  The 1-Lipschitz property is
+    verified independently.  With ``require`` set, a gap above tolerance
+    raises CertificateError — it signals an LP bug.
     """
     sub = _check_supports_connected(mu1, mu2, d)
-    cost = plan.cost(d)
     # tolerances are relative to the instance scale: beyond unit-scale
     # distances, only relative optimality is resolvable in floats
     scale = max(1.0, float(np.max(sub)))
-
-    def gap_of(phi: dict[int, float]) -> tuple[np.ndarray, float] | None:
-        full = _extend_potential(phi, d)
-        if not _verify_potential(full, d, MARGINAL_TOL * scale):
-            return None
-        dual = float(full[mu1.support] @ mu1.mass - full[mu2.support] @ mu2.mass)
-        return full, abs(cost - dual)
-
-    candidate = _potential_from_basis(plan, d, MARGINAL_TOL * scale)
-    result = gap_of(candidate) if candidate is not None else None
-    if result is None or result[1] > certify_tol * scale:
-        result = gap_of(_potential_from_lp(mu1, mu2, d))
-        if result is None:
-            raise CertificateError("dual LP produced a non-Lipschitz potential")
-    full, gap = result
+    if mu1 == mu2:
+        full = np.zeros(d.n)
+    else:
+        full = _basis_potential(mu1, mu2, d, sub, plan.basic_cells)
+        if full is None:
+            basis = _transport_lp(mu1, mu2, sub)[1].basic_cells
+            full = _basis_potential(mu1, mu2, d, sub, basis)
+    if not _verify_potential(full, d, MARGINAL_TOL * scale):
+        raise CertificateError("transport duals gave a non-Lipschitz potential")
+    dual = float(full[mu1.support] @ mu1.mass - full[mu2.support] @ mu2.mass)
+    gap = abs(plan.cost(d) - dual)
     if require and gap > certify_tol * scale:
         raise CertificateError(
             f"no optimality certificate within {certify_tol:g} x scale "

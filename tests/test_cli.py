@@ -387,7 +387,8 @@ def test_graph_immutability_of_distance_matrix():
 
 
 @pytest.mark.parametrize("case", ["linear-missing", "pf-no-matrices",
-                                  "weight-not-number", "f-file-missing"])
+                                  "weight-not-number", "f-file-missing",
+                                  "pf-scalar-list"])
 def test_bad_file_inputs_exit_two(tmp_path, triangle, capsys, case):
     missing = str(tmp_path / "missing.json")
     if case == "linear-missing":
@@ -395,6 +396,10 @@ def test_bad_file_inputs_exit_two(tmp_path, triangle, capsys, case):
     elif case == "pf-no-matrices":
         doc = tmp_path / "foo.json"
         doc.write_text('{"foo": 1}')
+        argv = ["pf", str(doc)]
+    elif case == "pf-scalar-list":
+        doc = tmp_path / "scalars.json"
+        doc.write_text("[5]")
         argv = ["pf", str(doc)]
     elif case == "weight-not-number":
         doc = tmp_path / "wabc.json"
@@ -424,3 +429,69 @@ def test_curvature_command_records_lly_failure_per_edge(triangle, capsys,
     assert rows[0]["lly_error"] == "slopes disagree" and "kappa_lly" not in rows[0]
     assert all(row["kappa_lly"] == 1.5 for row in rows[1:])
     assert all("kappa" in row for row in rows)
+
+
+@pytest.mark.parametrize("spec", [
+    "shift:abc", "scale:x", "lazy-walk:zz", "resolvent:a,b", "counterexample:q",
+    "shift:nan", "scale:inf", "resolvent:3,inf", "resolvent:nan,0.1",
+    "lazy-walk:nan"])
+def test_non_finite_operator_arguments_exit_two(triangle, capsys, spec):
+    assert main(["ric", triangle, "--operator", spec, "--samples", "4"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert "not a finite number" in doc["error"]
+
+
+def test_infeasible_modified_curvature_gate_exits_four(tmp_path, capsys):
+    graph = tmp_path / "edge.json"
+    graph.write_text(json.dumps({
+        "vertices": 2, "edges": [{"u": 0, "v": 1, "w": 1.0, "len": 1.0}],
+        "measure": [1.0, 2.0]}))
+    part = tmp_path / "part.json"
+    part.write_text('{"X": [], "K": [0, 1], "Y": []}')
+    code = main(["separation", str(graph), str(part), "--mode", "p", "--p", "3"])
+    assert code == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert "(0, 1)" in doc["error"] and "waive_curvature" in doc["error"]
+
+
+# ---------------------------------------------------------------------------
+# failure surface: arbitrary matrix documents
+
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_scalars = st.one_of(st.integers(-3, 3), st.floats(-10.0, 10.0), st.floats(),
+                     st.text(max_size=2), st.none(), st.booleans(),
+                     st.just([]))
+
+
+def _nested(depth: int):
+    if depth == 0:
+        return _scalars
+    return st.one_of(_scalars, st.lists(_nested(depth - 1), max_size=3))
+
+
+def _square(n: int):
+    entry = st.one_of(st.floats(0.0, 10.0), st.integers(-1, 3))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# families of equal-size square matrices reach the chain itself
+_families = st.integers(1, 3).flatmap(
+    lambda n: st.lists(_square(n), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(_nested(3), _families))
+def test_pf_matrix_documents_end_in_a_documented_exit(tmp_path_factory, doc):
+    work = tmp_path_factory.mktemp("pf")
+    matrices, out = work / "m.json", work / "out.json"
+    matrices.write_text(json.dumps(doc))
+    code = main(["pf", str(matrices), "--max-iter", "20", "-o", str(out)])
+    assert code in (0, 2, 3, 4, 5)
+    result = json.loads(out.read_text())
+    # non-convergence (3) is a result with a status, not an error
+    assert ("error" in result) == (code in (2, 4, 5))
+    if code in (0, 3):
+        assert result["results"]["status"]

@@ -242,6 +242,15 @@ def test_p_flow_gate_on_negative_modified_curvature():
     assert res.waived and res.status == CONVERGED
 
 
+def test_p_flow_gate_on_infeasible_modified_curvature():
+    # a lone edge: the convex curvature LP forbids the plan's diagonal,
+    # which leaves no plan at all, so the sign is unverified
+    g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 1.0)], measure=[1.0, 2.0])
+    part = PartitionXKY.build(g, [], [0, 1], [])
+    with pytest.raises(PreconditionError, match=r"\(0, 1\).*waive_curvature"):
+        separation_flow_p(g, part, 3.0, eps=0.1)
+
+
 # ---------------------------------------------------------------------------
 # Ric_r
 

@@ -386,9 +386,9 @@ def test_plan_cost_attains_reported_value(seed):
 
 
 def test_certificate_handles_split_basis_pieces():
-    # a block-diagonal optimal plan whose "basis" splits into two pieces:
-    # the potentials of each piece carry a free constant that must be
-    # shifted into a globally 1-Lipschitz whole
+    # a block-diagonal optimal plan whose hand-built "basis" splits into
+    # two pieces, so its cells do not span the supports: the certificate
+    # comes from the basis of a fresh solve of the same transport LP
     g = WeightedGraph.from_edges(
         4, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 3.0), (2, 3, 1.0, 1.0)])
     d = shortest_path_metric(g)
@@ -409,3 +409,68 @@ def test_certificate_falls_back_without_basis():
     plan = TransportPlan({(0, 1): 1.0}, mu1, mu2)  # no basic cells recorded
     phi, gap = dual_certificate(mu1, mu2, d, plan)
     assert gap < 1e-9
+
+
+def test_certificate_dual_value_matches_enumeration():
+    rng = np.random.default_rng(15)
+    checked = 0
+    for _ in range(25):
+        g = random_flow_graph(rng, 8)
+        comp = max(__import__("curvflow").connected_components(g), key=len)
+        if len(comp) < 4:
+            continue
+        d = shortest_path_metric(g)
+        mu1 = random_measure(rng, comp, 4)
+        mu2 = random_measure(rng, comp, 3)
+        _, plan = wasserstein(mu1, mu2, d)
+        phi, _ = dual_certificate(mu1, mu2, d, plan)
+        sub = d.values[np.ix_(mu1.support, mu2.support)]
+        oracle = brute_force_wasserstein(mu1.mass, mu2.mass, sub)
+        dual = phi[mu1.support] @ mu1.mass - phi[mu2.support] @ mu2.mass
+        assert abs(dual - oracle) <= 1e-12 * max(1.0, float(sub.max()))
+        finite = np.isfinite(d.values)
+        diff = np.abs(phi[:, None] - phi[None, :])
+        assert np.all(diff[finite] <= d.values[finite] + 1e-12)
+        checked += 1
+    assert checked >= 15
+
+
+def test_certificate_of_degenerate_basis():
+    # equal masses make the northwest-corner partial sums tie, so the
+    # optimal basis carries basic cells of zero mass
+    g = WeightedGraph.from_edges(
+        6, [(i, i + 1, 1.0, 1.0 + 0.25 * i) for i in range(5)])
+    d = shortest_path_metric(g)
+    mu1 = ProbMeasure(np.array([0, 1, 2]), np.array([0.25, 0.25, 0.5]))
+    mu2 = ProbMeasure(np.array([3, 4, 5]), np.array([0.25, 0.25, 0.5]))
+    _, plan = wasserstein(mu1, mu2, d)
+    assert any(cell not in plan.entries for cell in plan.basic_cells)
+    _, gap = dual_certificate(mu1, mu2, d, plan)
+    assert gap <= 1e-12
+
+
+def test_audit_certifies_from_the_basis_alone(monkeypatch):
+    import curvflow.transport as transport
+    from curvflow import FlowConfig, curvature_report, run_flow
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the certificate solved a dual LP")
+
+    solves = []
+    primal = transport.solve_from_basis
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return primal(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "solve_standard_lp", no_lp)
+    monkeypatch.setattr(transport, "solve_from_basis", counted)
+    g = random_flow_graph(np.random.default_rng(16), 7)
+    with transport_audit() as audit:
+        curvature_report(g, kind="ollivier")
+        run_flow(g, FlowConfig(max_iterations=5))
+        count, max_gap = audit_stats()
+    assert count == audit.count > 0
+    assert max_gap < 1e-9
+    # one primal solve per audited call: no certificate re-solved its LP
+    assert len(solves) == count
