@@ -514,14 +514,18 @@ def perron_frobenius_operator(family: Sequence[np.ndarray]) -> ChainOperator:
                 f"matrix {idx} has all-zero row {int(zero_rows[0])}; "
                 "Lambda would leave the positive cone")
     stack = np.stack(mats)
+    positive = stack > 0
 
     def apply(f: np.ndarray) -> np.ndarray:
-        shift = float(np.max(f))
-        v = np.exp(f - shift)
-        lam = np.min(stack @ v, axis=0)
-        if np.any(lam <= 0.0):
-            raise SolverError("Lambda produced a nonpositive component")
-        return 0.5 * (f + shift + np.log(lam))
+        # log sum_j A_kij e^(f_j), each row shifted by its largest f_j over
+        # the row's positive entries, so no row underflows to log 0
+        logs = np.where(positive, f, -np.inf)
+        shift = logs.max(axis=2)
+        rows = np.sum(stack * np.exp(logs - shift[..., None]), axis=2)
+        log_lam = np.min(shift + np.log(rows), axis=0)
+        if not np.all(np.isfinite(log_lam)):
+            raise SolverError("Lambda left the finite positive cone")
+        return 0.5 * (f + log_lam)
 
     return ChainOperator(
         dimension=N, apply=apply,

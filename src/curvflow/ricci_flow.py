@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .chains import _increments_cycle
 from .curvature import CurvatureReport, vertex_measure
 from .errors import ValidationError
 from .graphs import WeightedGraph, connected_components, shortest_path_metric
-from .transport import wasserstein
+from .transport import ProbMeasure, wasserstein
 
 __all__ = [
     "FlowConfig",
@@ -84,13 +84,34 @@ class FlowTraceRow:
 
 
 @dataclass(frozen=True)
+class _Topology:
+    """What the flow steps on one edge set share: the walk measures, which
+    depend on weights and measure but never on lengths, and each edge's
+    last optimal transport basis, which stays primal feasible for them."""
+
+    weights: np.ndarray
+    measure: np.ndarray
+    measures: dict[int, ProbMeasure]
+    bases: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+
+    def serves(self, g: WeightedGraph) -> bool:
+        return (np.array_equal(self.weights, g.weights)
+                and np.array_equal(self.measure, g.measure))
+
+
+@dataclass(frozen=True)
 class FlowState:
-    """Immutable snapshot of the flow: topology, metric, and history."""
+    """Immutable snapshot of the flow: topology, metric, and history.
+
+    ``topology`` caches per-topology transport data for the next flow
+    step; a state built after a deletion starts without it.
+    """
 
     graph: WeightedGraph
     iteration: int = 0
     deletion_log: tuple[tuple[int, tuple[int, int], tuple[float, float]], ...] = ()
     trace: tuple[FlowTraceRow, ...] = ()
+    topology: _Topology | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -138,11 +159,17 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     """One metric deformation: len(e) <- (1 - alpha) len(e) + alpha W(e)."""
     g = state.graph
     d = shortest_path_metric(g)
-    measures = {x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size}
+    topo = state.topology
+    if topo is None or not topo.serves(g):
+        topo = _Topology(g.weights, g.measure, {
+            x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size}, {})
+    measures = topo.measures
+    bases = {}
     new_lengths = g.lengths.copy()
     kappas: dict[tuple[int, int], float] = {}
     for u, v in g.edges():
-        cost, _ = wasserstein(measures[u], measures[v], d)
+        cost, plan = wasserstein(measures[u], measures[v], d, topo.bases.get((u, v)))
+        bases[(u, v)] = plan.basic_cells
         ln = g.lengths[u, v]
         kappas[(u, v)] = 1.0 - cost / ln
         new_lengths[u, v] = new_lengths[v, u] = (1.0 - cfg.alpha) * ln + cfg.alpha * cost
@@ -153,7 +180,8 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     prev_norm = (state.trace[-1].normalized if state.trace
                  else normalize_metric(state))
     new_state = FlowState(graph=new_graph, iteration=state.iteration + 1,
-                          deletion_log=state.deletion_log, trace=state.trace)
+                          deletion_log=state.deletion_log, trace=state.trace,
+                          topology=replace(topo, bases=bases))
     norm = normalize_metric(new_state)
     if set(prev_norm) == set(norm):
         delta = max((abs(math.log(norm[e]) - math.log(prev_norm[e]))

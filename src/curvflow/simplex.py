@@ -3,9 +3,9 @@
 Solves ``min c @ x  s.t.  A @ x = b, x >= 0`` on a dense tableau with
 Bland's anti-cycling rule (entering: smallest eligible variable index;
 leaving: minimum ratio, ties broken by smallest basic variable index).
-Problem sizes here are tiny (transportation polytopes of measure
-supports and of one-step balls), so a dense tableau beats anything
-fancier and keeps the solver fully self-contained.
+It serves the LPs of ball-restricted transport, whose forbidden cells
+leave no ready feasible basis; ``transport``'s tree simplex for
+Wasserstein distances follows the same rules and tolerances.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import InfeasibleError, SolverError, UnboundedError
 
-__all__ = ["LPResult", "solve_standard_lp", "solve_from_basis", "require_optimal"]
+__all__ = ["LPResult", "solve_standard_lp", "require_optimal"]
 
 FEAS_TOL = 1e-9
 # entering threshold: reduced costs beyond this are treated as optimal.
 # kept far below the feasibility tolerance so optimal values are stable
 # to ~1e-12 across basis paths (the flow's monotone diagnostics need it)
 ENTER_TOL = 1e-12
+MAX_PIVOTS = 10_000
 
 
 @dataclass
@@ -55,83 +56,30 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row - 1] = col
 
 
-def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int, tol: float,
-                   max_pivots: int) -> tuple[str, int]:
+def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
     """Run Bland-rule pivots to optimality on an initialized tableau."""
     pivots = 0
-    enter_tol = min(tol, ENTER_TOL)
     while True:
         reduced = T[0, :ncols]
-        candidates = np.flatnonzero(reduced < -enter_tol)
+        candidates = np.flatnonzero(reduced < -ENTER_TOL)
         if candidates.size == 0:
             return "optimal", pivots
         j = int(candidates[0])
         col = T[1:, j]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > FEAS_TOL)
         if rows.size == 0:
             return "unbounded", pivots
         ratios = T[1:, -1][rows] / col[rows]
         rmin = ratios.min()
-        ties = rows[ratios <= rmin + tol * (1.0 + abs(rmin))]
+        ties = rows[ratios <= rmin + FEAS_TOL * (1.0 + abs(rmin))]
         leave = int(ties[np.argmin(basis[ties])])
         _pivot(T, basis, leave + 1, j)
         pivots += 1
-        if pivots > max_pivots:
-            raise SolverError(f"simplex exceeded {max_pivots} pivots")
+        if pivots > MAX_PIVOTS:
+            raise SolverError(f"simplex exceeded {MAX_PIVOTS} pivots")
 
 
-def _build_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                   basis: np.ndarray) -> np.ndarray:
-    """Tableau [reduced costs | -value; B^-1 A | B^-1 b] for a given basis."""
-    m, n = A.shape
-    B = A[:, basis]
-    try:
-        body = np.linalg.solve(B, np.column_stack([A, b]))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("starting basis is singular") from exc
-    T = np.empty((m + 1, n + 1))
-    T[1:] = body
-    cb = c[basis]
-    T[0, :n] = c - cb @ body[:, :n]
-    T[0, n] = -cb @ body[:, n]
-    return T
-
-
-def _extract(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
-             T: np.ndarray, n: int, pivots: int, status: str) -> LPResult:
-    x = np.zeros(n)
-    if status == "optimal":
-        # re-solve on the final basis to shed pivoting roundoff
-        try:
-            xb = np.linalg.solve(A[:, basis], b)
-        except np.linalg.LinAlgError:
-            xb = T[1:, -1]
-        x[basis] = np.where(np.abs(xb) < FEAS_TOL, np.maximum(xb, 0.0), xb)
-    return LPResult(x=x, value=float(c @ x), basis=basis.copy(),
-                    status=status, n_pivots=pivots)
-
-
-def solve_from_basis(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                     basis: np.ndarray, *, tol: float = FEAS_TOL,
-                     max_pivots: int = 10_000) -> LPResult:
-    """Phase-2 simplex from a known primal-feasible basis."""
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    basis = np.asarray(basis, dtype=int).copy()
-    m, n = A.shape
-    if basis.shape != (m,):
-        raise SolverError(f"basis must have {m} entries, got {basis.shape}")
-    T = _build_tableau(c, A, b, basis)
-    if np.any(T[1:, -1] < -tol):
-        raise SolverError("starting basis is not primal feasible")
-    status, pivots = _bland_iterate(T, basis, n, tol, max_pivots)
-    return _extract(c, A, b, basis, T, n, pivots, status)
-
-
-def solve_standard_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, *,
-                      tol: float = FEAS_TOL,
-                      max_pivots: int = 10_000) -> LPResult:
+def solve_standard_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
     """Two-phase simplex for ``min c @ x, A @ x = b, x >= 0``."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).copy()
@@ -151,8 +99,8 @@ def solve_standard_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, *,
     T[0, :n] = -A.sum(axis=0)
     T[0, n:n + m] = 0.0
     T[0, -1] = -b.sum()
-    status, pivots1 = _bland_iterate(T, basis, n + m, tol, max_pivots)
-    if status != "optimal" or -T[0, -1] > tol * (1.0 + abs(b).sum()):
+    status, pivots1 = _bland_iterate(T, basis, n + m)
+    if status != "optimal" or -T[0, -1] > FEAS_TOL * (1.0 + abs(b).sum()):
         return LPResult(x=np.zeros(n), value=np.nan, basis=basis,
                         status="infeasible", n_pivots=pivots1)
 
@@ -162,7 +110,7 @@ def solve_standard_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, *,
         if basis[i] < n:
             continue
         row = T[i + 1, :n]
-        nz = np.flatnonzero(np.abs(row) > tol)
+        nz = np.flatnonzero(np.abs(row) > FEAS_TOL)
         if nz.size:
             _pivot(T, basis, i + 1, int(nz[0]))
         else:
@@ -181,5 +129,14 @@ def solve_standard_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, *,
     cb = c[basis]
     T2[0, :n] = c - cb @ T2[1:, :n]
     T2[0, -1] = -cb @ T2[1:, -1]
-    status, pivots2 = _bland_iterate(T2, basis, n, tol, max_pivots)
-    return _extract(c, A, b, basis, T2, n, pivots1 + pivots2, status)
+    status, pivots2 = _bland_iterate(T2, basis, n)
+    x = np.zeros(n)
+    if status == "optimal":
+        # re-solve on the final basis to shed pivoting roundoff
+        try:
+            xb = np.linalg.solve(A[:, basis], b)
+        except np.linalg.LinAlgError:
+            xb = T2[1:, -1]
+        x[basis] = np.where(np.abs(xb) < FEAS_TOL, np.maximum(xb, 0.0), xb)
+    return LPResult(x=x, value=float(c @ x), basis=basis.copy(),
+                    status=status, n_pivots=pivots1 + pivots2)

@@ -1,9 +1,9 @@
 """Exact optimal transport between finitely supported measures.
 
-Wasserstein distances are solved as transportation LPs with a
-self-contained simplex (northwest-corner starting basis, Bland's rule).
-Optimality of every plan can be certified through Kantorovich duality:
-the c-transform of the simplex basis's own transport duals is a
+Wasserstein distances are solved by a transportation simplex whose
+basis is a spanning tree of the supports (northwest-corner or warm
+start, Bland's rule).  Optimality of every plan can be certified through
+Kantorovich duality: the c-transform of the basis's own tree duals is a
 1-Lipschitz potential whose dual value matches the plan cost, so the
 certificate needs no second LP.  An audit mode certifies every
 ``wasserstein`` call made inside it, which the acceptance suite uses to
@@ -21,10 +21,11 @@ from .errors import (
     CertificateError,
     DisconnectedError,
     InfeasibleError,
+    SolverError,
     ValidationError,
 )
 from .graphs import DistanceMatrix, WeightedGraph
-from .simplex import require_optimal, solve_from_basis, solve_standard_lp
+from .simplex import ENTER_TOL, FEAS_TOL, MAX_PIVOTS, require_optimal, solve_standard_lp
 
 __all__ = [
     "ProbMeasure",
@@ -140,13 +141,13 @@ class TransportPlan:
 # audit mode
 
 
+@dataclass
 class _Audit:
-    __slots__ = ("enabled", "count", "max_gap")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.count = 0
-        self.max_gap = 0.0
+    enabled: bool = False
+    count: int = 0  # audited calls
+    pivots: int = 0  # simplex pivots over those calls
+    warm: int = 0  # those calls started from a caller's basis
+    max_gap: float = 0.0
 
 
 _AUDIT = _Audit()
@@ -157,10 +158,11 @@ def transport_audit():
     """Certify every wasserstein call in this context via duality.
 
     A call whose plan cannot be certified (gap above 1e-7) raises
-    CertificateError immediately.  Counters are reset on entry.
+    CertificateError immediately.  The yielded ledger's counters and
+    largest gap (``max_gap``) are reset on entry.
     """
     _AUDIT.enabled = True
-    _AUDIT.count = 0
+    _AUDIT.count = _AUDIT.pivots = _AUDIT.warm = 0
     _AUDIT.max_gap = 0.0
     try:
         yield _AUDIT
@@ -180,8 +182,7 @@ def audit_stats() -> tuple[int, float]:
 def _northwest_basis(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     """Staircase spanning-tree basis of the a x b transport polytope."""
     n1, n2 = a.size, b.size
-    ra = a.copy()
-    rb = b.copy()
+    ra, rb = a.tolist(), b.tolist()
     cells = [(0, 0)]
     i = j = 0
     while i < n1 - 1 or j < n2 - 1:
@@ -196,21 +197,111 @@ def _northwest_basis(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     return cells
 
 
+def _tree(cells, cost: list[list[float]], supply: list[float]):
+    """(duals, parent, flows) of the tree of ``cells`` (i, j), joining row
+    node i to column node n1 + j; None unless the cells reach every node.
+
+    The duals solve u_i + v_j = cost[i][j] from u_0 = 0, parent points
+    towards row 0, and the flows, peeled leaf by leaf, meet the supplies
+    (a at rows, -b at columns).
+    """
+    n1 = len(cost)
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in supply]
+    for i, j in cells:
+        adjacency[i].append((n1 + j, cost[i][j]))
+        adjacency[n1 + j].append((i, cost[i][j]))
+    duals: list = [0.0] + [None] * (len(supply) - 1)
+    parent = [-1] * len(supply)
+    order = [0]
+    for p in order:
+        for k, c in adjacency[p]:
+            if duals[k] is None:
+                duals[k] = c - duals[p]
+                parent[k] = p
+                order.append(k)
+    if len(order) < len(supply):
+        return None
+    net, flows = list(supply), {}
+    for k in reversed(order[1:]):
+        p = parent[k]
+        flows[(k, p - n1) if k < n1 else (p, k - n1)] = net[k] if k < n1 else -net[k]
+        net[p] += net[k]
+    return duals, parent, flows
+
+
+def _losing_cells(parent: list[int], i: int, j: int, n1: int) -> list[tuple[int, int]]:
+    """Tree cells whose flow drops when cell (i, j) enters: every other
+    cell of the tree path from column node n1 + j to row node i."""
+    up = [i]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    path = [n1 + j]
+    while path[-1] not in up:
+        path.append(parent[path[-1]])
+    path += up[:up.index(path[-1])][::-1]
+    return [(r, c - n1) for c, r in zip(path[0::2], path[1::2])]
+
+
+def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
+                       cells: list[tuple[int, int]]) -> tuple[dict, int]:
+    """Optimal tree flows and the pivot count, from the feasible tree ``cells``.
+
+    Bland's rule as in ``simplex``: enter the first cell, row-major, with
+    c_ij - u_i - v_j < -ENTER_TOL; drop the losing cell of least flow,
+    ties within FEAS_TOL to the smallest.  Flows are peeled afresh on
+    every tree, which sheds pivoting roundoff.
+    """
+    n1, n2 = a.size, b.size
+    supply = a.tolist() + (-b).tolist()
+    tree = _tree(cells, c, supply)
+    if tree is None or len(set(cells)) != n1 + n2 - 1:
+        raise ValidationError("starting basis is not a spanning tree of the supports")
+    if min(tree[2].values()) < -FEAS_TOL:
+        raise ValidationError("starting basis is not primal feasible")
+    for pivots in range(MAX_PIVOTS + 1):
+        duals, parent, flows = tree
+        enter = next(((i, j) for i, row in enumerate(c) for j, cij in enumerate(row)
+                      if cij - duals[i] - duals[n1 + j] < -ENTER_TOL), None)
+        if enter is None:
+            return flows, pivots
+        i, j = enter
+        losing = _losing_cells(parent, i, j, n1)
+        theta = min(flows[e] for e in losing)
+        leave = min(e for e in losing
+                    if flows[e] <= theta + FEAS_TOL * (1.0 + abs(theta)))
+        tree = _tree([e for e in flows if e != leave] + [(i, j)], c, supply)
+    raise SolverError(f"transport simplex exceeded {MAX_PIVOTS} pivots")
+
+
+def _local_cells(mu1: ProbMeasure, mu2: ProbMeasure, pairs) -> list | None:
+    """Vertex-pair cells as (row, column) support indices; None if one
+    lies off the supports."""
+    row = {x: i for i, x in enumerate(mu1.support.tolist())}
+    col = {y: j for j, y in enumerate(mu2.support.tolist())}
+    try:
+        return [(row[x], col[y]) for x, y in pairs]
+    except KeyError:
+        return None
+
+
 def _check_supports_connected(mu1: ProbMeasure, mu2: ProbMeasure,
                               d: DistanceMatrix) -> np.ndarray:
-    cost = d.values[np.ix_(mu1.support, mu2.support)]
-    if np.any(np.isinf(cost)):
+    cost = d.values[mu1.support][:, mu2.support]
+    if np.isinf(cost).any():
         raise DisconnectedError("measure supports lie in different components")
     return cost
 
 
-def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure,
-                d: DistanceMatrix) -> tuple[float, TransportPlan]:
+def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
+                basis: tuple[tuple[int, int], ...] | None = None,
+                ) -> tuple[float, TransportPlan]:
     """Exact Wasserstein distance and an optimal coupling.
 
     Supports must lie in one connected component of ``d``.  The returned
-    plan attains the cost and carries the optimal simplex basis for
-    certification.
+    plan attains the cost and carries the optimal basis for
+    certification.  ``basis``, the ``basic_cells`` of an earlier plan
+    between the same measures (under any metric), warm-starts the solve;
+    a basis that is not a feasible spanning tree raises ValidationError.
     """
     if mu1.subprobability or mu2.subprobability:
         raise ValidationError("wasserstein needs probability measures")
@@ -221,39 +312,22 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure,
         plan = TransportPlan(entries, mu1, mu2,
                              basic_cells=tuple((int(x), int(x)) for x in mu1.support))
         return 0.0, plan
-    value, plan = _transport_lp(mu1, mu2, cost)
+    cells = (_northwest_basis(mu1.mass, mu2.mass) if basis is None
+             else _local_cells(mu1, mu2, basis) or [])
+    c = cost.tolist()
+    flows, pivots = _transport_simplex(mu1.mass, mu2.mass, c, cells)
+    sx, sy = mu1.support.tolist(), mu2.support.tolist()
+    basic = sorted(flows)
+    moved = [(i, j) for i, j in basic if flows[i, j] > 0]
+    plan = TransportPlan({(sx[i], sy[j]): flows[i, j] for i, j in moved}, mu1, mu2,
+                         basic_cells=tuple((sx[i], sy[j]) for i, j in basic))
     if _AUDIT.enabled:
         _, gap = dual_certificate(mu1, mu2, d, plan)
         _AUDIT.count += 1
+        _AUDIT.pivots += pivots
+        _AUDIT.warm += basis is not None
         _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
-    return value, plan
-
-
-def _transport_lp(mu1: ProbMeasure, mu2: ProbMeasure,
-                  cost: np.ndarray) -> tuple[float, TransportPlan]:
-    """The transportation LP on the supports' cost block, solved from the
-    northwest-corner basis; the plan records the optimal basis."""
-    n1, n2 = mu1.support.size, mu2.support.size
-    c = cost.reshape(-1)
-    # rows: n1 source sums, then n2-1 target sums (last one is redundant)
-    m = n1 + n2 - 1
-    A = np.zeros((m, n1 * n2))
-    for i in range(n1):
-        A[i, i * n2:(i + 1) * n2] = 1.0
-    for j in range(n2 - 1):
-        A[n1 + j, j::n2] = 1.0
-    b = np.concatenate([mu1.mass, mu2.mass[:-1]])
-    basis = np.array([i * n2 + j for i, j in _northwest_basis(mu1.mass, mu2.mass)])
-    res = require_optimal(
-        solve_from_basis(c, A, b, basis), "wasserstein transport LP")
-
-    pi = res.x.reshape(n1, n2)
-    entries = {(int(mu1.support[i]), int(mu2.support[j])): float(pi[i, j])
-               for i, j in zip(*np.nonzero(pi > 0))}
-    basic = tuple((int(mu1.support[k // n2]), int(mu2.support[k % n2]))
-                  for k in sorted(res.basis))
-    plan = TransportPlan(entries, mu1, mu2, basic_cells=basic)
-    return max(res.value, 0.0), plan
+    return max(sum(flows[i, j] * c[i][j] for i, j in moved), 0.0), plan
 
 
 # ---------------------------------------------------------------------------
@@ -261,38 +335,22 @@ def _transport_lp(mu1: ProbMeasure, mu2: ProbMeasure,
 
 
 def _basis_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                     cost: np.ndarray,
-                     cells: tuple[tuple[int, int], ...] | None) -> np.ndarray | None:
+                     cost: np.ndarray, cells: list | None) -> np.ndarray | None:
     """c-transform of the transport duals of a basis.
 
-    Solves u_i + v_j = d(x_i, y_j) over the basic cells and returns
+    Solves u_i + v_j = d(x_i, y_j) over the basic cells, (row, column)
+    support indices, as the solver does (``_tree``) and returns
     phi(z) = min_j d(z, y_j) - v_j on every vertex, with 0 off the
     supports' component.  phi is 1-Lipschitz for any v, and for an
-    optimal basis it attains the LP value.  A simplex basis is a spanning
-    tree of the support bipartite graph, so the propagation is always
-    consistent; cells that do not span the supports give None.
+    optimal basis it attains the LP value.  Cells that are not a
+    spanning tree of the supports may give None.
     """
-    n1 = mu1.support.size
-    row = {x: i for i, x in enumerate(mu1.support.tolist())}
-    col = {y: n1 + j for j, y in enumerate(mu2.support.tolist())}
-    adjacency: list[list[int]] = [[] for _ in range(n1 + len(col))]
-    for x, y in cells or ():
-        if x in row and y in col:
-            adjacency[row[x]].append(col[y])
-            adjacency[col[y]].append(row[x])
-    c = cost.tolist()
-    duals: list[float | None] = [None] * len(adjacency)
-    duals[0] = 0.0
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for b in adjacency[a]:
-            if duals[b] is None:
-                duals[b] = c[min(a, b)][max(a, b) - n1] - duals[a]
-                stack.append(b)
-    if None in duals:
+    tree = cells and _tree(cells, cost.tolist(),
+                           mu1.mass.tolist() + (-mu2.mass).tolist())
+    if not tree:
         return None
-    phi = np.min(d.values[:, mu2.support] - np.array(duals[n1:]), axis=1)
+    n1 = mu1.support.size
+    phi = np.min(d.values[:, mu2.support] - np.array(tree[0][n1:]), axis=1)
     return np.where(np.isfinite(phi), phi, 0.0)
 
 
@@ -325,10 +383,12 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     if mu1 == mu2:
         full = np.zeros(d.n)
     else:
-        full = _basis_potential(mu1, mu2, d, sub, plan.basic_cells)
+        full = _basis_potential(mu1, mu2, d, sub,
+                                _local_cells(mu1, mu2, plan.basic_cells or ()))
         if full is None:
-            basis = _transport_lp(mu1, mu2, sub)[1].basic_cells
-            full = _basis_potential(mu1, mu2, d, sub, basis)
+            flows, _ = _transport_simplex(mu1.mass, mu2.mass, sub.tolist(),
+                                          _northwest_basis(mu1.mass, mu2.mass))
+            full = _basis_potential(mu1, mu2, d, sub, list(flows))
     if not _verify_potential(full, d, MARGINAL_TOL * scale):
         raise CertificateError("transport duals gave a non-Lipschitz potential")
     dual = float(full[mu1.support] @ mu1.mass - full[mu2.support] @ mu2.mass)

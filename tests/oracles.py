@@ -91,6 +91,14 @@ def brute_force_wasserstein(a: np.ndarray, b: np.ndarray,
     return min(float(np.sum(plan * cost)) for plan in transport_vertices(a, b))
 
 
+def dense_transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """(c, A, rhs) of min c @ x, A x = rhs, x >= 0 for the transport LP,
+    x the row-major plan, with every marginal row (one is redundant)."""
+    n1, n2 = cost.shape
+    A = np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))])
+    return cost.ravel(), A, np.concatenate([a, b])
+
+
 def brute_force_lp_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
     """Max of c @ x over {A x = b, x >= 0} by basis enumeration."""
     m, n = A.shape

@@ -454,6 +454,16 @@ def test_infeasible_modified_curvature_gate_exits_four(tmp_path, capsys):
     assert "(0, 1)" in doc["error"] and "waive_curvature" in doc["error"]
 
 
+def test_pf_tiny_entry_does_not_underflow_lambda(tmp_path):
+    # a nonnegative family with no zero row keeps Lambda in the positive
+    # cone; exp(f - max f) once underflowed the row that 6.08e-111 feeds
+    matrices, out = tmp_path / "u.json", tmp_path / "out.json"
+    matrices.write_text("[[[1, 6.2], [1, 0]], [[2, 3], [0, 6.08e-111]]]")
+    code = main(["pf", str(matrices), "--max-iter", "200", "-o", str(out)])
+    assert code in (0, 3)
+    assert "error" not in json.loads(out.read_text())
+
+
 # ---------------------------------------------------------------------------
 # failure surface: arbitrary matrix documents
 

@@ -231,3 +231,37 @@ def test_multi_step_trajectory_matches_oracle():
         state = flow_step(state, cfg)
         for e, val in expected.items():
             assert state.graph.edge_length(*e) == pytest.approx(val, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [45, 91])
+def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
+    # the flow reuses walk measures and each edge's last optimal basis
+    # until a deletion; solving every edge cold must give the same run
+    import curvflow.ricci_flow as ricci_flow
+    from curvflow.transport import transport_audit, wasserstein
+
+    rng = np.random.default_rng(seed)
+    g = random_flow_graph(rng, int(rng.integers(5, 9)))
+    cfg = FlowConfig(alpha=0.5, tolerance=1e-10)
+    with transport_audit() as audit:
+        warm = run_flow(g, cfg)
+        assert audit.warm > 0
+    monkeypatch.setattr(ricci_flow, "wasserstein",
+                        lambda mu1, mu2, d, basis=None: wasserstein(mu1, mu2, d))
+    with transport_audit() as audit:
+        cold = run_flow(g, cfg)
+        assert audit.warm == 0
+    assert len(warm.final.deletion_log) >= 4
+    assert warm.status == cold.status == STATUS_CONVERGED
+    assert warm.final.iteration == cold.final.iteration
+    for (n_w, e_w, lens_w), (n_c, e_c, lens_c) in zip(warm.final.deletion_log,
+                                                      cold.final.deletion_log,
+                                                      strict=True):
+        assert (n_w, e_w) == (n_c, e_c)
+        np.testing.assert_allclose(lens_w, lens_c, rtol=0, atol=1e-12)
+    assert warm.limits.keys() == cold.limits.keys()
+    for root, lim in warm.limits.items():
+        assert lim.keys() == cold.limits[root].keys()
+        for e, val in lim.items():
+            assert abs(val - cold.limits[root][e]) <= 1e-12
+        assert abs(warm.growth_rate[root] - cold.growth_rate[root]) <= 1e-12

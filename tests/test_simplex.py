@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_lp_max
+from oracles import brute_force_lp_max, dense_transport_lp
 
-from curvflow.simplex import require_optimal, solve_from_basis, solve_standard_lp
+from curvflow import (
+    ProbMeasure,
+    WeightedGraph,
+    dual_certificate,
+    shortest_path_metric,
+    wasserstein,
+)
+from curvflow.simplex import require_optimal, solve_standard_lp
 from curvflow.errors import InfeasibleError, UnboundedError
 
 
@@ -76,15 +85,44 @@ def test_random_instances_match_enumeration_oracle():
         assert np.all(res.x >= -1e-9)
 
 
-def test_solve_from_basis_matches_two_phase():
-    rng = np.random.default_rng(1)
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0]])
-    b = np.array([2.0, 3.0])
-    c = rng.uniform(-1, 1, 4)
-    full = solve_standard_lp(c, A, b)
-    warm = solve_from_basis(c, A, b, np.array([0, 3]))
-    assert full.status == warm.status == "optimal"
-    assert warm.value == pytest.approx(full.value, abs=1e-10)
+@st.composite
+def _transport_instances(draw):
+    """A path plus chords with lengths from a short list, so costs tie,
+    and two measures with masses in {1, 2, 3} / total, so northwest
+    corners degenerate; supports may be single points or overlap."""
+    n = draw(st.integers(2, 6))
+    length = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1.25])
+    edges = {(v - 1, v): draw(length) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=3)):
+        if u + 1 < v:
+            edges[(u, v)] = draw(length)
+    g = WeightedGraph.from_edges(n, [(u, v, 1.0, ln) for (u, v), ln in edges.items()])
+
+    def measure():
+        supp = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                             unique=True))
+        mass = np.array(draw(st.lists(st.integers(1, 3), min_size=len(supp),
+                                      max_size=len(supp))), dtype=float)
+        return ProbMeasure(np.array(supp), mass / mass.sum())
+
+    return shortest_path_metric(g), measure(), measure()
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_transport_instances())
+def test_tree_simplex_matches_dense_simplex(inst):
+    # wasserstein's transportation simplex against this module's dense
+    # two-phase tableau on the same LP (all marginal rows, one redundant)
+    d, mu1, mu2 = inst
+    value, plan = wasserstein(mu1, mu2, d)
+    cost = d.values[np.ix_(mu1.support, mu2.support)]
+    dense = require_optimal(solve_standard_lp(
+        *dense_transport_lp(mu1.mass, mu2.mass, cost)))
+    scale = max(1.0, float(cost.max()))
+    assert abs(value - dense.value) <= 1e-12 * scale
+    _, gap = dual_certificate(mu1, mu2, d, plan)
+    assert gap <= 1e-12 * scale
 
 
 def test_rank_deficient_systems():

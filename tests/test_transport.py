@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, random_flow_graph
-from oracles import brute_force_lp_max, brute_force_wasserstein
+from oracles import brute_force_lp_max, brute_force_wasserstein, dense_transport_lp
 
 from curvflow import (
     CertificateError,
     DisconnectedError,
+    DistanceMatrix,
     ProbMeasure,
     TransportPlan,
     ValidationError,
@@ -457,14 +458,14 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
         raise AssertionError("the certificate solved a dual LP")
 
     solves = []
-    primal = transport.solve_from_basis
+    primal = transport._transport_simplex
 
     def counted(*args, **kwargs):
         solves.append(1)
         return primal(*args, **kwargs)
 
     monkeypatch.setattr(transport, "solve_standard_lp", no_lp)
-    monkeypatch.setattr(transport, "solve_from_basis", counted)
+    monkeypatch.setattr(transport, "_transport_simplex", counted)
     g = random_flow_graph(np.random.default_rng(16), 7)
     with transport_audit() as audit:
         curvature_report(g, kind="ollivier")
@@ -474,3 +475,100 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
     assert max_gap < 1e-9
     # one primal solve per audited call: no certificate re-solved its LP
     assert len(solves) == count
+
+
+# ---------------------------------------------------------------------------
+# the spanning-tree transportation simplex
+
+
+def _cost_instance(rng, n1, n2, kind):
+    """Two measures on disjoint supports 0..n1-1 and n1..n1+n2-1 of a
+    cost table that need not be a metric (the solver never assumes one)."""
+    if kind == "integer":
+        cost = rng.integers(0, 4, (n1, n2)).astype(float)
+    else:
+        cost = rng.uniform(0.0, 3.0, (n1, n2))
+    if kind == "equal":
+        a, b = np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2)
+    else:
+        a, b = rng.uniform(0.1, 1.0, n1), rng.uniform(0.1, 1.0, n2)
+        a, b = a / a.sum(), b / b.sum()
+    full = np.zeros((n1 + n2, n1 + n2))
+    full[:n1, n1:] = cost
+    mu1 = ProbMeasure(np.arange(n1), a)
+    mu2 = ProbMeasure(np.arange(n1, n1 + n2), b)
+    return mu1, mu2, DistanceMatrix(full), cost
+
+
+_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "equal"])
+def test_tree_simplex_matches_enumeration(kind):
+    rng = np.random.default_rng(21)
+    for n1, n2 in _SHAPES * 3:
+        mu1, mu2, d, cost = _cost_instance(rng, n1, n2, kind)
+        value, plan = wasserstein(mu1, mu2, d)
+        oracle = brute_force_wasserstein(mu1.mass, mu2.mass, cost)
+        assert abs(value - oracle) <= 1e-12 * max(1.0, cost.max())
+        assert len(plan.basic_cells) == n1 + n2 - 1
+        assert plan.cost(d) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "equal"])
+def test_tree_simplex_matches_linprog(kind):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(22)
+    for n1, n2 in [(1, 7), (7, 1), (5, 6), (8, 8), (6, 9)] * 4:
+        mu1, mu2, d, cost = _cost_instance(rng, n1, n2, kind)
+        value, _ = wasserstein(mu1, mu2, d)
+        c, A, rhs = dense_transport_lp(mu1.mass, mu2.mass, cost)
+        ref = optimize.linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert abs(value - ref.fun) <= 1e-12 * max(1.0, cost.max())
+
+
+def test_warm_start_from_a_stale_basis():
+    # the basis that was optimal under one metric is feasible under any
+    # other: from it the solver reaches the cold-start optimum
+    rng = np.random.default_rng(23)
+    warm_calls = 0
+    for _ in range(20):
+        g = random_flow_graph(rng, 8)
+        comp = max(__import__("curvflow").connected_components(g), key=len)
+        if len(comp) < 5:
+            continue
+        mu1 = random_measure(rng, comp, 4)
+        mu2 = random_measure(rng, comp, 5)
+        _, stale = wasserstein(mu1, mu2, shortest_path_metric(g))
+        lengths = np.where(g.weights > 0, rng.uniform(0.1, 5.0, g.weights.shape), 0.0)
+        d2 = shortest_path_metric(g.with_lengths(np.maximum(lengths, lengths.T)))
+        cold, _ = wasserstein(mu1, mu2, d2)
+        with transport_audit() as audit:
+            warm, plan = wasserstein(mu1, mu2, d2, stale.basic_cells)
+        assert audit.warm == audit.count == 1
+        assert abs(warm - cold) <= 1e-12 * max(1.0, float(d2.values[np.isfinite(d2.values)].max()))
+        assert plan.cost(d2) == pytest.approx(warm, abs=1e-12)
+        warm_calls += 1
+    assert warm_calls >= 10
+
+
+def test_starting_basis_must_be_a_feasible_spanning_tree():
+    g = complete_graph(4)
+    d = shortest_path_metric(g)
+    mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    mu2 = ProbMeasure(np.array([2, 3]), np.array([0.9, 0.1]))
+    _, plan = wasserstein(mu1, mu2, d)
+    wasserstein(mu1, mu2, d, plan.basic_cells)
+    not_a_tree = "not a spanning tree"
+    bad = [
+        (plan.basic_cells[:-1], not_a_tree),
+        (plan.basic_cells[:-1] + plan.basic_cells[:1], not_a_tree),  # repeated
+        (plan.basic_cells[:-1] + ((0, 1),), not_a_tree),  # off the supports
+        ((), not_a_tree),
+        # a tree that needs -0.4 on cell (1, 3): row 0 sends 0.5 to 3 alone
+        (((0, 3), (1, 2), (1, 3)), "not primal feasible"),
+    ]
+    for cells, reason in bad:
+        with pytest.raises(ValidationError, match=reason):
+            wasserstein(mu1, mu2, d, cells)
