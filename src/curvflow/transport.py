@@ -246,12 +246,13 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                        cells: list[tuple[int, int]]) -> tuple[dict, int]:
     """Optimal tree flows and the pivot count, from the feasible tree ``cells``.
 
-    Bland's rule as in ``simplex``: enter the first cell, row-major, with
-    c_ij - u_i - v_j < -ENTER_TOL; drop the losing cell of least flow,
-    ties within FEAS_TOL to the smallest.  Flows are peeled afresh on
-    every tree, which sheds pivoting roundoff.
+    Bland's rule as in ``simplex``: enter the first cell off the tree,
+    row-major, with c_ij - u_i - v_j < -ENTER_TOL x max(1, max c); drop the
+    losing cell of least flow, ties within FEAS_TOL to the smallest.
+    Flows are peeled afresh on every tree, which sheds pivoting roundoff.
     """
     n1, n2 = a.size, b.size
+    tol = ENTER_TOL * max(1.0, max(map(max, c)))
     supply = a.tolist() + (-b).tolist()
     tree = _tree(cells, c, supply)
     if tree is None or len(set(cells)) != n1 + n2 - 1:
@@ -261,7 +262,8 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
     for pivots in range(MAX_PIVOTS + 1):
         duals, parent, flows = tree
         enter = next(((i, j) for i, row in enumerate(c) for j, cij in enumerate(row)
-                      if cij - duals[i] - duals[n1 + j] < -ENTER_TOL), None)
+                      if cij - duals[i] - duals[n1 + j] < -tol and (i, j) not in flows),
+                     None)
         if enter is None:
             return flows, pivots
         i, j = enter
