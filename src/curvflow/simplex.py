@@ -5,7 +5,7 @@ Bland's anti-cycling rule (entering: smallest eligible variable index;
 leaving: minimum ratio, ties broken by smallest basic variable index).
 It serves the LPs of ball-restricted transport, whose forbidden cells
 leave no ready feasible basis; ``transport``'s tree simplex for
-Wasserstein distances follows the same rules and tolerances.
+Wasserstein distances follows the same rules, its ENTER_TOL relative.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = ["LPResult", "solve_standard_lp", "require_optimal"]
 FEAS_TOL = 1e-9
 # entering threshold: reduced costs beyond this are treated as optimal.
 # kept far below the feasibility tolerance so optimal values are stable
-# to ~1e-12 across basis paths (the flow's monotone diagnostics need it)
+# to ~1e-12 x cost scale across basis paths (the flow's diagnostics need it)
 ENTER_TOL = 1e-12
 MAX_PIVOTS = 10_000
 
