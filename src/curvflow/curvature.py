@@ -15,8 +15,8 @@ from .errors import SolverError, ValidationError
 from .graphs import (
     DistanceMatrix,
     WeightedGraph,
+    _component_groups,
     combinatorial_metric,
-    connected_components,
     shortest_path_metric,
 )
 from .transport import ProbMeasure, constrained_transport_max, wasserstein
@@ -179,13 +179,17 @@ class CurvatureReport:
     def from_values(cls, g: WeightedGraph,
                     values: dict[tuple[int, int], float]) -> "CurvatureReport":
         """Report on per-edge values; components without edges get no stats."""
+        return cls._from_groups(values, _component_groups(g, values))
+
+    @classmethod
+    def _from_groups(cls, values: dict[tuple[int, int], float],
+                     groups: list[tuple]) -> "CurvatureReport":
+        """Report on values whose edges ``graphs._component_groups`` grouped."""
         stats: dict[int, tuple[float, float, float]] = {}
-        for comp in connected_components(g):
-            cset = set(comp)
-            inside = [values[e] for e in values if e[0] in cset]
-            if inside:
-                lo, hi = min(inside), max(inside)
-                stats[comp[0]] = (lo, hi, hi - lo)
+        for root, edges, *_ in groups:
+            inside = [values[e] for e in edges]
+            lo, hi = min(inside), max(inside)
+            stats[root] = (lo, hi, hi - lo)
         return cls(dict(values), stats)
 
     @property

@@ -11,6 +11,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -36,6 +37,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _edge_lengths(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Read-only lengths for the weights ``w``: finite, positive and
+    symmetric on the edge set, 0 off it."""
+    n = w.shape[0]
+    ln = np.asarray(lengths, dtype=float)
+    if ln.shape != (n, n):
+        raise ValidationError(f"lengths must be ({n}, {n}), got {ln.shape}")
+    adj = w > 0
+    if np.any(~np.isfinite(ln[adj])) or np.any(ln[adj] <= 0):
+        raise ValidationError("every edge needs a finite positive length")
+    ln = np.where(adj, ln, 0.0)
+    if np.max(np.abs(ln - ln.T)) > _SYM_TOL:
+        raise ValidationError("edge lengths must be symmetric")
+    return _readonly(ln)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +81,6 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         m = np.asarray(self.measure, dtype=float)
-        ln = np.asarray(self.lengths, dtype=float)
         if self.n < 1:
             raise ValidationError("graph needs at least one vertex")
         if w.shape != (self.n, self.n):
@@ -77,17 +93,10 @@ class WeightedGraph:
             raise ValidationError("edge weights must vanish on the diagonal")
         if m.shape != (self.n,) or not np.all(np.isfinite(m)) or np.any(m <= 0):
             raise ValidationError("vertex measure must be strictly positive")
-        if ln.shape != (self.n, self.n):
-            raise ValidationError(f"lengths must be ({self.n}, {self.n}), got {ln.shape}")
-        adj = w > 0
-        if np.any(~np.isfinite(ln[adj])) or np.any(ln[adj] <= 0):
-            raise ValidationError("every edge needs a finite positive length")
-        ln = np.where(adj, ln, 0.0)
-        if np.max(np.abs(ln - ln.T)) > _SYM_TOL:
-            raise ValidationError("edge lengths must be symmetric")
+        ln = _edge_lengths(w, self.lengths)
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "measure", _readonly(m))
-        object.__setattr__(self, "lengths", _readonly(ln))
+        object.__setattr__(self, "lengths", ln)
 
     @classmethod
     def from_edges(
@@ -148,8 +157,10 @@ class WeightedGraph:
         return self.weights.sum(axis=1) / self.measure
 
     def with_lengths(self, lengths: np.ndarray) -> "WeightedGraph":
-        """Copy of this graph with a new edge-length assignment."""
-        return WeightedGraph(self.n, self.weights, self.measure, lengths)
+        """Copy with new lengths; it shares the validated weights and measure."""
+        g = copy.copy(self)
+        object.__setattr__(g, "lengths", _edge_lengths(self.weights, lengths))
+        return g
 
     def drop_edge(self, u: int, v: int) -> "WeightedGraph":
         """Copy of this graph with the edge (u, v) removed."""
@@ -292,3 +303,16 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
                     stack.append(int(y))
         comps.append(sorted(comp))
     return comps
+
+
+def _component_groups(g: WeightedGraph, pairs) -> list[tuple]:
+    """Vertex pairs grouped by the component of their first vertex: one
+    (root, pairs, first-vertex array, second-vertex array) per component
+    holding any, in ``connected_components`` order, pairs in given order."""
+    comps = connected_components(g)
+    label = {x: i for i, comp in enumerate(comps) for x in comp}
+    buckets: list[list] = [[] for _ in comps]
+    for e in pairs:
+        buckets[label[e[0]]].append(e)
+    return [(comp[0], tuple(b), *np.array(b, dtype=np.intp).T)
+            for comp, b in zip(comps, buckets) if b]

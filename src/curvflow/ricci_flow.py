@@ -25,7 +25,7 @@ import numpy as np
 from .chains import _increments_cycle
 from .curvature import CurvatureReport, vertex_measure
 from .errors import ValidationError
-from .graphs import WeightedGraph, connected_components, shortest_path_metric
+from .graphs import WeightedGraph, _component_groups, shortest_path_metric
 from .transport import ProbMeasure, wasserstein
 
 __all__ = [
@@ -64,12 +64,13 @@ class FlowConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        if self.deletion_threshold is not None and self.deletion_threshold <= 0:
-            raise ValidationError("deletion threshold must be positive")
+        dt = self.deletion_threshold
+        if dt is not None and not (math.isfinite(dt) and dt > 0):
+            raise ValidationError(f"deletion threshold must be finite and positive, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,35 @@ class FlowTraceRow:
 
 @dataclass(frozen=True)
 class _Topology:
-    """What the flow steps on one edge set share: the walk measures, which
-    depend on weights and measure but never on lengths, and each edge's
-    last optimal transport basis, which stays primal feasible for them."""
+    """What the flow steps share while weights and measure stay: the edge
+    list, its per-component groups (``graphs._component_groups``), the walk
+    measures (None until a flow step builds them) and each edge's last
+    optimal transport basis, which stays primal feasible for them."""
 
     weights: np.ndarray
     measure: np.ndarray
-    measures: dict[int, ProbMeasure]
-    bases: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    edges: tuple[tuple[int, int], ...]
+    groups: list[tuple]
+    measures: dict[int, ProbMeasure] | None = None
+    bases: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, g: WeightedGraph) -> "_Topology":
+        edges = tuple(g.edges())
+        return cls(g.weights, g.measure, edges, _component_groups(g, edges))
 
     def serves(self, g: WeightedGraph) -> bool:
-        return (np.array_equal(self.weights, g.weights)
-                and np.array_equal(self.measure, g.measure))
+        return ((self.weights is g.weights or np.array_equal(self.weights, g.weights))
+                and (self.measure is g.measure or np.array_equal(self.measure, g.measure)))
 
 
 @dataclass(frozen=True)
 class FlowState:
     """Immutable snapshot of the flow: topology, metric, and history.
 
-    ``topology`` caches per-topology transport data for the next flow
-    step; a state built after a deletion starts without it.
+    ``topology`` caches what depends on the edge set alone for the next
+    steps; it is ignored for a graph it does not serve, and a deletion
+    replaces it with the new edge set's, without measures or bases.
     """
 
     graph: WeightedGraph
@@ -140,18 +150,18 @@ def max_adjacent_ratio(g: WeightedGraph) -> float:
     return worst
 
 
+def _topology(state: FlowState) -> _Topology:
+    """The state's cached topology if it serves the state's graph, else a new one."""
+    topo = state.topology
+    return topo if topo is not None and topo.serves(state.graph) else _Topology.of(state.graph)
+
+
 def normalize_metric(state: FlowState) -> dict[tuple[int, int], float]:
     """Edge lengths divided by the max edge length of their component."""
-    g = state.graph
     out: dict[tuple[int, int], float] = {}
-    for comp in connected_components(g):
-        cset = set(comp)
-        edges = [(u, v) for u, v in g.edges() if u in cset]
-        if not edges:
-            continue
-        top = max(g.lengths[u, v] for u, v in edges)
-        for u, v in edges:
-            out[(u, v)] = float(g.lengths[u, v] / top)
+    for _, edges, iu, iv in _topology(state).groups:
+        lengths = state.graph.lengths[iu, iv]
+        out.update(zip(edges, (lengths / lengths.max()).tolist()))
     return out
 
 
@@ -159,15 +169,15 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     """One metric deformation: len(e) <- (1 - alpha) len(e) + alpha W(e)."""
     g = state.graph
     d = shortest_path_metric(g)
-    topo = state.topology
-    if topo is None or not topo.serves(g):
-        topo = _Topology(g.weights, g.measure, {
-            x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size}, {})
+    topo = _topology(state)
+    if topo.measures is None:
+        topo = replace(topo, measures={
+            x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size})
     measures = topo.measures
     bases = {}
     new_lengths = g.lengths.copy()
     kappas: dict[tuple[int, int], float] = {}
-    for u, v in g.edges():
+    for u, v in topo.edges:
         cost, plan = wasserstein(measures[u], measures[v], d, topo.bases.get((u, v)))
         bases[(u, v)] = plan.basic_cells
         ln = g.lengths[u, v]
@@ -175,13 +185,14 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
         new_lengths[u, v] = new_lengths[v, u] = (1.0 - cfg.alpha) * ln + cfg.alpha * cost
 
     new_graph = g.with_lengths(new_lengths)
-    report = CurvatureReport.from_values(g, kappas)
+    report = CurvatureReport._from_groups(kappas, topo.groups)
     log_inc = [math.log1p(-cfg.alpha * k) for k in kappas.values()]
+    topo = replace(topo, bases=bases)
     prev_norm = (state.trace[-1].normalized if state.trace
-                 else normalize_metric(state))
+                 else normalize_metric(replace(state, topology=topo)))
     new_state = FlowState(graph=new_graph, iteration=state.iteration + 1,
                           deletion_log=state.deletion_log, trace=state.trace,
-                          topology=replace(topo, bases=bases))
+                          topology=topo)
     norm = normalize_metric(new_state)
     if set(prev_norm) == set(norm):
         delta = max((abs(math.log(norm[e]) - math.log(prev_norm[e]))
@@ -211,31 +222,31 @@ def edge_deletion_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     log = list(state.deletion_log)
     deleted: list[tuple[int, int]] = []
     while True:
-        violating: list[tuple[int, int]] = []
-        shortest_adjacent: dict[tuple[int, int], float] = {}
-        for u, v in g.edges():
-            ln = g.lengths[u, v]
-            adjacent = [g.lengths[y, z]
-                        for y in (u, v)
-                        for z in g.neighbors(y)
-                        if (min(y, z), max(y, z)) != (u, v)]
-            if adjacent and ln > C * min(adjacent):
-                violating.append((u, v))
-                shortest_adjacent[(u, v)] = float(min(adjacent))
-        if not violating:
+        iu, iv = np.nonzero(np.triu(g.weights, k=1) > 0)  # edges, lexicographic
+        # an edge's shortest adjacent edge at an endpoint is the endpoint's
+        # shortest incident edge, or its second shortest if that is the edge
+        incident = np.where(g.weights > 0, g.lengths, np.inf)
+        first = incident.argmin(axis=1)
+        s1 = incident.min(axis=1)
+        incident[np.arange(g.n), first] = np.inf
+        s2 = incident.min(axis=1)
+        shortest = np.minimum(np.where(first[iu] == iv, s2[iu], s1[iu]),
+                              np.where(first[iv] == iu, s2[iv], s1[iv]))
+        ln = g.lengths[iu, iv]
+        violating = np.flatnonzero(ln > C * shortest)
+        if not violating.size:
             break
-        top_len = max(float(g.lengths[e]) for e in violating)
-        # ties on the longest length break lexicographically
-        longest = min(e for e in violating if float(g.lengths[e]) == top_len)
-        log.append((state.iteration, longest,
-                    (float(g.lengths[longest]), shortest_adjacent[longest])))
+        # the longest violating edge, ties to the first (lexicographic) one
+        k = violating[np.argmax(ln[violating])]
+        longest = (int(iu[k]), int(iv[k]))
+        log.append((state.iteration, longest, (float(ln[k]), float(shortest[k]))))
         deleted.append(longest)
         g = g.drop_edge(*longest)
 
     if not deleted:
         return state
-    new_state = FlowState(graph=g, iteration=state.iteration,
-                          deletion_log=tuple(log), trace=state.trace)
+    new_state = FlowState(graph=g, iteration=state.iteration, deletion_log=tuple(log),
+                          trace=state.trace, topology=_Topology.of(g))
     if state.trace:
         last = replace(state.trace[-1],
                        deleted_edges=state.trace[-1].deleted_edges + tuple(deleted),
@@ -284,19 +295,14 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
             status = STATUS_OSCILLATION
             break
 
-    final_graph = state.graph
     limits: dict[int, dict[tuple[int, int], float]] = {}
     growth: dict[int, float] = {}
     norm = normalize_metric(state)
     last_kappa = state.trace[-1].kappa.values if state.trace else {}
-    for comp in connected_components(final_graph):
-        cset = set(comp)
-        edges = [e for e in norm if e[0] in cset]
-        if not edges:
-            continue
-        limits[comp[0]] = {e: norm[e] for e in edges}
+    for root, edges, *_ in _topology(state).groups:
+        limits[root] = {e: norm[e] for e in edges}
         incs = [math.log1p(-cfg.alpha * last_kappa[e]) for e in edges if e in last_kappa]
-        growth[comp[0]] = float(np.mean(incs)) if incs else 0.0
+        growth[root] = float(np.mean(incs)) if incs else 0.0
     return FlowResult(final=state, limits=limits, growth_rate=growth, status=status)
 
 

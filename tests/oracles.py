@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: repeated relaxation instead of
 Floyd-Warshall, union-find instead of graph search, exhaustive vertex
-enumeration of transport polytopes instead of the simplex, plain power
+enumeration of transport polytopes instead of the simplex, a per-edge
+scan of adjacent lengths instead of per-vertex minima, plain power
 iteration, and finite differences.  None of it shares code with the
 implementation paths it checks.
 """
@@ -112,6 +113,37 @@ def brute_force_lp_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
             continue
         best = max(best, float(c[list(combo)] @ np.maximum(vals, 0.0)))
     return best
+
+
+def deletion_scan(weights: np.ndarray, lengths: np.ndarray, threshold: float):
+    """The flow's threshold deletions by a plain scan: every edge collects
+    the lengths of all edges sharing an endpoint with it, and the longest
+    violating edge (ties to the lexicographically least) goes, one at a
+    time.  Returns ([(edge, (length, shortest adjacent length))], weights,
+    lengths) with the deleted entries zeroed.
+    """
+    w, ln = np.array(weights, dtype=float), np.array(lengths, dtype=float)
+    n = w.shape[0]
+    log = []
+    while True:
+        violating = []
+        shortest_adjacent = {}
+        for u, v in itertools.combinations(range(n), 2):
+            if w[u, v] <= 0:
+                continue
+            adjacent = [ln[y, z]
+                        for y in (u, v)
+                        for z in range(n)
+                        if w[y, z] > 0 and (min(y, z), max(y, z)) != (u, v)]
+            if adjacent and ln[u, v] > threshold * min(adjacent):
+                violating.append((u, v))
+                shortest_adjacent[(u, v)] = float(min(adjacent))
+        if not violating:
+            return log, w, ln
+        top_len = max(float(ln[e]) for e in violating)
+        u, v = min(e for e in violating if float(ln[e]) == top_len)
+        log.append(((u, v), (float(ln[u, v]), shortest_adjacent[(u, v)])))
+        w[u, v] = w[v, u] = ln[u, v] = ln[v, u] = 0.0
 
 
 def power_iteration(A: np.ndarray, iters: int = 20_000,

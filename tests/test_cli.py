@@ -441,6 +441,24 @@ def test_non_finite_operator_arguments_exit_two(triangle, capsys, spec):
     assert "not a finite number" in doc["error"]
 
 
+@pytest.mark.parametrize("args,name", [
+    (["--tol", "nan"], "tolerance"), (["--tol", "inf"], "tolerance"),
+    (["--tol=-inf"], "tolerance"), (["--threshold", "nan"], "deletion threshold"),
+    (["--threshold", "inf"], "deletion threshold")])
+def test_non_finite_flow_parameters_exit_two(tmp_path, capsys, args, name):
+    # each of these once ran the flow: NaN to --max-iter, inf "converged"
+    # after one step, and a non-finite threshold turned surgery off
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": 4, "edges": [
+        {"u": 0, "v": 1, "w": 0.3, "len": 1.0}, {"u": 1, "v": 2, "w": 0.3, "len": 2.0},
+        {"u": 0, "v": 2, "w": 0.3, "len": 1.5}, {"u": 2, "v": 3, "w": 0.3, "len": 1.0}]}))
+    trace = tmp_path / "t.csv"
+    assert main(["flow", str(graph), *args, "--trace", str(trace)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert name in doc["error"] and doc["results"] == {}
+    assert trace.read_text().count("\n") == 1  # header only: no step ran
+
+
 def test_infeasible_modified_curvature_gate_exits_four(tmp_path, capsys):
     graph = tmp_path / "edge.json"
     graph.write_text(json.dumps({

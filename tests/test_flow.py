@@ -1,15 +1,20 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, path_graph, random_flow_graph
-from oracles import brute_force_wasserstein
+from oracles import brute_force_wasserstein, deletion_scan
 
 from curvflow import (
     FlowConfig,
     ValidationError,
     WeightedGraph,
+    curvature_report,
     initial_state,
     normalize_metric,
     run_flow,
@@ -18,6 +23,7 @@ from curvflow import (
 )
 from curvflow.ricci_flow import (
     STATUS_CONVERGED,
+    FlowState,
     edge_deletion_step,
     flow_step,
     max_adjacent_ratio,
@@ -31,6 +37,16 @@ def test_config_validation():
         FlowConfig(alpha=1.0)
     with pytest.raises(ValidationError):
         FlowConfig(tolerance=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_tolerance_and_threshold(value):
+    # a NaN tolerance never converges, an infinite one converges at once,
+    # and a non-finite threshold switches surgery off
+    with pytest.raises(ValidationError, match="tolerance"):
+        FlowConfig(tolerance=value)
+    with pytest.raises(ValidationError, match="deletion threshold"):
+        FlowConfig(deletion_threshold=value)
 
 
 def test_degree_precondition():
@@ -265,3 +281,118 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
         for e, val in lim.items():
             assert abs(val - cold.limits[root][e]) <= 1e-12
         assert abs(warm.growth_rate[root] - cold.growth_rate[root]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# edge deletion against the plain per-edge scan
+
+# few distinct lengths, so that ties (for the longest violating edge, and
+# at the threshold itself) are common
+_LENGTHS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5]
+
+
+@st.composite
+def _deletion_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    lengths = draw(st.lists(st.sampled_from(_LENGTHS),
+                            min_size=len(chosen), max_size=len(chosen)))
+    edges = [(u, v, 1.0, ln) for (u, v), ln in zip(chosen, lengths)]
+    return WeightedGraph.from_edges(n, edges, measure=[float(n)] * n)
+
+
+_STAR = WeightedGraph.from_edges(  # two tied longest edges, both deleted
+    5, [(0, 1, 1, 4.5), (0, 2, 1, 4.5), (0, 3, 1, 1.0), (3, 4, 1, 2.0)],
+    measure=[5.0] * 5)
+_PATH = WeightedGraph.from_edges(  # three deletions, re-checked after each
+    5, [(0, 1, 1, 4.5), (1, 2, 1, 2.0), (2, 3, 1, 0.5), (3, 4, 1, 1.5)],
+    measure=[5.0] * 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_deletion_graphs(), threshold=st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0]))
+@example(g=_STAR, threshold=2.0)
+@example(g=_PATH, threshold=2.0)
+@example(g=_PATH, threshold=0.75)  # below 1 an edge must not count itself
+def test_deletion_step_matches_per_edge_scan(g, threshold):
+    state = replace(initial_state(g), iteration=7)
+    out = edge_deletion_step(state, FlowConfig(deletion_threshold=threshold))
+    log, weights, lengths = deletion_scan(g.weights, g.lengths, threshold)
+    assert list(out.deletion_log) == [(7, e, vals) for e, vals in log]
+    assert np.array_equal(out.graph.weights, weights)
+    assert np.array_equal(out.graph.lengths, lengths)
+
+
+def test_deletion_step_examples_reach_ties_and_chains():
+    # the explicit examples above really exercise what they claim
+    star = edge_deletion_step(initial_state(_STAR), FlowConfig(deletion_threshold=2.0))
+    assert [e for _, e, _ in star.deletion_log] == [(0, 1), (0, 2)]
+    path = edge_deletion_step(initial_state(_PATH), FlowConfig(deletion_threshold=2.0))
+    assert [e for _, e, _ in path.deletion_log] == [(0, 1), (1, 2), (3, 4)]
+    # (2, 3) is the shortest edge at both its endpoints
+    low = edge_deletion_step(initial_state(_PATH), FlowConfig(deletion_threshold=0.75))
+    assert (2, 3) in set(low.graph.edges())
+
+
+# ---------------------------------------------------------------------------
+# per-topology bookkeeping
+
+def _surgery_graph() -> WeightedGraph:
+    edges = [(0, 1, 1, 1.0), (1, 2, 1, 1.0), (0, 2, 1, 1.0),
+             (3, 4, 1, 1.0), (4, 5, 1, 1.0), (3, 5, 1, 1.0),
+             (2, 3, 1, 5.0)]
+    return WeightedGraph.from_edges(7, edges, measure=[3.0] * 7)
+
+
+@pytest.mark.parametrize("seed", [None, 91])
+def test_components_computed_once_per_topology(monkeypatch, seed):
+    # the regression guard for the per-topology bookkeeping: a flow step
+    # on an unchanged edge set partitions nothing
+    import curvflow.graphs as graphs
+
+    calls = []
+    real = graphs.connected_components
+
+    def counting(g):
+        calls.append(g.edge_count())
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvflow") and hasattr(module, "connected_components"):
+            monkeypatch.setattr(module, "connected_components", counting)
+    if seed is None:
+        g, cfg = _surgery_graph(), FlowConfig(alpha=0.5, tolerance=1e-10,
+                                              deletion_threshold=6.0)
+    else:
+        rng = np.random.default_rng(seed)
+        g = random_flow_graph(rng, int(rng.integers(5, 9)))
+        cfg = FlowConfig(alpha=0.5, tolerance=1e-10)
+    res = run_flow(g, cfg)
+    assert res.status == STATUS_CONVERGED
+    # one topology to start with, one more after each step that deleted
+    topologies = 1 + len({n for n, _, _ in res.final.deletion_log})
+    assert topologies >= 2
+    assert len(calls) <= topologies + 1
+
+
+@pytest.mark.parametrize("change", ["weights", "edges"])
+def test_stale_topology_is_not_used(change):
+    g = _surgery_graph()
+    cfg = FlowConfig(alpha=0.5, deletion_threshold=6.0)
+    state = flow_step(initial_state(g), cfg)
+    assert state.topology is not None
+    if change == "weights":
+        other = WeightedGraph(g.n, g.weights * 0.9, g.measure, state.graph.lengths)
+    else:
+        other = state.graph.drop_edge(2, 3)
+    stale = replace(state, graph=other)
+    fresh = FlowState(graph=other)
+    assert normalize_metric(stale) == normalize_metric(fresh)
+    row = flow_step(stale, cfg).trace[-1]
+    assert row.kappa == flow_step(fresh, cfg).trace[-1].kappa
+    report = curvature_report(other)
+    assert row.kappa.component_stats.keys() == report.component_stats.keys()
+    for root, stats in report.component_stats.items():
+        np.testing.assert_allclose(row.kappa.component_stats[root], stats,
+                                   rtol=0, atol=1e-12)

@@ -172,3 +172,46 @@ def test_graph_arrays_immutable():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 1.0)])
     with pytest.raises(ValueError):
         g.weights[0, 1] = 5.0
+
+
+def _bad_lengths(g: WeightedGraph, case: str) -> np.ndarray:
+    if case == "shape":
+        return np.ones((g.n + 1, g.n + 1))
+    ln = g.lengths.copy()
+    if case == "asymmetric":
+        ln[0, 1] += 1e-6
+    else:
+        ln[0, 1] = ln[1, 0] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                               "zero": 0.0, "negative": -1.0}[case]
+    return ln
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "zero", "negative",
+                                  "asymmetric", "shape"])
+def test_with_lengths_rejects_what_the_constructor_rejects(case):
+    g = random_flow_graph(np.random.default_rng(3), 5)
+    assert g.weights[0, 1] > 0
+    bad = _bad_lengths(g, case)
+    with pytest.raises(ValidationError) as full:
+        WeightedGraph(g.n, g.weights, g.measure, bad)
+    with pytest.raises(ValidationError) as lean:
+        g.with_lengths(bad)
+    assert str(lean.value) == str(full.value)
+
+
+def test_with_lengths_equals_constructor_and_shares_arrays():
+    rng = np.random.default_rng(4)
+    g = random_flow_graph(rng, 7)
+    new = rng.uniform(0.5, 2.0, (7, 7))
+    new = new + new.T  # nonzero off the edge set too: stored as 0
+    lean = g.with_lengths(new)
+    full = WeightedGraph(g.n, g.weights, g.measure, new)
+    assert lean.n == full.n
+    assert np.array_equal(lean.lengths, full.lengths)
+    assert np.array_equal(lean.weights, full.weights)
+    assert np.array_equal(lean.measure, full.measure)
+    assert np.all(lean.lengths[g.weights == 0] == 0)
+    assert lean.weights is g.weights and lean.measure is g.measure
+    assert g.lengths is not lean.lengths
+    assert not lean.lengths.flags.writeable
+    assert not lean.weights.flags.writeable and not lean.measure.flags.writeable
