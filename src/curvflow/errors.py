@@ -33,9 +33,5 @@ class InfeasibleError(SolverError):
     """A constraint system admits no feasible point."""
 
 
-class UnboundedError(SolverError):
-    """A linear program is unbounded in the optimization direction."""
-
-
 class CertificateError(SolverError):
     """No optimality certificate could be produced within tolerance."""

@@ -2,12 +2,14 @@
 
 Wasserstein distances are solved by a transportation simplex whose
 basis is a spanning tree of the supports (northwest-corner or warm
-start, Bland's rule).  Optimality of every plan can be certified through
-Kantorovich duality: the c-transform of the basis's own tree duals is a
-1-Lipschitz potential whose dual value matches the plan cost, so the
-certificate needs no second LP.  An audit mode certifies every
-``wasserstein`` call made inside it, which the acceptance suite uses to
-cross-check all transport work done by the flows.
+start, Bland's rule); the same solver, run in two phases, maximizes
+the ball transport with forbidden cells.  Optimality of every plan can
+be certified through Kantorovich duality: the c-transform of the
+basis's own tree duals is a 1-Lipschitz potential whose dual value
+matches the plan cost, so the certificate needs no second LP.  An
+audit mode certifies every ``wasserstein`` call made inside it, which
+the acceptance suite uses to cross-check all transport work done by the
+flows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .graphs import DistanceMatrix, WeightedGraph
-from .simplex import ENTER_TOL, FEAS_TOL, MAX_PIVOTS, require_optimal, solve_standard_lp
 
 __all__ = [
     "ProbMeasure",
@@ -40,19 +41,23 @@ __all__ = [
 MASS_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 CERTIFY_TOL = 1e-7
+FEAS_TOL = 1e-9
+# entering threshold, relative to the largest cost: reduced costs beyond it
+# count as optimal.  Kept far below FEAS_TOL so optimal values are stable to
+# ~1e-12 x cost scale across basis paths (the flow's diagnostics need it)
+ENTER_TOL = 1e-12
+MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
 class ProbMeasure:
     """Finitely supported measure: distinct vertex ids with masses.
 
-    Total mass must be 1 within 1e-12 unless ``subprobability`` is set
-    (used for the marginals of ball-restricted transport plans).
+    Total mass must be 1 within 1e-12.
     """
 
     support: np.ndarray
     mass: np.ndarray
-    subprobability: bool = False
 
     def __post_init__(self) -> None:
         supp = np.asarray(self.support, dtype=int)
@@ -66,7 +71,7 @@ class ProbMeasure:
         if np.any(mass < -MASS_TOL) or not np.all(np.isfinite(mass)):
             raise ValidationError("masses must be nonnegative")
         mass = np.maximum(mass, 0.0)
-        if not self.subprobability and abs(mass.sum() - 1.0) > MASS_TOL:
+        if abs(mass.sum() - 1.0) > MASS_TOL:
             raise ValidationError(f"masses must sum to 1, got {mass.sum()!r}")
         order = np.argsort(supp)
         supp = supp[order]
@@ -81,10 +86,10 @@ class ProbMeasure:
         return cls(np.array([x]), np.array([1.0]))
 
     @classmethod
-    def from_dict(cls, masses: dict[int, float], subprobability: bool = False) -> "ProbMeasure":
+    def from_dict(cls, masses: dict[int, float]) -> "ProbMeasure":
         items = sorted(masses.items())
         return cls(np.array([k for k, _ in items]),
-                   np.array([v for _, v in items]), subprobability)
+                   np.array([v for _, v in items]))
 
     def total(self) -> float:
         return float(self.mass.sum())
@@ -243,13 +248,15 @@ def _losing_cells(parent: list[int], i: int, j: int, n1: int) -> list[tuple[int,
 
 
 def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
-                       cells: list[tuple[int, int]]) -> tuple[dict, int]:
+                       cells: list[tuple[int, int]],
+                       frozen: frozenset | set = frozenset()) -> tuple[dict, int]:
     """Optimal tree flows and the pivot count, from the feasible tree ``cells``.
 
-    Bland's rule as in ``simplex``: enter the first cell off the tree,
+    Bland's rule: enter the first cell off the tree and not ``frozen``,
     row-major, with c_ij - u_i - v_j < -ENTER_TOL x max(1, max c); drop the
-    losing cell of least flow, ties within FEAS_TOL to the smallest.
-    Flows are peeled afresh on every tree, which sheds pivoting roundoff.
+    losing cell of least flow, ties within roundoff relative to that flow
+    to the smallest.  Flows are peeled afresh on every tree, which sheds
+    pivoting roundoff; a final flow below -MASS_TOL raises SolverError.
     """
     n1, n2 = a.size, b.size
     tol = ENTER_TOL * max(1.0, max(map(max, c)))
@@ -262,15 +269,21 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
     for pivots in range(MAX_PIVOTS + 1):
         duals, parent, flows = tree
         enter = next(((i, j) for i, row in enumerate(c) for j, cij in enumerate(row)
-                      if cij - duals[i] - duals[n1 + j] < -tol and (i, j) not in flows),
+                      if cij - duals[i] - duals[n1 + j] < -tol and (i, j) not in flows
+                      and (i, j) not in frozen),
                      None)
         if enter is None:
+            if min(flows.values()) < -MASS_TOL:
+                raise SolverError(f"transport simplex ended at a negative flow "
+                                  f"{min(flows.values()):g}")
             return flows, pivots
         i, j = enter
         losing = _losing_cells(parent, i, j, n1)
         theta = min(flows[e] for e in losing)
+        # an absolute tie window would outsize the masses of an alpha-lazy
+        # measure and let a cell above the least ratio leave
         leave = min(e for e in losing
-                    if flows[e] <= theta + FEAS_TOL * (1.0 + abs(theta)))
+                    if flows[e] <= theta + MASS_TOL * abs(theta) + 1e-15)
         tree = _tree([e for e in flows if e != leave] + [(i, j)], c, supply)
     raise SolverError(f"transport simplex exceeded {MAX_PIVOTS} pivots")
 
@@ -305,8 +318,6 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     between the same measures (under any metric), warm-starts the solve;
     a basis that is not a feasible spanning tree raises ValidationError.
     """
-    if mu1.subprobability or mu2.subprobability:
-        raise ValidationError("wasserstein needs probability measures")
     cost = _check_supports_connected(mu1, mu2, d)
     if mu1 == mu2:
         entries = {(int(x), int(x)): float(m)
@@ -411,75 +422,52 @@ def constrained_transport_max(
 ) -> tuple[float, TransportPlan]:
     """Maximize sum pi(x', y') (1 - d0(x', y') / d0(x, y)) over ball plans.
 
-    Plans live on B1(x) x B1(y) with sphere marginals pinned to the
-    jump probabilities w/m; entries selected by ``forbid`` are zero
+    Plans couple the non-lazy walk measures of x and y on B1(x) x B1(y):
+    w/m on each sphere, the remainder at the anchor, so a sphere mass
+    above 1 is infeasible.  Entries selected by ``forbid`` are zero
     ("three-cycles": the diagonal x' = y'; "five-cycles": cells at hop
-    distance 2 whose indices avoid both anchors).  Total plan mass is
-    capped at 1 with the slack placed implicitly at (x, y), where the
-    objective coefficient vanishes.
+    distance 2 whose indices avoid both anchors).  The plans on the
+    spheres carry at most unit mass; the slack of that cap sits inside
+    the (x, y) entry, which no rule forbids and whose coefficient
+    vanishes.  Phase 1 of the tree simplex minimizes the forbidden mass
+    (a positive optimum raises InfeasibleError); phase 2 enters only
+    allowed cells of zero phase-1 reduced cost, so forbidden flows stay 0.
     """
     if g.weights[x, y] <= 0:
         raise ValidationError(f"({x}, {y}) must be an edge")
     if forbid not in ("three-cycles", "five-cycles"):
         raise ValidationError(f"unknown forbid mode {forbid!r}")
-    sphere_x = [int(z) for z in g.neighbors(x)]
-    sphere_y = [int(z) for z in g.neighbors(y)]
-    ball_x = sorted({x, *sphere_x})
-    ball_y = sorted({y, *sphere_y})
+    blocked = f"forbidden entries block the sphere marginals at edge ({x}, {y})"
+    walks = []
+    for v in (x, y):
+        ball = sorted({v, *g.neighbors(v).tolist()})
+        mass = g.weights[v, ball] / g.measure[v]
+        if mass.sum() > 1.0 + MASS_TOL:
+            raise InfeasibleError(blocked)
+        mass[ball.index(v)] = max(1.0 - mass.sum(), 0.0)
+        walks.append(ProbMeasure(np.array(ball), mass))
+    mu, nu = walks
+    hop = _check_supports_connected(mu, nu, d0).tolist()
+    sx, sy = mu.support.tolist(), nu.support.tolist()
+    barred = {(i, j) for i, u in enumerate(sx) for j, v in enumerate(sy)
+              if (u == v if forbid == "three-cycles"
+                  else u != x and v != y and hop[i][j] == 2)}
+
+    n1, n2 = len(sx), len(sy)
+    c1 = [[float((i, j) in barred) for j in range(n2)] for i in range(n1)]
+    flows, _ = _transport_simplex(mu.mass, nu.mass, c1,
+                                  _northwest_basis(mu.mass, nu.mass))
+    if sum(f for e, f in flows.items() if e in barred) > FEAS_TOL:
+        raise InfeasibleError(blocked)
+    # phase-1 duals are sums of 0/1 costs, so zero reduced costs are exact
+    duals = _tree(list(flows), c1, mu.mass.tolist() + (-nu.mass).tolist())[0]
+    frozen = {(i, j) for i in range(n1) for j in range(n2)
+              if (i, j) in barred or duals[i] + duals[n1 + j] != 0.0}
     dxy = d0.value(x, y)
+    c2 = [[h / dxy - 1.0 for h in row] for row in hop]
+    flows, _ = _transport_simplex(mu.mass, nu.mass, c2, list(flows), frozen)
 
-    cells: list[tuple[int, int]] = []
-    coeffs: list[float] = []
-    for a in ball_x:
-        for bv in ball_y:
-            if forbid == "three-cycles" and a == bv:
-                continue
-            hop = d0.value(a, bv)
-            if forbid == "five-cycles" and a != x and bv != y and hop == 2:
-                continue
-            cells.append((a, bv))
-            coeffs.append(1.0 - hop / dxy)
-
-    ncells = len(cells)
-    rows_x = {a: r for r, a in enumerate(sorted(sphere_x))}
-    rows_y = {bv: len(rows_x) + r for r, bv in enumerate(sorted(sphere_y))}
-    nrows = len(rows_x) + len(rows_y) + 1
-    A = np.zeros((nrows, ncells + 1))
-    b = np.zeros(nrows)
-    for k, (a, bv) in enumerate(cells):
-        if a in rows_x:
-            A[rows_x[a], k] = 1.0
-        if bv in rows_y:
-            A[rows_y[bv], k] = 1.0
-        A[nrows - 1, k] = 1.0
-    for a, r in rows_x.items():
-        b[r] = g.weights[x, a] / g.measure[x]
-    for bv, r in rows_y.items():
-        b[r] = g.weights[y, bv] / g.measure[y]
-    A[nrows - 1, ncells] = 1.0  # slack for the unit mass cap
-    b[nrows - 1] = 1.0
-
-    c = np.zeros(ncells + 1)
-    c[:ncells] = -np.asarray(coeffs)
-    res = solve_standard_lp(c, A, b)
-    if res.status == "infeasible":
-        raise InfeasibleError(
-            f"forbidden entries block the sphere marginals at edge ({x}, {y})")
-    require_optimal(res, "constrained transport LP")
-
-    entries: dict[tuple[int, int], float] = {}
-    row_sums: dict[int, float] = dict.fromkeys(ball_x, 0.0)
-    col_sums: dict[int, float] = dict.fromkeys(ball_y, 0.0)
-    for k, (a, bv) in enumerate(cells):
-        mass = res.x[k]
-        if mass > 0:
-            entries[(a, bv)] = float(mass)
-            row_sums[a] += float(mass)
-            col_sums[bv] += float(mass)
-    plan = TransportPlan(
-        entries,
-        ProbMeasure.from_dict(row_sums, subprobability=True),
-        ProbMeasure.from_dict(col_sums, subprobability=True),
-    )
-    value = -res.value
+    plan = TransportPlan({(sx[i], sy[j]): f for (i, j), f in flows.items() if f > 0},
+                         mu, nu)
+    value = -sum(f * c2[i][j] for (i, j), f in flows.items())
     return (0.0 if abs(value) < 1e-15 else float(value)), plan

@@ -95,3 +95,24 @@ def random_lazy_kernel(rng: np.random.Generator, g: WeightedGraph,
         K[x, x] = raw[0]
         K[x, nbrs] = raw[1:]
     return K
+
+
+def random_curvature_graph(rng: np.random.Generator, n: int,
+                           extra_draws: int) -> WeightedGraph:
+    """Connected graph with ``extra_draws`` extra edge draws and
+    m = 1.25 x degree (deg(x) = 0.8): the benchmark's curvature inputs."""
+    edges = []
+    present = set()
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        present.add((u, v))
+        edges.append((u, v, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))))
+    for _ in range(int(rng.integers(extra_draws, extra_draws + 1))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if (u, v) not in present:
+            present.add((u, v))
+            edges.append((u, v, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))))
+    w = np.zeros((n, n))
+    for u, v, wt, _ in edges:
+        w[u, v] = w[v, u] = wt
+    return WeightedGraph.from_edges(n, edges, measure=1.25 * w.sum(axis=1))

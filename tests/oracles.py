@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: repeated relaxation instead of
 Floyd-Warshall, union-find instead of graph search, exhaustive vertex
-enumeration of transport polytopes instead of the simplex, a per-edge
+enumeration of transport polytopes and a dense two-phase simplex on the
+whole constraint matrix instead of the spanning-tree simplex, a per-edge
 scan of adjacent lengths instead of per-vertex minima, plain power
 iteration, and finite differences.  None of it shares code with the
 implementation paths it checks.
@@ -11,6 +12,7 @@ implementation paths it checks.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +100,130 @@ def dense_transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     n1, n2 = cost.shape
     A = np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))])
     return cost.ravel(), A, np.concatenate([a, b])
+
+
+def ball_transport_lp(x: int, y: int, g, d0, forbid: str):
+    """(c, A, rhs) of max c @ z, A z = rhs, z >= 0 for the ball transport
+    of edge (x, y) as first posed: one variable per allowed cell of
+    B1(x) x B1(y), sphere marginals w/m, and a unit mass cap whose slack
+    is the last variable."""
+    sphere_x = sorted(int(z) for z in g.neighbors(x))
+    sphere_y = sorted(int(z) for z in g.neighbors(y))
+    dxy = float(d0.values[x, y])
+    cells, coeffs = [], []
+    for a in sorted({x, *sphere_x}):
+        for b in sorted({y, *sphere_y}):
+            hop = float(d0.values[a, b])
+            if forbid == "three-cycles" and a == b:
+                continue
+            if forbid == "five-cycles" and a != x and b != y and hop == 2:
+                continue
+            cells.append((a, b))
+            coeffs.append(1.0 - hop / dxy)
+    rows = [(0, a) for a in sphere_x] + [(1, b) for b in sphere_y]
+    A = np.zeros((len(rows) + 1, len(cells) + 1))
+    for k, (a, b) in enumerate(cells):
+        for r, (side, v) in enumerate(rows):
+            A[r, k] = (a, b)[side] == v
+    A[-1] = 1.0
+    rhs = np.array([g.weights[(x, y)[side], v] / g.measure[(x, y)[side]]
+                    for side, v in rows] + [1.0])
+    return np.array(coeffs + [0.0]), A, rhs
+
+
+class LPResult(NamedTuple):
+    x: np.ndarray
+    value: float
+    status: str  # "optimal" | "infeasible" | "unbounded"
+
+
+_FEAS_TOL = 1e-9
+_ENTER_TOL = 1e-12
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Eliminate column ``col`` against data row ``row`` (rows are 1-based)."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row - 1] = col
+
+
+def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> str:
+    """Bland-rule pivots to optimality on an initialized tableau: enter
+    the smallest eligible column, leave the least ratio (ties within
+    roundoff relative to it) with the smallest basic variable."""
+    for _ in range(10_000):
+        candidates = np.flatnonzero(T[0, :ncols] < -_ENTER_TOL)
+        if candidates.size == 0:
+            return "optimal"
+        j = int(candidates[0])
+        col = T[1:, j]
+        rows = np.flatnonzero(col > _FEAS_TOL)
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[1:, -1][rows] / col[rows]
+        rmin = ratios.min()
+        ties = rows[ratios <= rmin + _FEAS_TOL * abs(rmin) + 1e-15]
+        _pivot(T, basis, int(ties[np.argmin(basis[ties])]) + 1, j)
+    raise RuntimeError("dense simplex exceeded 10000 pivots")
+
+
+def dense_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
+    """Two-phase simplex for min c @ x, A @ x = b, x >= 0 on a dense tableau."""
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    m, n = A.shape
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+
+    # phase 1: minimize the sum of artificial variables
+    basis = np.arange(n, n + m)
+    T = np.empty((m + 1, n + m + 1))
+    T[1:, :-1] = np.column_stack([A, np.eye(m)])
+    T[1:, -1] = b
+    T[0, :n] = -A.sum(axis=0)
+    T[0, n:n + m] = 0.0
+    T[0, -1] = -b.sum()
+    status = _bland_iterate(T, basis, n + m)
+    if status != "optimal" or -T[0, -1] > _FEAS_TOL * (1.0 + abs(b).sum()):
+        return LPResult(np.zeros(n), np.nan, "infeasible")
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] < n:
+            continue
+        nz = np.flatnonzero(np.abs(T[i + 1, :n]) > _FEAS_TOL)
+        if nz.size:
+            _pivot(T, basis, i + 1, int(nz[0]))
+        else:
+            keep[i] = False
+    T = np.vstack([T[:1], T[1:][keep]])
+    basis, A, b = basis[keep], A[keep], b[keep]
+
+    # phase 2 on the original costs, artificial columns removed
+    T2 = np.empty((T.shape[0], n + 1))
+    T2[1:, :n] = T[1:, :n]
+    T2[1:, -1] = T[1:, -1]
+    cb = c[basis]
+    T2[0, :n] = c - cb @ T2[1:, :n]
+    T2[0, -1] = -cb @ T2[1:, -1]
+    status = _bland_iterate(T2, basis, n)
+    x = np.zeros(n)
+    if status == "optimal":
+        # re-solve on the final basis to shed pivoting roundoff
+        try:
+            xb = np.linalg.solve(A[:, basis], b)
+        except np.linalg.LinAlgError:
+            xb = T2[1:, -1]
+        x[basis] = np.where(np.abs(xb) < _FEAS_TOL, np.maximum(xb, 0.0), xb)
+    return LPResult(x, float(c @ x), status)
 
 
 def brute_force_lp_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:

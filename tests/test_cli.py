@@ -472,6 +472,22 @@ def test_infeasible_modified_curvature_gate_exits_four(tmp_path, capsys):
     assert "(0, 1)" in doc["error"] and "waive_curvature" in doc["error"]
 
 
+def test_infeasible_modified_curvature_is_an_error_cell(tmp_path, capsys):
+    # deg(1) = 2 > 1: no walk measure at 1, so every edge's cell is an error
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps({
+        "vertices": 3, "measure": [1.0, 1.0, 1.0],
+        "edges": [{"u": 0, "v": 1, "w": 1.0, "len": 1.0},
+                  {"u": 1, "v": 2, "w": 1.0, "len": 1.0}]}))
+    code = main(["curvature", str(graph), "--kinds", "phi-convex"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["edges"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["phi-convex_error"].startswith("forbidden entries block")
+        assert "khat_convex" not in row
+
+
 def test_pf_tiny_entry_does_not_underflow_lambda(tmp_path):
     # a nonnegative family with no zero row keeps Lambda in the positive
     # cone; exp(f - max f) once underflowed the row that 6.08e-111 feeds

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import complete_graph, cycle_graph, random_flow_graph
-from oracles import brute_force_wasserstein
+from conftest import complete_graph, cycle_graph, random_curvature_graph, random_flow_graph
+from oracles import brute_force_wasserstein, dense_simplex, dense_transport_lp
 
 from curvflow import (
     SolverError,
@@ -16,6 +16,7 @@ from curvflow import (
     ollivier_kappa,
     shortest_path_metric,
     vertex_measure,
+    wasserstein,
 )
 from curvflow.curvature import CurvatureError
 
@@ -179,6 +180,23 @@ def test_lazy_curvature_linear_near_zero():
         k4 = kappa_alpha(g, d, u, v, a / 4)
         assert k1 / a == pytest.approx(k2 / (a / 2), abs=1e-8)
         assert k2 / (a / 2) == pytest.approx(k4 / (a / 4), abs=1e-8)
+
+
+def test_small_alpha_transport_is_exact():
+    # the benchmark's curvature seed 101, item 72, edge (5, 16): the lazy
+    # masses, down to ~1e-6, lie far below an absolute tie window of 1e-9,
+    # so the ratio test's ties must scale with the least ratio, or a cell
+    # above it leaves, a solve ends 1e-11 above the optimum at a negative
+    # flow, and kappa_lly's division by alpha makes the slopes disagree
+    g = random_curvature_graph(np.random.default_rng([101, 72]), 20, 30)
+    d = shortest_path_metric(g)
+    for alpha in (1e-3, 5e-4, 1e-4, 1e-5):
+        mu, nu = vertex_measure(g, 5, alpha), vertex_measure(g, 16, alpha)
+        value, _ = wasserstein(mu, nu, d)
+        cost = d.values[np.ix_(mu.support, nu.support)]
+        dense = dense_simplex(*dense_transport_lp(mu.mass, nu.mass, cost))
+        assert abs(value - dense.value) <= 1e-13
+    assert kappa_lly(g, d, 5, 16) == pytest.approx(-0.6245319079, abs=1e-10)
 
 
 def test_curvature_report_matches_per_edge_functions():

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, random_flow_graph
-from oracles import brute_force_lp_max, brute_force_wasserstein, dense_transport_lp
+from oracles import (
+    ball_transport_lp,
+    brute_force_lp_max,
+    brute_force_wasserstein,
+    dense_simplex,
+    dense_transport_lp,
+)
 
 from curvflow import (
     CertificateError,
     DisconnectedError,
     DistanceMatrix,
+    InfeasibleError,
     ProbMeasure,
+    SolverError,
     TransportPlan,
     ValidationError,
     WeightedGraph,
@@ -34,8 +42,6 @@ def test_measure_validation():
         ProbMeasure(np.array([0, 1]), np.array([0.5, 0.4]))
     with pytest.raises(ValidationError):
         ProbMeasure(np.array([0, 1]), np.array([1.5, -0.5]))
-    sub = ProbMeasure(np.array([0, 1]), np.array([0.2, 0.3]), subprobability=True)
-    assert sub.total() == pytest.approx(0.5)
 
 
 def test_plan_marginal_validation():
@@ -222,40 +228,7 @@ def test_two_vertex_three_cycle_value_zero():
 
 def _constrained_oracle(x, y, g, d0, forbid):
     """Re-derive the LP and maximize by basis enumeration."""
-    sphere_x = sorted(int(z) for z in g.neighbors(x))
-    sphere_y = sorted(int(z) for z in g.neighbors(y))
-    ball_x = sorted({x, *sphere_x})
-    ball_y = sorted({y, *sphere_y})
-    dxy = d0.value(x, y)
-    cells, coeffs = [], []
-    for a in ball_x:
-        for bv in ball_y:
-            if forbid == "three-cycles" and a == bv:
-                continue
-            hop = d0.value(a, bv)
-            if forbid == "five-cycles" and a != x and bv != y and hop == 2:
-                continue
-            cells.append((a, bv))
-            coeffs.append(1.0 - hop / dxy)
-    rows = {("x", a): i for i, a in enumerate(sphere_x)}
-    rows.update({("y", b): len(rows) + i for i, b in enumerate(sphere_y)})
-    nr = len(rows) + 1
-    A = np.zeros((nr, len(cells) + 1))
-    b = np.zeros(nr)
-    for k, (a, bv) in enumerate(cells):
-        if ("x", a) in rows:
-            A[rows[("x", a)], k] = 1.0
-        if ("y", bv) in rows:
-            A[rows[("y", bv)], k] = 1.0
-        A[nr - 1, k] = 1.0
-    for a in sphere_x:
-        b[rows[("x", a)]] = g.weights[x, a] / g.measure[x]
-    for bv in sphere_y:
-        b[rows[("y", bv)]] = g.weights[y, bv] / g.measure[y]
-    A[nr - 1, -1] = 1.0
-    b[nr - 1] = 1.0
-    c = np.concatenate([coeffs, [0.0]])
-    return brute_force_lp_max(c, A, b)
+    return brute_force_lp_max(*ball_transport_lp(x, y, g, d0, forbid))
 
 
 def test_triangle_constrained_max_matches_enumeration():
@@ -341,12 +314,78 @@ def test_convex_value_never_exceeds_unconstrained():
             assert constrained <= unconstrained + 1e-9
 
 
+def test_constrained_max_infeasible_above_unit_sphere_mass():
+    # deg(1) = 2: no walk measure exists at 1, so no plan does either;
+    # the separation gates and the CLI's error cells need InfeasibleError
+    g = WeightedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
+    d0 = combinatorial_metric(g)
+    for forbid in ("three-cycles", "five-cycles"):
+        with pytest.raises(InfeasibleError, match=r"edge \(0, 1\)"):
+            constrained_transport_max(0, 1, g, d0, forbid)
+
+
+def _check_constrained_max(x, y, g, d0, forbid, reference):
+    """constrained_transport_max against the optimum of the first-posed LP
+    (None when that LP is infeasible); the plan carries unit mass, avoids
+    the forbidden cells and attains the value."""
+    if reference is None:
+        with pytest.raises(InfeasibleError):
+            constrained_transport_max(x, y, g, d0, forbid)
+        return
+    value, plan = constrained_transport_max(x, y, g, d0, forbid)
+    assert abs(value - reference) <= 1e-12
+    for a, b in plan.entries:
+        assert not (forbid == "three-cycles" and a == b)
+        assert not (forbid == "five-cycles" and a != x and b != y
+                    and d0.value(a, b) == 2)
+    assert plan.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert abs(value - (1.0 - plan.cost(d0) / d0.value(x, y))) <= 1e-12
+
+
+def test_constrained_max_matches_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    checked = infeasible = 0
+    for seed in range(700, 760):
+        g = random_flow_graph(np.random.default_rng(seed), 4 + seed % 5)
+        d0 = combinatorial_metric(g)
+        for x, y in g.edges():
+            for forbid in ("three-cycles", "five-cycles"):
+                c, A, rhs = ball_transport_lp(x, y, g, d0, forbid)
+                ref = optimize.linprog(-c, A_eq=A, b_eq=rhs, bounds=(0, None),
+                                       method="highs")
+                assert ref.status in (0, 2)
+                _check_constrained_max(x, y, g, d0, forbid,
+                                       -ref.fun if ref.status == 0 else None)
+                checked += 1
+                infeasible += ref.status == 2
+    assert checked > 700 and infeasible > 50
+
+
 # ---------------------------------------------------------------------------
 # property-based invariants
 
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+       shrink=st.sampled_from([1.0, 0.7, 0.4]),
+       forbid=st.sampled_from(["three-cycles", "five-cycles"]),
+       pick=st.integers(0, 63))
+def test_constrained_max_matches_dense_simplex(seed, n, shrink, forbid, pick):
+    # a shrunken measure pushes degrees above 1, where the LP is infeasible
+    base = random_flow_graph(np.random.default_rng(seed), n)
+    g = WeightedGraph(n, base.weights, base.measure * shrink, base.lengths)
+    d0 = combinatorial_metric(g)
+    edges = list(g.edges())
+    x, y = edges[pick % len(edges)]
+    c, A, rhs = ball_transport_lp(x, y, g, d0, forbid)
+    dense = dense_simplex(-c, A, rhs)
+    assert dense.status in ("optimal", "infeasible")
+    _check_constrained_max(x, y, g, d0, forbid,
+                           -dense.value if dense.status == "optimal" else None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -454,9 +493,6 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
     import curvflow.transport as transport
     from curvflow import FlowConfig, curvature_report, run_flow
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("the certificate solved a dual LP")
-
     solves = []
     primal = transport._transport_simplex
 
@@ -464,7 +500,6 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
         solves.append(1)
         return primal(*args, **kwargs)
 
-    monkeypatch.setattr(transport, "solve_standard_lp", no_lp)
     monkeypatch.setattr(transport, "_transport_simplex", counted)
     g = random_flow_graph(np.random.default_rng(16), 7)
     with transport_audit() as audit:
@@ -576,3 +611,14 @@ def test_starting_basis_must_be_a_feasible_spanning_tree():
     for cells, reason in bad:
         with pytest.raises(ValidationError, match=reason):
             wasserstein(mu1, mu2, d, cells)
+
+
+def test_negative_basic_flow_is_not_dropped():
+    # a starting tree within FEAS_TOL of feasibility that is already
+    # optimal (every cost is 1): its flow of -1e-10 on cell (1, 3) must
+    # raise, not vanish from W and the plan
+    d = shortest_path_metric(complete_graph(4))
+    mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    mu2 = ProbMeasure(np.array([2, 3]), np.array([0.5 + 1e-10, 0.5 - 1e-10]))
+    with pytest.raises(SolverError, match="negative flow"):
+        wasserstein(mu1, mu2, d, ((0, 3), (1, 2), (1, 3)))
