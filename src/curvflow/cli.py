@@ -584,19 +584,30 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 emit_trace(rows, args.format, args.trace)
             except ValidationError as exc:
-                print(f"trace: {exc}", file=sys.stderr)
+                code, error = _output_failure(code, error, str(exc))
 
     doc = {"command": args.command, "config": _effective_config(args),
            "results": _jsonable(payload)}
     if error is not None:
         doc["error"] = error
-    text = _dump_json(doc)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(_dump_json(doc))
+            return code
+        except OSError as exc:  # the document goes to stdout instead
+            code, doc["error"] = _output_failure(
+                code, error, f"cannot write output to {args.output}: {exc}")
+    sys.stdout.write(_dump_json(doc))
     return code
+
+
+def _output_failure(code: int, error: str | None, failure: str) -> tuple[int, str]:
+    """An output file that cannot be written exits 2, unless the run has
+    already failed; then its code stays and the failure joins its error."""
+    if error is None:
+        return EXIT_VALIDATION, failure
+    return code, f"{error}; {failure}"
 
 
 if __name__ == "__main__":

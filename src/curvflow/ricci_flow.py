@@ -12,6 +12,15 @@ In log coordinates the step is a monotone, constant-additive chain, so
 on each component of the final topology the normalized metric converges
 and its curvature becomes constant; the per-edge log increments furnish
 the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
+
+W(e) is one transport LP per edge and step.  While the edge set stays,
+the flow keeps every edge's walk measures and last optimal spanning-tree
+basis in one batch.  A step re-prices all those trees in one numpy pass:
+the tree flows are fixed, so W is a sum over the tree cells, and only
+the off-tree reduced costs need checking.  An edge whose tree is no
+longer optimal is re-solved, warm from that tree.  The values are
+bit-identical to a warm ``wasserstein`` call on every edge, and under
+``transport_audit`` the batch certifies each value from its trees' duals.
 """
 
 from __future__ import annotations
@@ -24,9 +33,17 @@ import numpy as np
 
 from .chains import _increments_cycle
 from .curvature import CurvatureReport, vertex_measure
-from .errors import ValidationError
-from .graphs import WeightedGraph, _component_groups, shortest_path_metric
-from .transport import ProbMeasure, wasserstein
+from .errors import CertificateError, ValidationError
+from .graphs import DistanceMatrix, WeightedGraph, _component_groups, shortest_path_metric
+from .transport import (
+    _AUDIT,
+    CERTIFY_TOL,
+    ENTER_TOL,
+    MARGINAL_TOL,
+    ProbMeasure,
+    _start_tree,
+    wasserstein,
+)
 
 __all__ = [
     "FlowConfig",
@@ -84,19 +101,162 @@ class FlowTraceRow:
     deleted_edges: tuple[tuple[int, int], ...] = ()
 
 
+def _edge_tree(mu: ProbMeasure, nu: ProbMeasure, basis: tuple) -> tuple:
+    """An edge's optimal basis (the ``basic_cells`` of a ``wasserstein``
+    plan) as the batch keeps it: (basis, its cells as sorted (row, column)
+    support indices, their flows, the parent node of each tree node).
+    These are the flows of a warm start from ``basis``, under the same
+    feasibility check."""
+    cells = list(zip(np.searchsorted(mu.support, [x for x, _ in basis]).tolist(),
+                     np.searchsorted(nu.support, [y for _, y in basis]).tolist()))
+    zero = [[0.0] * nu.support.size] * mu.support.size  # flows ignore costs
+    _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
+    return basis, cells, [flows[c] for c in cells], parent
+
+
+class _Batch:
+    """Every edge's walk measures and current optimal transport tree,
+    concatenated so that one numpy pass per flow step re-prices them all.
+
+    A tree's flows depend on the walk measures alone.  While the tree
+    stays optimal, W(e) is the sum of flow x d over its cells of positive
+    flow, added in ``wasserstein``'s order, so it matches to the bit.
+    The tree's duals solve u_i + v_j = d(x_i, y_j) from u_0 = 0, one tree
+    level at a time, with one subtraction per node as in ``_tree``.
+    ``price`` returns W and the edges with an off-tree cell whose reduced
+    cost is below -ENTER_TOL x max(1, max cost).  The simplex would pivot
+    there, so the flow re-solves those edges from their trees.  Under
+    ``transport_audit`` the same duals certify every other edge.  An edge
+    whose two walk measures coincide has no tree, and its W is 0.
+    """
+
+    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
+                 trees: list[tuple | None]) -> None:
+        self.pairs, self.trees = pairs, trees
+        self.edge = np.array([k for k, t in enumerate(trees) if t is not None], dtype=np.intp)
+        cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
+        off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
+        moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
+        levels: list[list[tuple]] = []  # per depth: (node, parent cell, parent node)
+        cols, col_node, col_start = [], [], []  # the column nodes, for the duals' c-transform
+        nodes_vertex, supply, node_edge = [], [], []  # every node, for the dual value
+        nodes = basics = 0
+        for p, k in enumerate(self.edge.tolist()):
+            mu, nu = pairs[k]
+            _, cells, flows, parent = trees[k]
+            sx, sy = mu.support.tolist(), nu.support.tolist()
+            n1, n2 = len(sx), len(sy)
+            index = {c: basics + t for t, c in enumerate(cells)}
+            cell_start.append(len(cx))
+            for i, x in enumerate(sx):
+                for j, y in enumerate(sy):
+                    cx.append(x)
+                    cy.append(y)
+                    basic.append((i, j) in index)
+                    if not basic[-1]:
+                        off_row.append(nodes + i)
+                        off_col.append(nodes + n1 + j)
+                        off_edge.append(p)
+            for t, f in enumerate(flows):
+                if f > 0:
+                    moved.append(basics + t)
+                    moved_flow.append(f)
+                    moved_edge.append(p)
+            for node in range(1, n1 + n2):
+                depth, up = 0, node
+                while parent[up] >= 0:
+                    depth, up = depth + 1, parent[up]
+                while len(levels) < depth:
+                    levels.append([])
+                up = parent[node]
+                cell = (node, up - n1) if node < n1 else (up, node - n1)
+                levels[depth - 1].append((nodes + node, index[cell], nodes + up))
+            col_start.append(len(cols))
+            cols += sy
+            col_node += range(nodes + n1, nodes + n1 + n2)
+            nodes_vertex += sx + sy
+            supply += mu.mass.tolist() + (-nu.mass).tolist()
+            node_edge += [p] * (n1 + n2)
+            nodes += n1 + n2
+            basics += len(cells)
+
+        def arr(values, dtype=np.intp):
+            return np.array(values, dtype=dtype)
+
+        self.n_nodes = nodes
+        self.cx, self.cy, self.cell_start = arr(cx), arr(cy), arr(cell_start)
+        self.basic = arr(basic, bool)
+        self.off = ~self.basic
+        self.off_row, self.off_col, self.off_edge = arr(off_row), arr(off_col), arr(off_edge)
+        self.moved, self.moved_edge = arr(moved), arr(moved_edge)
+        self.moved_flow = arr(moved_flow, float)
+        self.levels = [arr(level).T for level in levels]
+        self.cols, self.col_node, self.col_start = arr(cols), arr(col_node), arr(col_start)
+        self.nodes_vertex, self.node_edge = arr(nodes_vertex), arr(node_edge)
+        self.supply = arr(supply, float)
+
+    def price(self, d: DistanceMatrix) -> tuple[np.ndarray, list[int]]:
+        """W of every edge under ``d`` and the edges whose tree is no longer
+        optimal there (their W is left to the re-solve)."""
+        w = np.zeros(len(self.trees))
+        pivot = np.zeros(self.edge.size, dtype=bool)
+        if self.edge.size:
+            cost = d.values[self.cx, self.cy]
+            scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
+            basic = cost[self.basic]
+            dual = np.zeros(self.n_nodes)
+            for node, cell, up in self.levels:
+                dual[node] = basic[cell] - dual[up]
+            reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
+            pivot[self.off_edge[reduced < -(ENTER_TOL * scale[self.off_edge])]] = True
+            # costs are distances, so W >= 0 needs no clamp
+            raw = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
+                              minlength=self.edge.size)
+            w[self.edge] = raw
+        if _AUDIT.enabled:
+            if self.edge.size:
+                self._certify(d, dual, raw, scale, ~pivot)
+            certified = len(self.trees) - int(pivot.sum())
+            _AUDIT.count += certified
+            _AUDIT.warm += certified
+        return w, self.edge[pivot].tolist()
+
+    def _certify(self, d: DistanceMatrix, dual: np.ndarray, w: np.ndarray,
+                 scale: np.ndarray, keep: np.ndarray) -> None:
+        """``dual_certificate`` for the kept edges, from their trees' duals:
+        phi_e(z) = min_j d(z, y_j) - v_j must be 1-Lipschitz and its dual
+        value must match W(e) within CERTIFY_TOL x scale."""
+        phi = np.minimum.reduceat(d.values[:, self.cols] - dual[self.col_node],
+                                  self.col_start, axis=1)
+        phi[np.isinf(phi)] = 0.0  # off the supports' component
+        # the c-transform of any duals is 1-Lipschitz, so every priced edge
+        # is checked; pairs in different components have an infinite bound
+        if not (np.abs(phi[:, None, :] - phi[None, :, :])
+                <= d.values[:, :, None] + MARGINAL_TOL * scale).all():
+            raise CertificateError("transport duals gave a non-Lipschitz potential")
+        value = np.bincount(self.node_edge, phi[self.nodes_vertex, self.node_edge] * self.supply)
+        gap = np.where(keep, np.abs(w - value), 0.0)
+        bad = np.flatnonzero(gap > CERTIFY_TOL * scale)
+        if bad.size:
+            p = bad[0]
+            raise CertificateError(
+                f"no optimality certificate within {CERTIFY_TOL:g} x scale "
+                f"{scale[p]:g}: gap={gap[p]:g}")
+        _AUDIT.max_gap = max(_AUDIT.max_gap, float(gap.max()))
+
+
 @dataclass(frozen=True)
 class _Topology:
     """What the flow steps share while weights and measure stay: the edge
-    list, its per-component groups (``graphs._component_groups``), the walk
-    measures (None until a flow step builds them) and each edge's last
-    optimal transport basis, which stays primal feasible for them."""
+    list, its per-component groups (``graphs._component_groups``) and the
+    batch of the edges' walk measures and optimal transport trees (None
+    until a flow step builds it)."""
 
     weights: np.ndarray
     measure: np.ndarray
     edges: tuple[tuple[int, int], ...]
     groups: list[tuple]
-    measures: dict[int, ProbMeasure] | None = None
-    bases: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(default_factory=dict)
+    batch: _Batch | None = None
 
     @classmethod
     def of(cls, g: WeightedGraph) -> "_Topology":
@@ -114,7 +274,7 @@ class FlowState:
 
     ``topology`` caches what depends on the edge set alone for the next
     steps; it is ignored for a graph it does not serve, and a deletion
-    replaces it with the new edge set's, without measures or bases.
+    replaces it with the new edge set's, without a batch.
     """
 
     graph: WeightedGraph
@@ -170,24 +330,30 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     g = state.graph
     d = shortest_path_metric(g)
     topo = _topology(state)
-    if topo.measures is None:
-        topo = replace(topo, measures={
-            x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size})
-    measures = topo.measures
-    bases = {}
-    new_lengths = g.lengths.copy()
-    kappas: dict[tuple[int, int], float] = {}
-    for u, v in topo.edges:
-        cost, plan = wasserstein(measures[u], measures[v], d, topo.bases.get((u, v)))
-        bases[(u, v)] = plan.basic_cells
-        ln = g.lengths[u, v]
-        kappas[(u, v)] = 1.0 - cost / ln
-        new_lengths[u, v] = new_lengths[v, u] = (1.0 - cfg.alpha) * ln + cfg.alpha * cost
+    batch = topo.batch
+    if batch is None:  # a new topology: every edge solved cold
+        measures = {x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size}
+        pairs = [(measures[u], measures[v]) for u, v in topo.edges]
+        trees: list = [None] * len(pairs)
+        cost, solve = np.zeros(len(pairs)), range(len(pairs))
+    else:
+        pairs, trees = batch.pairs, list(batch.trees)
+        cost, solve = batch.price(d)
+    for k in solve:
+        mu, nu = pairs[k]
+        cost[k], plan = wasserstein(mu, nu, d, None if batch is None else trees[k][0])
+        trees[k] = None if mu == nu else _edge_tree(mu, nu, plan.basic_cells)
+    if batch is None or solve:
+        topo = replace(topo, batch=_Batch(pairs, trees))
 
+    iu, iv = np.array(topo.edges, dtype=np.intp).reshape(-1, 2).T
+    ln = g.lengths[iu, iv]
+    new_lengths = g.lengths.copy()
+    new_lengths[iu, iv] = new_lengths[iv, iu] = (1.0 - cfg.alpha) * ln + cfg.alpha * cost
     new_graph = g.with_lengths(new_lengths)
-    report = CurvatureReport._from_groups(kappas, topo.groups)
-    log_inc = [math.log1p(-cfg.alpha * k) for k in kappas.values()]
-    topo = replace(topo, bases=bases)
+    kappa = (1.0 - cost / ln).tolist()
+    report = CurvatureReport._from_groups(dict(zip(topo.edges, kappa)), topo.groups)
+    log_inc = [math.log1p(-cfg.alpha * k) for k in kappa]
     prev_norm = (state.trace[-1].normalized if state.trace
                  else normalize_metric(replace(state, topology=topo)))
     new_state = FlowState(graph=new_graph, iteration=state.iteration + 1,

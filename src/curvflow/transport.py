@@ -7,9 +7,9 @@ the ball transport with forbidden cells.  Optimality of every plan can
 be certified through Kantorovich duality: the c-transform of the
 basis's own tree duals is a 1-Lipschitz potential whose dual value
 matches the plan cost, so the certificate needs no second LP.  An
-audit mode certifies every ``wasserstein`` call made inside it, which
-the acceptance suite uses to cross-check all transport work done by the
-flows.
+audit mode certifies every ``wasserstein`` call made inside it, and every
+value the Ricci flow prices from a kept basis, which the acceptance suite
+uses to cross-check all transport work done by the flows.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ class TransportPlan:
 @dataclass
 class _Audit:
     enabled: bool = False
-    count: int = 0  # audited calls
+    count: int = 0  # certified values: wasserstein calls and flow-priced W(e)
     pivots: int = 0  # simplex pivots over those calls
-    warm: int = 0  # those calls started from a caller's basis
+    warm: int = 0  # values from a caller's basis: warm calls and flow-priced W(e)
     max_gap: float = 0.0
 
 
@@ -160,9 +160,10 @@ _AUDIT = _Audit()
 
 @contextmanager
 def transport_audit():
-    """Certify every wasserstein call in this context via duality.
+    """Certify every wasserstein call in this context via duality, and
+    every W(e) that a Ricci flow step prices from an edge's kept basis.
 
-    A call whose plan cannot be certified (gap above 1e-7) raises
+    A value that cannot be certified (gap above 1e-7) raises
     CertificateError immediately.  The yielded ledger's counters and
     largest gap (``max_gap``) are reset on entry.
     """
@@ -176,7 +177,7 @@ def transport_audit():
 
 
 def audit_stats() -> tuple[int, float]:
-    """(number of audited calls, largest certified duality gap)."""
+    """(number of certified values, largest certified duality gap)."""
     return _AUDIT.count, _AUDIT.max_gap
 
 
@@ -247,6 +248,18 @@ def _losing_cells(parent: list[int], i: int, j: int, n1: int) -> list[tuple[int,
     return [(r, c - n1) for c, r in zip(path[0::2], path[1::2])]
 
 
+def _start_tree(cells, c: list[list[float]], supply: list[float]):
+    """``_tree`` of a starting basis, which must be a spanning tree of the
+    supports with no flow below -MASS_TOL (the bound the solver's final
+    flows meet), else ValidationError."""
+    tree = _tree(cells, c, supply)
+    if tree is None or len(set(cells)) != len(supply) - 1:
+        raise ValidationError("starting basis is not a spanning tree of the supports")
+    if min(tree[2].values()) < -MASS_TOL:
+        raise ValidationError("starting basis is not primal feasible")
+    return tree
+
+
 def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                        cells: list[tuple[int, int]],
                        frozen: frozenset | set = frozenset()) -> tuple[dict, int]:
@@ -258,14 +271,10 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
     to the smallest.  Flows are peeled afresh on every tree, which sheds
     pivoting roundoff; a final flow below -MASS_TOL raises SolverError.
     """
-    n1, n2 = a.size, b.size
+    n1 = a.size
     tol = ENTER_TOL * max(1.0, max(map(max, c)))
     supply = a.tolist() + (-b).tolist()
-    tree = _tree(cells, c, supply)
-    if tree is None or len(set(cells)) != n1 + n2 - 1:
-        raise ValidationError("starting basis is not a spanning tree of the supports")
-    if min(tree[2].values()) < -FEAS_TOL:
-        raise ValidationError("starting basis is not primal feasible")
+    tree = _start_tree(cells, c, supply)
     for pivots in range(MAX_PIVOTS + 1):
         duals, parent, flows = tree
         enter = next(((i, j) for i, row in enumerate(c) for j, cij in enumerate(row)

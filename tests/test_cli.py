@@ -134,6 +134,17 @@ def test_flow_command_and_trace(tmp_path, triangle, capsys):
     assert lines[0] == TRACE_HEADER
 
 
+@pytest.mark.parametrize("target", ["output", "trace"])
+def test_unwritable_output_exits_two(tmp_path, triangle, capsys, target):
+    # once a FileNotFoundError traceback (exit 1) after the whole flow ran
+    missing = str(tmp_path / "missing" / "file")
+    flag = "-o" if target == "output" else "--trace"
+    assert main(["flow", triangle, flag, missing]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert f"cannot write {target} to {missing}" in doc["error"]
+    assert doc["results"]["status"] == "converged"
+
+
 def test_curvature_command(triangle, capsys):
     code = main(["curvature", triangle, "--kinds", "ollivier,lly"])
     assert code == 0

@@ -251,10 +251,11 @@ def test_multi_step_trajectory_matches_oracle():
 
 @pytest.mark.parametrize("seed", [45, 91])
 def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
-    # the flow reuses walk measures and each edge's last optimal basis
-    # until a deletion; solving every edge cold must give the same run
+    # the flow re-prices each edge's last optimal tree until a deletion;
+    # solving every edge cold from the northwest corner at every step must
+    # give the same run
     import curvflow.ricci_flow as ricci_flow
-    from curvflow.transport import transport_audit, wasserstein
+    from curvflow.transport import transport_audit
 
     rng = np.random.default_rng(seed)
     g = random_flow_graph(rng, int(rng.integers(5, 9)))
@@ -262,11 +263,12 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
     with transport_audit() as audit:
         warm = run_flow(g, cfg)
         assert audit.warm > 0
-    monkeypatch.setattr(ricci_flow, "wasserstein",
-                        lambda mu1, mu2, d, basis=None: wasserstein(mu1, mu2, d))
+    # a flow that keeps no batch treats every step as a new topology
+    monkeypatch.setattr(ricci_flow, "_Batch", lambda pairs, trees: None)
     with transport_audit() as audit:
         cold = run_flow(g, cfg)
         assert audit.warm == 0
+        assert audit.count == sum(len(row.kappa.values) for row in cold.final.trace)
     assert len(warm.final.deletion_log) >= 4
     assert warm.status == cold.status == STATUS_CONVERGED
     assert warm.final.iteration == cold.final.iteration
@@ -281,6 +283,135 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
         for e, val in lim.items():
             assert abs(val - cold.limits[root][e]) <= 1e-12
         assert abs(warm.growth_rate[root] - cold.growth_rate[root]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batch that re-prices every edge's tree in one numpy pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9))
+@example(seed=2, n=9)  # re-solves four edges at its second step
+def test_batch_matches_cold_transport(seed, n):
+    import curvflow.ricci_flow as ricci_flow
+    from curvflow.transport import ENTER_TOL, _tree, transport_audit, wasserstein
+
+    g = random_flow_graph(np.random.default_rng(seed), n)
+    cfg = FlowConfig(alpha=0.5, deletion_threshold=max(2.0 * max_adjacent_ratio(g), 1.0))
+    state = initial_state(g)
+    for _ in range(5):
+        state = flow_step(state, cfg)
+        state = ricci_flow._rescale_components(edge_deletion_step(state, cfg))
+        batch = state.topology.batch
+        if batch is None:  # a deletion: the next step solves cold
+            continue
+        d = shortest_path_metric(state.graph)
+        with transport_audit() as audit:
+            w, solve = batch.price(d)
+        assert audit.count == audit.warm == len(batch.trees) - len(solve)
+        expected = []
+        for k, ((mu, nu), tree) in enumerate(zip(batch.pairs, batch.trees)):
+            cost = d.values[np.ix_(mu.support, nu.support)]
+            scale = max(1.0, float(cost.max()))
+            if tree is None:
+                assert mu == nu and w[k] == 0.0
+                continue
+            # the kept tree's reduced costs, from _tree's own duals
+            cells = tree[1]
+            duals = np.array(_tree(cells, cost.tolist(),
+                                   mu.mass.tolist() + (-nu.mass).tolist())[0])
+            n1 = mu.support.size
+            reduced = cost - duals[:n1, None] - duals[None, n1:]
+            off_tree = np.ones(cost.shape, dtype=bool)
+            off_tree[tuple(np.array(cells).T)] = False
+            if (reduced[off_tree] < -ENTER_TOL * scale).any():
+                expected.append(k)
+            else:
+                assert abs(w[k] - wasserstein(mu, nu, d)[0]) <= 1e-12 * scale
+        assert solve == expected
+
+
+@pytest.mark.parametrize("shortfall,pivots", [(3e-12, False), (5e-12, True)])
+def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
+    # one edge's tree {(0, 2), (0, 3), (1, 3)}, costs of scale 4: the
+    # off-tree cell (1, 2) has reduced cost -shortfall, and the entering
+    # threshold is -ENTER_TOL x 4 = -4e-12
+    from curvflow.graphs import DistanceMatrix
+    from curvflow.ricci_flow import _Batch, _edge_tree
+    from curvflow.transport import ProbMeasure, wasserstein
+
+    d = np.zeros((4, 4))
+    for (x, y), c in {(0, 2): 1.0, (0, 3): 4.0, (1, 3): 4.0, (1, 2): 1.0 - shortfall}.items():
+        d[x, y] = d[y, x] = c
+    d = DistanceMatrix(d)
+    mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    nu = ProbMeasure(np.array([2, 3]), np.array([0.5, 0.5]))
+    basis = ((0, 2), (0, 3), (1, 3))
+    w, solve = _Batch([(mu, nu)], [_edge_tree(mu, nu, basis)]).price(d)
+    assert solve == ([0] if pivots else [])
+    cost, plan = wasserstein(mu, nu, d, basis)
+    assert (plan.basic_cells != basis) == pivots
+    if not pivots:
+        assert w[0] == cost == 2.5
+
+
+def test_batch_certificate_rejects_a_wrong_value():
+    from curvflow import CertificateError
+    from curvflow.transport import transport_audit
+
+    state = flow_step(initial_state(random_flow_graph(np.random.default_rng(3), 6)),
+                      FlowConfig(alpha=0.5))
+    batch = state.topology.batch
+    d = shortest_path_metric(state.graph)
+    with transport_audit() as audit:
+        batch.price(d)
+        assert audit.count == len(batch.trees) and audit.max_gap < 1e-15
+        batch.moved_flow = batch.moved_flow * (1.0 + 1e-6)  # W off by about 1e-6
+        with pytest.raises(CertificateError, match="no optimality certificate"):
+            batch.price(d)
+
+
+def _cold_flow(monkeypatch, g, cfg):
+    import curvflow.ricci_flow as ricci_flow
+
+    with monkeypatch.context() as m:
+        m.setattr(ricci_flow, "_Batch", lambda pairs, trees: None)
+        return run_flow(g, cfg)
+
+
+@pytest.mark.parametrize("case", ["identical-measures", "isolated-vertex", "edgeless"])
+def test_batch_edge_cases(monkeypatch, case):
+    from curvflow.transport import transport_audit
+
+    if case == "identical-measures":
+        # w/m = 1/3 on K3: every walk measure is uniform on the triangle
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0),
+                                         (0, 2, 1.0, 1.0)], measure=[3.0] * 3)
+    elif case == "isolated-vertex":
+        g = WeightedGraph.from_edges(5, [(0, 1, 1.0, 1.0), (1, 2, 0.5, 2.0),
+                                         (0, 2, 2.0, 1.5), (2, 3, 1.0, 1.0)],
+                                     measure=[4.0, 3.0, 5.0, 2.0, 1.0])
+    else:
+        g = WeightedGraph.from_edges(3, [], measure=[1.0] * 3)
+    cfg = FlowConfig(alpha=0.5, tolerance=1e-10, deletion_threshold=10.0)
+    state = initial_state(g)
+    with transport_audit() as audit:
+        for _ in range(3):
+            state = flow_step(state, cfg)
+        assert audit.count == 3 * g.edge_count()
+    kappas = [row.kappa.values for row in state.trace]
+    if case == "identical-measures":
+        assert kappas == [{e: 1.0 for e in g.edges()}] * 3
+    res = run_flow(g, cfg)
+    cold = _cold_flow(monkeypatch, g, cfg)
+    assert res.status == cold.status == STATUS_CONVERGED
+    assert res.final.iteration == cold.final.iteration
+    for row, cold_row in zip(res.final.trace, cold.final.trace, strict=True):
+        assert row.kappa.values.keys() == cold_row.kappa.values.keys()
+        for e, val in row.kappa.values.items():
+            assert abs(val - cold_row.kappa.values[e]) <= 1e-12
+    if case != "isolated-vertex":
+        assert res.final.iteration == 1
 
 
 # ---------------------------------------------------------------------------

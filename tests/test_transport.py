@@ -16,7 +16,6 @@ from curvflow import (
     DistanceMatrix,
     InfeasibleError,
     ProbMeasure,
-    SolverError,
     TransportPlan,
     ValidationError,
     WeightedGraph,
@@ -490,26 +489,37 @@ def test_certificate_of_degenerate_basis():
 
 
 def test_audit_certifies_from_the_basis_alone(monkeypatch):
+    import curvflow.curvature as curvature
+    import curvflow.ricci_flow as ricci_flow
     import curvflow.transport as transport
     from curvflow import FlowConfig, curvature_report, run_flow
 
-    solves = []
-    primal = transport._transport_simplex
+    solves, calls = [], []
+    primal, solver = transport._transport_simplex, transport.wasserstein
 
     def counted(*args, **kwargs):
         solves.append(1)
         return primal(*args, **kwargs)
 
+    def counted_calls(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
     monkeypatch.setattr(transport, "_transport_simplex", counted)
+    for module in (curvature, ricci_flow):
+        monkeypatch.setattr(module, "wasserstein", counted_calls)
     g = random_flow_graph(np.random.default_rng(16), 7)
     with transport_audit() as audit:
-        curvature_report(g, kind="ollivier")
-        run_flow(g, FlowConfig(max_iterations=5))
+        report = curvature_report(g, kind="ollivier")
+        res = run_flow(g, FlowConfig(max_iterations=5))
         count, max_gap = audit_stats()
-    assert count == audit.count > 0
+    # every edge evaluation is one certified value, whether the flow's
+    # batch priced it or wasserstein solved it
+    evaluations = len(report.values) + sum(len(row.kappa.values) for row in res.final.trace)
+    assert count == audit.count == evaluations
     assert max_gap < 1e-9
-    # one primal solve per audited call: no certificate re-solved its LP
-    assert len(solves) == count
+    # one primal solve per wasserstein call: no certificate solved an LP
+    assert len(solves) == len(calls) < count
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +624,35 @@ def test_starting_basis_must_be_a_feasible_spanning_tree():
 
 
 def test_negative_basic_flow_is_not_dropped():
-    # a starting tree within FEAS_TOL of feasibility that is already
-    # optimal (every cost is 1): its flow of -1e-10 on cell (1, 3) must
-    # raise, not vanish from W and the plan
+    # a starting tree that is already optimal (every cost is 1) with a
+    # flow of -1e-10 on cell (1, 3): it must raise, not vanish from W and
+    # the plan
     d = shortest_path_metric(complete_graph(4))
     mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     mu2 = ProbMeasure(np.array([2, 3]), np.array([0.5 + 1e-10, 0.5 - 1e-10]))
-    with pytest.raises(SolverError, match="negative flow"):
+    with pytest.raises(ValidationError, match="not primal feasible"):
         wasserstein(mu1, mu2, d, ((0, 3), (1, 2), (1, 3)))
+
+
+@pytest.mark.parametrize("shift,feasible", [(1e-13, True), (1e-11, False), (1e-10, False)])
+def test_starting_tree_meets_the_final_flow_bound(shift, feasible):
+    # a warm start is feasible exactly when its flows would pass as final
+    # flows (>= -MASS_TOL): a tree 1e-10 infeasible is the caller's error
+    # (exit 2), not a solver failure (exit 5); the flow's batch keeps
+    # trees under the same rule
+    from curvflow.ricci_flow import _edge_tree
+
+    d = shortest_path_metric(complete_graph(4))
+    mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    mu2 = ProbMeasure(np.array([2, 3]), np.array([0.5 + shift, 0.5 - shift]))
+    basis = ((0, 3), (1, 2), (1, 3))  # cell (1, 3) carries -shift
+    if feasible:
+        cost, plan = wasserstein(mu1, mu2, d, basis)
+        assert cost == pytest.approx(1.0, abs=1e-12)  # the -shift flow is left out
+        assert plan.basic_cells == basis
+        assert _edge_tree(mu1, mu2, basis)[2] == pytest.approx([0.5, 0.5 + shift, -shift])
+    else:
+        with pytest.raises(ValidationError, match="not primal feasible"):
+            wasserstein(mu1, mu2, d, basis)
+        with pytest.raises(ValidationError, match="not primal feasible"):
+            _edge_tree(mu1, mu2, basis)
