@@ -229,16 +229,17 @@ class _Batch:
         phi = np.minimum.reduceat(d.values[:, self.cols] - dual[self.col_node],
                                   self.col_start, axis=1)
         phi[np.isinf(phi)] = 0.0  # off the supports' component
-        # the c-transform of any duals is 1-Lipschitz, so every priced edge
-        # is checked; pairs in different components have an infinite bound
-        if not (np.abs(phi[:, None, :] - phi[None, :, :])
+        # |phi(a) - phi(b)| <= d(a, b) + tol, as phi(a) - phi(b) over ordered
+        # pairs; the c-transform of any duals is 1-Lipschitz, so every priced
+        # edge is checked, and pairs in different components pass
+        if not (phi[:, None, :] - phi[None, :, :]
                 <= d.values[:, :, None] + MARGINAL_TOL * scale).all():
             raise CertificateError("transport duals gave a non-Lipschitz potential")
         value = np.bincount(self.node_edge, phi[self.nodes_vertex, self.node_edge] * self.supply)
-        gap = np.where(keep, np.abs(w - value), 0.0)
-        bad = np.flatnonzero(gap > CERTIFY_TOL * scale)
-        if bad.size:
-            p = bad[0]
+        gap = np.abs(w - value) * keep
+        bad = gap > CERTIFY_TOL * scale
+        if bad.any():
+            p = bad.argmax()
             raise CertificateError(
                 f"no optimality certificate within {CERTIFY_TOL:g} x scale "
                 f"{scale[p]:g}: gap={gap[p]:g}")

@@ -357,6 +357,7 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
 
 def test_batch_certificate_rejects_a_wrong_value():
     from curvflow import CertificateError
+    from curvflow.graphs import DistanceMatrix
     from curvflow.transport import transport_audit
 
     state = flow_step(initial_state(random_flow_graph(np.random.default_rng(3), 6)),
@@ -365,7 +366,12 @@ def test_batch_certificate_rejects_a_wrong_value():
     d = shortest_path_metric(state.graph)
     with transport_audit() as audit:
         batch.price(d)
-        assert audit.count == len(batch.trees) and audit.max_gap < 1e-15
+        assert audit.count == len(batch.trees) and audit.max_gap < 1e-12
+        # a "metric" with d(0, 1) = 0 leaves the potentials non-Lipschitz
+        bent = d.values.copy()
+        bent[0, 1] = bent[1, 0] = 0.0
+        with pytest.raises(CertificateError, match="non-Lipschitz"):
+            batch.price(DistanceMatrix(bent))
         batch.moved_flow = batch.moved_flow * (1.0 + 1e-6)  # W off by about 1e-6
         with pytest.raises(CertificateError, match="no optimality certificate"):
             batch.price(d)
