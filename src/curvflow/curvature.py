@@ -8,6 +8,7 @@ p-Laplace gradient estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -94,8 +95,13 @@ def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
     kappa^alpha is piecewise linear and vanishes at alpha = 0, so the
     slope is read off at ``alpha`` and ``alpha/2``; the two values must
     agree within ``agree_tol`` (otherwise alpha sits beyond the first
-    breakpoint — retry with a smaller alpha).
+    breakpoint — retry with a smaller alpha).  ``alpha`` must lie in
+    (0, 1] and ``agree_tol`` must be finite and nonnegative.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
+    if not (math.isfinite(agree_tol) and agree_tol >= 0.0):
+        raise ValidationError(f"agree_tol must be finite and >= 0, got {agree_tol}")
     k1 = kappa_alpha(g, d, x, y, alpha) / alpha
     k2 = kappa_alpha(g, d, x, y, alpha / 2.0) / (alpha / 2.0)
     if abs(k1 - k2) > agree_tol:

@@ -1,9 +1,9 @@
 """Exact optimal transport between finitely supported measures.
 
 Wasserstein distances are solved by a transportation simplex whose
-basis is a spanning tree of the supports (northwest-corner or warm
-start, Bland's rule); the same solver, run in two phases, maximizes
-the ball transport with forbidden cells.  Optimality of every plan can
+basis is a spanning tree of the supports (least-cost or warm start,
+Bland's rule); the same solver, run in two phases, maximizes the ball
+transport with forbidden cells.  Optimality of every plan can
 be certified through Kantorovich duality: the c-transform of the
 basis's own tree duals is a 1-Lipschitz potential whose dual value
 matches the plan cost, so the certificate needs no second LP.  An
@@ -185,21 +185,27 @@ def audit_stats() -> tuple[int, float]:
 # Wasserstein distance
 
 
-def _northwest_basis(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
-    """Staircase spanning-tree basis of the a x b transport polytope."""
-    n1, n2 = a.size, b.size
-    ra, rb = a.tolist(), b.tolist()
-    cells = [(0, 0)]
-    i = j = 0
-    while i < n1 - 1 or j < n2 - 1:
-        t = min(ra[i], rb[j])
-        ra[i] -= t
-        rb[j] -= t
-        if (ra[i] <= rb[j] and i < n1 - 1) or j == n2 - 1:
-            i += 1
-        else:
-            j += 1
+def _least_cost_basis(a: np.ndarray, b: np.ndarray,
+                      c: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
+    """Least-cost spanning-tree basis of the a x b transport polytope: the
+    cheapest cell of an open row and column (row-major ties) takes
+    min(a_i, b_j) and closes its row (on a tie too) or its column, never
+    both, until the last cell closes the last row.  Each closed line hangs
+    on a line closed later, so the n1 + n2 - 1 cells form a tree."""
+    ra, rb = a.tolist(), b.tolist()  # None once the line is closed
+    open_rows, open_cols = a.size, b.size
+    cells = []
+    for k in np.argsort(np.ravel(c), kind="stable").tolist():
+        i, j = divmod(k, b.size)
+        if ra[i] is None or rb[j] is None:
+            continue
         cells.append((i, j))
+        if (ra[i] <= rb[j] and open_rows > 1) or open_cols == 1:
+            rb[j] -= ra[i]
+            ra[i], open_rows = None, open_rows - 1
+        else:
+            ra[i] -= rb[j]
+            rb[j], open_cols = None, open_cols - 1
     return cells
 
 
@@ -248,14 +254,21 @@ def _losing_cells(parent: list[int], i: int, j: int, n1: int) -> list[tuple[int,
     return [(r, c - n1) for c, r in zip(path[0::2], path[1::2])]
 
 
+def _flow_floor(supply: list[float]) -> float:
+    """Least flow a feasible tree may carry: -MASS_TOL, widened by the
+    supplies' own imbalance (up to 2 x MASS_TOL between two valid
+    measures), which the peel can leave on a cell of zero flow."""
+    return -MASS_TOL - abs(sum(supply))
+
+
 def _start_tree(cells, c: list[list[float]], supply: list[float]):
     """``_tree`` of a starting basis, which must be a spanning tree of the
-    supports with no flow below -MASS_TOL (the bound the solver's final
-    flows meet), else ValidationError."""
+    supports with no flow below ``_flow_floor`` (the bound the solver's
+    final flows meet), else ValidationError."""
     tree = _tree(cells, c, supply)
     if tree is None or len(set(cells)) != len(supply) - 1:
         raise ValidationError("starting basis is not a spanning tree of the supports")
-    if min(tree[2].values()) < -MASS_TOL:
+    if min(tree[2].values()) < _flow_floor(supply):
         raise ValidationError("starting basis is not primal feasible")
     return tree
 
@@ -265,11 +278,12 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                        frozen: frozenset | set = frozenset()) -> tuple[dict, int]:
     """Optimal tree flows and the pivot count, from the feasible tree ``cells``.
 
+    Cold starts pass ``_least_cost_basis``, which leaves few pivots.
     Bland's rule: enter the first cell off the tree and not ``frozen``,
     row-major, with c_ij - u_i - v_j < -ENTER_TOL x max(1, max c); drop the
     losing cell of least flow, ties within roundoff relative to that flow
     to the smallest.  Flows are peeled afresh on every tree, which sheds
-    pivoting roundoff; a final flow below -MASS_TOL raises SolverError.
+    pivoting roundoff; a final flow below ``_flow_floor`` raises SolverError.
     """
     n1 = a.size
     tol = ENTER_TOL * max(1.0, max(map(max, c)))
@@ -282,7 +296,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                       and (i, j) not in frozen),
                      None)
         if enter is None:
-            if min(flows.values()) < -MASS_TOL:
+            if min(flows.values()) < _flow_floor(supply):
                 raise SolverError(f"transport simplex ended at a negative flow "
                                   f"{min(flows.values()):g}")
             return flows, pivots
@@ -334,7 +348,7 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
         plan = TransportPlan(entries, mu1, mu2,
                              basic_cells=tuple((int(x), int(x)) for x in mu1.support))
         return 0.0, plan
-    cells = (_northwest_basis(mu1.mass, mu2.mass) if basis is None
+    cells = (_least_cost_basis(mu1.mass, mu2.mass, cost) if basis is None
              else _local_cells(mu1, mu2, basis) or [])
     c = cost.tolist()
     flows, pivots = _transport_simplex(mu1.mass, mu2.mass, c, cells)
@@ -377,9 +391,8 @@ def _basis_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
 
 
 def _verify_potential(full: np.ndarray, d: DistanceMatrix, tol: float) -> bool:
-    diff = np.abs(full[:, None] - full[None, :])
-    finite = np.isfinite(d.values)
-    return bool(np.all(diff[finite] <= d.values[finite] + tol))
+    # infinite distances pass on their own; a NaN distance fails
+    return bool(np.all(np.abs(full[:, None] - full[None, :]) <= d.values + tol))
 
 
 def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
@@ -409,7 +422,7 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
                                 _local_cells(mu1, mu2, plan.basic_cells or ()))
         if full is None:
             flows, _ = _transport_simplex(mu1.mass, mu2.mass, sub.tolist(),
-                                          _northwest_basis(mu1.mass, mu2.mass))
+                                          _least_cost_basis(mu1.mass, mu2.mass, sub))
             full = _basis_potential(mu1, mu2, d, sub, list(flows))
     if not _verify_potential(full, d, MARGINAL_TOL * scale):
         raise CertificateError("transport duals gave a non-Lipschitz potential")
@@ -465,7 +478,7 @@ def constrained_transport_max(
     n1, n2 = len(sx), len(sy)
     c1 = [[float((i, j) in barred) for j in range(n2)] for i in range(n1)]
     flows, _ = _transport_simplex(mu.mass, nu.mass, c1,
-                                  _northwest_basis(mu.mass, nu.mass))
+                                  _least_cost_basis(mu.mass, nu.mass, c1))
     if sum(f for e, f in flows.items() if e in barred) > FEAS_TOL:
         raise InfeasibleError(blocked)
     # phase-1 duals are sums of 0/1 costs, so zero reduced costs are exact

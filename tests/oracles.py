@@ -3,7 +3,8 @@
 Everything here is deliberately naive: repeated relaxation instead of
 Floyd-Warshall, union-find instead of graph search, exhaustive vertex
 enumeration of transport polytopes and a dense two-phase simplex on the
-whole constraint matrix instead of the spanning-tree simplex, a per-edge
+whole constraint matrix instead of the spanning-tree simplex, the
+cost-blind northwest-corner start instead of the least-cost one, a per-edge
 scan of adjacent lengths instead of per-vertex minima, plain power
 iteration, and finite differences.  None of it shares code with the
 implementation paths it checks.
@@ -86,6 +87,26 @@ def transport_vertices(a: np.ndarray, b: np.ndarray):
         if key not in seen:
             seen.add(key)
             yield plan
+
+
+def northwest_basis(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
+    """Staircase spanning-tree basis of the a x b transport polytope, as
+    (row, column) support indices: a second feasible start for the tree
+    simplex that ignores the costs."""
+    n1, n2 = a.size, b.size
+    ra, rb = a.tolist(), b.tolist()
+    cells = [(0, 0)]
+    i = j = 0
+    while i < n1 - 1 or j < n2 - 1:
+        t = min(ra[i], rb[j])
+        ra[i] -= t
+        rb[j] -= t
+        if (ra[i] <= rb[j] and i < n1 - 1) or j == n2 - 1:
+            i += 1
+        else:
+            j += 1
+        cells.append((i, j))
+    return cells
 
 
 def brute_force_wasserstein(a: np.ndarray, b: np.ndarray,

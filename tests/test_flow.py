@@ -252,7 +252,7 @@ def test_multi_step_trajectory_matches_oracle():
 @pytest.mark.parametrize("seed", [45, 91])
 def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
     # the flow re-prices each edge's last optimal tree until a deletion;
-    # solving every edge cold from the northwest corner at every step must
+    # solving every edge cold from the least-cost start at every step must
     # give the same run
     import curvflow.ricci_flow as ricci_flow
     from curvflow.transport import transport_audit

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_lp_max, dense_simplex, dense_transport_lp
+from oracles import brute_force_lp_max, dense_simplex, dense_transport_lp, northwest_basis
 
+import curvflow.transport as transport
 from curvflow import (
     ProbMeasure,
     WeightedGraph,
@@ -82,8 +83,9 @@ def test_random_instances_match_enumeration_oracle():
 @st.composite
 def _transport_instances(draw):
     """A path plus chords with lengths from a short list, so costs tie,
-    and two measures with masses in {1, 2, 3} / total, so northwest
-    corners degenerate; supports may be single points or overlap."""
+    and two measures with masses in {1, 2, 3} / total, so partial sums
+    tie and starting trees carry zero flows; supports may be single
+    points or overlap."""
     n = draw(st.integers(2, 6))
     length = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1.25])
     edges = {(v - 1, v): draw(length) for v in range(1, n)}
@@ -117,6 +119,45 @@ def test_tree_simplex_matches_dense_simplex(inst):
     assert abs(value - dense.value) <= 1e-12 * scale
     _, gap = dual_certificate(mu1, mu2, d, plan)
     assert gap <= 1e-12 * scale
+
+
+def _check_both_starts(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> None:
+    """The least-cost start is a feasible spanning tree, and the tree
+    simplex from it and from the cost-blind northwest corner reaches the
+    dense simplex's optimum."""
+    c = cost.tolist()
+    start = transport._least_cost_basis(a, b, c)
+    transport._start_tree(start, c, a.tolist() + (-b).tolist())  # raises if not
+    scale = max(1.0, float(cost.max()))
+    dense = dense_simplex(*dense_transport_lp(a, b, cost))
+    assert dense.status == "optimal"
+    values = []
+    for cells in (start, northwest_basis(a, b)):
+        flows, _ = transport._transport_simplex(a, b, c, cells)
+        values.append(sum(f * c[i][j] for (i, j), f in flows.items()))
+    assert abs(values[0] - values[1]) <= 1e-12 * scale
+    assert abs(values[0] - dense.value) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_transport_instances(), zero_costs=st.booleans())
+def test_least_cost_and_northwest_starts_agree(inst, zero_costs):
+    d, mu1, mu2 = inst
+    cost = d.values[np.ix_(mu1.support, mu2.support)]
+    _check_both_starts(mu1.mass, mu2.mass, np.zeros_like(cost) if zero_costs else cost)
+
+
+@pytest.mark.parametrize("zero_costs", [False, True])
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 5), (5, 1)])
+def test_least_cost_start_on_a_single_row_or_column(n1, n2, zero_costs):
+    # one row (or column) leaves no choice of tree: every cell is basic
+    rng = np.random.default_rng(24)
+    a, b = rng.integers(1, 4, n1).astype(float), rng.integers(1, 4, n2).astype(float)
+    cost = np.zeros((n1, n2)) if zero_costs else rng.integers(0, 3, (n1, n2)).astype(float)
+    a, b = a / a.sum(), b / b.sum()
+    assert sorted(transport._least_cost_basis(a, b, cost.tolist())) == \
+        [(i, j) for i in range(n1) for j in range(n2)]
+    _check_both_starts(a, b, cost)
 
 
 def test_rank_deficient_systems():

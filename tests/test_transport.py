@@ -474,9 +474,21 @@ def test_certificate_dual_value_matches_enumeration():
     assert checked >= 15
 
 
+def test_certificate_rejects_a_nan_distance():
+    # infinite distances pass the Lipschitz check on their own; a NaN
+    # distance, even off the supports, proves nothing and fails it
+    values = shortest_path_metric(complete_graph(4)).values.copy()
+    values[0, 3] = values[3, 0] = np.nan
+    d = DistanceMatrix(values)
+    mu1, mu2 = ProbMeasure.delta(1), ProbMeasure.delta(2)
+    _, plan = wasserstein(mu1, mu2, d)
+    with pytest.raises(CertificateError, match="non-Lipschitz"):
+        dual_certificate(mu1, mu2, d, plan)
+
+
 def test_certificate_of_degenerate_basis():
-    # equal masses make the northwest-corner partial sums tie, so the
-    # optimal basis carries basic cells of zero mass
+    # the marginals share the partial sums 0.25 and 0.5, so every basis,
+    # the optimal one too, carries basic cells of zero mass
     g = WeightedGraph.from_edges(
         6, [(i, i + 1, 1.0, 1.0 + 0.25 * i) for i in range(5)])
     d = shortest_path_metric(g)
@@ -656,3 +668,64 @@ def test_starting_tree_meets_the_final_flow_bound(shift, feasible):
             wasserstein(mu1, mu2, d, basis)
         with pytest.raises(ValidationError, match="not primal feasible"):
             _edge_tree(mu1, mu2, basis)
+
+
+def test_least_cost_start_with_a_zero_flow_cell():
+    # the cheapest cells (0, 0) and (1, 0) tie at cost 1: (0, 0) closes row
+    # 0 and uses up column 0, so (1, 0) enters the tree with zero flow and
+    # the start, already optimal, is degenerate
+    from curvflow.transport import _least_cost_basis, _start_tree
+
+    d = shortest_path_metric(WeightedGraph.from_edges(
+        4, [(v, v + 1, 1.0, 1.0) for v in range(3)]))
+    mu1 = ProbMeasure(np.array([0, 2]), np.array([0.5, 0.5]))
+    mu2 = ProbMeasure(np.array([1, 3]), np.array([0.5, 0.5]))
+    c = d.values[np.ix_(mu1.support, mu2.support)].tolist()  # [[1, 3], [1, 1]]
+    cells = _least_cost_basis(mu1.mass, mu2.mass, c)
+    assert cells == [(0, 0), (1, 0), (1, 1)]
+    flows = _start_tree(cells, c, [0.5, 0.5, -0.5, -0.5])[2]
+    assert flows == {(0, 0): 0.5, (1, 0): 0.0, (1, 1): 0.5}
+    with transport_audit() as audit:
+        value, plan = wasserstein(mu1, mu2, d)
+    assert (value, audit.pivots) == (1.0, 0)
+    assert plan.basic_cells == ((0, 1), (2, 1), (2, 3))
+    assert plan.entries == {(0, 1): 0.5, (2, 3): 0.5}
+
+
+def test_cold_start_absorbs_the_measures_imbalance():
+    # both totals lie within MASS_TOL of 1, but 1.8e-12 apart; the tree's
+    # peeled flows carry that imbalance, which must not make the cold
+    # start or the final flows infeasible
+    d = shortest_path_metric(WeightedGraph.from_edges(
+        6, [(v, v + 1, 1.0, 1.0) for v in range(5)]))
+    mu1 = ProbMeasure(np.array([0, 1, 2]), np.array([0.25, 0.4999999999991, 0.25]))
+    mu2 = ProbMeasure(np.array([3, 4, 5]), np.array([0.25, 0.25, 0.5000000000009]))
+    value, plan = wasserstein(mu1, mu2, d)
+    assert value == pytest.approx(3.25, abs=1e-11)
+    assert wasserstein(mu1, mu2, d, plan.basic_cells)[0] == value
+    assert dual_certificate(mu1, mu2, d, plan)[1] <= 1e-11
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.sampled_from([1.0, 2.0, 0.5]), min_size=7, max_size=7),
+       st.integers(0, 3), st.integers(0, 3), st.sampled_from([-9e-13, 9e-13]))
+def test_measures_at_the_edge_of_the_mass_window(m1, m2, lengths, k1, k2, shift):
+    # one mass of each measure moves by 9e-13, in opposite directions, so
+    # the totals sit at the two ends of ProbMeasure's window
+    n1, n2 = len(m1), len(m2)
+    g = WeightedGraph.from_edges(n1 + n2, [(v, v + 1, 1.0, lengths[v])
+                                           for v in range(n1 + n2 - 1)])
+    d = shortest_path_metric(g)
+    a, b = np.array(m1, float) / sum(m1), np.array(m2, float) / sum(m2)
+    a[k1 % n1] += shift
+    b[k2 % n2] -= shift
+    mu1 = ProbMeasure(np.arange(n1), a)
+    mu2 = ProbMeasure(np.arange(n1, n1 + n2), b)
+    value, plan = wasserstein(mu1, mu2, d)
+    cost = d.values[np.ix_(mu1.support, mu2.support)]
+    scale = max(1.0, float(cost.max()))
+    dense = dense_simplex(*dense_transport_lp(a, b, cost))
+    assert abs(value - dense.value) <= 1e-11 * scale
+    assert abs(wasserstein(mu1, mu2, d, plan.basic_cells)[0] - value) <= 1e-12 * scale
