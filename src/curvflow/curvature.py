@@ -1,18 +1,19 @@
 """Ollivier-type curvatures of weighted graphs.
 
 Covers the plain transport curvature kappa = 1 - W(mu_x, mu_y)/d(x, y),
-its alpha-lazy variant, the Lin-Lu-Yau limit (slope of kappa^alpha at
-alpha = 0), and the modified ball-transport curvature driving the
-p-Laplace gradient estimates.
+its alpha-lazy variant, the Lin-Lu-Yau limit (the slope of kappa^alpha at
+alpha = 0, read exactly off one optimal transport tree), and the modified
+ball-transport curvature driving the p-Laplace gradient estimates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import SolverError, ValidationError
+import numpy as np
+
+from .errors import CertificateError, SolverError, ValidationError
 from .graphs import (
     DistanceMatrix,
     WeightedGraph,
@@ -20,7 +21,8 @@ from .graphs import (
     combinatorial_metric,
     shortest_path_metric,
 )
-from .transport import ProbMeasure, constrained_transport_max, wasserstein
+from .transport import (_AUDIT, CERTIFY_TOL, ProbMeasure, _local_cells, _tree,
+                        constrained_transport_max, dual_certificate, wasserstein)
 
 __all__ = [
     "CurvatureError",
@@ -89,26 +91,44 @@ def kappa_alpha(g: WeightedGraph, d: DistanceMatrix, x: int, y: int,
 
 
 def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
-              alpha: float = 1e-3, agree_tol: float = 1e-6) -> float:
-    """Lin-Lu-Yau curvature as the slope of kappa^alpha at alpha = 0.
+              alpha: float = 1e-3) -> float:
+    """Lin-Lu-Yau curvature -(dW/dalpha)/d(x, y), the slope of kappa^alpha at 0.
 
-    kappa^alpha is piecewise linear and vanishes at alpha = 0, so the
-    slope is read off at ``alpha`` and ``alpha/2``; the two values must
-    agree within ``agree_tol`` (otherwise alpha sits beyond the first
-    breakpoint — retry with a smaller alpha).  ``alpha`` must lie in
-    (0, 1] and ``agree_tol`` must be finite and nonnegative.
+    One transport solve at ``alpha`` in (0, 1] gives it exactly: the tree
+    duals do not depend on alpha and the tree flows are affine in it, with
+    the single cell (x, y) at alpha = 0, so a tree holding (x, y) stays
+    optimal on all of [0, alpha] and W is linear there.  A tree without
+    (x, y) lies past the first breakpoint; alpha is then halved and the
+    solve repeated cold.  dW/dalpha is the tree's flow under the derivative
+    supplies (w/m at the neighbours and -deg at x, minus the same for y).
+    Under ``transport_audit`` the plan's potential phi certifies it by the
+    limit-free formula: phi(x) - phi(y) = d(x, y) and
+    Delta phi(x) - Delta phi(y) = dW/dalpha, else CertificateError.
     """
+    if x == y:
+        raise ValidationError("curvature needs two distinct vertices")
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
-    if not (math.isfinite(agree_tol) and agree_tol >= 0.0):
-        raise ValidationError(f"agree_tol must be finite and >= 0, got {agree_tol}")
-    k1 = kappa_alpha(g, d, x, y, alpha) / alpha
-    k2 = kappa_alpha(g, d, x, y, alpha / 2.0) / (alpha / 2.0)
-    if abs(k1 - k2) > agree_tol:
-        raise CurvatureError(
-            f"kappa^alpha/alpha disagrees at alpha={alpha:g} ({k1:.9g}) and "
-            f"alpha/2 ({k2:.9g}); retry with a smaller alpha")
-    return k2
+    while True:
+        mu, nu = vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
+        _, plan = wasserstein(mu, nu, d)
+        if (x, y) in plan.basic_cells:
+            break
+        alpha /= 2.0
+    rates = [sign * (g.weights[v, s] / g.measure[v] if s != v else -g.degree(v))
+             for v, sign, meas in ((x, 1.0, mu), (y, -1.0, nu))
+             for s in meas.support.tolist()]
+    c = d.values[np.ix_(mu.support, nu.support)].tolist()
+    flows = _tree(_local_cells(mu, nu, plan.basic_cells), c, rates)[2]
+    slope = sum(f * c[i][j] for (i, j), f in flows.items())
+    if _AUDIT.enabled:
+        phi, _ = dual_certificate(mu, nu, d, plan)
+        gaps = (phi[x] - phi[y] - d.value(x, y),
+                np.dot(rates, phi[np.concatenate([mu.support, nu.support])]) - slope)
+        if max(map(abs, gaps)) > CERTIFY_TOL * max(1.0, max(map(max, c))):
+            raise CertificateError(f"no certificate of the LLY slope at ({x}, {y}): "
+                                   f"gaps {gaps[0]:g}, {gaps[1]:g}")
+    return -slope / d.value(x, y)
 
 
 def modified_kappa_phi(g: WeightedGraph, x: int, y: int, phi_shape: str,

@@ -4,10 +4,12 @@ Everything here is deliberately naive: repeated relaxation instead of
 Floyd-Warshall, union-find instead of graph search, exhaustive vertex
 enumeration of transport polytopes and a dense two-phase simplex on the
 whole constraint matrix instead of the spanning-tree simplex, the
-cost-blind northwest-corner start instead of the least-cost one, a per-edge
-scan of adjacent lengths instead of per-vertex minima, plain power
-iteration, and finite differences.  None of it shares code with the
-implementation paths it checks.
+cost-blind northwest-corner start instead of the least-cost one, the
+limit-free Lin-Lu-Yau LP over potentials (scipy's HiGHS, skipped without
+scipy) instead of the slope of a transport tree, a per-edge scan of
+adjacent lengths instead of per-vertex minima, plain power iteration, and
+finite differences.  None of it shares code with the implementation paths
+it checks.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 
 def apsp_relaxation(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -150,6 +153,33 @@ def ball_transport_lp(x: int, y: int, g, d0, forbid: str):
     rhs = np.array([g.weights[(x, y)[side], v] / g.measure[(x, y)[side]]
                     for side, v in rows] + [1.0])
     return np.array(coeffs + [0.0]), A, rhs
+
+
+def limit_free_lly(g, d, x: int, y: int) -> float:
+    """Lin-Lu-Yau curvature by the limit-free formula (Muench-Wojciechowski,
+    Adv. Math. 2019): the least (Delta f(x) - Delta f(y)) / d(x, y) over
+    f on B1(x) u B1(y), 1-Lipschitz for d, with f(y) - f(x) = d(x, y).
+    One LP, solved by scipy's HiGHS; the test is skipped without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ball = sorted({x, y, *g.neighbors(x).tolist(), *g.neighbors(y).tolist()})
+    k = len(ball)
+    dxy = float(d.values[x, y])
+    laplace = g.weights[np.ix_([x, y], ball)] / g.measure[[x, y], None]
+    for row, v in enumerate((x, y)):
+        laplace[row, ball.index(v)] = -g.weights[v].sum() / g.measure[v]
+    c = (laplace[0] - laplace[1]) / dxy
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    A = np.zeros((len(pairs), k))
+    for r, (i, j) in enumerate(pairs):
+        A[r, i], A[r, j] = 1.0, -1.0
+    bounds = [(0.0, 0.0) if v == x else (dxy, dxy) if v == y else (None, None)
+              for v in ball]
+    res = linprog(c, A_ub=A, b_ub=[d.values[ball[i], ball[j]] for i, j in pairs],
+                  bounds=bounds, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(c @ res.x)
 
 
 class LPResult(NamedTuple):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, cycle_graph, random_curvature_graph, random_flow_graph
-from oracles import brute_force_wasserstein, dense_simplex, dense_transport_lp
+from oracles import brute_force_wasserstein, dense_simplex, dense_transport_lp, limit_free_lly
 
 from curvflow import (
     SolverError,
@@ -18,7 +18,9 @@ from curvflow import (
     vertex_measure,
     wasserstein,
 )
-from curvflow.curvature import CurvatureError
+from curvflow import curvature
+from curvflow.errors import CertificateError
+from curvflow.transport import transport_audit
 
 
 def two_vertex(length=1.0):
@@ -122,34 +124,93 @@ def test_kappa_alpha_concave_in_alpha():
 def test_lly_values():
     g = two_vertex()
     d = shortest_path_metric(g)
-    assert kappa_lly(g, d, 0, 1) == pytest.approx(2.0, abs=1e-6)
-    c6 = cycle_graph(6)
-    assert kappa_lly(c6, shortest_path_metric(c6), 0, 1) == \
-        pytest.approx(0.0, abs=1e-6)
+    assert kappa_lly(g, d, 0, 1) == pytest.approx(2.0, abs=1e-14)
     k3 = complete_graph(3, measure=2.0)
     d3 = shortest_path_metric(k3)
     lly = kappa_lly(k3, d3, 0, 1)
-    assert lly == pytest.approx(1.5, abs=1e-6)
+    assert lly == pytest.approx(1.5, abs=1e-14)
     # consistency with the non-lazy value: slope at 0 dominates kappa^1
     assert lly >= ollivier_kappa(k3, d3, 0, 1) - 1e-9
+    # closed forms of the simple random walk: K_n gives n/(n-1), C_n
+    # (n >= 6) gives 0, whatever the weight and length
+    for n in range(4, 9):
+        kn = complete_graph(n, 1.7, 0.6)
+        assert kappa_lly(kn, shortest_path_metric(kn), 0, 1) == \
+            pytest.approx(n / (n - 1), abs=1e-14)
+    for n in range(6, 13):
+        cn = cycle_graph(n, 1.7, 0.6)
+        assert kappa_lly(cn, shortest_path_metric(cn), 0, 1) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_lly_agreement_guard():
-    g = two_vertex()
-    d = shortest_path_metric(g)
-    with pytest.raises(CurvatureError):
-        kappa_lly(g, d, 0, 1, alpha=0.9, agree_tol=1e-15)
+def test_lly_halves_alpha_past_the_first_breakpoint():
+    # at alpha 0.9 and 1 the optimal tree often lacks the cell (x, y), so
+    # kappa^alpha is past its first breakpoint there; halving alpha must
+    # land on the same slope as the default alpha
+    graphs = [two_vertex()] + [random_flow_graph(np.random.default_rng(seed), 4 + seed % 5)
+                               for seed in range(700, 760)]
+    halved = 0
+    for g in graphs:
+        d = shortest_path_metric(g)
+        for u, v in g.edges():
+            exact = kappa_lly(g, d, u, v)
+            for alpha in (0.9, 1.0):
+                _, plan = wasserstein(vertex_measure(g, u, alpha), vertex_measure(g, v, alpha), d)
+                halved += (u, v) not in plan.basic_cells
+                assert kappa_lly(g, d, u, v, alpha=alpha) == pytest.approx(exact, abs=1e-14)
+    assert halved >= 400  # 2 on the two-vertex graph, 179 + 235 on the random ones
+
+
+def test_lly_matches_the_limit_free_formula():
+    graphs = [random_curvature_graph(np.random.default_rng(seed), 40, 40)
+              for seed in (101, 102, 103)]
+    graphs += [random_flow_graph(np.random.default_rng(seed), 4 + seed % 5)
+               for seed in range(700, 760)]
+    for g in graphs:
+        d = shortest_path_metric(g)
+        for u, v in g.edges():
+            oracle = limit_free_lly(g, d, u, v)
+            for alpha in (1e-3, 0.9):
+                assert abs(kappa_lly(g, d, u, v, alpha=alpha) - oracle) <= 1e-13
+
+
+def test_lly_audit_rejects_a_corrupted_slope_or_potential(monkeypatch):
+    k3 = complete_graph(3, measure=2.0)
+    d = shortest_path_metric(k3)
+    tree, certificate = curvature._tree, curvature.dual_certificate
+
+    def doubled_flows(*args):
+        duals, parent, flows = tree(*args)
+        return duals, parent, {e: 2.0 * f for e, f in flows.items()}
+
+    def shifted_potential(*args, **kwargs):
+        phi, gap = certificate(*args, **kwargs)
+        return phi + 1e-3 * (np.arange(phi.size) == 1), gap  # moves phi(y)
+
+    for name, corrupt in (("_tree", doubled_flows), ("dual_certificate", shifted_potential)):
+        with monkeypatch.context() as patch:
+            patch.setattr(curvature, name, corrupt)
+            kappa_lly(k3, d, 0, 1)  # unaudited, nothing checks the slope
+            with transport_audit() as audit, pytest.raises(CertificateError):
+                kappa_lly(k3, d, 0, 1)
+            assert audit.count == 1
+    with transport_audit():
+        assert kappa_lly(k3, d, 0, 1) == pytest.approx(1.5, abs=1e-14)
+
+
+def test_lly_rejects_equal_endpoints():
+    k3 = complete_graph(3, measure=2.0)
+    with pytest.raises(ValidationError, match="two distinct vertices"):
+        kappa_lly(k3, shortest_path_metric(k3), 1, 1)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"alpha": 0.0}, {"alpha": -1e-3}, {"alpha": 1.5}, {"alpha": float("nan")},
-    {"agree_tol": float("nan")}, {"agree_tol": float("inf")}, {"agree_tol": -1e-6},
 ])
 def test_lly_rejects_bad_alpha_and_agree_tol(kwargs):
-    # alpha = 0 would divide by zero; a NaN agree_tol would switch the
-    # agreement check off
+    # at alpha = 0 the plan is the cell (x, y) alone and shows no slope,
+    # beyond 1 the lazy measure is undefined, and NaN must not reach a solve
     k3 = complete_graph(3, measure=2.0)
-    with pytest.raises(ValidationError, match="alpha must|agree_tol must"):
+    with pytest.raises(ValidationError, match="alpha must"):
         kappa_lly(k3, shortest_path_metric(k3), 0, 1, **kwargs)
 
 
@@ -198,8 +259,8 @@ def test_small_alpha_transport_is_exact():
     # the benchmark's curvature seed 101, item 72, edge (5, 16): the lazy
     # masses, down to ~1e-6, lie far below an absolute tie window of 1e-9,
     # so the ratio test's ties must scale with the least ratio, or a cell
-    # above it leaves, a solve ends 1e-11 above the optimum at a negative
-    # flow, and kappa_lly's division by alpha makes the slopes disagree
+    # above it leaves and a solve ends 1e-11 above the optimum at a
+    # negative flow; kappa_lly reads its slope off the tree at 1e-3
     g = random_curvature_graph(np.random.default_rng([101, 72]), 20, 30)
     d = shortest_path_metric(g)
     for alpha in (1e-3, 5e-4, 1e-4, 1e-5):
@@ -212,11 +273,9 @@ def test_small_alpha_transport_is_exact():
 
 
 def test_cold_solves_start_near_the_optimum():
-    # the least-cost start leaves few pivots per LP: Ollivier plus LLY on
-    # ten 40-vertex curvature graphs takes 1.77 pivots per certified value,
-    # against 7.94 from the cost-blind northwest corner
-    from curvflow.transport import transport_audit
-
+    # the least-cost start leaves few pivots per LP: Ollivier plus LLY (one
+    # LP per value) on ten 40-vertex curvature graphs take 1.86 pivots per
+    # certified value
     with transport_audit() as audit:
         for seed in range(101, 111):
             g = random_curvature_graph(np.random.default_rng(seed), 40, 40)
@@ -224,7 +283,7 @@ def test_cold_solves_start_near_the_optimum():
             d = shortest_path_metric(g)
             for u, v in g.edges():
                 kappa_lly(g, d, u, v)
-    assert audit.count == 2298
+    assert audit.count == 1532
     assert audit.pivots <= 2.5 * audit.count
 
 
