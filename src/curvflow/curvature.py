@@ -21,8 +21,8 @@ from .graphs import (
     combinatorial_metric,
     shortest_path_metric,
 )
-from .transport import (_AUDIT, CERTIFY_TOL, ProbMeasure, _local_cells, _tree,
-                        constrained_transport_max, dual_certificate, wasserstein)
+from .transport import (CERTIFY_TOL, ProbMeasure, _solve, _tree, constrained_transport_max,
+                        wasserstein)
 
 __all__ = [
     "CurvatureError",
@@ -99,9 +99,10 @@ def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
     the single cell (x, y) at alpha = 0, so a tree holding (x, y) stays
     optimal on all of [0, alpha] and W is linear there.  A tree without
     (x, y) lies past the first breakpoint; alpha is then halved and the
-    solve repeated cold.  dW/dalpha is the tree's flow under the derivative
-    supplies (w/m at the neighbours and -deg at x, minus the same for y).
-    Under ``transport_audit`` the plan's potential phi certifies it by the
+    solve repeated cold.  dW/dalpha is the flow of the solver's own tree,
+    peeled once more under the derivative supplies (w/m at the neighbours
+    and -deg at x, minus the same for y).  Under ``transport_audit`` the
+    potential phi that certified W certifies the slope too, by the
     limit-free formula: phi(x) - phi(y) = d(x, y) and
     Delta phi(x) - Delta phi(y) = dW/dalpha, else CertificateError.
     """
@@ -111,20 +112,17 @@ def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
     while True:
         mu, nu = vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
-        _, plan = wasserstein(mu, nu, d)
-        if (x, y) in plan.basic_cells:
+        _, flows, phi = _solve(mu, nu, d)
+        sx, sy = mu.support.tolist(), nu.support.tolist()
+        if x in sx and y in sy and (sx.index(x), sy.index(y)) in flows:
             break
         alpha /= 2.0
     rates = [sign * (g.weights[v, s] / g.measure[v] if s != v else -g.degree(v))
-             for v, sign, meas in ((x, 1.0, mu), (y, -1.0, nu))
-             for s in meas.support.tolist()]
+             for v, sign, support in ((x, 1.0, sx), (y, -1.0, sy)) for s in support]
     c = d.values[np.ix_(mu.support, nu.support)].tolist()
-    flows = _tree(_local_cells(mu, nu, plan.basic_cells), c, rates)[2]
-    slope = sum(f * c[i][j] for (i, j), f in flows.items())
-    if _AUDIT.enabled:
-        phi, _ = dual_certificate(mu, nu, d, plan)
-        gaps = (phi[x] - phi[y] - d.value(x, y),
-                np.dot(rates, phi[np.concatenate([mu.support, nu.support])]) - slope)
+    slope = sum(f * c[i][j] for (i, j), f in _tree(sorted(flows), c, rates)[2].items())
+    if phi is not None:
+        gaps = (phi[x] - phi[y] - d.value(x, y), np.dot(rates, phi[sx + sy]) - slope)
         if max(map(abs, gaps)) > CERTIFY_TOL * max(1.0, max(map(max, c))):
             raise CertificateError(f"no certificate of the LLY slope at ({x}, {y}): "
                                    f"gaps {gaps[0]:g}, {gaps[1]:g}")

@@ -127,13 +127,13 @@ class _Batch:
     cost is below -ENTER_TOL x max(1, max cost).  The simplex would pivot
     there, so the flow re-solves those edges from their trees.  Under
     ``transport_audit`` the same duals certify every other edge.  An edge
-    whose two walk measures coincide has no tree, and its W is 0.
+    whose two walk measures coincide keeps its least-cost tree like any
+    other, with W = 0.
     """
 
     def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
-                 trees: list[tuple | None]) -> None:
+                 trees: list[tuple]) -> None:
         self.pairs, self.trees = pairs, trees
-        self.edge = np.array([k for k, t in enumerate(trees) if t is not None], dtype=np.intp)
         cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
         off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
         moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
@@ -141,9 +141,7 @@ class _Batch:
         cols, col_node, col_start = [], [], []  # the column nodes, for the duals' c-transform
         nodes_vertex, supply, node_edge = [], [], []  # every node, for the dual value
         nodes = basics = 0
-        for p, k in enumerate(self.edge.tolist()):
-            mu, nu = pairs[k]
-            _, cells, flows, parent = trees[k]
+        for p, ((mu, nu), (_, cells, flows, parent)) in enumerate(zip(pairs, trees)):
             sx, sy = mu.support.tolist(), nu.support.tolist()
             n1, n2 = len(sx), len(sy)
             index = {c: basics + t for t, c in enumerate(cells)}
@@ -198,28 +196,24 @@ class _Batch:
     def price(self, d: DistanceMatrix) -> tuple[np.ndarray, list[int]]:
         """W of every edge under ``d`` and the edges whose tree is no longer
         optimal there (their W is left to the re-solve)."""
-        w = np.zeros(len(self.trees))
-        pivot = np.zeros(self.edge.size, dtype=bool)
-        if self.edge.size:
-            cost = d.values[self.cx, self.cy]
-            scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
-            basic = cost[self.basic]
-            dual = np.zeros(self.n_nodes)
-            for node, cell, up in self.levels:
-                dual[node] = basic[cell] - dual[up]
-            reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
-            pivot[self.off_edge[reduced < -(ENTER_TOL * scale[self.off_edge])]] = True
-            # costs are distances, so W >= 0 needs no clamp
-            raw = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
-                              minlength=self.edge.size)
-            w[self.edge] = raw
+        cost = d.values[self.cx, self.cy]
+        scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
+        basic = cost[self.basic]
+        dual = np.zeros(self.n_nodes)
+        for node, cell, up in self.levels:
+            dual[node] = basic[cell] - dual[up]
+        reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
+        pivot = np.zeros(len(self.trees), dtype=bool)
+        pivot[self.off_edge[reduced < -(ENTER_TOL * scale[self.off_edge])]] = True
+        # costs are distances, so W >= 0 needs no clamp
+        w = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
+                        minlength=len(self.trees))
         if _AUDIT.enabled:
-            if self.edge.size:
-                self._certify(d, dual, raw, scale, ~pivot)
+            self._certify(d, dual, w, scale, ~pivot)
             certified = len(self.trees) - int(pivot.sum())
             _AUDIT.count += certified
             _AUDIT.warm += certified
-        return w, self.edge[pivot].tolist()
+        return w, np.flatnonzero(pivot).tolist()
 
     def _certify(self, d: DistanceMatrix, dual: np.ndarray, w: np.ndarray,
                  scale: np.ndarray, keep: np.ndarray) -> None:
@@ -243,7 +237,7 @@ class _Batch:
             raise CertificateError(
                 f"no optimality certificate within {CERTIFY_TOL:g} x scale "
                 f"{scale[p]:g}: gap={gap[p]:g}")
-        _AUDIT.max_gap = max(_AUDIT.max_gap, float(gap.max()))
+        _AUDIT.max_gap = max(_AUDIT.max_gap, float(gap.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     if batch is None:  # a new topology: every edge solved cold
         measures = {x: vertex_measure(g, x) for x in range(g.n) if g.neighbors(x).size}
         pairs = [(measures[u], measures[v]) for u, v in topo.edges]
-        trees: list = [None] * len(pairs)
+        trees: list = [None] * len(pairs)  # filled by the cold solves below
         cost, solve = np.zeros(len(pairs)), range(len(pairs))
     else:
         pairs, trees = batch.pairs, list(batch.trees)
@@ -343,7 +337,7 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     for k in solve:
         mu, nu = pairs[k]
         cost[k], plan = wasserstein(mu, nu, d, None if batch is None else trees[k][0])
-        trees[k] = None if mu == nu else _edge_tree(mu, nu, plan.basic_cells)
+        trees[k] = _edge_tree(mu, nu, plan.basic_cells)
     if batch is None or solve:
         topo = replace(topo, batch=_Batch(pairs, trees))
 

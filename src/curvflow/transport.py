@@ -1,15 +1,15 @@
 """Exact optimal transport between finitely supported measures.
 
-Wasserstein distances are solved by a transportation simplex whose
-basis is a spanning tree of the supports (least-cost or warm start,
-Bland's rule); the same solver, run in two phases, maximizes the ball
-transport with forbidden cells.  Optimality of every plan can
-be certified through Kantorovich duality: the c-transform of the
-basis's own tree duals is a 1-Lipschitz potential whose dual value
-matches the plan cost, so the certificate needs no second LP.  An
-audit mode certifies every ``wasserstein`` call made inside it, and every
-value the Ricci flow prices from a kept basis, which the acceptance suite
-uses to cross-check all transport work done by the flows.
+Wasserstein distances, identical measures included, are solved by a
+transportation simplex whose basis is a spanning tree of the supports
+(least-cost or warm start, Bland's rule); the same solver, run in two
+phases, maximizes the ball transport with forbidden cells.  The solver
+returns its final tree, whose duals certify W by Kantorovich duality:
+their c-transform is a 1-Lipschitz potential whose dual value matches W,
+so no tree is rebuilt and no second LP solved.  An audit mode certifies
+every transport solve made inside it, and every value the Ricci flow
+prices from a kept basis, which the acceptance suite uses to cross-check
+all transport work done by the flows.
 """
 
 from __future__ import annotations
@@ -275,8 +275,9 @@ def _start_tree(cells, c: list[list[float]], supply: list[float]):
 
 def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                        cells: list[tuple[int, int]],
-                       frozen: frozenset | set = frozenset()) -> tuple[dict, int]:
-    """Optimal tree flows and the pivot count, from the feasible tree ``cells``.
+                       frozen: frozenset | set = frozenset()) -> tuple[tuple, int]:
+    """The optimal tree's (duals, parent, flows), as ``_tree`` gives them,
+    and the pivot count, from the feasible tree ``cells``.
 
     Cold starts pass ``_least_cost_basis``, which leaves few pivots.
     Bland's rule: enter the first cell off the tree and not ``frozen``,
@@ -299,7 +300,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
             if min(flows.values()) < _flow_floor(supply):
                 raise SolverError(f"transport simplex ended at a negative flow "
                                   f"{min(flows.values()):g}")
-            return flows, pivots
+            return tree, pivots
         i, j = enter
         losing = _losing_cells(parent, i, j, n1)
         theta = min(flows[e] for e in losing)
@@ -330,6 +331,28 @@ def _check_supports_connected(mu1: ProbMeasure, mu2: ProbMeasure,
     return cost
 
 
+def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
+           cells: list[tuple[int, int]] | None = None,
+           ) -> tuple[float, dict, np.ndarray | None]:
+    """W, the optimal tree's flows keyed by (row, column) support indices,
+    and under ``transport_audit`` the potential that certifies W from that
+    tree's own duals (else None).  ``cells`` is the starting tree; None
+    starts from the least-cost tree."""
+    cost = _check_supports_connected(mu1, mu2, d)
+    c = cost.tolist()
+    start = _least_cost_basis(mu1.mass, mu2.mass, cost) if cells is None else cells
+    (duals, _, flows), pivots = _transport_simplex(mu1.mass, mu2.mass, c, start)
+    w = sum(flows[i, j] * c[i][j] for i, j in sorted(flows) if flows[i, j] > 0)
+    phi = None
+    if _AUDIT.enabled:
+        phi, gap = _certify(mu1, mu2, d, cost, duals[mu1.support.size:], w)
+        _AUDIT.count += 1
+        _AUDIT.pivots += pivots
+        _AUDIT.warm += cells is not None
+        _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
+    return max(w, 0.0), flows, phi
+
+
 def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
                 basis: tuple[tuple[int, int], ...] | None = None,
                 ) -> tuple[float, TransportPlan]:
@@ -340,59 +363,43 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     certification.  ``basis``, the ``basic_cells`` of an earlier plan
     between the same measures (under any metric), warm-starts the solve;
     a basis that is not a feasible spanning tree raises ValidationError.
+    Identical measures take no pivot: their least-cost tree is optimal.
     """
-    cost = _check_supports_connected(mu1, mu2, d)
-    if mu1 == mu2:
-        entries = {(int(x), int(x)): float(m)
-                   for x, m in zip(mu1.support, mu1.mass)}
-        plan = TransportPlan(entries, mu1, mu2,
-                             basic_cells=tuple((int(x), int(x)) for x in mu1.support))
-        return 0.0, plan
-    cells = (_least_cost_basis(mu1.mass, mu2.mass, cost) if basis is None
-             else _local_cells(mu1, mu2, basis) or [])
-    c = cost.tolist()
-    flows, pivots = _transport_simplex(mu1.mass, mu2.mass, c, cells)
+    cells = None if basis is None else _local_cells(mu1, mu2, basis) or []
+    w, flows, _ = _solve(mu1, mu2, d, cells)
     sx, sy = mu1.support.tolist(), mu2.support.tolist()
     basic = sorted(flows)
-    moved = [(i, j) for i, j in basic if flows[i, j] > 0]
-    plan = TransportPlan({(sx[i], sy[j]): flows[i, j] for i, j in moved}, mu1, mu2,
-                         basic_cells=tuple((sx[i], sy[j]) for i, j in basic))
-    if _AUDIT.enabled:
-        _, gap = dual_certificate(mu1, mu2, d, plan)
-        _AUDIT.count += 1
-        _AUDIT.pivots += pivots
-        _AUDIT.warm += basis is not None
-        _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
-    return max(sum(flows[i, j] * c[i][j] for i, j in moved), 0.0), plan
+    plan = TransportPlan({(sx[i], sy[j]): flows[i, j] for i, j in basic if flows[i, j] > 0},
+                         mu1, mu2, basic_cells=tuple((sx[i], sy[j]) for i, j in basic))
+    return w, plan
 
 
 # ---------------------------------------------------------------------------
 # Kantorovich dual certificate
 
 
-def _basis_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                     cost: np.ndarray, cells: list | None) -> np.ndarray | None:
-    """c-transform of the transport duals of a basis.
-
-    Solves u_i + v_j = d(x_i, y_j) over the basic cells, (row, column)
-    support indices, as the solver does (``_tree``) and returns
-    phi(z) = min_j d(z, y_j) - v_j on every vertex, with 0 off the
-    supports' component.  phi is 1-Lipschitz for any v, and for an
-    optimal basis it attains the LP value.  Cells that are not a
-    spanning tree of the supports may give None.
-    """
-    tree = cells and _tree(cells, cost.tolist(),
-                           mu1.mass.tolist() + (-mu2.mass).tolist())
-    if not tree:
-        return None
-    n1 = mu1.support.size
-    phi = np.min(d.values[:, mu2.support] - np.array(tree[0][n1:]), axis=1)
-    return np.where(np.isfinite(phi), phi, 0.0)
-
-
-def _verify_potential(full: np.ndarray, d: DistanceMatrix, tol: float) -> bool:
+def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, cost: np.ndarray,
+             v: list[float], value: float, certify_tol: float = CERTIFY_TOL,
+             require: bool = True) -> tuple[np.ndarray, float]:
+    """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals ``v``
+    (0 off the supports' component) and the gap |value - phi's dual value|.
+    phi is 1-Lipschitz for any v, which is verified independently; a
+    failure, or with ``require`` a gap above ``certify_tol`` x scale,
+    raises CertificateError."""
+    # tolerances are relative to the instance scale: beyond unit-scale
+    # distances, only relative optimality is resolvable in floats
+    scale = max(1.0, float(np.max(cost)))
+    phi = np.min(d.values[:, mu2.support] - np.array(v), axis=1)
+    phi = np.where(np.isfinite(phi), phi, 0.0)
     # infinite distances pass on their own; a NaN distance fails
-    return bool(np.all(np.abs(full[:, None] - full[None, :]) <= d.values + tol))
+    if not np.all(np.abs(phi[:, None] - phi[None, :]) <= d.values + MARGINAL_TOL * scale):
+        raise CertificateError("transport duals gave a non-Lipschitz potential")
+    gap = abs(value - float(phi[mu1.support] @ mu1.mass - phi[mu2.support] @ mu2.mass))
+    if require and gap > certify_tol * scale:
+        raise CertificateError(
+            f"no optimality certificate within {certify_tol:g} x scale "
+            f"{scale:g}: gap={gap:g}")
+    return phi, gap
 
 
 def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
@@ -403,36 +410,23 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     Returns the potential (on all vertices) and the duality gap
     ``|cost(plan) - sum phi d(mu1 - mu2)|``.  A gap below ``certify_tol``
     proves the plan optimal.  The potential is the c-transform of the
-    transport duals of the plan's simplex basis, so no LP is solved for a
-    plan that ``wasserstein`` returned.  A plan whose basic cells do not
-    span the supports (a hand-built plan) is measured against the basis
-    of a fresh solve of the same transport LP; identical measures get
-    phi = 0, since their distance is 0.  The 1-Lipschitz property is
-    verified independently.  With ``require`` set, a gap above tolerance
-    raises CertificateError — it signals an LP bug.
+    transport duals of the plan's simplex basis; a plan whose basic cells
+    do not span the supports (a hand-built plan) is measured against the
+    optimal tree of a fresh solve.  The 1-Lipschitz property is verified
+    independently.  A plan between other measures raises ValidationError;
+    with ``require`` set, a gap above tolerance raises CertificateError —
+    it signals an LP bug.
     """
-    sub = _check_supports_connected(mu1, mu2, d)
-    # tolerances are relative to the instance scale: beyond unit-scale
-    # distances, only relative optimality is resolvable in floats
-    scale = max(1.0, float(np.max(sub)))
-    if mu1 == mu2:
-        full = np.zeros(d.n)
-    else:
-        full = _basis_potential(mu1, mu2, d, sub,
-                                _local_cells(mu1, mu2, plan.basic_cells or ()))
-        if full is None:
-            flows, _ = _transport_simplex(mu1.mass, mu2.mass, sub.tolist(),
-                                          _least_cost_basis(mu1.mass, mu2.mass, sub))
-            full = _basis_potential(mu1, mu2, d, sub, list(flows))
-    if not _verify_potential(full, d, MARGINAL_TOL * scale):
-        raise CertificateError("transport duals gave a non-Lipschitz potential")
-    dual = float(full[mu1.support] @ mu1.mass - full[mu2.support] @ mu2.mass)
-    gap = abs(plan.cost(d) - dual)
-    if require and gap > certify_tol * scale:
-        raise CertificateError(
-            f"no optimality certificate within {certify_tol:g} x scale "
-            f"{scale:g}: gap={gap:g}")
-    return full, gap
+    if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
+        raise ValidationError("the plan's marginals are not mu1 and mu2")
+    cost = _check_supports_connected(mu1, mu2, d)
+    cells = _local_cells(mu1, mu2, plan.basic_cells or ())
+    tree = cells and _tree(cells, cost.tolist(), mu1.mass.tolist() + (-mu2.mass).tolist())
+    if not tree:
+        tree, _ = _transport_simplex(mu1.mass, mu2.mass, cost.tolist(),
+                                     _least_cost_basis(mu1.mass, mu2.mass, cost))
+    return _certify(mu1, mu2, d, cost, tree[0][mu1.support.size:], plan.cost(d),
+                    certify_tol, require)
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +471,16 @@ def constrained_transport_max(
 
     n1, n2 = len(sx), len(sy)
     c1 = [[float((i, j) in barred) for j in range(n2)] for i in range(n1)]
-    flows, _ = _transport_simplex(mu.mass, nu.mass, c1,
-                                  _least_cost_basis(mu.mass, nu.mass, c1))
+    (duals, _, flows), _ = _transport_simplex(mu.mass, nu.mass, c1,
+                                              _least_cost_basis(mu.mass, nu.mass, c1))
     if sum(f for e, f in flows.items() if e in barred) > FEAS_TOL:
         raise InfeasibleError(blocked)
     # phase-1 duals are sums of 0/1 costs, so zero reduced costs are exact
-    duals = _tree(list(flows), c1, mu.mass.tolist() + (-nu.mass).tolist())[0]
     frozen = {(i, j) for i in range(n1) for j in range(n2)
               if (i, j) in barred or duals[i] + duals[n1 + j] != 0.0}
     dxy = d0.value(x, y)
     c2 = [[h / dxy - 1.0 for h in row] for row in hop]
-    flows, _ = _transport_simplex(mu.mass, nu.mass, c2, list(flows), frozen)
+    (_, _, flows), _ = _transport_simplex(mu.mass, nu.mass, c2, list(flows), frozen)
 
     plan = TransportPlan({(sx[i], sy[j]): f for (i, j), f in flows.items() if f > 0},
                          mu, nu)

@@ -176,17 +176,19 @@ def test_lly_matches_the_limit_free_formula():
 def test_lly_audit_rejects_a_corrupted_slope_or_potential(monkeypatch):
     k3 = complete_graph(3, measure=2.0)
     d = shortest_path_metric(k3)
-    tree, certificate = curvature._tree, curvature.dual_certificate
+    tree, solve = curvature._tree, curvature._solve
 
     def doubled_flows(*args):
         duals, parent, flows = tree(*args)
         return duals, parent, {e: 2.0 * f for e, f in flows.items()}
 
     def shifted_potential(*args, **kwargs):
-        phi, gap = certificate(*args, **kwargs)
-        return phi + 1e-3 * (np.arange(phi.size) == 1), gap  # moves phi(y)
+        w, flows, phi = solve(*args, **kwargs)
+        if phi is not None:
+            phi = phi + 1e-3 * (np.arange(phi.size) == 1)  # moves phi(y)
+        return w, flows, phi
 
-    for name, corrupt in (("_tree", doubled_flows), ("dual_certificate", shifted_potential)):
+    for name, corrupt in (("_tree", doubled_flows), ("_solve", shifted_potential)):
         with monkeypatch.context() as patch:
             patch.setattr(curvature, name, corrupt)
             kappa_lly(k3, d, 0, 1)  # unaudited, nothing checks the slope
@@ -195,6 +197,55 @@ def test_lly_audit_rejects_a_corrupted_slope_or_potential(monkeypatch):
             assert audit.count == 1
     with transport_audit():
         assert kappa_lly(k3, d, 0, 1) == pytest.approx(1.5, abs=1e-14)
+
+
+def test_lly_where_the_walk_measures_coincide():
+    # K2 with w/m = 1/2: at alpha = m/(2w) = 1 the two walk measures are
+    # equal, their tree lacks (x, y) and alpha is halved
+    g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 1.5)], measure=[2.0, 2.0])
+    d = shortest_path_metric(g)
+    assert vertex_measure(g, 0, 1.0) == vertex_measure(g, 1, 1.0)
+    with transport_audit() as audit:
+        value = kappa_lly(g, d, 0, 1, alpha=1.0)
+    assert audit.count == 2
+    assert abs(value - limit_free_lly(g, d, 0, 1)) <= 1e-14
+    assert value == pytest.approx(1.0, abs=1e-14)
+
+
+def test_lly_audit_certifies_each_value_once(monkeypatch):
+    # the potential that certified W certifies the slope: an audited LLY
+    # pass makes no dual_certificate call, and that potential is the one
+    # dual_certificate derives from wasserstein's plan
+    from curvflow import dual_certificate, transport
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dual_certificate(*args, **kwargs)
+
+    for module in (transport, curvature):
+        monkeypatch.setattr(module, "dual_certificate", counted, raising=False)
+    graphs = [random_curvature_graph(np.random.default_rng(101), 40, 40)]
+    graphs += [random_flow_graph(np.random.default_rng(seed), 4 + seed % 5)
+               for seed in range(700, 720)]
+    checked = 0
+    for g in graphs:
+        d = shortest_path_metric(g)
+        with transport_audit() as audit:
+            for u, v in g.edges():
+                kappa_lly(g, d, u, v)
+        assert calls == [] and audit.count >= g.edge_count()
+        for u, v in g.edges():
+            for alpha in (1e-3, 0.9, None):
+                mu, nu = vertex_measure(g, u, alpha), vertex_measure(g, v, alpha)
+                assert transport._solve(mu, nu, d)[2] is None  # unaudited
+                with transport_audit():
+                    _, _, phi = transport._solve(mu, nu, d)
+                _, plan = wasserstein(mu, nu, d)
+                assert np.array_equal(phi, dual_certificate(mu, nu, d, plan)[0])
+                checked += 1
+    assert checked >= 300
 
 
 def test_lly_rejects_equal_endpoints():

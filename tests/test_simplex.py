@@ -133,7 +133,7 @@ def _check_both_starts(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> None:
     assert dense.status == "optimal"
     values = []
     for cells in (start, northwest_basis(a, b)):
-        flows, _ = transport._transport_simplex(a, b, c, cells)
+        (_, _, flows), _ = transport._transport_simplex(a, b, c, cells)
         values.append(sum(f * c[i][j] for (i, j), f in flows.items()))
     assert abs(values[0] - values[1]) <= 1e-12 * scale
     assert abs(values[0] - dense.value) <= 1e-12 * scale

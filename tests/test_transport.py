@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import complete_graph, random_flow_graph
+from conftest import complete_graph, path_graph, random_flow_graph
 from oracles import (
     ball_transport_lp,
     brute_force_lp_max,
@@ -441,6 +441,18 @@ def test_certificate_handles_split_basis_pieces():
     assert np.all(diff <= d.values + 1e-9)
 
 
+def test_certificate_rejects_a_plan_of_other_measures():
+    # on the unit path 0-1-2-3 the optimal plan delta_1 -> delta_3 costs
+    # W(delta_0, delta_2) = 2, so its gap against those measures is 0, yet
+    # it is no coupling of them
+    d = shortest_path_metric(path_graph([1.0, 1.0, 1.0]))
+    _, plan = wasserstein(ProbMeasure.delta(1), ProbMeasure.delta(3), d)
+    for mu1, mu2 in ((0, 2), (1, 2), (0, 3)):
+        with pytest.raises(ValidationError, match="marginals"):
+            dual_certificate(ProbMeasure.delta(mu1), ProbMeasure.delta(mu2), d, plan)
+    assert dual_certificate(ProbMeasure.delta(1), ProbMeasure.delta(3), d, plan)[1] == 0.0
+
+
 def test_certificate_falls_back_without_basis():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 2.0)])
     d = shortest_path_metric(g)
@@ -502,12 +514,11 @@ def test_certificate_of_degenerate_basis():
 
 def test_audit_certifies_from_the_basis_alone(monkeypatch):
     import curvflow.curvature as curvature
-    import curvflow.ricci_flow as ricci_flow
     import curvflow.transport as transport
     from curvflow import FlowConfig, curvature_report, run_flow
 
     solves, calls = [], []
-    primal, solver = transport._transport_simplex, transport.wasserstein
+    primal, solver = transport._transport_simplex, transport._solve
 
     def counted(*args, **kwargs):
         solves.append(1)
@@ -518,8 +529,8 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
         return solver(*args, **kwargs)
 
     monkeypatch.setattr(transport, "_transport_simplex", counted)
-    for module in (curvature, ricci_flow):
-        monkeypatch.setattr(module, "wasserstein", counted_calls)
+    for module in (transport, curvature):
+        monkeypatch.setattr(module, "_solve", counted_calls)
     g = random_flow_graph(np.random.default_rng(16), 7)
     with transport_audit() as audit:
         report = curvature_report(g, kind="ollivier")
@@ -530,7 +541,7 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
     evaluations = len(report.values) + sum(len(row.kappa.values) for row in res.final.trace)
     assert count == audit.count == evaluations
     assert max_gap < 1e-9
-    # one primal solve per wasserstein call: no certificate solved an LP
+    # one primal solve per transport solve: no certificate solved an LP
     assert len(solves) == len(calls) < count
 
 
