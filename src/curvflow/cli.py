@@ -283,15 +283,13 @@ def _cmd_curvature(args) -> tuple[int, dict, list[dict]]:
     unknown = set(kinds) - set(curvature.KINDS)
     if unknown:
         raise ValidationError(f"unknown curvature kinds: {sorted(unknown)}")
-    specs = {kind: curvature.KINDS[kind] for kind in kinds}
-    metrics = {name: curvature._metric(g, name)
-               for name in dict.fromkeys(spec.metric for spec in specs.values())}
+    kappas = {kind: curvature._evaluator(g, kind, alpha=args.alpha) for kind in kinds}
     table = []
     for u, v in g.edges():
         row: dict[str, Any] = {"u": u, "v": v}
-        for kind, spec in specs.items():
+        for kind, kappa in kappas.items():
             try:
-                row[spec.column] = spec.kappa(g, metrics[spec.metric], u, v, args.alpha)
+                row[curvature.KINDS[kind].column] = kappa(u, v)
             except SolverError as exc:
                 row[f"{kind}_error"] = str(exc)
         table.append(row)

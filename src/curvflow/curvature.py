@@ -9,7 +9,8 @@ ball-transport curvature driving the p-Laplace gradient estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .graphs import (
     combinatorial_metric,
     shortest_path_metric,
 )
-from .transport import (CERTIFY_TOL, ProbMeasure, _solve, _tree, constrained_transport_max,
-                        wasserstein)
+from .transport import CERTIFY_TOL, ProbMeasure, _solve, _tree, constrained_transport_max
 
 __all__ = [
     "CurvatureError",
@@ -36,10 +36,12 @@ __all__ = [
 ]
 
 DEG_TOL = 1e-12
+LLY_ALPHA = 1e-3  # where kappa_lly makes its first solve
 
 
 class CurvatureError(SolverError):
-    """A curvature evaluation could not be completed reliably."""
+    """A curvature evaluation could not be completed reliably.  Nothing
+    raises it since ``kappa_lly`` became exact; it stays importable."""
 
 
 def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> ProbMeasure:
@@ -74,7 +76,7 @@ def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> Prob
 
 def ollivier_kappa(g: WeightedGraph, d: DistanceMatrix, x: int, y: int) -> float:
     """kappa(x, y) = 1 - W(mu_x, mu_y) / d(x, y)."""
-    return kappa_alpha(g, d, x, y, None)
+    return _kappa_walk(g, d, None, _walks(g), x, y)
 
 
 def kappa_alpha(g: WeightedGraph, d: DistanceMatrix, x: int, y: int,
@@ -83,15 +85,11 @@ def kappa_alpha(g: WeightedGraph, d: DistanceMatrix, x: int, y: int,
 
     ``alpha=None`` uses the non-lazy measures (the Ollivier curvature).
     """
-    if x == y:
-        raise ValidationError("curvature needs two distinct vertices")
-    dxy = d.value(x, y)
-    cost, _ = wasserstein(vertex_measure(g, x, alpha), vertex_measure(g, y, alpha), d)
-    return 1.0 - cost / dxy
+    return _kappa_walk(g, d, alpha, _walks(g), x, y)
 
 
 def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
-              alpha: float = 1e-3) -> float:
+              alpha: float = LLY_ALPHA) -> float:
     """Lin-Lu-Yau curvature -(dW/dalpha)/d(x, y), the slope of kappa^alpha at 0.
 
     One transport solve at ``alpha`` in (0, 1] gives it exactly: the tree
@@ -106,27 +104,9 @@ def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
     limit-free formula: phi(x) - phi(y) = d(x, y) and
     Delta phi(x) - Delta phi(y) = dW/dalpha, else CertificateError.
     """
-    if x == y:
-        raise ValidationError("curvature needs two distinct vertices")
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
-    while True:
-        mu, nu = vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
-        _, flows, phi = _solve(mu, nu, d)
-        sx, sy = mu.support.tolist(), nu.support.tolist()
-        if x in sx and y in sy and (sx.index(x), sy.index(y)) in flows:
-            break
-        alpha /= 2.0
-    rates = [sign * (g.weights[v, s] / g.measure[v] if s != v else -g.degree(v))
-             for v, sign, support in ((x, 1.0, sx), (y, -1.0, sy)) for s in support]
-    c = d.values[np.ix_(mu.support, nu.support)].tolist()
-    slope = sum(f * c[i][j] for (i, j), f in _tree(sorted(flows), c, rates)[2].items())
-    if phi is not None:
-        gaps = (phi[x] - phi[y] - d.value(x, y), np.dot(rates, phi[sx + sy]) - slope)
-        if max(map(abs, gaps)) > CERTIFY_TOL * max(1.0, max(map(max, c))):
-            raise CertificateError(f"no certificate of the LLY slope at ({x}, {y}): "
-                                   f"gaps {gaps[0]:g}, {gaps[1]:g}")
-    return -slope / d.value(x, y)
+    return _kappa_lly(g, d, alpha, _walks(g), x, y)
 
 
 def modified_kappa_phi(g: WeightedGraph, x: int, y: int, phi_shape: str,
@@ -139,57 +119,86 @@ def modified_kappa_phi(g: WeightedGraph, x: int, y: int, phi_shape: str,
     """
     if phi_shape not in ("convex", "concave"):
         raise ValidationError(f"phi_shape must be convex or concave, got {phi_shape!r}")
-    if d0 is None:
-        d0 = combinatorial_metric(g)
-    forbid = "three-cycles" if phi_shape == "convex" else "five-cycles"
-    value, _ = constrained_transport_max(x, y, g, d0, forbid)
-    return value
+    return _evaluator(g, f"phi-{phi_shape}", d0)(x, y)
+
+
+def _walks(g: WeightedGraph) -> Callable[[int, float | None], ProbMeasure]:
+    """walk(z, alpha) = ``vertex_measure(g, z, alpha)``, built once and kept.
+    Every kind's body takes (g, d, alpha, walk, x, y) to kappa(x, y)."""
+    return lru_cache(maxsize=None)(partial(vertex_measure, g))
+
+
+def _kappa_walk(g: WeightedGraph, d: DistanceMatrix, alpha: float | None, walk,
+                x: int, y: int) -> float:
+    """1 - W(mu_x^alpha, mu_y^alpha) / d(x, y); ``alpha=None`` is non-lazy."""
+    if x == y:
+        raise ValidationError("curvature needs two distinct vertices")
+    dxy = d.value(x, y)
+    return 1.0 - _solve(walk(x, alpha), walk(y, alpha), d)[0] / dxy
+
+
+def _kappa_lly(g: WeightedGraph, d: DistanceMatrix, alpha: float, walk,
+               x: int, y: int) -> float:
+    """``kappa_lly`` from a first solve at ``alpha``."""
+    if x == y:
+        raise ValidationError("curvature needs two distinct vertices")
+    while True:
+        mu, nu = walk(x, alpha), walk(y, alpha)
+        _, flows, phi = _solve(mu, nu, d)
+        sx, sy = mu.support.tolist(), nu.support.tolist()
+        if x in sx and y in sy and (sx.index(x), sy.index(y)) in flows:
+            break
+        alpha /= 2.0
+    rates = [sign * (g.weights[v, s] / g.measure[v] if s != v else -g.degree(v))
+             for v, sign, support in ((x, 1.0, sx), (y, -1.0, sy)) for s in support]
+    c = d.values[np.ix_(mu.support, nu.support)].tolist()
+    slope = sum(f * c[i][j] for (i, j), f in _tree(sorted(flows), c, rates)[2].items())
+    if phi is not None:
+        gaps = (phi[x] - phi[y] - d.value(x, y), np.dot(rates, phi[sx + sy]) - slope)
+        if not all(abs(gap) <= CERTIFY_TOL * max(1.0, max(map(max, c))) for gap in gaps):
+            raise CertificateError(f"no certificate of the LLY slope at ({x}, {y}): "
+                                   f"gaps {gaps[0]:g}, {gaps[1]:g}")
+    return -slope / d.value(x, y)
+
+
+def _kappa_phi(forbid: str, g: WeightedGraph, d0: DistanceMatrix, alpha: None, walk,
+               x: int, y: int) -> float:
+    """The ball-transport maximum with the ``forbid`` exclusions."""
+    return constrained_transport_max(x, y, g, d0, forbid)[0]
 
 
 class _Kind(NamedTuple):
     column: str  # the curvature command's table column
     metric: str  # "path" (edge lengths) or "combinatorial" (hop count)
-    kappa: Callable[[WeightedGraph, DistanceMatrix, int, int, float | None], float]
+    body: Callable[..., float]
+    alpha: float | None = None  # the body's alpha; kind "alpha" takes the caller's
 
 
-# every curvature kind: (g, d, x, y, alpha) -> value on edge (x, y), with d
-# the kind's metric; alpha is read by kind "alpha" only.  The entries look
-# the public functions up by name on each call, so rebinding one of them
-# on this module reaches every caller of the table.
 KINDS: dict[str, _Kind] = {
-    "ollivier": _Kind("kappa", "path",
-                      lambda g, d, x, y, alpha: ollivier_kappa(g, d, x, y)),
-    "alpha": _Kind("kappa_alpha", "path",
-                   lambda g, d, x, y, alpha: kappa_alpha(g, d, x, y, alpha)),
-    "lly": _Kind("kappa_lly", "path",
-                 lambda g, d, x, y, alpha: kappa_lly(g, d, x, y)),
-    "phi-convex": _Kind("khat_convex", "combinatorial",
-                        lambda g, d, x, y, alpha: modified_kappa_phi(g, x, y, "convex", d)),
-    "phi-concave": _Kind("khat_concave", "combinatorial",
-                         lambda g, d, x, y, alpha: modified_kappa_phi(g, x, y, "concave", d)),
+    "ollivier": _Kind("kappa", "path", _kappa_walk),
+    "alpha": _Kind("kappa_alpha", "path", _kappa_walk),
+    "lly": _Kind("kappa_lly", "path", _kappa_lly, LLY_ALPHA),
+    "phi-convex": _Kind("khat_convex", "combinatorial", partial(_kappa_phi, "three-cycles")),
+    "phi-concave": _Kind("khat_concave", "combinatorial", partial(_kappa_phi, "five-cycles")),
 }
 
 
-def _metric(g: WeightedGraph, name: str) -> DistanceMatrix:
-    """The metric a kind names in its ``metric`` field."""
-    return combinatorial_metric(g) if name == "combinatorial" else shortest_path_metric(g)
-
-
-def _edge_curvatures(g: WeightedGraph, kind: str, d: DistanceMatrix | None = None,
-                     alpha: float | None = None) -> Iterator[tuple[tuple[int, int], float]]:
-    """Lazily yield ((u, v), curvature) for every edge, in edge order.
-
-    ``kind`` and ``alpha`` are checked before any edge is evaluated; ``d``
-    defaults to the kind's metric.
-    """
+def _evaluator(g: WeightedGraph, kind: str, d: DistanceMatrix | None = None,
+               alpha: float | None = None) -> Callable[[int, int], float]:
+    """The curvature of ``kind`` on g as a function of the edge (x, y), each
+    walk measure built once.  ``kind`` and ``alpha`` are checked first;
+    only kind "alpha" reads alpha, in [0, 1].  ``d`` defaults to the
+    kind's metric."""
     if kind not in KINDS:
         raise ValidationError(f"unknown curvature kind {kind!r}")
-    if kind == "alpha" and alpha is None:
-        raise ValidationError("kind='alpha' needs an alpha value")
+    spec = KINDS[kind]
+    if kind != "alpha":
+        alpha = spec.alpha
+    elif alpha is None or not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise ValidationError(f"kind 'alpha' needs alpha in [0, 1], got {alpha}")
     if d is None:
-        d = _metric(g, KINDS[kind].metric)
-    kappa = KINDS[kind].kappa
-    return (((u, v), kappa(g, d, u, v, alpha)) for u, v in g.edges())
+        d = combinatorial_metric(g) if spec.metric == "combinatorial" else shortest_path_metric(g)
+    return partial(spec.body, g, d, alpha, _walks(g))
 
 
 @dataclass(frozen=True)
@@ -238,4 +247,5 @@ def curvature_report(g: WeightedGraph, d: DistanceMatrix | None = None,
     path metric, or the combinatorial one for the phi kinds).  Components
     without edges contribute no statistics.
     """
-    return CurvatureReport.from_values(g, dict(_edge_curvatures(g, kind, d, alpha)))
+    kappa = _evaluator(g, kind, d, alpha)
+    return CurvatureReport.from_values(g, {(u, v): kappa(u, v) for u, v in g.edges()})

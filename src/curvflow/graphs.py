@@ -185,6 +185,8 @@ class DistanceMatrix:
 
     values: np.ndarray
     edge_mask: np.ndarray | None = field(default=None)
+    # set once ``transport``'s audit has found the values to be a metric
+    _is_metric: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -210,8 +212,8 @@ class DistanceMatrix:
         return float(d)
 
     def scaled(self, r: float) -> "DistanceMatrix":
-        if r <= 0:
-            raise ValidationError("scale factor must be positive")
+        if not (np.isfinite(r) and r > 0):
+            raise ValidationError(f"scale factor must be finite and positive, got {r}")
         return DistanceMatrix(self.values * r, self.edge_mask)
 
 

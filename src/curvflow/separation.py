@@ -25,7 +25,7 @@ from .chains import (
     IterationResult,
     iterate_normalized,
 )
-from .curvature import _edge_curvatures
+from .curvature import _evaluator
 from .errors import (
     DisconnectedError,
     InfeasibleError,
@@ -207,9 +207,10 @@ def _require_nonnegative(g: WeightedGraph, kind: str, label: str,
     of ``kind`` is below -SIGN_TOL or undefined (an infeasible modified
     curvature LP) fails it."""
     hint = "pass waive_curvature=True to run anyway"
+    kappa = _evaluator(g, kind, d)
     try:
-        for (u, v), k in _edge_curvatures(g, kind, d):
-            if k < -SIGN_TOL:
+        for u, v in g.edges():
+            if (k := kappa(u, v)) < -SIGN_TOL:
                 raise PreconditionError(
                     f"{label} is negative at edge ({u}, {v}): {k:g}; {hint}")
     except InfeasibleError as exc:

@@ -5,11 +5,12 @@ transportation simplex whose basis is a spanning tree of the supports
 (least-cost or warm start, Bland's rule); the same solver, run in two
 phases, maximizes the ball transport with forbidden cells.  The solver
 returns its final tree, whose duals certify W by Kantorovich duality:
-their c-transform is a 1-Lipschitz potential whose dual value matches W,
-so no tree is rebuilt and no second LP solved.  An audit mode certifies
-every transport solve made inside it, and every value the Ricci flow
-prices from a kept basis, which the acceptance suite uses to cross-check
-all transport work done by the flows.
+their c-transform, 1-Lipschitz on any metric (checked once per distance
+matrix), has a dual value matching W, so no tree is rebuilt and no
+second LP solved.  An audit mode certifies every transport solve made
+inside it, and every value the Ricci flow prices from a kept basis,
+which the acceptance suite uses to cross-check all transport work done
+by the flows.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ FEAS_TOL = 1e-9
 # ~1e-12 x cost scale across basis paths (the flow's diagnostics need it)
 ENTER_TOL = 1e-12
 MAX_PIVOTS = 10_000
+# floats per temporary of the blocked triangle check (128 KB); 1 MB blocks
+# added 1.5 MB to the curvature benchmark's peak RSS and ran slower at n = 100
+_TRIANGLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +109,8 @@ class ProbMeasure:
 class TransportPlan:
     """Coupling with prescribed marginals.
 
-    ``entries`` maps (source vertex, target vertex) to mass.  Row and
-    column sums must reproduce the marginals within 1e-9.  ``basic_cells``
+    ``entries`` maps (source vertex, target vertex) to a finite mass.  Row
+    and column sums must reproduce the marginals within 1e-9.  ``basic_cells``
     records the simplex basis when the plan came from the LP; the dual
     certificate solves its transport duals by complementary slackness.
     """
@@ -120,8 +124,9 @@ class TransportPlan:
         rows: dict[int, float] = {}
         cols: dict[int, float] = {}
         for (u, v), mass in self.entries.items():
-            if mass < -MARGINAL_TOL:
-                raise ValidationError(f"plan entry ({u}, {v}) is negative: {mass}")
+            if not (np.isfinite(mass) and mass >= -MARGINAL_TOL):
+                raise ValidationError(f"plan entry ({u}, {v}) is not finite and "
+                                      f"nonnegative: {mass}")
             rows[u] = rows.get(u, 0.0) + mass
             cols[v] = cols.get(v, 0.0) + mass
         for meas, sums, label in ((self.source_marginal, rows, "source"),
@@ -160,12 +165,12 @@ _AUDIT = _Audit()
 
 @contextmanager
 def transport_audit():
-    """Certify every wasserstein call in this context via duality, and
+    """Certify every transport solve in this context via duality, and
     every W(e) that a Ricci flow step prices from an edge's kept basis.
 
-    A value that cannot be certified (gap above 1e-7) raises
-    CertificateError immediately.  The yielded ledger's counters and
-    largest gap (``max_gap``) are reset on entry.
+    A value that cannot be certified (gap not within 1e-7 x scale, or d
+    not a metric) raises CertificateError immediately.  The yielded
+    ledger's counters and largest gap (``max_gap``) are reset on entry.
     """
     _AUDIT.enabled = True
     _AUDIT.count = _AUDIT.pivots = _AUDIT.warm = 0
@@ -378,24 +383,42 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
 # Kantorovich dual certificate
 
 
+def _require_metric(d: DistanceMatrix) -> None:
+    """CertificateError unless d[i, j] <= d[i, k] + d[k, j] + MARGINAL_TOL x
+    max(1, largest finite d) for all i, j, k (a NaN fails).  On a metric
+    the c-transform of any duals is 1-Lipschitz, so this covers every
+    potential certified on ``d``.  Checked once per DistanceMatrix, over
+    blocks of k whose temporaries hold at most ``_TRIANGLE_BLOCK`` floats
+    (one k, n^2 floats, beyond n = 128)."""
+    if d._is_metric:
+        return
+    v, n = d.values, d.n
+    tol = MARGINAL_TOL * max(1.0, float(v[np.isfinite(v)].max(initial=0.0)))
+    step = max(1, _TRIANGLE_BLOCK // max(n * n, 1))
+    for k in range(0, n, step):
+        via = v[:, k:k + step, None] + v[None, k:k + step, :]
+        via += tol  # in place: one float temporary per block
+        if not (v[:, None, :] <= via).all():
+            raise CertificateError("d is not a metric, so transport duals can give a "
+                                   "non-Lipschitz potential")
+    object.__setattr__(d, "_is_metric", True)
+
+
 def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, cost: np.ndarray,
              v: list[float], value: float, certify_tol: float = CERTIFY_TOL,
              require: bool = True) -> tuple[np.ndarray, float]:
     """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals ``v``
-    (0 off the supports' component) and the gap |value - phi's dual value|.
-    phi is 1-Lipschitz for any v, which is verified independently; a
-    failure, or with ``require`` a gap above ``certify_tol`` x scale,
-    raises CertificateError."""
+    (0 off the supports' component), 1-Lipschitz as ``d`` is a metric, and
+    the gap |value - phi's dual value|; with ``require``, a gap not within
+    ``certify_tol`` x scale (NaN included) raises CertificateError."""
+    _require_metric(d)
     # tolerances are relative to the instance scale: beyond unit-scale
     # distances, only relative optimality is resolvable in floats
     scale = max(1.0, float(np.max(cost)))
     phi = np.min(d.values[:, mu2.support] - np.array(v), axis=1)
     phi = np.where(np.isfinite(phi), phi, 0.0)
-    # infinite distances pass on their own; a NaN distance fails
-    if not np.all(np.abs(phi[:, None] - phi[None, :]) <= d.values + MARGINAL_TOL * scale):
-        raise CertificateError("transport duals gave a non-Lipschitz potential")
     gap = abs(value - float(phi[mu1.support] @ mu1.mass - phi[mu2.support] @ mu2.mass))
-    if require and gap > certify_tol * scale:
+    if require and not gap <= certify_tol * scale:
         raise CertificateError(
             f"no optimality certificate within {certify_tol:g} x scale "
             f"{scale:g}: gap={gap:g}")
@@ -412,10 +435,11 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     proves the plan optimal.  The potential is the c-transform of the
     transport duals of the plan's simplex basis; a plan whose basic cells
     do not span the supports (a hand-built plan) is measured against the
-    optimal tree of a fresh solve.  The 1-Lipschitz property is verified
-    independently.  A plan between other measures raises ValidationError;
-    with ``require`` set, a gap above tolerance raises CertificateError —
-    it signals an LP bug.
+    optimal tree of a fresh solve.  The potential is 1-Lipschitz as ``d``
+    is a metric, checked once per distance matrix (else CertificateError).
+    A plan between other measures raises ValidationError; with ``require``
+    set, a gap not within tolerance raises CertificateError — it signals
+    an LP bug.
     """
     if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
         raise ValidationError("the plan's marginals are not mu1 and mu2")

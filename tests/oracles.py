@@ -7,14 +7,16 @@ whole constraint matrix instead of the spanning-tree simplex, the
 cost-blind northwest-corner start instead of the least-cost one, the
 limit-free Lin-Lu-Yau LP over potentials (scipy's HiGHS, skipped without
 scipy) instead of the slope of a transport tree, a per-edge scan of
-adjacent lengths instead of per-vertex minima, plain power iteration, and
-finite differences.  None of it shares code with the implementation paths
+adjacent lengths instead of per-vertex minima, a triple loop over every
+triangle instead of blocks of k, plain power iteration, and finite
+differences.  None of it shares code with the implementation paths
 it checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -290,6 +292,18 @@ def brute_force_lp_max(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
             continue
         best = max(best, float(c[list(combo)] @ np.maximum(vals, 0.0)))
     return best
+
+
+def triangle_inequality_holds(d: np.ndarray, rel_tol: float) -> bool:
+    """d[i][j] <= d[i][k] + d[k][j] + rel_tol x max(1, largest finite entry)
+    for every triple, one triple at a time in plain floats (a NaN compares
+    false, so it fails)."""
+    values = d.tolist()
+    finite = [x for row in values for x in row if math.isfinite(x)]
+    tol = rel_tol * max([1.0] + finite)
+    n = len(values)
+    return all(values[i][j] <= values[i][k] + values[k][j] + tol
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 def deletion_scan(weights: np.ndarray, lengths: np.ndarray, threshold: float):

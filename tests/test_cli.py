@@ -424,22 +424,23 @@ def test_bad_file_inputs_exit_two(tmp_path, triangle, capsys, case):
     assert doc["error"]
 
 
-def test_curvature_command_records_lly_failure_per_edge(triangle, capsys,
-                                                        monkeypatch):
-    import curvflow.curvature as curvature
-
-    def disagree(g, d, x, y, **kwargs):
-        if (x, y) == (0, 1):
-            raise curvature.CurvatureError("slopes disagree")
-        return 1.5
-
-    monkeypatch.setattr(curvature, "kappa_lly", disagree)
-    code = main(["curvature", triangle, "--kinds", "ollivier,lly"])
+def test_curvature_command_records_phi_failure_per_edge(tmp_path, capsys):
+    # on the path 0-1-2 with weights 1 and 0.5 and measure (1, 2, 1), the
+    # walk from 0 moves all its mass to 1 and the walk from 1 keeps 1/4
+    # there; the three-cycle exclusion bars the cell (1, 1), so the convex
+    # phi transport of (0, 1) is infeasible while (1, 2) has one.  The
+    # error stays in its cell and every other value is kept
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps({"vertices": 3, "measure": [1.0, 2.0, 1.0], "edges": [
+        {"u": 0, "v": 1, "w": 1.0, "len": 1.0}, {"u": 1, "v": 2, "w": 0.5, "len": 1.0}]}))
+    code = main(["curvature", str(graph), "--kinds", "ollivier,phi-convex"])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)["results"]["edges"]
-    assert rows[0]["lly_error"] == "slopes disagree" and "kappa_lly" not in rows[0]
-    assert all(row["kappa_lly"] == 1.5 for row in rows[1:])
-    assert all("kappa" in row for row in rows)
+    assert [row["kappa"] for row in rows] == [0.25, 0.25]
+    assert rows[0]["phi-convex_error"] == ("forbidden entries block the sphere "
+                                           "marginals at edge (0, 1)")
+    assert "khat_convex" not in rows[0] and "phi-convex_error" not in rows[1]
+    assert rows[1]["khat_convex"] == -0.25
 
 
 @pytest.mark.parametrize("spec", [

@@ -188,7 +188,12 @@ def test_lly_audit_rejects_a_corrupted_slope_or_potential(monkeypatch):
             phi = phi + 1e-3 * (np.arange(phi.size) == 1)  # moves phi(y)
         return w, flows, phi
 
-    for name, corrupt in (("_tree", doubled_flows), ("_solve", shifted_potential)):
+    def nan_potential(*args, **kwargs):
+        w, flows, phi = solve(*args, **kwargs)
+        return w, flows, None if phi is None else phi * np.nan  # NaN gaps fail too
+
+    for name, corrupt in (("_tree", doubled_flows), ("_solve", shifted_potential),
+                          ("_solve", nan_potential)):
         with monkeypatch.context() as patch:
             patch.setattr(curvature, name, corrupt)
             kappa_lly(k3, d, 0, 1)  # unaudited, nothing checks the slope
@@ -359,8 +364,42 @@ def test_curvature_report_matches_per_edge_functions():
                     curvature_report(g, kind=kind, alpha=0.3)
                 continue
             rep = curvature_report(g, kind=kind, alpha=0.3)
-            assert rep.values == expected
+            assert {e: k.hex() for e, k in rep.values.items()} == \
+                {e: k.hex() for e, k in expected.items()}  # bit for bit
             assert (rep.min, rep.max) == (min(expected.values()), max(expected.values()))
+
+
+@pytest.mark.parametrize("kind", ["ollivier", "alpha", "lly"])
+def test_curvature_report_builds_each_walk_measure_once(monkeypatch, kind):
+    # one evaluator per report: every vertex with an edge gets one walk
+    # measure, however many edges share it (the per-edge functions build
+    # two per edge)
+    built = []
+    measure = curvature.vertex_measure
+
+    def counted(g, x, alpha=None):
+        built.append((x, alpha))
+        return measure(g, x, alpha)
+
+    monkeypatch.setattr(curvature, "vertex_measure", counted)
+    graphs = [random_flow_graph(np.random.default_rng(seed), 4 + seed % 5)
+              for seed in range(700, 708)]
+    graphs += [random_curvature_graph(np.random.default_rng(31), 30, 30),
+               WeightedGraph.from_edges(5, [(0, 1, 1.0, 1.0), (1, 2, 0.5, 2.0)],
+                                        measure=[2.0] * 5)]
+    for g in graphs:
+        built.clear()
+        curvature_report(g, kind=kind, alpha=0.3)
+        assert sorted(x for x, _ in built) == [x for x in range(g.n) if g.neighbors(x).size]
+        assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("alpha", [5.0, -0.1, float("nan"), None])
+def test_curvature_report_checks_alpha_before_edges(alpha):
+    edgeless = WeightedGraph.from_edges(3, [])
+    with pytest.raises(ValidationError, match="alpha"):
+        curvature_report(edgeless, kind="alpha", alpha=alpha)
+    assert curvature_report(edgeless, kind="ollivier", alpha=alpha).values == {}
 
 
 def test_curvature_report_checks_kind_before_edges():

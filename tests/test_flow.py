@@ -384,8 +384,12 @@ def test_batch_certificate_rejects_a_wrong_value():
         bent[0, 1] = bent[1, 0] = 0.0
         with pytest.raises(CertificateError, match="non-Lipschitz"):
             batch.price(DistanceMatrix(bent))
-        batch.moved_flow = batch.moved_flow * (1.0 + 1e-6)  # W off by about 1e-6
+        moved = batch.moved_flow
+        batch.moved_flow = moved * (1.0 + 1e-6)  # W off by about 1e-6
         with pytest.raises(CertificateError, match="no optimality certificate"):
+            batch.price(d)
+        batch.moved_flow = moved * np.nan  # a NaN gap fails too
+        with pytest.raises(CertificateError, match="gap=nan"):
             batch.price(d)
 
 

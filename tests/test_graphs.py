@@ -78,6 +78,14 @@ def test_scaling_lengths_scales_metric(r, seed):
     np.testing.assert_allclose(scaled, base * r, rtol=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
+def test_scaled_rejects_a_non_positive_or_non_finite_factor(r):
+    d = shortest_path_metric(random_flow_graph(np.random.default_rng(2), 5))
+    with pytest.raises(ValidationError, match="scale factor"):
+        d.scaled(r)
+    assert np.array_equal(d.scaled(2.0).values, 2.0 * d.values)
+
+
 def test_laplacian_constant_and_two_vertex():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 1.0)])
     np.testing.assert_allclose(laplacian_apply(g, np.array([5.0, 5.0])), 0.0)

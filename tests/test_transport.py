@@ -8,6 +8,7 @@ from oracles import (
     brute_force_wasserstein,
     dense_simplex,
     dense_transport_lp,
+    triangle_inequality_holds,
 )
 
 from curvflow import (
@@ -496,6 +497,114 @@ def test_certificate_rejects_a_nan_distance():
     _, plan = wasserstein(mu1, mu2, d)
     with pytest.raises(CertificateError, match="non-Lipschitz"):
         dual_certificate(mu1, mu2, d, plan)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_plan_rejects_a_non_finite_entry(entry):
+    # a NaN entry used to pass every marginal test (NaN compares false)
+    mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    nu = ProbMeasure(np.array([1, 2]), np.array([0.5, 0.5]))
+    with pytest.raises(ValidationError, match="not finite"):
+        TransportPlan({(0, 1): entry, (1, 2): 0.5}, mu, nu)
+
+
+def test_certificate_fails_a_nan_gap(monkeypatch):
+    d = shortest_path_metric(path_graph([1.0, 1.0]))
+    mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    nu = ProbMeasure(np.array([1, 2]), np.array([0.5, 0.5]))
+    _, plan = wasserstein(mu, nu, d)
+    monkeypatch.setattr(TransportPlan, "cost", lambda self, d: float("nan"))
+    with pytest.raises(CertificateError, match="gap=nan"):
+        dual_certificate(mu, nu, d, plan)
+    _, gap = dual_certificate(mu, nu, d, plan, require=False)
+    assert np.isnan(gap)
+
+
+@pytest.mark.parametrize("block", [None, 1, 500])
+def test_metric_check_matches_the_triple_loop_oracle(monkeypatch, block):
+    # block=None is the default, one block at these sizes; 1 and 500
+    # floats force one k, or a few, per block, so block seams are crossed
+    from curvflow import transport
+
+    if block is not None:
+        monkeypatch.setattr(transport, "_TRIANGLE_BLOCK", block)
+    rng = np.random.default_rng(41)
+    checked = rejected = 0
+    for _ in range(12):
+        n = int(rng.integers(4, 16))
+        g = random_flow_graph(rng, n)
+        if rng.random() < 0.3:  # drop edges: infinite distances between components
+            keep = rng.random((n, n)) < 0.7
+            g = WeightedGraph(n, g.weights * (keep & keep.T), g.measure, g.lengths)
+        base = shortest_path_metric(g).values
+        variants = [base]
+        i, j = (int(t) for t in rng.choice(n, 2, replace=False))
+        for change in (1e-6, np.nan, np.inf):
+            v = base.copy()
+            v[i, j] = v[i, j] + change if change == 1e-6 else change
+            variants.append(v)
+        for v in variants:
+            expected = triangle_inequality_holds(v, 1e-9)
+            d = DistanceMatrix(v)
+            try:
+                transport._require_metric(d)
+            except CertificateError:
+                assert not expected and not d._is_metric
+            else:
+                assert expected and d._is_metric
+            checked += 1
+            rejected += not expected
+    assert checked == 48 and rejected >= 24
+
+
+def test_audit_rejects_a_non_metric_off_the_supports():
+    # d(3, 4) = 5 > d(3, 2) + d(2, 4) breaks the triangle inequality away
+    # from the supports {0, 1} and {1, 2}: the potential of the solve is
+    # still 1-Lipschitz against it, so a per-potential test passed, but d
+    # is no metric and the audit now refuses to certify on it
+    d = shortest_path_metric(path_graph([1.0] * 4))
+    bent = d.values.copy()
+    bent[3, 4] = bent[4, 3] = 5.0
+    bent = DistanceMatrix(bent)
+    mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    nu = ProbMeasure(np.array([1, 2]), np.array([0.5, 0.5]))
+    w, _ = wasserstein(mu, nu, bent)  # unaudited, nothing checks d
+    with transport_audit():
+        _, plan = wasserstein(mu, nu, d)
+        phi, _ = dual_certificate(mu, nu, d, plan)
+    assert np.all(np.abs(phi[:, None] - phi[None, :]) <= bent.values)
+    assert w == pytest.approx(1.0)
+    with transport_audit(), pytest.raises(CertificateError, match="non-Lipschitz"):
+        wasserstein(mu, nu, bent)
+
+
+def test_metric_check_runs_once_per_distance_matrix(monkeypatch):
+    from curvflow import curvature_report, transport
+
+    checks = []
+    require = transport._require_metric
+
+    def counted(d):
+        if not d._is_metric:  # a check, not a hit of the kept result
+            checks.append(d)
+        return require(d)
+
+    monkeypatch.setattr(transport, "_require_metric", counted)
+    g = random_flow_graph(np.random.default_rng(5), 8)
+    d = shortest_path_metric(g)
+    mus = [ProbMeasure.delta(x) for x in range(g.n)]
+    for mu in mus:  # unaudited solves check nothing
+        wasserstein(mus[0], mu, d)
+    assert checks == []
+    with transport_audit() as audit:
+        for mu in mus:
+            _, plan = wasserstein(mus[0], mu, d)
+            dual_certificate(mus[0], mu, d, plan)
+        assert len(checks) == 1 and audit.count == g.n
+        curvature_report(g)  # one evaluator, one metric of its own
+        assert len(checks) == 2 and audit.count == g.n + g.edge_count()
+        wasserstein(mus[0], mus[1], d.scaled(2.0))
+    assert len(checks) == 3
 
 
 def test_certificate_of_degenerate_basis():
