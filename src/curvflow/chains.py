@@ -49,6 +49,8 @@ CONVERGED = "converged"
 DIVERGED = "diverged-unbounded"
 OSCILLATING = "oscillating"
 MAX_ITERATIONS = "max-iterations"
+# normalized iterates kept for the period-2 oscillation test
+OSCILLATION_WINDOW = 8
 
 KNOWN_PROPERTIES = frozenset({
     "monotone",
@@ -162,8 +164,7 @@ def _increments_cycle(window: Sequence[np.ndarray], tol: float) -> bool:
 
 def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
                        tolerance: float, max_iter: int = 100_000, *,
-                       divergence_bound: float = 1e12,
-                       oscillation_window: int = 8) -> IterationResult:
+                       divergence_bound: float = 1e12) -> IterationResult:
     """Iterate f -> Pf, tracking the normalized orbit P^n f - P^n f(x0).
 
     Converges when the normalized step and the lambda+/lambda- gap both
@@ -184,7 +185,7 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
         raise ValidationError(f"x0 must be a coordinate index, got {x0}")
 
     normalized = f_raw - f_raw[x0]
-    window: deque[np.ndarray] = deque([normalized], maxlen=oscillation_window)
+    window: deque[np.ndarray] = deque([normalized], maxlen=OSCILLATION_WINDOW)
     trace: list[TraceRow] = []
 
     for n in range(max_iter):

@@ -33,8 +33,11 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype: type = float) -> np.ndarray:
+    """A read-only copy: a view would follow later writes to its base,
+    and freezing the caller's own array would make it read-only for
+    the caller."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -52,7 +55,8 @@ def _edge_lengths(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ln = np.where(adj, ln, 0.0)
     if np.max(np.abs(ln - ln.T)) > _SYM_TOL:
         raise ValidationError("edge lengths must be symmetric")
-    return _readonly(ln)
+    ln.setflags(write=False)  # np.where made a fresh array
+    return ln
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,9 +198,7 @@ class DistanceMatrix:
             raise ValidationError("distance matrix must be square")
         object.__setattr__(self, "values", _readonly(v))
         if self.edge_mask is not None:
-            em = np.asarray(self.edge_mask, dtype=bool)
-            em.setflags(write=False)
-            object.__setattr__(self, "edge_mask", em)
+            object.__setattr__(self, "edge_mask", _readonly(self.edge_mask, bool))
 
     @property
     def n(self) -> int:

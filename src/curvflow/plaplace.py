@@ -3,13 +3,12 @@ Lipschitz-decay estimate for their resolvents.
 
 The resolvent J_eps = (id - eps Delta_p)^(-1) is computed variationally:
 with a constant vertex measure, Delta_p is -1/p times the gradient of
-the energy, so J_eps f minimizes E_p(g)/p + ||g - f||^2 / (2 eps).  The
-minimizer is found by accelerated gradient descent (strong convexity
-1/eps, backtracking) with a Newton polish for the last digits; for p = 2
-the linear system (id - eps Delta) g = f is solved directly and works
-for any vertex measure.  The set-valued p = 1 case runs the same scheme
-on a pseudo-Huber smoothing with width decreasing to 1e-9 and recovers
-the edge sign selection from the smoothed optimum.
+the energy, so J_eps f minimizes E_p(g)/p + ||g - f||^2 / (2 eps).  For
+p > 1 damped Newton finds the minimizer; for p = 2 the linear system
+(id - eps Delta) g = f is solved directly and works for any vertex
+measure.  The set-valued p = 1 case is solved exactly: its dual is a
+box-constrained least-squares problem in the edge signs, solved by a
+finite active set, and the optimal signs are the edge sign selection.
 """
 
 from __future__ import annotations
@@ -44,7 +43,16 @@ __all__ = [
 ]
 
 GRAD_TOL = 1e-10
+# damped Newton steps per inner solve (the workloads need at most 7)
+MAX_INNER = 200
+# optimality slack of the p = 1 active set, relative to the scale of g
+KKT_TOL = 1e-13
 CONST_MEASURE_TOL = 1e-12
+
+
+def _require_p(p: float) -> None:
+    if not (np.isfinite(p) and p >= 1):
+        raise ValidationError(f"p must be finite and at least 1, got {p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +72,7 @@ class PhiSpec:
 
     @classmethod
     def power(cls, p: float) -> "PhiSpec":
-        if p < 1:
-            raise ValidationError(f"p must be at least 1, got {p}")
+        _require_p(p)
         return cls(kind="p-power", p=p, shape="convex" if p >= 2 else "concave")
 
     @classmethod
@@ -123,8 +130,7 @@ class PhiSpec:
 
 def energy(g: WeightedGraph, f: np.ndarray, p: float) -> float:
     """E_p(f) = 1/2 sum_{x,y} w(x,y)/m(x) |f(y) - f(x)|^p."""
-    if p < 1:
-        raise ValidationError(f"p must be at least 1, got {p}")
+    _require_p(p)
     f = np.asarray(f, dtype=float)
     diff = np.abs(f[None, :] - f[:, None])
     return float(0.5 * np.sum((g.weights / g.measure[:, None]) * diff ** p))
@@ -133,8 +139,7 @@ def energy(g: WeightedGraph, f: np.ndarray, p: float) -> float:
 def p_laplacian(g: WeightedGraph, f: np.ndarray, p: float):
     """Delta_p f for p > 1; for p = 1 a membership test for the
     set-valued Delta_1 f (candidate value plus edge sign selection)."""
-    if p < 1:
-        raise ValidationError(f"p must be at least 1, got {p}")
+    _require_p(p)
     f = np.asarray(f, dtype=float)
     if p == 1:
         return Delta1Membership(g, f)
@@ -196,7 +201,7 @@ class ResolventSolution:
 
 
 # ---------------------------------------------------------------------------
-# inner solver
+# inner solvers
 
 
 def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,18 +213,15 @@ def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float,
                    value1: Callable[[np.ndarray], np.ndarray],
                    deriv1: Callable[[np.ndarray], np.ndarray],
                    prim1: Callable[[np.ndarray], np.ndarray],
-                   grad_tol: float, max_inner: int,
-                   x0: np.ndarray | None = None,
-                   stall_tol: float = 1e-6) -> tuple[np.ndarray, int]:
+                   grad_tol: float = GRAD_TOL,
+                   x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Minimize sum_edges (w/m0) Prim(grad) + ||g - f||^2 / (2 eps).
 
     value1/deriv1/prim1 are the scalar nonlinearity, its derivative, and
-    its primitive on edge gradients.  Accelerated descent with
-    backtracking does the bulk of the work; a damped Newton polish
-    brings the gradient norm down to ``grad_tol``.  When the iterate
-    saturates double precision with a gradient below ``stall_tol``, the
-    point is accepted — the fixed-point residual reported to callers
-    stays honest either way.
+    its primitive on edge gradients.  The objective is strongly convex
+    and smooth for every p > 1 kernel passed here, so damped Newton
+    (``_lm_newton``) alone drives the gradient norm to ``grad_tol``;
+    failing that within ``MAX_INNER`` steps raises SolverError.
     """
     m0 = float(g.measure[0])
     iu, iv, w = _edge_arrays(g)
@@ -228,21 +230,14 @@ def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float,
 
     def grad_obj(x: np.ndarray) -> np.ndarray:
         out = (x - f) / eps
-        if iu.size:
-            s = coef * value1(x[iv] - x[iu])
-            np.subtract.at(out, iu, s)
-            np.add.at(out, iv, s)
+        s = coef * value1(x[iv] - x[iu])
+        np.subtract.at(out, iu, s)
+        np.add.at(out, iv, s)
         return out
 
     def obj(x: np.ndarray) -> float:
-        reg = float(np.sum(coef * prim1(x[iv] - x[iu]))) if iu.size else 0.0
+        reg = float(np.sum(coef * prim1(x[iv] - x[iu])))
         return reg + float(np.sum((x - f) ** 2)) / (2 * eps)
-
-    if iu.size == 0:
-        return f.copy(), 0
-    x = f.copy() if x0 is None else x0.copy()
-    # the attainable gradient norm floor scales with the iterate's ulp
-    stall_tol = stall_tol * max(1.0, float(np.max(np.abs(f))))
 
     def hess(xv: np.ndarray) -> np.ndarray:
         H = np.zeros((n, n))
@@ -254,88 +249,33 @@ def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float,
         H[np.diag_indices(n)] += 1.0 / eps
         return H
 
-    sigma = 1.0 / eps
-    L = max(4.0 * sigma, 1.0)
-    x_prev = x.copy()
-    fx = obj(x)
-    iters = 0
-    best_gnorm = np.inf
-    best_x = x.copy()
-    no_progress = 0
-    while iters < max_inner:
-        x, reached, extra = _lm_newton(x, obj, grad_obj, hess, grad_tol)
-        iters += max(extra, 1)
-        if reached:
-            return x, iters
-        gnorm_now = float(np.max(np.abs(grad_obj(x))))
-        if gnorm_now < 0.95 * best_gnorm:
-            best_gnorm, best_x, no_progress = gnorm_now, x.copy(), 0
-        else:
-            no_progress += 1
-            # double-precision floor: zero-gradient edges of the exact
-            # power nonlinearity (and the final smoothing stages) cap
-            # the representable gradient norm well above grad_tol; the
-            # reported fixed-point residual stays honest either way
-            if best_gnorm <= stall_tol and no_progress >= 3:
-                return best_x, iters
-        fx = obj(x)
-        x_prev = x.copy()
-        # accelerated descent burst before the next Newton attempt
-        for _ in range(200):
-            gx = grad_obj(x)
-            gnorm = float(np.max(np.abs(gx)))
-            if gnorm <= grad_tol:
-                return x, iters
-            q = min(sigma / L, 1.0)
-            beta = (1 - np.sqrt(q)) / (1 + np.sqrt(q))
-            y = x + beta * (x - x_prev)
-            gy = grad_obj(y)
-            fy = obj(y)
-            while True:
-                cand = y - gy / L
-                fc = obj(cand)
-                bound = fy - float(gy @ (y - cand)) \
-                    + 0.5 * L * float(np.sum((y - cand) ** 2)) + 1e-15
-                if fc <= bound or L > 1e18:
-                    break
-                L *= 2.0
-            if fc > fx:  # adaptive restart on objective increase
-                x_prev = x.copy()
-                cand = x - grad_obj(x) / L
-                fc = obj(cand)
-            else:
-                x_prev = x
-            x, fx = cand, fc
-            L = max(L * 0.9, sigma)
-            iters += 1
-            if iters >= max_inner:
-                break
-        gnorm_now = float(np.max(np.abs(grad_obj(x))))
-        if gnorm_now < 0.95 * best_gnorm:
-            best_gnorm, best_x, no_progress = gnorm_now, x.copy(), 0
-    gx = grad_obj(x)
-    if float(np.max(np.abs(gx))) <= grad_tol:
-        return x, iters
-    raise SolverError(
-        f"resolvent inner solver failed to reach gradient norm {grad_tol:g} "
-        f"within {max_inner} iterations")
+    if iu.size == 0:
+        return f.copy(), 0
+    x = f.copy() if x0 is None else x0.copy()
+    x, reached, steps = _lm_newton(x, obj, grad_obj, hess, grad_tol)
+    if not reached:
+        raise SolverError(
+            f"resolvent inner solver failed to reach gradient norm {grad_tol:g} "
+            f"within {steps} Newton steps")
+    return x, steps
 
 
-def _lm_newton(x, obj, grad_obj, hess, grad_tol, max_steps: int = 200):
-    """Levenberg-Marquardt damped Newton; keeps its best point.
+def _lm_newton(x, obj, grad_obj, hess, grad_tol):
+    """Levenberg-Marquardt damped Newton.
 
     Damping makes every accepted step a descent step, which rides out
-    the violently varying curvature of the smoothed p = 1 stages; near
-    the optimum the damping vanishes and convergence is quadratic.  At
-    the resolution limit of the objective, steps that still shrink the
-    gradient norm are accepted.  Returns (point, reached, steps_used).
+    the large curvature of the regularized 1 < p < 2 kernels near a zero
+    edge gradient; near the optimum the damping vanishes and convergence
+    is quadratic.  At the resolution limit of the objective, steps that
+    still shrink the gradient norm are accepted.  Returns (point,
+    reached, steps_used).
     """
     x = x.copy()
     fx = obj(x)
     gx = grad_obj(x)
     gnorm = float(np.max(np.abs(gx)))
     mu = 0.0
-    for step in range(max_steps):
+    for step in range(MAX_INNER):
         if gnorm <= grad_tol:
             return x, True, step
         H = hess(x)
@@ -367,7 +307,76 @@ def _lm_newton(x, obj, grad_obj, hess, grad_tol, max_steps: int = 200):
                 break
         if not accepted:
             return x, False, step
-    return x, gnorm <= grad_tol, max_steps
+    return x, gnorm <= grad_tol, MAX_INNER
+
+
+def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolution:
+    """p = 1: the graph total-variation prox, exactly, from its dual.
+
+    J_eps f = f + eps B s, where B[:, e] = (w_e / m0)(1_u - 1_v) for each
+    edge e = (u, v) and s minimizes ||f + eps B s||^2 over [-1, 1]^E.
+    The bounded-variable least-squares active set of Stark & Parker
+    (Comput. Stat. 1995) finds s in finitely many steps: free signs take
+    their least-squares values (``lstsq``, since free edges that close a
+    cycle make the system rank-deficient) and step back to the first
+    bound they cross; a bound sign whose gradient points inward is
+    freed.  At the end every bound edge has s_e = sign(g_v - g_u) and
+    every free edge has g_u = g_v, so s is itself the Delta_1 selection.
+    Signs start from the slopes of f along the edges.
+    """
+    _require_constant_measure(g, "the p = 1 resolvent")
+    iu, iv, w = _edge_arrays(g)
+    edges = np.arange(iu.size)
+    coef = w / float(g.measure[0])
+    A = np.zeros((g.n, iu.size))
+    A[iu, edges] = eps * coef
+    A[iv, edges] = -eps * coef
+    s = np.sign(f[iv] - f[iu])
+    free = s == 0
+    # g - f = A s moves a vertex by at most eps times its degree
+    tol = KKT_TOL * max(float(np.max(np.abs(f))), eps * float(np.max(g.degrees())))
+    steps = 0
+    while True:
+        while free.any():
+            steps += 1
+            # random graphs settle within 1.4 E steps; far past that the
+            # active set is cycling on roundoff
+            if steps > 4 * iu.size + 10:
+                raise SolverError(
+                    f"p = 1 active set did not settle within {steps - 1} steps")
+            idx = np.flatnonzero(free)
+            z = np.linalg.lstsq(A[:, idx], -(f + A[:, ~free] @ s[~free]),
+                                rcond=None)[0]
+            crossed = np.abs(z) >= 1.0
+            if not crossed.any():
+                s[idx] = z
+                break
+            bound = np.sign(z[crossed])
+            zc, sc = z[crossed], s[idx[crossed]]
+            # only a just-freed sign can sit on its bound (z == s: no move)
+            alphas = np.divide(bound - sc, zc - sc, out=np.zeros_like(zc),
+                               where=zc != sc)
+            first = int(np.argmin(alphas))
+            s[idx] += alphas[first] * (z - s[idx])
+            hit = idx[np.flatnonzero(crossed)[first]]
+            s[hit] = bound[first]
+            free[hit] = False
+        sol = f + A @ s
+        # a bound sign against the slope breaks optimality: free the
+        # steepest such edge
+        against = -s * (sol[iv] - sol[iu])
+        wrong = ~free & (against > tol)
+        if not wrong.any():
+            break
+        free[int(np.argmax(np.where(wrong, coef * against, 0.0)))] = True
+    selection = np.zeros((g.n, g.n))
+    selection[iu, iv] = s
+    selection[iv, iu] = -s
+    achieved = np.sum(g.weights * selection, axis=1) / g.measure
+    residual = float(np.max(np.abs(sol - eps * achieved - f)))
+    return ResolventSolution(g=sol, residual=residual,
+                             subgradient_selection=selection,
+                             iterations=steps, method="tv-dual-active-set")
 
 
 def _require_constant_measure(g: WeightedGraph, why: str) -> None:
@@ -378,26 +387,31 @@ def _require_constant_measure(g: WeightedGraph, why: str) -> None:
             f"measure ranges over [{np.min(m):g}, {np.max(m):g}]")
 
 
+def _checked_input(g: WeightedGraph, f: np.ndarray, eps: float) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (g.n,) or not np.all(np.isfinite(f)):
+        raise ValidationError(f"f must be {g.n} finite values")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    return f
+
+
 def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
-              method: str = "auto", grad_tol: float = GRAD_TOL,
-              max_inner: int = 200_000,
+              method: str = "auto",
               x0: np.ndarray | None = None) -> ResolventSolution:
     """J_eps f = (id - eps Delta_p)^(-1) f.
 
     For p = 2 the linear system is solved directly (any vertex measure);
-    the variational path requires a constant measure.  ``method`` forces
+    the other paths require a constant measure.  ``method`` forces
     "linear" or "variational" for cross-checking; "auto" picks the
-    linear solve exactly when p = 2.  The fixed-point residual
+    linear solve exactly when p = 2.  ``x0`` warm-starts the Newton
+    solves from a nearby solution; the exact p = 1 and p = 2 solves do
+    not use it.  The fixed-point residual
     ||g - eps Delta_p g - f||_inf is always reported; for p = 1 the
     solution carries the antisymmetric edge sign selection realizing it.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n,):
-        raise ValidationError(f"f must have length {g.n}")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    if p < 1:
-        raise ValidationError(f"p must be at least 1, got {p}")
+    f = _checked_input(g, f, eps)
+    _require_p(p)
     if method not in ("auto", "linear", "variational"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "linear" and p != 2:
@@ -410,17 +424,16 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
         return ResolventSolution(g=sol, residual=residual, method="linear")
 
     if p == 1:
-        return _resolvent_tv(g, f, eps, grad_tol, max_inner, x0=x0)
+        return _resolvent_tv(g, f, eps)
 
     _require_constant_measure(g, f"the p = {p:g} resolvent")
     if p < 2:
-        sol, iters, method = _solve_subquadratic(g, f, p, eps, grad_tol,
-                                                 max_inner, x0)
+        sol, iters, method = _solve_subquadratic(g, f, p, eps, x0)
     else:
         phi = PhiSpec.power(p)
         sol, iters = _minimize_prox(
             g, f, eps, value1=phi, deriv1=phi.derivative, prim1=phi.primitive,
-            grad_tol=grad_tol, max_inner=max_inner, x0=x0)
+            x0=x0)
         method = "variational"
     residual = float(np.max(np.abs(sol - eps * p_laplacian(g, sol, p) - f)))
     return ResolventSolution(g=sol, residual=residual, iterations=iters,
@@ -428,7 +441,6 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
 
 
 def _solve_subquadratic(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
-                        grad_tol: float, max_inner: int,
                         x0: np.ndarray | None) -> tuple[np.ndarray, int, str]:
     """1 < p < 2 by a regularized-kernel homotopy.
 
@@ -456,8 +468,7 @@ def _solve_subquadratic(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
         val, der, prim = stage(1e-15)
         try:
             sol, it = _minimize_prox(g, f, eps, value1=val, deriv1=der,
-                                     prim1=prim, grad_tol=grad_tol,
-                                     max_inner=4000, x0=x0)
+                                     prim1=prim, x0=x0)
             return sol, it, "regularized-variational"
         except SolverError:
             pass
@@ -466,80 +477,24 @@ def _solve_subquadratic(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
     delta = 1e-2
     while True:
         val, der, prim = stage(delta)
-        stage_tol = grad_tol if delta <= 1e-15 else max(grad_tol, 1e-8)
+        stage_tol = GRAD_TOL if delta <= 1e-15 else 1e-8
         sol, it = _minimize_prox(g, f, eps, value1=val, deriv1=der, prim1=prim,
-                                 grad_tol=stage_tol, max_inner=max_inner,
-                                 x0=sol)
+                                 grad_tol=stage_tol, x0=sol)
         iters += it
         if delta <= 1e-15:
             return sol, iters, "regularized-variational"
         delta = max(delta * 1e-2, 1e-15)
 
 
-def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float,
-                  grad_tol: float, max_inner: int,
-                  x0: np.ndarray | None = None) -> ResolventSolution:
-    """p = 1 resolvent by pseudo-Huber smoothing with decreasing width."""
-    _require_constant_measure(g, "the p = 1 resolvent")
-
-    def stage(dl: float):
-        def val(t, dl=dl):
-            return t / np.sqrt(t * t + dl * dl)
-
-        def der(t, dl=dl):
-            return dl * dl / (t * t + dl * dl) ** 1.5
-
-        def prim(t, dl=dl):
-            return np.sqrt(t * t + dl * dl) - dl
-
-        return val, der, prim
-
-    sol = None
-    iters = 0
-    if x0 is not None:
-        val, der, prim = stage(1e-9)
-        try:
-            sol, iters = _minimize_prox(g, f, eps, value1=val, deriv1=der,
-                                        prim1=prim, grad_tol=grad_tol,
-                                        max_inner=4000, x0=x0)
-        except SolverError:
-            sol = None
-    if sol is None:
-        sol = f.copy() if x0 is None else x0.copy()
-        delta = 0.1
-        while True:
-            val, der, prim = stage(delta)
-            stage_tol = grad_tol if delta <= 1e-9 else max(grad_tol, 1e-8)
-            sol, it = _minimize_prox(g, f, eps, value1=val, deriv1=der,
-                                     prim1=prim, grad_tol=stage_tol,
-                                     max_inner=max_inner, x0=sol)
-            iters += it
-            if delta <= 1e-9:
-                break
-            delta = max(delta / 10.0, 1e-9)
-    delta = 1e-9
-
-    grad = sol[None, :] - sol[:, None]
-    selection = np.where(g.weights > 0,
-                         grad / np.sqrt(grad * grad + delta * delta), 0.0)
-    achieved = np.sum(g.weights * selection, axis=1) / g.measure
-    residual = float(np.max(np.abs(sol - eps * achieved - f)))
-    return ResolventSolution(g=sol, residual=residual,
-                             subgradient_selection=selection,
-                             iterations=iters, method="smoothed-tv")
-
-
-def resolvent_phi(g: WeightedGraph, f: np.ndarray, phi: PhiSpec, eps: float, *,
-                  grad_tol: float = GRAD_TOL,
-                  max_inner: int = 200_000) -> ResolventSolution:
+def resolvent_phi(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
+                  eps: float) -> ResolventSolution:
     """(id - eps Delta_phi)^(-1) f for a general odd increasing phi."""
-    f = np.asarray(f, dtype=float)
+    f = _checked_input(g, f, eps)
     if phi.kind == "p-power":
-        return resolvent(g, f, phi.p, eps, grad_tol=grad_tol, max_inner=max_inner)
+        return resolvent(g, f, phi.p, eps)
     _require_constant_measure(g, "the Delta_phi resolvent")
     sol, iters = _minimize_prox(
-        g, f, eps, value1=phi, deriv1=phi.derivative, prim1=phi.primitive,
-        grad_tol=grad_tol, max_inner=max_inner)
+        g, f, eps, value1=phi, deriv1=phi.derivative, prim1=phi.primitive)
     residual = float(np.max(np.abs(sol - eps * phi_laplacian(g, sol, phi) - f)))
     return ResolventSolution(g=sol, residual=residual, iterations=iters,
                              method="variational")

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 SIGN_TOL = 1e-12
+# coordinate-ascent sweeps per sampled start in ric_r
+RIC_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,6 @@ class SeparationPResult:
 def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
                       eps: float = 0.1, f0: np.ndarray | None = None,
                       x0: int | None = None, tol: float = 1e-9, *,
-                      eps_schedule: list[float] | None = None,
                       max_iter: int = 100_000,
                       waive_curvature: bool = False) -> SeparationPResult:
     """Resolvent separation flow (J_eps S)|_K across a decreasing
@@ -318,7 +319,7 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
     d = shortest_path_metric(g)
     ks = np.array(part.k_set)
     f0, x0k = _start_on_k(part, d, f0, x0)
-    schedule = eps_schedule or [eps * 0.5 ** k for k in range(6)]
+    schedule = [eps * 0.5 ** k for k in range(6)]
 
     stages: list[dict] = []
     current = f0
@@ -393,8 +394,7 @@ class RicBounds:
 
 
 def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
-          seed: int = 0, *, sweeps: int = 200,
-          step: float | None = None) -> RicBounds:
+          seed: int = 0) -> RicBounds:
     """Bounds on Ric_r(P, d) = 1 - sup_{Lip f <= r} Lip(Pf) / r.
 
     Sampling seeded Lip-r functions (distance cones plus random
@@ -411,7 +411,7 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
         raise ValidationError("distance matrix must match the chain dimension")
     if np.any(np.isinf(d.values)):
         raise DisconnectedError("Ric_r needs a connected distance matrix")
-    step = r / 16.0 if step is None else step
+    step = r / 16.0
     iu, iv = np.triu_indices(n, k=1)
     pair_d = d.values[iu, iv]
 
@@ -435,7 +435,7 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
     for f in starts:
         f = f.copy()
         current = amplification(f)
-        for _ in range(sweeps):
+        for _ in range(RIC_SWEEPS):
             improved = False
             for i in range(n):
                 others = np.arange(n) != i

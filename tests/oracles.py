@@ -6,7 +6,8 @@ enumeration of transport polytopes and a dense two-phase simplex on the
 whole constraint matrix instead of the spanning-tree simplex, the
 cost-blind northwest-corner start instead of the least-cost one, the
 limit-free Lin-Lu-Yau LP over potentials (scipy's HiGHS, skipped without
-scipy) instead of the slope of a transport tree, a per-edge scan of
+scipy) instead of the slope of a transport tree, scipy's bounded least
+squares on the p = 1 resolvent's dual instead of its own active set, a per-edge scan of
 adjacent lengths instead of per-vertex minima, a triple loop over every
 triangle instead of blocks of k, plain power iteration, and finite
 differences.  None of it shares code with the implementation paths
@@ -182,6 +183,27 @@ def limit_free_lly(g, d, x: int, y: int) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return float(c @ res.x)
+
+
+def tv_resolvent_dual(g, f: np.ndarray, eps: float) -> np.ndarray:
+    """The p = 1 resolvent f + eps B s, where s in [-1, 1]^E minimizes
+    ||f + eps B s||^2 and B[:, e] = w(u, v)/m (1_u - 1_v) for each edge
+    e = (u, v) (constant measure).  Solved by scipy's BVLS; the test is
+    skipped without scipy."""
+    lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
+    f = np.asarray(f, dtype=float)
+    cols = []
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.weights[u, v] > 0:
+            col = np.zeros(g.n)
+            col[u] = eps * g.weights[u, v] / g.measure[u]
+            col[v] = -eps * g.weights[u, v] / g.measure[v]
+            cols.append(col)
+    if not cols:
+        return f.copy()
+    B = np.column_stack(cols)
+    s = lsq_linear(B, -f, bounds=(-1.0, 1.0), method="bvls", tol=1e-15).x
+    return f + B @ s
 
 
 class LPResult(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -160,6 +161,30 @@ def test_resolvent_command(pathgraph, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["residual"] < 1e-10
+
+
+def test_resolvent_command_p1_is_exact(triangle, capsys):
+    code = main(["resolvent", triangle, "--f", "0,1,3", "--p", "1", "--eps", "0.5"])
+    assert code == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["method"] == "tv-dual-active-set"
+    assert results["residual"] <= 1e-12
+    selection = np.array(results["subgradient_selection"])
+    assert selection.shape == (3, 3) and np.all(selection == -selection.T)
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "3", "--eps", "nan"], ["--p", "nan"], ["--p", "1", "--eps", "inf"],
+    ["--p", "2", "--eps", "0"], ["--p", "0.5"], ["--p", "2", "--f", "0,nan,1"],
+    ["--p", "1", "--f", "0,inf,1"]])
+def test_resolvent_command_rejects_non_finite_input_at_once(pathgraph, capsys, args):
+    # these once hung, exited 5 after seconds, or exited 0 with a null residual
+    argv = ["resolvent", pathgraph, "--f", "0,1,2", *args]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] and doc["results"] == {}
 
 
 def test_separation_command(tmp_path, pathgraph, capsys):

@@ -8,6 +8,7 @@ from oracles import apsp_relaxation, union_find_components
 
 from curvflow import (
     DisconnectedError,
+    DistanceMatrix,
     ValidationError,
     WeightedGraph,
     combinatorial_metric,
@@ -180,6 +181,33 @@ def test_graph_arrays_immutable():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 1.0)])
     with pytest.raises(ValueError):
         g.weights[0, 1] = 5.0
+
+
+def test_graph_and_distances_copy_their_inputs():
+    # views of the caller's arrays would follow its later writes, and
+    # freezing the caller's own arrays would take them from it
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = np.array([2.0, 2.0])
+    ln = np.array([[0.0, 3.0], [3.0, 0.0]])
+    a = np.array([[0.0, 3.0], [3.0, 0.0]])
+    mask = np.array([[False, True], [True, False]])
+    g = WeightedGraph(2, w[:, :], m[:], ln)
+    d = DistanceMatrix(a[:, :], edge_mask=mask)
+    g2 = WeightedGraph(2, w, m, ln)
+    d2 = DistanceMatrix(a)
+    w[0, 1] = w[1, 0] = 7.0
+    m[0] = 9.0
+    ln[0, 1] = 5.0
+    a[0, 1] = a[1, 0] = -1.0
+    mask[0, 1] = False
+    for graph in (g, g2):
+        assert graph.weights[0, 1] == 1.0 and graph.measure[0] == 2.0
+        assert graph.lengths[0, 1] == 3.0
+    for dist in (d, d2):
+        assert dist.values[0, 1] == 3.0
+    assert d.edge_mask[0, 1]
+    for arr in (w, m, ln, a, mask):
+        assert arr.flags.writeable
 
 
 def _bad_lengths(g: WeightedGraph, case: str) -> np.ndarray:

@@ -6,10 +6,11 @@ from conftest import (
     cycle_graph,
     random_graph_const_measure,
 )
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, tv_resolvent_dual
 
 from curvflow import (
     PhiSpec,
+    SolverError,
     ValidationError,
     WeightedGraph,
     energy,
@@ -144,17 +145,113 @@ def test_resolvent_strict_monotonicity_lemma():
         assert b.g[x] >= a.g[x] + delta - 1e-8
 
 
+def _check_exact_p1(g, f, eps, sol):
+    assert sol.method == "tv-dual-active-set"
+    assert sol.residual <= 1e-12
+    ok, msg = p_laplacian(g, sol.g, 1).verify((sol.g - f) / eps,
+                                              sol.subgradient_selection, tol=1e-12)
+    assert ok, msg
+    np.testing.assert_allclose(sol.g, tv_resolvent_dual(g, f, eps), rtol=0, atol=1e-12)
+
+
 def test_resolvent_p1_selection_is_valid():
     rng = np.random.default_rng(6)
     for _ in range(3):
         g = random_graph_const_measure(rng, 5)
         f = rng.normal(size=5) * 2.0
         sol = resolvent(g, f, 1, 0.1)
-        assert sol.residual < 1e-7
+        assert sol.residual <= 1e-12
         member = p_laplacian(g, sol.g, 1)
-        achieved = (sol.g - f) / -0.1 * -1.0  # (g - f)/eps
-        ok, msg = member.verify(achieved, sol.subgradient_selection)
+        ok, msg = member.verify((sol.g - f) / 0.1, sol.subgradient_selection,
+                                tol=1e-12)
         assert ok, msg
+        # a bound edge carries exactly its slope's sign
+        s = sol.subgradient_selection
+        at_bound = (np.abs(s) == 1.0) & (g.weights > 0)
+        grad = sol.g[None, :] - sol.g[:, None]
+        assert np.all(np.sign(grad[at_bound]) * s[at_bound] >= 0)
+
+
+def test_resolvent_p1_matches_the_dual_oracle():
+    rng = np.random.default_rng(24)
+    for k in range(30):
+        n = int(rng.integers(3, 26))
+        g = random_graph_const_measure(rng, n, extra=int(rng.integers(0, 2 * n)))
+        f = rng.uniform(-2.0, 2.0, n)
+        eps = (0.1, 0.02, 0.7)[k % 3]
+        sol = resolvent(g, f, 1, eps)
+        _check_exact_p1(g, f, eps, sol)
+
+
+def _two_components():
+    return WeightedGraph.from_edges(
+        5, [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (3, 4, 0.5, 1.0)], measure=[1.5] * 5)
+
+
+@pytest.mark.parametrize("case", ["edgeless", "constant", "tied-neighbours", "K5",
+                                  "C4", "C5", "C6", "two-components"])
+def test_resolvent_p1_degenerate_inputs(case):
+    rng = np.random.default_rng(25)
+    f = None
+    if case == "edgeless":
+        g = WeightedGraph.from_edges(3, [], measure=[2.0] * 3)
+    elif case == "constant":
+        g = random_graph_const_measure(rng, 8)
+        f = np.full(8, -0.75)
+    elif case == "tied-neighbours":
+        g = random_graph_const_measure(rng, 9, extra=9)
+        f = rng.integers(-1, 2, 9).astype(float)
+    elif case == "K5":
+        g = complete_graph(5, measure=2.0)
+    elif case.startswith("C"):
+        g = cycle_graph(int(case[1:]))
+        f = np.array([0.0, 1.0] * (g.n // 2) + [0.5] * (g.n % 2))
+    else:
+        g = _two_components()
+    if f is None:
+        f = rng.uniform(-2.0, 2.0, g.n)
+    for eps in (0.05, 0.5, 5.0):
+        sol = resolvent(g, f, 1, eps)
+        _check_exact_p1(g, f, eps, sol)
+    if case == "edgeless" or case == "constant":
+        np.testing.assert_allclose(resolvent(g, f, 1, 0.3).g, f, rtol=0, atol=1e-15)
+    if case == "two-components":
+        # each component keeps its own mean
+        sol = resolvent(g, f, 1, 5.0)
+        for comp in ([0, 1, 2], [3, 4]):
+            assert np.sum(sol.g[comp]) == pytest.approx(np.sum(f[comp]), abs=1e-12)
+
+
+def test_resolvent_p1_active_set_that_does_not_settle_raises(monkeypatch):
+    # least-squares values that always leave the box never let the
+    # active set settle: the solve fails loudly instead of returning
+    g = cycle_graph(5)
+    f = np.array([0.0, 2.0, -1.0, 1.5, 0.5])
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda A, b, rcond=None: (np.full(A.shape[1], 2.0),))
+    with pytest.raises(SolverError, match="did not settle"):
+        resolvent(g, f, 1, 5.0)
+
+
+BAD_INPUTS = [({"eps": np.nan}, "eps"), ({"eps": np.inf}, "eps"), ({"eps": 0.0}, "eps"),
+              ({"eps": -1.0}, "eps"), ({"p": np.nan}, "p must"), ({"p": np.inf}, "p must"),
+              ({"p": 0.5}, "p must"), ({"f": [0.0, np.nan, 1.0]}, "f must"),
+              ({"f": [0.0, np.inf, 1.0]}, "f must"), ({"f": [0.0, 1.0]}, "f must")]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("bad,message", BAD_INPUTS)
+def test_resolvent_rejects_non_finite_or_out_of_range_input(p, bad, message):
+    g = WeightedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)],
+                                 measure=[2.0] * 3)
+    args = {"f": [0.0, 1.0, 2.0], "p": p, "eps": 0.1, **bad}
+    with pytest.raises(ValidationError, match=message):
+        resolvent(g, np.array(args["f"]), args["p"], args["eps"])
+    if "p" not in bad:
+        for phi in (PhiSpec.power(p),
+                    PhiSpec.custom(lambda t: np.sign(t) * np.abs(t) ** 2, "convex")):
+            with pytest.raises(ValidationError, match=message):
+                resolvent_phi(g, np.array(args["f"]), phi, args["eps"])
 
 
 def test_variational_gradient_vanishes_against_finite_differences():
