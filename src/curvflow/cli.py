@@ -17,6 +17,7 @@ unverified, 5 internal solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -460,19 +461,19 @@ def _cmd_counterexample(args) -> tuple[int, dict, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; main reads the environment per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvflow",
         description="curvature flows and nonlinear Markov chains on finite graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get(SEED_ENV, "0"))
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", "-o", help="write the JSON result here (default stdout)")
         p.add_argument("--trace", help="write the per-iteration trace here")
         p.add_argument("--format", choices=("json", "csv"), default="csv",
                        help="trace file format (default csv)")
-        p.add_argument("--seed", type=int, default=default_seed,
+        p.add_argument("--seed", type=int, default=None,
                        help=f"random seed (default ${SEED_ENV} or 0)")
 
     p = sub.add_parser("curvature", help="per-edge curvature table")
@@ -481,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list: ollivier,alpha,lly,phi-convex,phi-concave")
     p.add_argument("--alpha", type=float, default=0.5)
     common(p)
-    p.set_defaults(handler=_cmd_curvature)
 
     p = sub.add_parser("flow", help="Ricci flow with edge deletion")
     p.add_argument("graph")
@@ -491,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=100_000)
     common(p)
-    p.set_defaults(handler=_cmd_flow)
 
     p = sub.add_parser("resolvent", help="single p-Laplace resolvent solve")
     p.add_argument("graph")
@@ -500,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--eps", type=float, default=0.1)
     common(p)
-    p.set_defaults(handler=_cmd_resolvent)
 
     p = sub.add_parser("separation", help="Laplacian separation flows")
     p.add_argument("graph")
@@ -518,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="chain operator for generic mode")
     p.add_argument("--samples", type=int, default=32, help="Ric_1 gate samples")
     common(p)
-    p.set_defaults(handler=_cmd_separation)
 
     p = sub.add_parser("ric", help="Ric_r bounds of a chain")
     p.add_argument("graph")
@@ -526,7 +523,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=64)
     common(p)
-    p.set_defaults(handler=_cmd_ric)
 
     p = sub.add_parser("pf", help="Perron-Frobenius eigenvector via the log chain")
     p.add_argument("matrices", help="JSON file with a list of matrices")
@@ -535,7 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--max-iter", type=int, default=100_000)
     common(p)
-    p.set_defaults(handler=_cmd_pf)
 
     p = sub.add_parser("verify", help="check chain conditions (1)-(7)")
     p.add_argument("--operator", required=True)
@@ -543,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--magnitude", type=float, default=1.0)
     common(p)
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("counterexample",
                        help="run the non-convergent oscillating chain")
@@ -551,13 +545,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     common(p)
-    p.set_defaults(handler=_cmd_counterexample)
 
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    skip = {"handler", "output", "trace"}
+    skip = {"output", "trace"}
     return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -568,7 +561,13 @@ def main(argv: list[str] | None = None) -> int:
     payload: dict = {}
     error: str | None = None
     try:
-        code, payload, rows = args.handler(args)
+        if args.seed is None:
+            try:
+                args.seed = int(os.environ.get(SEED_ENV, "0"))
+            except ValueError as exc:
+                raise ValidationError(f"${SEED_ENV} must be an integer: {exc}") from None
+        # looked up per call: the parser outlives any rebinding of a handler
+        code, payload, rows = globals()[f"_cmd_{args.command}"](args)
     except ValidationError as exc:
         code, error = EXIT_VALIDATION, str(exc)
     except PreconditionError as exc:

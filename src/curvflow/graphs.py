@@ -225,18 +225,21 @@ def shortest_path_metric(g: WeightedGraph) -> DistanceMatrix:
     Disconnected pairs come out as ``np.inf``.  The result records the edge
     mask so edge-restricted quantities can be computed from it alone.
     """
-    adj = g.weights > 0
-    d = np.where(adj, g.lengths, np.inf)
+    return _path_metric(g.weights > 0, g.lengths)
+
+
+def _path_metric(adj: np.ndarray, lengths: np.ndarray) -> DistanceMatrix:
+    """``shortest_path_metric`` of the edge mask ``adj`` with ``lengths``."""
+    d = np.where(adj, lengths, np.inf)
     np.fill_diagonal(d, 0.0)
-    for k in range(g.n):
+    for k in range(d.shape[0]):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return DistanceMatrix(d, edge_mask=adj)
 
 
 def combinatorial_metric(g: WeightedGraph) -> DistanceMatrix:
     """Path metric with every edge length set to one (hop distance)."""
-    ones = np.where(g.weights > 0, 1.0, 0.0)
-    return shortest_path_metric(g.with_lengths(ones))
+    return _path_metric(g.weights > 0, np.ones((g.n, g.n)))
 
 
 def laplacian_apply(g: WeightedGraph, f: np.ndarray) -> np.ndarray:
@@ -311,12 +314,12 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
 
 def _component_groups(g: WeightedGraph, pairs) -> list[tuple]:
     """Vertex pairs grouped by the component of their first vertex: one
-    (root, pairs, first-vertex array, second-vertex array) per component
-    holding any, in ``connected_components`` order, pairs in given order."""
+    (root, pairs, their positions in ``pairs``) per component holding
+    any, in ``connected_components`` order, pairs in given order."""
     comps = connected_components(g)
     label = {x: i for i, comp in enumerate(comps) for x in comp}
     buckets: list[list] = [[] for _ in comps]
-    for e in pairs:
-        buckets[label[e[0]]].append(e)
-    return [(comp[0], tuple(b), *np.array(b, dtype=np.intp).T)
+    for k, e in enumerate(pairs):
+        buckets[label[e[0]]].append((k, e))
+    return [(comp[0], tuple(e for _, e in b), np.array([k for k, _ in b], dtype=np.intp))
             for comp, b in zip(comps, buckets) if b]

@@ -13,6 +13,11 @@ on each component of the final topology the normalized metric converges
 and its curvature becomes constant; the per-edge log increments furnish
 the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
 
+``run_flow`` steps one edge-length vector per edge set, divided by its
+maximum on each component after every step (the flow is scale-invariant
+per component); a ``WeightedGraph`` is built only after a deletion and
+for the final state.  The public steps run the same pieces on a graph.
+
 W(e) is one transport LP per edge and step.  While the edge set stays,
 the flow keeps every edge's walk measures and last optimal spanning-tree
 basis in one batch.  A step re-prices all those trees in one numpy pass:
@@ -26,6 +31,7 @@ bit-identical to a warm ``wasserstein`` call on every edge, and under
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +40,7 @@ import numpy as np
 from .chains import _increments_cycle
 from .curvature import CurvatureReport, _walks
 from .errors import CertificateError, ValidationError
-from .graphs import DistanceMatrix, WeightedGraph, _component_groups, shortest_path_metric
+from .graphs import DistanceMatrix, WeightedGraph, _component_groups, _path_metric
 from .transport import (
     _AUDIT,
     CERTIFY_TOL,
@@ -79,13 +85,19 @@ class FlowConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self) -> None:
+        dt = self.deletion_threshold
+        for name, value, kind in (("alpha", self.alpha, numbers.Real),
+                                  ("tolerance", self.tolerance, numbers.Real),
+                                  ("deletion threshold", 1.0 if dt is None else dt, numbers.Real),
+                                  ("max_iterations", self.max_iterations, numbers.Integral)):
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        dt = self.deletion_threshold
         if dt is not None and not (math.isfinite(dt) and dt > 0):
             raise ValidationError(f"deletion threshold must be finite and positive, got {dt}")
 
@@ -238,25 +250,29 @@ class _Batch:
 
 @dataclass(frozen=True)
 class _Topology:
-    """What the flow steps share while weights and measure stay: the edge
-    list, its per-component groups (``graphs._component_groups``) and the
-    batch of the edges' walk measures and optimal transport trees (None
-    until a flow step builds it)."""
+    """What the flow steps share while weights and measure stay: a graph
+    with them, the edge list (edge-length vectors follow it) with its
+    endpoints, the per-component groups of edge positions and the batch
+    (None until a flow step builds it)."""
 
-    weights: np.ndarray
-    measure: np.ndarray
+    graph: WeightedGraph
     edges: tuple[tuple[int, int], ...]
+    iu: np.ndarray
+    iv: np.ndarray
     groups: list[tuple]
     batch: _Batch | None = None
 
     @classmethod
     def of(cls, g: WeightedGraph) -> "_Topology":
         edges = tuple(g.edges())
-        return cls(g.weights, g.measure, edges, _component_groups(g, edges))
+        iu, iv = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        return cls(g, edges, iu, iv, _component_groups(g, edges))
 
-    def serves(self, g: WeightedGraph) -> bool:
-        return ((self.weights is g.weights or np.array_equal(self.weights, g.weights))
-                and (self.measure is g.measure or np.array_equal(self.measure, g.measure)))
+    def matrix(self, lengths: np.ndarray) -> np.ndarray:
+        """The (n, n) array holding ``lengths`` on the edges, 0 elsewhere."""
+        out = np.zeros(self.graph.weights.shape)
+        out[self.iu, self.iv] = out[self.iv, self.iu] = lengths
+        return out
 
 
 @dataclass(frozen=True)
@@ -289,41 +305,45 @@ def initial_state(g: WeightedGraph) -> FlowState:
     return FlowState(graph=g)
 
 
+def _shortest_adjacent(n: int, iu: np.ndarray, iv: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """Each edge's shortest adjacent length, inf if none: per endpoint, its
+    shortest incident edge, or its second shortest if that is the edge."""
+    incident = np.full((n, n), np.inf)
+    incident[iu, iv] = incident[iv, iu] = ln
+    first = incident.argmin(axis=1)
+    s1 = incident.min(axis=1)
+    incident[np.arange(n), first] = np.inf
+    s2 = incident.min(axis=1)
+    return np.minimum(np.where(first[iu] == iv, s2[iu], s1[iu]),
+                      np.where(first[iv] == iu, s2[iv], s1[iv]))
+
+
 def max_adjacent_ratio(g: WeightedGraph) -> float:
     """max len(e)/len(e') over pairs of edges sharing a vertex."""
-    worst = 0.0
-    for y in range(g.n):
-        nbrs = g.neighbors(y)
-        if nbrs.size < 2:
-            continue
-        lens = g.lengths[y, nbrs]
-        worst = max(worst, float(lens.max() / lens.min()))
-    return worst
+    iu, iv = np.nonzero(np.triu(g.weights, k=1) > 0)
+    ln = g.lengths[iu, iv]
+    return float((ln / _shortest_adjacent(g.n, iu, iv, ln)).max(initial=0.0))
 
 
-def _topology(state: FlowState) -> _Topology:
-    """The state's cached topology if it serves the state's graph, else a new one."""
-    topo = state.topology
-    return topo if topo is not None and topo.serves(state.graph) else _Topology.of(state.graph)
+def _normalized(topo: _Topology, lengths: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``lengths`` divided by their maximum on each component: as a vector,
+    and as ``normalize_metric``'s dict (component by component)."""
+    unit = np.empty_like(lengths)
+    for _, _, index in topo.groups:
+        unit[index] = lengths[index] / lengths[index].max()
+    return unit, {e: v for _, edges, index in topo.groups
+                  for e, v in zip(edges, unit[index].tolist())}
 
 
-def normalize_metric(state: FlowState) -> dict[tuple[int, int], float]:
-    """Edge lengths divided by the max edge length of their component."""
-    out: dict[tuple[int, int], float] = {}
-    for _, edges, iu, iv in _topology(state).groups:
-        lengths = state.graph.lengths[iu, iv]
-        out.update(zip(edges, (lengths / lengths.max()).tolist()))
-    return out
-
-
-def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
-    """One metric deformation: len(e) <- (1 - alpha) len(e) + alpha W(e)."""
-    g = state.graph
-    d = shortest_path_metric(g)
-    topo = _topology(state)
+def _step(topo: _Topology, lengths: np.ndarray, alpha: float, n: int,
+          prev: dict) -> tuple[_Topology, np.ndarray, np.ndarray, FlowTraceRow]:
+    """One flow step on the edge vector ``lengths``: the topology with its
+    batch, the new lengths, the same normalized per component, and trace
+    row ``n`` (``delta_sup`` against the normalized metric ``prev``)."""
+    d = _path_metric(topo.graph.weights > 0, topo.matrix(lengths))
     batch = topo.batch
     if batch is None:  # a new topology: every edge solved cold
-        walk = _walks(g)
+        walk = _walks(topo.graph)
         pairs = [(walk(u, None), walk(v, None)) for u, v in topo.edges]
         trees: list = [None] * len(pairs)  # filled by the cold solves below
         cost, solve = np.zeros(len(pairs)), range(len(pairs))
@@ -336,32 +356,68 @@ def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
         trees[k] = _edge_tree(mu, nu, plan.basic_cells)
     if batch is None or solve:
         topo = replace(topo, batch=_Batch(pairs, trees))
-
-    iu, iv = np.array(topo.edges, dtype=np.intp).reshape(-1, 2).T
-    ln = g.lengths[iu, iv]
-    new_lengths = g.lengths.copy()
-    new_lengths[iu, iv] = new_lengths[iv, iu] = (1.0 - cfg.alpha) * ln + cfg.alpha * cost
-    new_graph = g.with_lengths(new_lengths)
-    kappa = (1.0 - cost / ln).tolist()
+    new = (1.0 - alpha) * lengths + alpha * cost
+    kappa = (1.0 - cost / lengths).tolist()
     report = CurvatureReport._from_groups(dict(zip(topo.edges, kappa)), topo.groups)
-    log_inc = [math.log1p(-cfg.alpha * k) for k in kappa]
-    prev_norm = (state.trace[-1].normalized if state.trace
-                 else normalize_metric(replace(state, topology=topo)))
-    new_state = FlowState(graph=new_graph, iteration=state.iteration + 1,
-                          deletion_log=state.deletion_log, trace=state.trace,
-                          topology=topo)
-    norm = normalize_metric(new_state)
-    if set(prev_norm) == set(norm):
-        delta = max((abs(math.log(norm[e]) - math.log(prev_norm[e]))
-                     for e in norm), default=0.0)
-    else:
-        delta = None
-    row = FlowTraceRow(
-        n=state.iteration, kappa=report, normalized=norm,
-        lambda_plus=max(log_inc, default=0.0),
-        lambda_minus=min(log_inc, default=0.0),
-        delta_sup=delta)
-    return replace(new_state, trace=state.trace + (row,))
+    log_inc = [math.log1p(-alpha * k) for k in kappa]
+    unit, norm = _normalized(topo, new)
+    delta = (max((abs(math.log(norm[e]) - math.log(prev[e])) for e in norm), default=0.0)
+             if set(prev) == set(norm) else None)
+    row = FlowTraceRow(n, report, norm, max(log_inc, default=0.0), min(log_inc, default=0.0),
+                       delta)
+    return topo, new, unit, row
+
+
+def _delete(topo: _Topology, lengths: np.ndarray, C: float,
+            row: FlowTraceRow | None) -> tuple[list, _Topology, np.ndarray, FlowTraceRow | None]:
+    """Threshold deletion on the edge vector ``lengths``: the deleted edges,
+    each with (length, shortest adjacent length), the topology left (a new
+    graph carries ``lengths``), ``lengths`` on it, and ``row`` updated."""
+    alive, deleted, ln = np.arange(lengths.size), [], lengths
+    # no edge can violate while max <= C x min, as C x min <= C x any adjacent length
+    while ln.size and ln.max() > C * ln.min():
+        shortest = _shortest_adjacent(topo.graph.n, topo.iu[alive], topo.iv[alive], ln)
+        violating = np.flatnonzero(ln > C * shortest)
+        if not violating.size:
+            break
+        # the longest violating edge, ties to the first (lexicographic) one
+        k = violating[np.argmax(ln[violating])]
+        deleted.append((topo.edges[alive[k]], (float(ln[k]), float(shortest[k]))))
+        alive = np.delete(alive, k)
+        ln = lengths[alive]
+    if not deleted:
+        return deleted, topo, lengths, row
+    w, ln = topo.graph.weights.copy(), topo.matrix(lengths)
+    for (u, v), _ in deleted:
+        w[u, v] = w[v, u] = ln[u, v] = ln[v, u] = 0.0
+    topo = _Topology.of(WeightedGraph(topo.graph.n, w, topo.graph.measure, ln))
+    if row is not None:
+        row = replace(row, deleted_edges=row.deleted_edges + tuple(e for e, _ in deleted),
+                      normalized=_normalized(topo, lengths[alive])[1])
+    return deleted, topo, lengths[alive], row
+
+
+def _edge_vector(state: FlowState) -> tuple[_Topology, np.ndarray]:
+    """The state's topology (new for other weights or measure) and lengths."""
+    topo, g = state.topology, state.graph
+    if topo is None or not (np.array_equal(topo.graph.weights, g.weights)
+                            and np.array_equal(topo.graph.measure, g.measure)):
+        topo = _Topology.of(g)
+    return topo, g.lengths[topo.iu, topo.iv]
+
+
+def normalize_metric(state: FlowState) -> dict[tuple[int, int], float]:
+    """Edge lengths divided by the max edge length of their component."""
+    return _normalized(*_edge_vector(state))[1]
+
+
+def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
+    """One metric deformation: len(e) <- (1 - alpha) len(e) + alpha W(e)."""
+    topo, lengths = _edge_vector(state)
+    prev = state.trace[-1].normalized if state.trace else _normalized(topo, lengths)[1]
+    topo, new, _, row = _step(topo, lengths, cfg.alpha, state.iteration, prev)
+    return FlowState(state.graph.with_lengths(topo.matrix(new)), state.iteration + 1,
+                     state.deletion_log, state.trace + (row,), topo)
 
 
 def edge_deletion_step(state: FlowState, cfg: FlowConfig) -> FlowState:
@@ -374,47 +430,28 @@ def edge_deletion_step(state: FlowState, cfg: FlowConfig) -> FlowState:
     """
     if cfg.deletion_threshold is None:
         raise ValidationError("edge deletion needs a resolved deletion threshold")
-    C = cfg.deletion_threshold
-    g = state.graph
-    log = list(state.deletion_log)
-    deleted: list[tuple[int, int]] = []
-    while True:
-        iu, iv = np.nonzero(np.triu(g.weights, k=1) > 0)  # edges, lexicographic
-        # an edge's shortest adjacent edge at an endpoint is the endpoint's
-        # shortest incident edge, or its second shortest if that is the edge
-        incident = np.where(g.weights > 0, g.lengths, np.inf)
-        first = incident.argmin(axis=1)
-        s1 = incident.min(axis=1)
-        incident[np.arange(g.n), first] = np.inf
-        s2 = incident.min(axis=1)
-        shortest = np.minimum(np.where(first[iu] == iv, s2[iu], s1[iu]),
-                              np.where(first[iv] == iu, s2[iv], s1[iv]))
-        ln = g.lengths[iu, iv]
-        violating = np.flatnonzero(ln > C * shortest)
-        if not violating.size:
-            break
-        # the longest violating edge, ties to the first (lexicographic) one
-        k = violating[np.argmax(ln[violating])]
-        longest = (int(iu[k]), int(iv[k]))
-        log.append((state.iteration, longest, (float(ln[k]), float(shortest[k]))))
-        deleted.append(longest)
-        g = g.drop_edge(*longest)
-
+    row = state.trace[-1] if state.trace else None
+    deleted, topo, _, row = _delete(*_edge_vector(state), cfg.deletion_threshold, row)
     if not deleted:
         return state
-    new_state = FlowState(graph=g, iteration=state.iteration, deletion_log=tuple(log),
-                          trace=state.trace, topology=_Topology.of(g))
-    if state.trace:
-        last = replace(state.trace[-1],
-                       deleted_edges=state.trace[-1].deleted_edges + tuple(deleted),
-                       normalized=normalize_metric(new_state))
-        new_state = replace(new_state, trace=state.trace[:-1] + (last,))
-    return new_state
+    log = state.deletion_log + tuple((state.iteration, e, lens) for e, lens in deleted)
+    return FlowState(topo.graph, state.iteration, log, state.trace[:-1] + (row,) if row else (),
+                     topo)
+
+
+def _rescale_components(state: FlowState) -> FlowState:
+    """Divide each component's lengths by their maximum, as run_flow does
+    after every step: unscaled, negatively curved components would grow
+    until they swamp double precision."""
+    topo, lengths = _edge_vector(state)
+    unit = _normalized(topo, lengths)[0]
+    return replace(state, graph=state.graph.with_lengths(topo.matrix(unit)), topology=topo)
 
 
 def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
-    """Alternate flow and deletion steps until the normalized metric and
-    the curvature spread settle on every component.
+    """Alternate flow and deletion steps, each followed by
+    ``_rescale_components``, until the normalized metric and the curvature
+    spread settle on every component.
 
     Convergence is declared on the normalized log metric (the raw metric
     may shrink geometrically forever); ``growth_rate`` reports the
@@ -422,58 +459,43 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     i.e. log(1 - alpha kappa_limit).
     """
     cfg = cfg or FlowConfig()
-    state = initial_state(g)
+    topo, lengths = _edge_vector(initial_state(g))
     ratio = max_adjacent_ratio(g)
     if cfg.deletion_threshold is None:
         cfg = replace(cfg, deletion_threshold=max(2.0 * ratio, 1.0))
     elif cfg.deletion_threshold <= ratio:
-        raise ValidationError(
-            f"deletion threshold {cfg.deletion_threshold:g} must exceed the "
-            f"initial max adjacent length ratio {ratio:g}")
+        raise ValidationError(f"deletion threshold {cfg.deletion_threshold:g} must exceed "
+                              f"the initial max adjacent length ratio {ratio:g}")
 
-    status = STATUS_MAX_ITER
+    norm = _normalized(topo, lengths)[1]
+    log, trace, status = [], [], STATUS_MAX_ITER
     # normalized log metrics since the last deletion, in normalize_metric's
     # edge order (fixed while the topology is)
     recent_lognorm: deque[np.ndarray] = deque(maxlen=8)
-    for _ in range(cfg.max_iterations):
-        state = flow_step(state, cfg)
-        state = edge_deletion_step(state, cfg)
-        state = _rescale_components(state)
-        row = state.trace[-1]
-        if row.deleted_edges:
+    for n in range(cfg.max_iterations):
+        topo, new, lengths, row = _step(topo, lengths, cfg.alpha, n, norm)
+        deleted, topo, new, row = _delete(topo, new, cfg.deletion_threshold, row)
+        trace.append(row)
+        norm = row.normalized
+        if deleted:
+            log += [(n + 1, e, lens) for e, lens in deleted]
+            lengths = _normalized(topo, new)[0]
             recent_lognorm.clear()
-            continue
-        if (row.delta_sup is not None and row.delta_sup < cfg.tolerance
-                and row.kappa.max_spread < cfg.tolerance):
+        elif row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
+            # (prev always has this row's edge set, so delta_sup is a number)
             status = STATUS_CONVERGED
             break
-        recent_lognorm.append(np.array([math.log(v) for v in row.normalized.values()]))
-        if _increments_cycle(recent_lognorm, cfg.tolerance):
-            status = STATUS_OSCILLATION
-            break
+        else:
+            recent_lognorm.append(np.array([math.log(v) for v in norm.values()]))
+            if _increments_cycle(recent_lognorm, cfg.tolerance):
+                status = STATUS_OSCILLATION
+                break
 
-    limits: dict[int, dict[tuple[int, int], float]] = {}
-    growth: dict[int, float] = {}
-    norm = normalize_metric(state)
-    last_kappa = state.trace[-1].kappa.values if state.trace else {}
-    for root, edges, *_ in _topology(state).groups:
-        limits[root] = {e: norm[e] for e in edges}
-        incs = [math.log1p(-cfg.alpha * last_kappa[e]) for e in edges if e in last_kappa]
-        growth[root] = float(np.mean(incs)) if incs else 0.0
-    return FlowResult(final=state, limits=limits, growth_rate=growth, status=status)
-
-
-def _rescale_components(state: FlowState) -> FlowState:
-    """Divide each component's lengths by their maximum.
-
-    The flow is scale-invariant per component (curvature, the normalized
-    metric, deletions, and the log diagnostics are all unchanged), so
-    run_flow keeps the state at unit scale; otherwise negatively curved
-    components grow without bound and eventually swamp double precision.
-    """
-    norm = normalize_metric(state)
-    lengths = state.graph.lengths.copy()
-    for (u, v), val in norm.items():
-        lengths[u, v] = lengths[v, u] = val
-    return replace(state, graph=state.graph.with_lengths(lengths))
-
+    kappa = trace[-1].kappa.values  # covers every edge left; norm is the final metric
+    return FlowResult(
+        final=FlowState(topo.graph.with_lengths(topo.matrix(lengths)), len(trace),
+                        tuple(log), tuple(trace), topo),
+        limits={root: {e: norm[e] for e in edges} for root, edges, _ in topo.groups},
+        growth_rate={root: float(np.mean([math.log1p(-cfg.alpha * kappa[e]) for e in edges]))
+                     for root, edges, _ in topo.groups},
+        status=status)

@@ -291,6 +291,24 @@ def test_seed_env_default(tmp_path, triangle, monkeypatch, capsys):
     assert doc["config"]["seed"] == 123
 
 
+def test_seed_env_is_read_on_every_call(triangle, monkeypatch, capsys):
+    # one parser serves the process; the environment is not cached in it
+    for seed in ("5", "9"):
+        monkeypatch.setenv("CURVFLOW_SEED", seed)
+        assert main(["ric", triangle, "--samples", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == int(seed)
+
+
+def test_bad_seed_env_exits_two(triangle, monkeypatch, capsys):
+    monkeypatch.setenv("CURVFLOW_SEED", "abc")
+    assert main(["flow", triangle]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert "CURVFLOW_SEED" in doc["error"] and doc["results"] == {}
+    # an explicit --seed does not read the environment
+    assert main(["flow", triangle, "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+
 @pytest.fixture
 def square(tmp_path):
     path = tmp_path / "c4.json"
@@ -346,7 +364,7 @@ def test_solver_failure_maps_to_exit_five(capsys, monkeypatch):
     def boom(args):
         raise SolverError("synthetic inner failure")
 
-    # main() rebuilds its parser per call, so the patched handler is bound
+    # main() looks its handler up on every call, so the patched one runs
     monkeypatch.setattr(cli, "_cmd_counterexample", boom)
     code = cli.main(["counterexample", "--steps", "5"])
     assert code == 5

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,15 @@ def test_config_validation():
         FlowConfig(alpha=1.0)
     with pytest.raises(ValidationError):
         FlowConfig(tolerance=0.0)
+    # wrong types fail here, not at run time (range(2.5) raised TypeError,
+    # max_iterations=True ran one step)
+    for bad in ({"max_iterations": 2.5}, {"max_iterations": True},
+                {"max_iterations": "3"}, {"alpha": "0.5"}, {"alpha": True},
+                {"tolerance": "x"}, {"deletion_threshold": "2"}):
+        with pytest.raises(ValidationError, match="must be"):
+            FlowConfig(**bad)
+    cfg = FlowConfig(alpha=np.float64(0.25), tolerance=1, max_iterations=np.int64(3))
+    assert run_flow(path_graph([1.0, 2.0]), cfg).final.iteration <= 3
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -549,3 +559,90 @@ def test_stale_topology_is_not_used(change):
     for root, stats in report.component_stats.items():
         np.testing.assert_allclose(row.kappa.component_stats[root], stats,
                                    rtol=0, atol=1e-12)
+
+
+def _isolated_vertex_graph() -> WeightedGraph:
+    return WeightedGraph.from_edges(5, [(0, 1, 1.0, 1.0), (1, 2, 0.5, 2.0),
+                                        (0, 2, 2.0, 1.5), (2, 3, 1.0, 1.0)],
+                                    measure=[4.0, 3.0, 5.0, 2.0, 1.0])
+
+
+def _flow_cases():
+    for seed in range(700, 720):
+        rng = np.random.default_rng(seed)
+        yield random_flow_graph(rng, int(rng.integers(4, 11))), None
+    yield _surgery_graph(), 6.0
+    yield _isolated_vertex_graph(), 10.0
+    yield WeightedGraph.from_edges(3, [], measure=[1.0] * 3), None
+
+
+def _public_step_loop(g, cfg):
+    """run_flow's loop driven by hand through the public steps."""
+    import curvflow.ricci_flow as ricci_flow
+
+    state = initial_state(g)
+    recent: deque = deque(maxlen=8)
+    for _ in range(cfg.max_iterations):
+        state = flow_step(state, cfg)
+        state = ricci_flow._rescale_components(edge_deletion_step(state, cfg))
+        row = state.trace[-1]
+        if row.deleted_edges:
+            recent.clear()
+            continue
+        if row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
+            return state, ricci_flow.STATUS_CONVERGED
+        recent.append(np.array([math.log(v) for v in row.normalized.values()]))
+        if ricci_flow._increments_cycle(recent, cfg.tolerance):
+            return state, ricci_flow.STATUS_OSCILLATION
+    return state, ricci_flow.STATUS_MAX_ITER
+
+
+def test_run_flow_equals_the_public_step_loop_bit_for_bit():
+    deleting = 0
+    for g, threshold in _flow_cases():
+        if threshold is None:
+            threshold = max(2.0 * max_adjacent_ratio(g), 1.0)
+        cfg = FlowConfig(alpha=0.5, tolerance=1e-10, deletion_threshold=threshold)
+        res = run_flow(g, cfg)
+        state, status = _public_step_loop(g, cfg)
+        assert res.status == status
+        assert res.final.iteration == state.iteration == len(state.trace)
+        for row, hand in zip(res.final.trace, state.trace, strict=True):
+            assert row == hand  # kappa, stats, lambdas, delta_sup, deletions
+            assert list(row.normalized) == list(hand.normalized)
+        assert res.final.deletion_log == state.deletion_log
+        assert np.array_equal(res.final.graph.lengths, state.graph.lengths)
+        assert np.array_equal(res.final.graph.weights, state.graph.weights)
+        norm = normalize_metric(state)
+        assert {e: v for lim in res.limits.values() for e, v in lim.items()} == norm
+        deleting += bool(state.deletion_log)
+    assert deleting >= 5
+
+
+@pytest.mark.parametrize("seed", [None, 91])
+def test_graphs_built_once_per_topology(monkeypatch, seed):
+    # the flow runs on an edge-length vector: a graph (and its length
+    # validation) is built after a deletion and for the final state only
+    import curvflow.graphs as graphs
+
+    calls = []
+    real = graphs._edge_lengths
+
+    def counting(w, lengths):
+        calls.append(w.shape)
+        return real(w, lengths)
+
+    monkeypatch.setattr(graphs, "_edge_lengths", counting)
+    if seed is None:
+        g, cfg = _surgery_graph(), FlowConfig(alpha=0.5, tolerance=1e-10,
+                                              deletion_threshold=6.0)
+    else:
+        rng = np.random.default_rng(seed)
+        g = random_flow_graph(rng, int(rng.integers(5, 9)))
+        cfg = FlowConfig(alpha=0.5, tolerance=1e-10)
+    calls.clear()
+    res = run_flow(g, cfg)
+    assert res.status == STATUS_CONVERGED
+    topologies = 1 + len({n for n, _, _ in res.final.deletion_log})
+    assert topologies >= 2 and res.final.iteration > topologies + 1  # a graph per step fails
+    assert len(calls) <= topologies + 1
