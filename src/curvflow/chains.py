@@ -49,8 +49,8 @@ CONVERGED = "converged"
 DIVERGED = "diverged-unbounded"
 OSCILLATING = "oscillating"
 MAX_ITERATIONS = "max-iterations"
-# normalized iterates kept for the period-2 oscillation test
-OSCILLATION_WINDOW = 8
+# increments of the normalized orbit kept for the period-2 oscillation test
+OSCILLATION_WINDOW = 7
 
 KNOWN_PROPERTIES = frozenset({
     "monotone",
@@ -143,17 +143,16 @@ class IterationResult:
         return self.status == CONVERGED
 
 
-def _increments_cycle(window: Sequence[np.ndarray], tol: float) -> bool:
-    """Period-2 cycle in the increment sequence of the window.
+def _increments_cycle(incs: Sequence[np.ndarray], tol: float) -> bool:
+    """Period-2 cycle in a window of consecutive orbit increments.
 
     Fires when every second difference of increments vanishes within tol
     while consecutive increments genuinely alternate (differ by at least
     tol) — the signature of an orbit that forever jumps between two
-    behaviors instead of settling.
+    behaviors instead of settling.  Needs at least four increments.
     """
-    if len(window) < 5:
+    if len(incs) < 4:
         return False
-    incs = [window[i + 1] - window[i] for i in range(len(window) - 1)]
     for k in range(len(incs) - 2):
         if np.max(np.abs(incs[k + 2] - incs[k])) >= tol:
             return False
@@ -185,7 +184,7 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
         raise ValidationError(f"x0 must be a coordinate index, got {x0}")
 
     normalized = f_raw - f_raw[x0]
-    window: deque[np.ndarray] = deque([normalized], maxlen=OSCILLATION_WINDOW)
+    increments: deque[np.ndarray] = deque(maxlen=OSCILLATION_WINDOW)
     trace: list[TraceRow] = []
 
     for n in range(max_iter):
@@ -196,17 +195,17 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
         lam_plus = float(lf.max())
         lam_minus = float(lf.min())
         norm_next = f_next - f_next[x0]
-        delta = float(np.max(np.abs(norm_next - normalized)))
+        increments.append(norm_next - normalized)
+        delta = float(np.max(np.abs(increments[-1])))
         trace.append(TraceRow(n=n, lambda_plus=lam_plus, lambda_minus=lam_minus,
                               delta_sup=delta, base_value=float(f_raw[x0])))
-        window.append(norm_next)
 
         if delta < tolerance and (lam_plus - lam_minus) < tolerance:
             return IterationResult(
                 limit=norm_next, growth_constant=float(f_next[x0] - f_raw[x0]),
                 iterations=n + 1, status=CONVERGED, trace=trace,
                 last_normalized=norm_next)
-        if _increments_cycle(window, tolerance):
+        if _increments_cycle(increments, tolerance):
             return IterationResult(
                 limit=None, growth_constant=None, iterations=n + 1,
                 status=OSCILLATING, trace=trace, last_normalized=norm_next)

@@ -514,14 +514,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-unverified", action="store_true")
     p.add_argument("--operator", default="lazy-walk:0.1",
                    help="chain operator for generic mode")
-    p.add_argument("--samples", type=int, default=32, help="Ric_1 gate samples")
+    p.add_argument("--samples", type=int, default=32, help="Ric_1 gate samples, nonlinear only")
     common(p)
 
     p = sub.add_parser("ric", help="Ric_r bounds of a chain")
     p.add_argument("graph")
     p.add_argument("--operator", default="lazy-walk:0.1")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=64,
+                   help="samples, with --seed, for nonlinear operators (linear ones are exact)")
     common(p)
 
     p = sub.add_parser("pf", help="Perron-Frobenius eigenvector via the log chain")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import _increments_cycle
+from .chains import OSCILLATION_WINDOW, _increments_cycle
 from .curvature import CurvatureReport, _walks
 from .errors import CertificateError, ValidationError
 from .graphs import DistanceMatrix, WeightedGraph, _component_groups, _path_metric
@@ -469,9 +469,9 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
 
     norm = _normalized(topo, lengths)[1]
     log, trace, status = [], [], STATUS_MAX_ITER
-    # normalized log metrics since the last deletion, in normalize_metric's
-    # edge order (fixed while the topology is)
-    recent_lognorm: deque[np.ndarray] = deque(maxlen=8)
+    # increments of the normalized log metric since the last deletion, in
+    # normalize_metric's edge order (fixed while the topology is)
+    lognorm, increments = None, deque(maxlen=OSCILLATION_WINDOW)
     for n in range(cfg.max_iterations):
         topo, new, lengths, row = _step(topo, lengths, cfg.alpha, n, norm)
         deleted, topo, new, row = _delete(topo, new, cfg.deletion_threshold, row)
@@ -480,14 +480,16 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
         if deleted:
             log += [(n + 1, e, lens) for e, lens in deleted]
             lengths = _normalized(topo, new)[0]
-            recent_lognorm.clear()
+            lognorm, increments = None, deque(maxlen=OSCILLATION_WINDOW)
         elif row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
             # (prev always has this row's edge set, so delta_sup is a number)
             status = STATUS_CONVERGED
             break
         else:
-            recent_lognorm.append(np.array([math.log(v) for v in norm.values()]))
-            if _increments_cycle(recent_lognorm, cfg.tolerance):
+            prev, lognorm = lognorm, np.array([math.log(v) for v in norm.values()])
+            if prev is not None:
+                increments.append(lognorm - prev)
+            if _increments_cycle(increments, cfg.tolerance):
                 status = STATUS_OSCILLATION
                 break
 

@@ -9,12 +9,14 @@ X, and at most it on Y.
 
 Ric_r measures the worst-case Lipschitz amplification of a chain on
 Lip-r functions; for linear chains the exact value comes from per-pair
-Wasserstein distances of the kernel rows, while sampling plus
-coordinate ascent bounds it for arbitrary chains.
+Wasserstein distances of the kernel rows, attained by the Kantorovich
+potential of the worst pair, while sampling plus coordinate ascent
+bounds it for nonlinear chains.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ from .graphs import (
     shortest_path_metric,
 )
 from .plaplace import PhiSpec, p_laplacian, resolvent
-from .transport import ProbMeasure, wasserstein
+from .transport import ProbMeasure, _plan_potential, wasserstein
 
 __all__ = [
     "PartitionXKY",
@@ -387,6 +389,8 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
 
 @dataclass(frozen=True)
 class RicBounds:
+    """Linear chains: upper = lower, sampled_amplification the Kantorovich witness's."""
+
     lower: float
     upper: float
     sampled_amplification: float
@@ -397,33 +401,53 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
           seed: int = 0) -> RicBounds:
     """Bounds on Ric_r(P, d) = 1 - sup_{Lip f <= r} Lip(Pf) / r.
 
-    Sampling seeded Lip-r functions (distance cones plus random
-    McShane-projected draws) and refining each by coordinate ascent on
-    Lip(Pf) lower-bounds the sup, hence upper-bounds Ric_r.  For linear
-    chains the sup is exactly r max_{x != y} W(p(x,.), p(y,.)) / d(x, y)
-    by Kantorovich duality, reported as the lower bound; otherwise the
-    lower bound is -inf (unverified).
+    Linear chains: the sup is r max_{x != y} W(p(x,.), p(y,.)) / d(x, y)
+    by Kantorovich duality (the lower bound), attained by f = r phi /
+    Lip(phi) (the upper bound, equal to roundoff on a metric), phi the
+    potential of the worst pair's optimal tree.  Nonlinear chains: seeded
+    Lip-r samples refined by coordinate ascent bound the sup from below,
+    hence Ric_r from above; the lower bound is -inf.  One coordinate has
+    no pair: Ric_r = 1.  r must be finite and positive, n_samples >= 0.
     """
-    if r <= 0:
-        raise ValidationError("r must be positive")
+    if not (isinstance(r, numbers.Real) and np.isfinite(r) and r > 0):
+        raise ValidationError(f"r must be finite and positive, got {r!r}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 0:
+        raise ValidationError(f"n_samples must be an integer >= 0, got {n_samples!r}")
     n = P.dimension
     if d.n != n:
         raise ValidationError("distance matrix must match the chain dimension")
     if np.any(np.isinf(d.values)):
         raise DisconnectedError("Ric_r needs a connected distance matrix")
-    step = r / 16.0
+    if n < 2:
+        return RicBounds(lower=1.0, upper=1.0, sampled_amplification=0.0, exact=True)
     iu, iv = np.triu_indices(n, k=1)
     pair_d = d.values[iu, iv]
 
+    def lip(f: np.ndarray) -> float:
+        return float(np.max(np.abs(f[iu] - f[iv]) / pair_d))
+
     def amplification(f: np.ndarray) -> float:
-        pf = P(f)
-        return float(np.max(np.abs(pf[iu] - pf[iv]) / pair_d)) / r
+        return lip(P(f)) / r
+
+    if P.kernel is not None:
+        rows = [ProbMeasure(np.flatnonzero(k > 0), k[k > 0]) for k in P.kernel]
+        worst = -1.0
+        for x, y in zip(iu.tolist(), iv.tolist()):
+            cost, plan = wasserstein(rows[x], rows[y], d)
+            if cost / d.values[x, y] > worst:
+                worst, witness = cost / d.values[x, y], (rows[x], rows[y], d, plan)
+        phi = _plan_potential(*witness, require=False)[0]
+        best = amplification(r * phi / (lip(phi) or 1.0))  # phi is constant only if W = 0
+        if best - worst > 1e-9:  # beyond roundoff the transport LP and its duals disagree
+            raise SolverError(f"witness amplification {best:g} exceeds exact {worst:g}")
+        return RicBounds(lower=1.0 - worst, upper=max(1.0 - best, 1.0 - worst),
+                         sampled_amplification=best, exact=True)
 
     def project_lip(raw: np.ndarray) -> np.ndarray:
         return np.max(raw[None, :] - r * d.values, axis=1)
 
     rng = np.random.default_rng(seed)
-    scale = r * float(np.max(pair_d)) if pair_d.size else r
+    step, scale = r / 16.0, r * float(np.max(pair_d))
     starts = []
     for z in range(n):
         starts.append(r * d.values[z])
@@ -458,32 +482,8 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
             if not improved:
                 break
         best = max(best, current)
-
-    upper = 1.0 - best
-    if P.kernel is None:
-        return RicBounds(lower=-np.inf, upper=upper,
-                         sampled_amplification=best, exact=False)
-
-    worst = 0.0
-    rows: list[ProbMeasure] = []
-    for x in range(n):
-        supp = np.flatnonzero(P.kernel[x] > 0)
-        rows.append(ProbMeasure(supp, P.kernel[x, supp]))
-    for x in range(n):
-        for y in range(x + 1, n):
-            cost, _ = wasserstein(rows[x], rows[y], d)
-            worst = max(worst, cost / d.values[x, y])
-    lower = 1.0 - worst
-    if upper < lower:
-        # the sample can only undershoot the true sup; anything beyond
-        # roundoff means the transport LP and the sampler disagree
-        if lower - upper > 1e-9:
-            raise SolverError(
-                f"sampled amplification {best:g} exceeds the exact value "
-                f"{worst:g} beyond tolerance")
-        upper = lower
-    return RicBounds(lower=lower, upper=upper,
-                     sampled_amplification=best, exact=True)
+    return RicBounds(lower=-np.inf, upper=1.0 - best,
+                     sampled_amplification=best, exact=False)
 
 
 def separation_flow_generic(P: ChainOperator, part: PartitionXKY,

@@ -350,6 +350,7 @@ def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     w = sum(flows[i, j] * c[i][j] for i, j in sorted(flows) if flows[i, j] > 0)
     phi = None
     if _AUDIT.enabled:
+        _require_metric(d)
         phi, gap = _certify(mu1, mu2, d, cost, duals[mu1.support.size:], w)
         _AUDIT.count += 1
         _AUDIT.pivots += pivots
@@ -408,10 +409,9 @@ def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, cost: np.nda
              v: list[float], value: float, certify_tol: float = CERTIFY_TOL,
              require: bool = True) -> tuple[np.ndarray, float]:
     """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals ``v``
-    (0 off the supports' component), 1-Lipschitz as ``d`` is a metric, and
-    the gap |value - phi's dual value|; with ``require``, a gap not within
-    ``certify_tol`` x scale (NaN included) raises CertificateError."""
-    _require_metric(d)
+    (0 off the supports' component), 1-Lipschitz when ``d`` is a metric,
+    and the gap |value - phi's dual value|; with ``require``, a gap not
+    within ``certify_tol`` x scale (NaN included) raises CertificateError."""
     # tolerances are relative to the instance scale: beyond unit-scale
     # distances, only relative optimality is resolvable in floats
     scale = max(1.0, float(np.max(cost)))
@@ -443,6 +443,14 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     """
     if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
         raise ValidationError("the plan's marginals are not mu1 and mu2")
+    _require_metric(d)
+    return _plan_potential(mu1, mu2, d, plan, certify_tol, require)
+
+
+def _plan_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
+                    plan: TransportPlan, certify_tol: float = CERTIFY_TOL,
+                    require: bool = True) -> tuple[np.ndarray, float]:
+    """``dual_certificate`` on any ``d``: phi is 1-Lipschitz where it is a metric."""
     cost = _check_supports_connected(mu1, mu2, d)
     cells = _local_cells(mu1, mu2, plan.basic_cells or ())
     tree = cells and _tree(cells, cost.tolist(), mu1.mass.tolist() + (-mu2.mass).tolist())

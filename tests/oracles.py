@@ -7,7 +7,8 @@ whole constraint matrix instead of the spanning-tree simplex, the
 cost-blind northwest-corner start instead of the least-cost one, the
 limit-free Lin-Lu-Yau LP over potentials (scipy's HiGHS, skipped without
 scipy) instead of the slope of a transport tree, scipy's bounded least
-squares on the p = 1 resolvent's dual instead of its own active set, a per-edge scan of
+squares on the p = 1 resolvent's dual instead of its own active set,
+per-pair LPs over f for Ric_r instead of Kantorovich potentials, a per-edge scan of
 adjacent lengths instead of per-vertex minima, a triple loop over every
 triangle instead of blocks of k, plain power iteration, and finite
 differences.  None of it shares code with the implementation paths
@@ -183,6 +184,31 @@ def limit_free_lly(g, d, x: int, y: int) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return float(c @ res.x)
+
+
+def ric_sup_lp(K: np.ndarray, d: np.ndarray, r: float) -> float:
+    """Ric_r of the linear chain f -> K f by its definition: 1 minus the
+    largest (Kf)(x) - (Kf)(y) over f with f_i - f_j <= r d_ij for all
+    i != j, divided by r d(x, y), one LP per pair (x, y) over f itself (no
+    transport duality), by scipy's HiGHS; the test is skipped without
+    scipy.  A chain with one coordinate has no pair and Ric_r = 1."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = K.shape[0]
+    pairs = list(itertools.permutations(range(n), 2))
+    A = np.zeros((len(pairs), n))
+    for row, (i, j) in enumerate(pairs):
+        A[row, i], A[row, j] = 1.0, -1.0
+    b = [r * d[i, j] for i, j in pairs]
+    # constants do not move Kf(x) - Kf(y) (rows sum to 1): pin f_0 = 0
+    bounds = [(0.0, 0.0)] + [(None, None)] * (n - 1)
+    worst = 0.0
+    for x, y in itertools.combinations(range(n), 2):
+        res = linprog(K[y] - K[x], A_ub=A, b_ub=b, bounds=bounds, method="highs-ds",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        assert res.status == 0, res.message
+        worst = max(worst, -res.fun / (r * d[x, y]))
+    return 1.0 - worst
 
 
 def tv_resolvent_dual(g, f: np.ndarray, eps: float) -> np.ndarray:

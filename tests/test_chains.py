@@ -293,17 +293,21 @@ def test_extension_iterates_from_off_family_points():
 
 def test_increments_cycle_detector():
     tol = 1e-9
+
+    def increments(orbit):
+        return [b - a for a, b in zip(orbit, orbit[1:])]
+
     # increments alternate +1, -0.5, +1, ...: a genuine period-2 cycle
     alternating = [np.array([0.0, 0.0]), np.array([1.0, -1.0])]
     for k in range(6):
         step = np.array([1.0, -1.0]) if k % 2 else np.array([-0.5, 0.5])
         alternating.append(alternating[-1] + step)
-    assert _increments_cycle(alternating, tol)
-    assert _increments_cycle(alternating[:5], tol)
-    # fewer than five entries never fire
-    assert not _increments_cycle(alternating[:4], tol)
+    assert _increments_cycle(increments(alternating), tol)
+    assert _increments_cycle(increments(alternating[:5]), tol)
+    # fewer than four increments (five orbit entries) never fire
+    assert not _increments_cycle(increments(alternating[:4]), tol)
     # geometrically settling orbit: increments shrink, no period-2 cycle
     settling = [np.array([1.0 - 0.5 ** k, 0.5 ** k]) for k in range(8)]
-    assert not _increments_cycle(settling, tol)
+    assert not _increments_cycle(increments(settling), tol)
     # a constant orbit has equal increments, nothing alternates
-    assert not _increments_cycle([np.array([2.0, 3.0])] * 6, tol)
+    assert not _increments_cycle(increments([np.array([2.0, 3.0])] * 6), tol)

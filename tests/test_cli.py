@@ -208,6 +208,34 @@ def test_ric_command(triangle, capsys):
     assert doc["results"]["lower"] <= doc["results"]["upper"] + 1e-12
 
 
+@pytest.mark.parametrize("args,fragment", [
+    (["--r", "nan"], "r must be"), (["--r", "inf"], "r must be"),
+    (["--r", "0"], "r must be"), (["--samples", "-3"], "n_samples")])
+def test_ric_command_rejects_bad_r_and_samples(triangle, capsys, args, fragment):
+    for operator in ("lazy-walk:0.2", "resolvent:2,0.1"):
+        assert main(["ric", triangle, "--operator", operator] + args) == 2
+        assert fragment in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_ric_command_on_one_vertex(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"vertices": 1, "edges": []}')
+    for operator in ("lazy-walk:0.2", "resolvent:2,0.1"):
+        assert main(["ric", str(path), "--operator", operator]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert (res["lower"], res["upper"], res["exact"]) == (1.0, 1.0, True)
+
+
+def test_ric_command_of_a_linear_operator_ignores_seed_and_samples(triangle, capsys):
+    outputs = set()
+    for extra in ([], ["--seed", "5"], ["--samples", "0"], ["--samples", "300", "--seed", "9"]):
+        assert main(["ric", triangle, "--operator", "lazy-walk:0.2"] + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 0.0 <= doc["results"]["upper"] - doc["results"]["lower"] <= 1e-12
+        outputs.add(json.dumps(doc["results"]))
+    assert len(outputs) == 1
+
+
 def test_pf_command(tmp_path, capsys):
     mats = tmp_path / "m.json"
     mats.write_text(json.dumps({"matrices": [[[1.0, 1.0], [1.0, 1.0]]]}))

@@ -581,18 +581,21 @@ def _public_step_loop(g, cfg):
     import curvflow.ricci_flow as ricci_flow
 
     state = initial_state(g)
-    recent: deque = deque(maxlen=8)
+    logs, increments = None, deque(maxlen=7)
     for _ in range(cfg.max_iterations):
         state = flow_step(state, cfg)
         state = ricci_flow._rescale_components(edge_deletion_step(state, cfg))
         row = state.trace[-1]
         if row.deleted_edges:
-            recent.clear()
+            logs = None
+            increments.clear()
             continue
         if row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
             return state, ricci_flow.STATUS_CONVERGED
-        recent.append(np.array([math.log(v) for v in row.normalized.values()]))
-        if ricci_flow._increments_cycle(recent, cfg.tolerance):
+        prev, logs = logs, np.array([math.log(v) for v in row.normalized.values()])
+        if prev is not None:
+            increments.append(logs - prev)
+        if ricci_flow._increments_cycle(increments, cfg.tolerance):
             return state, ricci_flow.STATUS_OSCILLATION
     return state, ricci_flow.STATUS_MAX_ITER
 
