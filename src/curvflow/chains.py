@@ -173,8 +173,8 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
     finite accumulation point cannot be certified in advance, so the
     engine fails loudly) and "oscillating" on a period-2 increment cycle.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
     f_raw = np.array(f0, dtype=float)
     if f_raw.shape != (P.dimension,):
         raise ValidationError(f"f0 must have length {P.dimension}")

@@ -117,9 +117,10 @@ def parse_graph(path: str) -> WeightedGraph:
 
 
 def parse_partition(path: str, g: WeightedGraph) -> separation.PartitionXKY:
-    """Load ``{"X": [...], "K": [...], "Y": [...]}`` and validate it."""
+    """Load ``{"X": [...], "K": [...], "Y": [...]}``, three arrays of
+    integer vertex ids, and validate it."""
     doc = _load_json(path, "partition")
-    if not isinstance(doc, dict) or not {"X", "K", "Y"} <= set(doc):
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(s), list) for s in "XKY"):
         raise ValidationError(f"{path}: partition needs arrays X, K, Y")
     try:
         return separation.PartitionXKY.build(g, doc["X"], doc["K"], doc["Y"])
@@ -380,7 +381,6 @@ def _cmd_separation(args) -> tuple[int, dict, list[dict]]:
     d = shortest_path_metric(g)
     res = separation.separation_flow_generic(
         P, part, d, f0, args.x0, args.tol, max_iter=args.max_iter,
-        ric_samples=args.samples, seed=args.seed,
         allow_unverified=args.allow_unverified)
     payload = {
         "status": res.status, "iterations": res.iterations,
@@ -514,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-unverified", action="store_true")
     p.add_argument("--operator", default="lazy-walk:0.1",
                    help="chain operator for generic mode")
-    p.add_argument("--samples", type=int, default=32, help="Ric_1 gate samples, nonlinear only")
     common(p)
 
     p = sub.add_parser("ric", help="Ric_r bounds of a chain")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +72,13 @@ class PartitionXKY:
 
     @classmethod
     def build(cls, g: WeightedGraph, x_set, k_set, y_set) -> "PartitionXKY":
-        part = cls(tuple(sorted(x_set)), tuple(sorted(k_set)), tuple(sorted(y_set)))
+        """Sorted sets of integer vertex ids (bools and floats are
+        rejected), validated for g."""
+        sets = [list(s) for s in (x_set, k_set, y_set)]
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for s in sets for v in s):
+            raise ValidationError("partition entries must be integer vertex ids")
+        part = cls(*(tuple(sorted(int(v) for v in s)) for s in sets))
         part.validate_for(g)
         return part
 
@@ -117,9 +124,12 @@ def _check_lip_on_k(part: PartitionXKY, d: DistanceMatrix, f: np.ndarray,
 
 
 def _start_on_k(part: PartitionXKY, d: DistanceMatrix, f0: np.ndarray | None,
-                x0: int | None) -> tuple[np.ndarray, int]:
+                x0: int | None, tol: float) -> tuple[np.ndarray, int]:
     """A separation flow's start on K (zero by default, checked to be in
-    Lip(1, K)) and the K index of its base vertex (K's first by default)."""
+    Lip(1, K)) and the K index of its base vertex (K's first by default).
+    Rejects a tol that is not finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     f0 = np.zeros(len(part.k_set)) if f0 is None else np.asarray(f0, dtype=float)
     _check_lip_on_k(part, d, f0)
     return f0, part.k_index(part.k_set[0] if x0 is None else x0)
@@ -187,16 +197,37 @@ def _k_statistics(part: PartitionXKY, values: np.ndarray
     return constant, spread, sign_min_x, sign_max_y
 
 
-def _finish_linear_like(part: PartitionXKY, result: IterationResult,
-                        delta_values: np.ndarray | None,
-                        verified: bool, waived: bool,
-                        lip_trace: list[float],
-                        g_on_k: np.ndarray | None,
-                        extension: np.ndarray | None) -> SeparationResult:
-    """Result of a converged flow (all of g_on_k, extension and
-    delta_values given) or of one that stopped early (all three None)."""
-    constant, spread, sign_min_x, sign_max_y = (
-        (None,) * 4 if delta_values is None else _k_statistics(part, delta_values))
+_MONOTONE = {"monotone": None, "strictly-monotone": None, "constant-additive": None}
+
+
+def _iterate_on_k(part: PartitionXKY, d: DistanceMatrix,
+                  step: Callable[[np.ndarray], np.ndarray], f0: np.ndarray,
+                  x0k: int, tol: float, max_iter: int, name: str,
+                  declared: dict) -> IterationResult:
+    """The normalized orbit of fk -> step(S fk)|_K from f0 on K."""
+    ks = np.array(part.k_set)
+
+    def apply(fk: np.ndarray) -> np.ndarray:
+        return step(lipschitz_extend(part, d, fk, validate=False))[ks]
+
+    chain = ChainOperator(dimension=len(ks), apply=apply, declared=declared, name=name)
+    return iterate_normalized(chain, f0, x0k, tol, max_iter)
+
+
+def _separation_result(part: PartitionXKY, d: DistanceMatrix,
+                       result: IterationResult,
+                       delta: Callable[[np.ndarray], np.ndarray],
+                       verified: bool, waived: bool, validate: bool,
+                       lip_trace: list[float]) -> SeparationResult:
+    """On convergence, the limit's extension (checked in Lip(1, K) to 1e-6
+    if ``validate``) and the K statistics of ``delta`` of it."""
+    g_on_k = extension = None
+    stats = (None,) * 4
+    if result.status == CONVERGED:
+        g_on_k = result.limit
+        extension = lipschitz_extend(part, d, g_on_k, validate=validate, tol=1e-6)
+        stats = _k_statistics(part, delta(extension))
+    constant, spread, sign_min_x, sign_max_y = stats
     return SeparationResult(
         g_on_k=g_on_k, extension=extension, laplacian_constant=constant,
         spread_on_k=spread, sign_min_x=sign_min_x, sign_max_y=sign_max_y,
@@ -236,46 +267,34 @@ def separation_flow_linear(g: WeightedGraph, part: PartitionXKY, eps: float,
     least that constant on X and at most it on Y.
     """
     part.validate_for(g)
-    degs = g.degrees()
-    if eps <= 0 or eps * float(np.max(degs)) >= 1.0:
+    if not (eps > 0 and eps * float(np.max(g.degrees())) < 1.0):  # NaN fails too
         raise ValidationError(
-            "eps must be positive with eps * deg(x) < 1 at every vertex")
+            "eps must be finite and positive with eps * deg(x) < 1 at every vertex")
     d = shortest_path_metric(g)
+    f0, x0k = _start_on_k(part, d, f0, x0, tol)
     verified = False
     if not waive_curvature:
         _require_nonnegative(g, "ollivier", "Ollivier curvature", d)
         verified = True
 
     ks = np.array(part.k_set)
-    f0, x0k = _start_on_k(part, d, f0, x0)
-
     lip_trace: list[float] = []
     d_on_k = d.values[np.ix_(ks, ks)]
 
-    def apply(fk: np.ndarray) -> np.ndarray:
-        full = lipschitz_extend(part, d, fk, validate=False)
+    def step(full: np.ndarray) -> np.ndarray:
         out = full + eps * laplacian_apply(g, full)
         res = out[ks]
         diffs = np.abs(res[:, None] - res[None, :])
         with np.errstate(invalid="ignore"):
             ratios = np.where(d_on_k > 0, diffs / d_on_k, 0.0)
         lip_trace.append(float(np.nanmax(ratios)) if ratios.size else 0.0)
-        return res
+        return out
 
-    chain = ChainOperator(dimension=len(part.k_set), apply=apply,
-                          declared={"monotone": None, "strictly-monotone": None,
-                                    "constant-additive": None},
-                          name="laplacian separation flow")
-    result = iterate_normalized(chain, f0, x0k, tol, max_iter)
-    delta_vals = None
-    g_on_k = extension = None
-    if result.status == CONVERGED:
-        g_on_k = result.limit
-        extension = lipschitz_extend(part, d, g_on_k,
-                                     validate=not waive_curvature, tol=1e-6)
-        delta_vals = laplacian_apply(g, extension)
-    return _finish_linear_like(part, result, delta_vals, verified,
-                               waive_curvature, lip_trace, g_on_k, extension)
+    result = _iterate_on_k(part, d, step, f0, x0k, tol, max_iter,
+                           "laplacian separation flow", _MONOTONE)
+    return _separation_result(part, d, result, lambda e: laplacian_apply(g, e),
+                              verified, waive_curvature, not waive_curvature,
+                              lip_trace)
 
 
 @dataclass
@@ -310,77 +329,53 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
     p (verified or waived).
     """
     part.validate_for(g)
-    if p < 1:
-        raise ValidationError(f"p must be at least 1, got {p}")
-    phi_shape = PhiSpec.power(p).shape
+    phi_shape = PhiSpec.power(p).shape  # p must be finite and at least 1
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    d = shortest_path_metric(g)
+    f0, x0k = _start_on_k(part, d, f0, x0, tol)
     verified = False
     if not waive_curvature:
         _require_nonnegative(g, f"phi-{phi_shape}", f"modified curvature ({phi_shape})")
         verified = True
 
-    d = shortest_path_metric(g)
     ks = np.array(part.k_set)
-    f0, x0k = _start_on_k(part, d, f0, x0)
-    schedule = [eps * 0.5 ** k for k in range(6)]
-
     stages: list[dict] = []
     current = f0
-    h_last = None
-    sel_last = None
-    ftilde_last = None
-    eps_last = schedule[-1]
-    status = CONVERGED
     warm: dict[float, np.ndarray] = {}
-    for eps_k in schedule:
-        def apply(fk: np.ndarray, eps_k=eps_k) -> np.ndarray:
-            full = lipschitz_extend(part, d, fk, validate=False)
-            sol = resolvent(g, full, p, eps_k, x0=warm.get(eps_k))
-            warm[eps_k] = sol.g
-            return sol.g[ks]
+    for eps_k in [eps * 0.5 ** k for k in range(6)]:
+        def step(full: np.ndarray, eps_k=eps_k) -> np.ndarray:
+            warm[eps_k] = resolvent(g, full, p, eps_k, x0=warm.get(eps_k)).g
+            return warm[eps_k]
 
-        chain = ChainOperator(dimension=len(part.k_set), apply=apply,
-                              declared={"monotone": None,
-                                        "strictly-monotone": None,
-                                        "constant-additive": None},
-                              name=f"resolvent separation flow (p={p:g})")
-        result = iterate_normalized(chain, current, x0k, tol, max_iter)
+        result = _iterate_on_k(part, d, step, current, x0k, tol, max_iter,
+                               f"resolvent separation flow (p={p:g})", _MONOTONE)
+        stage = {"eps": eps_k, "status": result.status,
+                 "iterations": result.iterations, "defect": None}
+        stages.append(stage)
         if result.status != CONVERGED:
-            status = result.status
-            stages.append({"eps": eps_k, "status": result.status,
-                           "iterations": result.iterations, "defect": None})
-            break
-        ftilde = result.limit
-        s_ftilde = lipschitz_extend(part, d, ftilde,
+            return SeparationPResult(
+                h=None, g_sub=None, constant=None, spread_on_k=None,
+                sign_min_x=None, sign_max_y=None, status=result.status,
+                stages=stages, curvature_verified=verified,
+                waived=waive_curvature, defect_bound_coefficient=None)
+        current = result.limit
+        s_ftilde = lipschitz_extend(part, d, current,
                                     validate=not waive_curvature, tol=1e-6)
         sol = resolvent(g, s_ftilde, p, eps_k)
-        h = sol.g
-        s_h = lipschitz_extend(part, d, h[ks], validate=False)
-        defect = float(np.max(np.abs(h - s_h)))
-        stages.append({"eps": eps_k, "status": result.status,
-                       "iterations": result.iterations, "defect": defect,
-                       "residual": sol.residual})
-        current = ftilde
-        h_last, ftilde_last, eps_last = h, s_ftilde, eps_k
-        sel_last = sol.subgradient_selection
+        s_h = lipschitz_extend(part, d, sol.g[ks], validate=False)
+        stage.update(defect=float(np.max(np.abs(sol.g - s_h))), residual=sol.residual)
 
-    if status != CONVERGED or h_last is None:
-        return SeparationPResult(
-            h=None, g_sub=None, constant=None, spread_on_k=None,
-            sign_min_x=None, sign_max_y=None, status=status, stages=stages,
-            curvature_verified=verified, waived=waive_curvature,
-            defect_bound_coefficient=None)
-
-    if p == 1:
-        g_sub = (h_last - ftilde_last) / eps_last
-    else:
-        g_sub = p_laplacian(g, h_last, p)
+    # the last stage's solve: h = J_eps S f~ and the g in Delta_p(h) it selects
+    h = sol.g
+    g_sub = (h - s_ftilde) / eps_k if p == 1 else p_laplacian(g, h, p)
     constant, spread, sign_min_x, sign_max_y = _k_statistics(part, g_sub)
-    coeff = max(s["defect"] / s["eps"] for s in stages if s["defect"] is not None)
+    coeff = max(s["defect"] / s["eps"] for s in stages)
     return SeparationPResult(
-        h=h_last, g_sub=g_sub, constant=constant, spread_on_k=spread,
-        sign_min_x=sign_min_x, sign_max_y=sign_max_y, status=status,
+        h=h, g_sub=g_sub, constant=constant, spread_on_k=spread,
+        sign_min_x=sign_min_x, sign_max_y=sign_max_y, status=CONVERGED,
         stages=stages, curvature_verified=verified, waived=waive_curvature,
-        defect_bound_coefficient=coeff, selection=sel_last)
+        defect_bound_coefficient=coeff, selection=sol.subgradient_selection)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +400,10 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
     by Kantorovich duality (the lower bound), attained by f = r phi /
     Lip(phi) (the upper bound, equal to roundoff on a metric), phi the
     potential of the worst pair's optimal tree.  Nonlinear chains: seeded
-    Lip-r samples refined by coordinate ascent bound the sup from below,
-    hence Ric_r from above; the lower bound is -inf.  One coordinate has
-    no pair: Ric_r = 1.  r must be finite and positive, n_samples >= 0.
+    Lip-r samples (scaled to Lip r where d is not a metric) refined by
+    coordinate ascent bound the sup from below, hence Ric_r from above;
+    the lower bound is -inf.  One coordinate has no pair: Ric_r = 1.  r
+    must be finite and positive, n_samples >= 0.
     """
     if not (isinstance(r, numbers.Real) and np.isfinite(r) and r > 0):
         raise ValidationError(f"r must be finite and positive, got {r!r}")
@@ -457,7 +453,9 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
 
     best = 0.0
     for f in starts:
-        f = f.copy()
+        # off a metric a start can exceed Lip r; the moves below keep Lip <= r
+        if (lip_f := lip(f)) > r * (1.0 + 1e-12):
+            f = f * (r / lip_f)
         current = amplification(f)
         for _ in range(RIC_SWEEPS):
             improved = False
@@ -490,44 +488,29 @@ def separation_flow_generic(P: ChainOperator, part: PartitionXKY,
                             d: DistanceMatrix,
                             f0: np.ndarray | None = None,
                             x0: int | None = None, tol: float = 1e-9, *,
-                            max_iter: int = 100_000, ric_samples: int = 32,
-                            seed: int = 0,
+                            max_iter: int = 100_000,
                             allow_unverified: bool = False) -> SeparationResult:
     """Separation flow of an abstract chain: iterate (P S)|_K.
 
-    Gates on a verified Ric_1(P, d) >= 0 (exact for linear chains; for
-    nonlinear chains the bound is unverifiable and the gate fails unless
-    ``allow_unverified``).  The partition must factor distances through
-    K.  On convergence, (P - id) of the extended limit is constant on K
-    with the X/Y sign pattern.
+    Gates on Ric_1(P, d) >= -tol, exact for a chain with a kernel.  A
+    chain without one has no verifiable Ric_1 (no sampler is run), so
+    the gate fails unless ``allow_unverified``.  The partition must
+    factor distances through K.  On convergence, (P - id) of the
+    extended limit is constant on K with the X/Y sign pattern.
     """
     if len(part.x_set + part.k_set + part.y_set) != P.dimension:
         raise ValidationError("partition must cover the chain's coordinates")
     if not part.check_distance_factorization(d):
         raise ValidationError("d(x, y) must factor through K for x in X, y in Y")
-    bounds = ric_r(P, d, 1.0, n_samples=ric_samples, seed=seed)
-    verified = bool(bounds.lower >= -tol)
+    f0, x0k = _start_on_k(part, d, f0, x0, tol)
+    bounds = ric_r(P, d, 1.0) if P.kernel is not None else None
+    verified = bool(bounds is not None and bounds.lower >= -tol)
     if not verified and not allow_unverified:
-        raise PreconditionError(
-            f"Ric_1 lower bound {bounds.lower:g} is unverified or negative; "
-            "pass allow_unverified=True to run anyway")
+        why = ("a chain without a kernel has no verifiable Ric_1" if bounds is None
+               else f"Ric_1 lower bound {bounds.lower:g} is unverified or negative")
+        raise PreconditionError(f"{why}; pass allow_unverified=True to run anyway")
 
-    ks = np.array(part.k_set)
-    f0, x0k = _start_on_k(part, d, f0, x0)
-
-    def apply(fk: np.ndarray) -> np.ndarray:
-        full = lipschitz_extend(part, d, fk, validate=False)
-        return P(full)[ks]
-
-    chain = ChainOperator(dimension=len(part.k_set), apply=apply,
-                          name=f"generic separation flow ({P.name or 'P'})")
-    result = iterate_normalized(chain, f0, x0k, tol, max_iter)
-    delta_vals = None
-    g_on_k = extension = None
-    if result.status == CONVERGED:
-        g_on_k = result.limit
-        extension = lipschitz_extend(part, d, g_on_k, validate=verified, tol=1e-6)
-        delta_vals = P(extension) - extension
-    return _finish_linear_like(part, result, delta_vals, verified,
-                               allow_unverified and not verified, [],
-                               g_on_k, extension)
+    result = _iterate_on_k(part, d, P, f0, x0k, tol, max_iter,
+                           f"generic separation flow ({P.name or 'P'})", {})
+    return _separation_result(part, d, result, lambda e: P(e) - e, verified,
+                              allow_unverified and not verified, verified, [])

@@ -65,6 +65,17 @@ def test_engine_rejects_nonfinite():
         iterate_normalized(bad, np.zeros(2), 0, 1e-9)
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, 0.0, -1e-9])
+def test_engine_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    # a NaN tolerance once ran the chain to max_iter, an infinite one
+    # "converged" after one step
+    calls = []
+    P = ChainOperator(dimension=2, apply=lambda f: calls.append(1) or f)
+    with pytest.raises(ValidationError, match="tolerance"):
+        iterate_normalized(P, np.zeros(2), 0, tolerance)
+    assert calls == []
+
+
 def test_engine_max_iterations():
     slow = linear_chain_operator(np.array([[0.999, 0.001], [0.001, 0.999]]))
     res = iterate_normalized(slow, np.array([0.0, 1.0]), 0, 1e-14, max_iter=5)

@@ -173,6 +173,43 @@ def test_resolvent_command_p1_is_exact(triangle, capsys):
     assert selection.shape == (3, 3) and np.all(selection == -selection.T)
 
 
+@pytest.mark.parametrize("doc", [
+    {"X": ["a"], "K": [1], "Y": [2]}, {"X": [[0]], "K": [1], "Y": [2]},
+    {"X": [0], "K": [1], "Y": 2}, {"X": [0], "K": [1.0], "Y": [2]}])
+def test_malformed_partition_documents_exit_two(tmp_path, pathgraph, capsys, doc):
+    # these once ended in a TypeError or IndexError traceback
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(doc))
+    assert main(["separation", pathgraph, str(part), "--eps", "0.4"]) == 2
+    result = json.loads(capsys.readouterr().out)
+    assert result["error"] and result["results"] == {}
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "linear", "--eps", "nan"], ["--mode", "linear", "--tol", "nan"],
+    ["--mode", "p", "--eps", "nan"], ["--mode", "p", "--tol", "inf"],
+    ["--mode", "generic", "--tol", "nan"],
+    ["--mode", "generic", "--operator", "resolvent:2,0.1", "--tol", "nan"]])
+def test_separation_rejects_non_finite_eps_and_tol(tmp_path, pathgraph, capsys, args):
+    # NaN eps once exited 5 at step 0, NaN tol ran to --max-iter (3) and
+    # failed the generic gate (4)
+    part = tmp_path / "part.json"
+    part.write_text('{"X": [0], "K": [1], "Y": [2]}')
+    assert main(["separation", pathgraph, str(part), *args]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert "must be finite and positive" in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pf", "MATRICES", "--tol", "nan"], ["pf", "MATRICES", "--tol", "inf"],
+    ["counterexample", "--tol", "nan"], ["counterexample", "--tol", "inf"]])
+def test_chain_commands_reject_non_finite_tol(tmp_path, capsys, argv):
+    mats = tmp_path / "m.json"
+    mats.write_text("[[[1.0, 1.0], [1.0, 1.0]]]")
+    assert main([str(mats) if a == "MATRICES" else a for a in argv]) == 2
+    assert "tolerance" in json.loads(capsys.readouterr().out)["error"]
+
+
 @pytest.mark.parametrize("args", [
     ["--p", "3", "--eps", "nan"], ["--p", "nan"], ["--p", "1", "--eps", "inf"],
     ["--p", "2", "--eps", "0"], ["--p", "0.5"], ["--p", "2", "--f", "0,nan,1"],
@@ -619,6 +656,45 @@ def test_pf_matrix_documents_end_in_a_documented_exit(tmp_path_factory, doc):
     assert code in (0, 2, 3, 4, 5)
     result = json.loads(out.read_text())
     # non-convergence (3) is a result with a status, not an error
+    assert ("error" in result) == (code in (2, 4, 5))
+    if code in (0, 3):
+        assert result["results"]["status"]
+
+
+# ---------------------------------------------------------------------------
+# failure surface: the separation command
+
+
+_vertex_ids = st.lists(st.one_of(st.integers(-1, 4), st.sampled_from([1.0, True, "1", None])),
+                       max_size=3)
+# half the documents are valid and two in three numbers are fine, so that
+# many examples reach a flow
+_partitions = st.booleans().flatmap(lambda valid: st.sampled_from(
+    [{"X": [0], "K": [1, 3], "Y": [2]}, {"X": [], "K": [0, 1], "Y": [2, 3]}]) if valid
+    else st.one_of(_nested(3), st.fixed_dictionaries(
+        {"X": _vertex_ids, "K": _vertex_ids, "Y": _vertex_ids})))
+_modes = st.one_of(
+    st.just(["--mode", "linear"]),
+    st.sampled_from(["1", "1.5", "2", "3", "0.5", "nan"]).map(lambda p: ["--mode", "p", "--p", p]),
+    st.tuples(st.sampled_from(["lazy-walk:0.2", "identity", "resolvent:2,0.1"]),
+              st.booleans()).map(lambda t: ["--mode", "generic", "--operator", t[0]]
+                                 + ["--allow-unverified"] * t[1]))
+_fine = st.sampled_from([0.1, 0.2, 1e-8, 1e-12])
+_numbers = st.one_of(_fine, _fine, st.floats())
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_partitions, mode=_modes, eps=_numbers, tol=_numbers)
+def test_separation_documents_end_in_a_documented_exit(tmp_path_factory, doc, mode, eps, tol):
+    work = tmp_path_factory.mktemp("sep")
+    graph, part, out = work / "g.json", work / "part.json", work / "out.json"
+    graph.write_text(json.dumps({"vertices": 4, "measure": [2.0] * 4, "edges": [
+        {"u": u, "v": v, "w": 1.0, "len": 1.0} for u, v in ((0, 1), (1, 2), (2, 3), (0, 3))]}))
+    part.write_text(json.dumps(doc))
+    code = main(["separation", str(graph), str(part), *mode, f"--eps={eps!r}",
+                 f"--tol={tol!r}", "--max-iter", "20", "-o", str(out)])
+    assert code in (0, 2, 3, 4, 5)
+    result = json.loads(out.read_text())
     assert ("error" in result) == (code in (2, 4, 5))
     if code in (0, 3):
         assert result["results"]["status"]

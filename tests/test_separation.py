@@ -50,6 +50,16 @@ def test_partition_validation():
         PartitionXKY.build(g, [0], [1], [])  # vertex 2 missing
 
 
+def test_partition_entries_must_be_integer_vertex_ids():
+    g = path_graph([1.0, 1.0])
+    part = PartitionXKY.build(g, np.array([0]), (np.int64(1),), iter([2]))
+    assert part == PartitionXKY((0,), (1,), (2,))
+    # 1.0 == 1 and True == 1 would pass the covering check, then index
+    for bad in ([1.0], [True], ["1"], [[1]], [None]):
+        with pytest.raises(ValidationError, match="integer vertex ids"):
+            PartitionXKY.build(g, [0], bad, [2])
+
+
 def test_distance_factorization_check():
     from curvflow import DistanceMatrix
 
@@ -326,6 +336,20 @@ def test_ric_on_a_non_metric_distance_is_a_valid_bracket():
         assert b.lower <= ric_sup_lp(K, d.values, r) + 1e-9 <= b.upper + 2e-9
 
 
+def test_nonlinear_ric_on_a_non_metric_distance_is_a_valid_upper_bound():
+    # the cones +-r d(z, .) are not Lip r here; unscaled, they once gave
+    # upper = -2.0 against Ric_r = 0.1
+    from oracles import ric_sup_lp
+
+    d = DistanceMatrix(np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+    K = np.array([[0.2, 0.8, 0.0], [0.0, 0.3, 0.7], [0.6, 0.0, 0.4]])
+    P = ChainOperator(dimension=3, apply=lambda f: K @ f)
+    for r in (0.5, 1.0, 3.0):
+        b = ric_r(P, d, r)
+        assert not b.exact and b.lower == -np.inf
+        assert b.upper >= ric_sup_lp(K, d.values, r) - 1e-9, r
+
+
 def test_ric_applies_a_kernel_chain_once_and_ignores_the_sampler():
     rng = np.random.default_rng(7)
     g = random_flow_graph(rng, 6)
@@ -430,6 +454,51 @@ def test_generic_flow_gate():
     M = linear_chain_operator(np.eye(3))
     with pytest.raises(ValidationError):
         separation_flow_generic(M, ppart, tri_d)
+
+
+def test_generic_gate_runs_no_sampler_for_a_chain_without_kernel(monkeypatch):
+    import curvflow.separation as separation
+
+    def no_ric(*args, **kwargs):
+        raise AssertionError("ric_r called for a chain without a kernel")
+
+    monkeypatch.setattr(separation, "ric_r", no_ric)
+    g = cycle_graph(4)
+    part = cycle_partition(g)
+    d = shortest_path_metric(g)
+    K = np.eye(g.n) + 0.2 * laplacian_matrix(g)
+    P = ChainOperator(dimension=g.n, apply=lambda f: K @ f, name="K without kernel")
+    with pytest.raises(PreconditionError, match="without a kernel"):
+        separation_flow_generic(P, part, d)
+    res = separation_flow_generic(P, part, d, allow_unverified=True, tol=1e-11)
+    assert res.status == CONVERGED
+    assert not res.curvature_verified and res.waived
+
+
+@pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0},
+                                 {"eps": np.nan}, {"eps": np.inf}, {"eps": -0.1}])
+def test_separation_flows_reject_bad_eps_and_tol_before_any_gate(monkeypatch, bad):
+    # a NaN eps once ran the linear flow into a non-finite SolverError, and
+    # a NaN tol failed the generic gate as if Ric_1 were negative
+    import curvflow.separation as separation
+
+    def no_gate(*args, **kwargs):
+        raise AssertionError("a gate ran before eps and tol were checked")
+
+    monkeypatch.setattr(separation, "_require_nonnegative", no_gate)
+    monkeypatch.setattr(separation, "ric_r", no_gate)
+    g = cycle_graph(4)
+    part = cycle_partition(g)
+    d = shortest_path_metric(g)
+    kw = {"eps": 0.1, "tol": 1e-9} | bad
+    with pytest.raises(ValidationError):
+        separation_flow_linear(g, part, kw["eps"], tol=kw["tol"])
+    with pytest.raises(ValidationError):
+        separation_flow_p(g, part, 1.5, kw["eps"], tol=kw["tol"])
+    if "tol" in bad:
+        P = linear_chain_operator(np.eye(g.n) + 0.1 * laplacian_matrix(g))
+        with pytest.raises(ValidationError):
+            separation_flow_generic(P, part, d, tol=kw["tol"])
 
 
 def test_generic_flow_pf_chain_gate_or_pattern():
