@@ -3,12 +3,18 @@ Lipschitz-decay estimate for their resolvents.
 
 The resolvent J_eps = (id - eps Delta_p)^(-1) is computed variationally:
 with a constant vertex measure, Delta_p is -1/p times the gradient of
-the energy, so J_eps f minimizes E_p(g)/p + ||g - f||^2 / (2 eps).  For
-p > 1 damped Newton finds the minimizer; for p = 2 the linear system
-(id - eps Delta) g = f is solved directly and works for any vertex
-measure.  The set-valued p = 1 case is solved exactly: its dual is a
-box-constrained least-squares problem in the edge signs, solved by a
-finite active set, and the optimal signs are the edge sign selection.
+the energy, so J_eps f minimizes E_p(g)/p + ||g - f||^2 / (2 eps).  How
+it is solved depends on p:
+
+- p > 2: damped Newton on that primal problem;
+- p = 2: the linear system (id - eps Delta) g = f, for any vertex
+  measure;
+- 1 < p < 2: damped Newton on the Fenchel-Rockafellar dual, a smooth
+  problem in one variable per edge whose Hessian stays bounded where
+  the primal curvature |t|^(p-2) blows up;
+- p = 1: the set-valued case, exactly: its dual is a box-constrained
+  least-squares problem in the edge signs, solved by a finite active
+  set, and the optimal signs are the edge sign selection.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .graphs import (
     DistanceMatrix,
     WeightedGraph,
     combinatorial_metric,
+    connected_components,
     laplacian_apply,
     laplacian_matrix,
     lipschitz_constant,
@@ -42,9 +49,13 @@ __all__ = [
     "lipschitz_decay_bound",
 ]
 
-GRAD_TOL = 1e-10
-# damped Newton steps per inner solve (the workloads need at most 7)
-MAX_INNER = 200
+# the primal Newton stops when eps x its gradient norm, which bounds the
+# error in g, is below G_TOL x max(1, max|f|)
+G_TOL = 1e-11
+# damped Newton steps per inner solve: random graphs need up to 26 at
+# p = 1.05, and the 1 < p < 2 dual about 15 more per decade of
+# q = p/(p - 1), up to 265 at p = 1 + 1e-10
+MAX_INNER = 400
 # optimality slack of the p = 1 active set, relative to the scale of g
 KKT_TOL = 1e-13
 CONST_MEASURE_TOL = 1e-12
@@ -204,110 +215,91 @@ class ResolventSolution:
 # inner solvers
 
 
-def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _incidence(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(D, c): (D x)_e = x_v - x_u on each edge e = (u, v), u < v, in
+    row-major order, and c_e = w_e / m0 (constant measure)."""
     iu, iv = np.nonzero(np.triu(g.weights, k=1) > 0)
-    return iu, iv, g.weights[iu, iv]
+    D = np.zeros((iu.size, g.n))
+    D[np.arange(iu.size), iv] = 1.0
+    D[np.arange(iu.size), iu] = -1.0
+    return D, g.weights[iu, iv] / float(g.measure[0])
 
 
-def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float,
-                   value1: Callable[[np.ndarray], np.ndarray],
-                   deriv1: Callable[[np.ndarray], np.ndarray],
-                   prim1: Callable[[np.ndarray], np.ndarray],
-                   grad_tol: float = GRAD_TOL,
+def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float, phi: PhiSpec,
                    x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Minimize sum_edges (w/m0) Prim(grad) + ||g - f||^2 / (2 eps).
+    """Minimize sum_e c_e Prim(D g)_e + ||g - f||^2 / (2 eps), where Prim
+    is phi's primitive (the p >= 2 powers and custom phi).
 
-    value1/deriv1/prim1 are the scalar nonlinearity, its derivative, and
-    its primitive on edge gradients.  The objective is strongly convex
-    and smooth for every p > 1 kernel passed here, so damped Newton
-    (``_lm_newton``) alone drives the gradient norm to ``grad_tol``;
-    failing that within ``MAX_INNER`` steps raises SolverError.
+    The Hessian is at least 1/eps, so eps x the gradient norm bounds
+    the error in g; damped Newton (``_lm_newton``) stops once that is at
+    most G_TOL x max(1, max|f|).  A bound on the raw gradient would not
+    do: the prox term scales its roundoff by 1/eps.
     """
-    m0 = float(g.measure[0])
-    iu, iv, w = _edge_arrays(g)
-    coef = w / m0
-    n = g.n
-
-    def grad_obj(x: np.ndarray) -> np.ndarray:
-        out = (x - f) / eps
-        s = coef * value1(x[iv] - x[iu])
-        np.subtract.at(out, iu, s)
-        np.add.at(out, iv, s)
-        return out
+    D, c = _incidence(g)
 
     def obj(x: np.ndarray) -> float:
-        reg = float(np.sum(coef * prim1(x[iv] - x[iu])))
-        return reg + float(np.sum((x - f) ** 2)) / (2 * eps)
+        return float(c @ phi.primitive(D @ x)) + float(np.sum((x - f) ** 2)) / (2 * eps)
 
-    def hess(xv: np.ndarray) -> np.ndarray:
-        H = np.zeros((n, n))
-        dvals = deriv1(xv[iv] - xv[iu]) * coef
-        np.add.at(H, (iu, iu), dvals)
-        np.add.at(H, (iv, iv), dvals)
-        np.add.at(H, (iu, iv), -dvals)
-        np.add.at(H, (iv, iu), -dvals)
-        H[np.diag_indices(n)] += 1.0 / eps
-        return H
+    def grad_obj(x: np.ndarray) -> np.ndarray:
+        return (x - f) / eps + D.T @ (c * phi(D @ x))
 
-    if iu.size == 0:
-        return f.copy(), 0
-    x = f.copy() if x0 is None else x0.copy()
-    x, reached, steps = _lm_newton(x, obj, grad_obj, hess, grad_tol)
-    if not reached:
-        raise SolverError(
-            f"resolvent inner solver failed to reach gradient norm {grad_tol:g} "
-            f"within {steps} Newton steps")
-    return x, steps
+    def hess(x: np.ndarray) -> np.ndarray:
+        return (D.T * (c * phi.derivative(D @ x))) @ D + np.eye(g.n) / eps
+
+    grad_tol = G_TOL * max(1.0, float(np.max(np.abs(f)))) / eps
+    return _lm_newton(f if x0 is None else x0, obj, grad_obj, hess, grad_tol)
 
 
 def _lm_newton(x, obj, grad_obj, hess, grad_tol):
     """Levenberg-Marquardt damped Newton.
 
     Damping makes every accepted step a descent step, which rides out
-    the large curvature of the regularized 1 < p < 2 kernels near a zero
-    edge gradient; near the optimum the damping vanishes and convergence
-    is quadratic.  At the resolution limit of the objective, steps that
-    still shrink the gradient norm are accepted.  Returns (point,
-    reached, steps_used).
+    the far-from-quadratic start of the p > 2 primal and the 1 < p < 2
+    dual (whose power term has exponent q = p/(p-1), 21 at p = 1.05);
+    near the optimum the damping vanishes and convergence is quadratic.
+    At the resolution limit of the objective, steps that still shrink
+    the gradient norm are accepted.  Returns (point, steps_used) once
+    the gradient norm is at most ``grad_tol``; raises SolverError when
+    no damping gives descent or after ``MAX_INNER`` steps.
     """
     x = x.copy()
     fx = obj(x)
     gx = grad_obj(x)
-    gnorm = float(np.max(np.abs(gx)))
+    gnorm = float(np.abs(gx).max(initial=0.0))
+    eye = np.eye(x.size)
     mu = 0.0
-    for step in range(MAX_INNER):
+    for step in range(MAX_INNER + 1):
         if gnorm <= grad_tol:
-            return x, True, step
+            return x, step
+        if step == MAX_INNER:
+            break
         H = hess(x)
-        base = float(np.max(np.diag(H)))
+        base = float(H.diagonal().max())
         ftol = 1e-14 * max(1.0, abs(fx))
         accepted = False
         for _ in range(60):
             try:
-                direction = np.linalg.solve(H + mu * np.eye(x.size), gx)
+                direction = np.linalg.solve(H + mu * eye, gx)
             except np.linalg.LinAlgError:
                 mu = max(2.0 * mu, 1e-12 * base)
                 continue
             cand = x - direction
             fc = obj(cand)
-            if fc <= fx:
+            if fc <= fx or (fc <= fx + ftol
+                            and float(np.abs(grad_obj(cand)).max()) < gnorm):
+                x, fx, gx = cand, fc, grad_obj(cand)
+                gnorm = float(np.abs(gx).max())
                 accepted = True
-            elif fc <= fx + ftol:
-                gc = grad_obj(cand)
-                if float(np.max(np.abs(gc))) < gnorm:
-                    accepted = True
-            if accepted:
-                x, fx = cand, fc
-                gx = grad_obj(x)
-                gnorm = float(np.max(np.abs(gx)))
                 mu /= 3.0
                 break
             mu = max(10.0 * mu, 1e-12 * base)
             if mu > 1e15 * base:
                 break
         if not accepted:
-            return x, False, step
-    return x, gnorm <= grad_tol, MAX_INNER
+            break
+    raise SolverError(
+        f"resolvent inner solver failed to reach gradient norm {grad_tol:g} "
+        f"within {step} Newton steps")
 
 
 def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolution:
@@ -325,13 +317,9 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
     Signs start from the slopes of f along the edges.
     """
     _require_constant_measure(g, "the p = 1 resolvent")
-    iu, iv, w = _edge_arrays(g)
-    edges = np.arange(iu.size)
-    coef = w / float(g.measure[0])
-    A = np.zeros((g.n, iu.size))
-    A[iu, edges] = eps * coef
-    A[iv, edges] = -eps * coef
-    s = np.sign(f[iv] - f[iu])
+    D, coef = _incidence(g)
+    A = -eps * (D.T * coef)
+    s = np.sign(D @ f)
     free = s == 0
     # g - f = A s moves a vertex by at most eps times its degree
     tol = KKT_TOL * max(float(np.max(np.abs(f))), eps * float(np.max(g.degrees())))
@@ -341,7 +329,7 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
             steps += 1
             # random graphs settle within 1.4 E steps; far past that the
             # active set is cycling on roundoff
-            if steps > 4 * iu.size + 10:
+            if steps > 4 * coef.size + 10:
                 raise SolverError(
                     f"p = 1 active set did not settle within {steps - 1} steps")
             idx = np.flatnonzero(free)
@@ -364,14 +352,14 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
         sol = f + A @ s
         # a bound sign against the slope breaks optimality: free the
         # steepest such edge
-        against = -s * (sol[iv] - sol[iu])
+        against = -s * (D @ sol)
         wrong = ~free & (against > tol)
         if not wrong.any():
             break
         free[int(np.argmax(np.where(wrong, coef * against, 0.0)))] = True
-    selection = np.zeros((g.n, g.n))
-    selection[iu, iv] = s
-    selection[iv, iu] = -s
+    # s_e at (u, v) and -s_e at (v, u)
+    selection = ((D < 0).T * s) @ (D > 0)
+    selection -= selection.T
     achieved = np.sum(g.weights * selection, axis=1) / g.measure
     residual = float(np.max(np.abs(sol - eps * achieved - f)))
     return ResolventSolution(g=sol, residual=residual,
@@ -401,14 +389,23 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
               x0: np.ndarray | None = None) -> ResolventSolution:
     """J_eps f = (id - eps Delta_p)^(-1) f.
 
-    For p = 2 the linear system is solved directly (any vertex measure);
-    the other paths require a constant measure.  ``method`` forces
-    "linear" or "variational" for cross-checking; "auto" picks the
-    linear solve exactly when p = 2.  ``x0`` warm-starts the Newton
-    solves from a nearby solution; the exact p = 1 and p = 2 solves do
-    not use it.  The fixed-point residual
-    ||g - eps Delta_p g - f||_inf is always reported; for p = 1 the
-    solution carries the antisymmetric edge sign selection realizing it.
+    p = 2 solves the linear system (any vertex measure; "linear"); the
+    rest need a constant measure: p > 2 runs damped Newton on the primal
+    ("variational"), 1 < p < 2 on the conjugate dual
+    ("conjugate-dual-newton", see ``_conjugate_dual``), and p = 1 the
+    exact active set ("tv-dual-active-set").  ``method`` forces "linear"
+    or "variational" at p = 2 for cross-checking.  ``x0`` warm-starts
+    the Newton solves from a nearby solution (the dual from
+    s = c phi_p(D x0)); the exact p = 1 and p = 2 solves do not use it.
+
+    The fixed-point residual ||g - eps Delta_p g - f||_inf is always
+    reported; for p = 1 the solution carries the antisymmetric edge sign
+    selection realizing it.  As p -> 1 the residual is ill-conditioned,
+    since |t|^(p-1) has an infinite slope at t = 0: at eps = 0.1 it
+    reaches 1e-5 at p = 1.2 and 5e-2 at p = 1.05 on random graphs whose
+    g is right to 1e-11.  For 1 < p < 2 the dual's stop test is the
+    accuracy statement: |phi_q(s/c) - D g| <= 1e-12 max(1, max|f|) +
+    1e-13 q max|D f| on every edge.
     """
     f = _checked_input(g, f, eps)
     _require_p(p)
@@ -419,7 +416,15 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
 
     if p == 2 and method in ("auto", "linear"):
         A = np.eye(g.n) - eps * laplacian_matrix(g)
-        sol = np.linalg.solve(A, f)
+        if A.max() <= 1e3:
+            sol = np.linalg.solve(A, f)
+        else:
+            # eps deg swamps the identity: J f, the m-weighted mean of f on
+            # each component, lifts the kernel of L to eigenvalue 1 + eps
+            J = np.zeros((g.n, g.n))
+            for comp in connected_components(g):
+                J[np.ix_(comp, comp)] = g.measure[comp] / np.sum(g.measure[comp])
+            sol = np.linalg.solve(A + eps * J, f) + eps / (1.0 + eps) * (J @ f)
         residual = float(np.max(np.abs(sol - eps * laplacian_apply(g, sol) - f)))
         return ResolventSolution(g=sol, residual=residual, method="linear")
 
@@ -428,62 +433,55 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
 
     _require_constant_measure(g, f"the p = {p:g} resolvent")
     if p < 2:
-        sol, iters, method = _solve_subquadratic(g, f, p, eps, x0)
+        sol, _, iters = _conjugate_dual(g, f, p, eps, x0)
+        method = "conjugate-dual-newton"
     else:
-        phi = PhiSpec.power(p)
-        sol, iters = _minimize_prox(
-            g, f, eps, value1=phi, deriv1=phi.derivative, prim1=phi.primitive,
-            x0=x0)
+        sol, iters = _minimize_prox(g, f, eps, PhiSpec.power(p), x0)
         method = "variational"
     residual = float(np.max(np.abs(sol - eps * p_laplacian(g, sol, p) - f)))
     return ResolventSolution(g=sol, residual=residual, iterations=iters,
                              method=method)
 
 
-def _solve_subquadratic(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
-                        x0: np.ndarray | None) -> tuple[np.ndarray, int, str]:
-    """1 < p < 2 by a regularized-kernel homotopy.
+def _conjugate_dual(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
+                    x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """1 < p < 2: the prox from its Fenchel-Rockafellar dual.
 
-    The exact kernel |t|^(p-2) t has unbounded curvature at 0, which
-    makes Newton crawl whenever an edge gradient sits near zero; the
-    regularization t (t^2 + delta^2)^((p-2)/2) bounds it by
-    delta^(p-2).  Driving delta to 1e-15 keeps the kernel error
-    O(delta^(p-1)) below 1e-9, negligible against the residual budget.
+    With c_e = w_e / m0, q = p/(p - 1) and (D x)_e = x_v - x_u on each
+    edge e = (u, v), J_eps f = f - eps D^T s, where s minimizes
+    sum_e c_e |s_e/c_e|^q / q - <s, D f> + eps ||D^T s||^2 / 2
+    (Rockafellar, Convex Analysis, Section 31).  The power term is taken
+    in sigma = s/c, since c^(1-q) overflows for q near 20; the gradient
+    phi_q(sigma) - D g is then in edge-gradient units, and the Hessian
+    eps D D^T + diag((q - 1) |sigma|^(q-2) / c) stays bounded on flat
+    edges, where the primal curvature |t|^(p-2) does not.  The start,
+    x0 or else f, maps to s = c phi_p(D x0).  t = phi_q(sigma) carries
+    about q ulps of relative error, so the stop test scales with q and
+    with the size of the edge gradients.  Returns (g, s, Newton steps).
     """
-    def stage(dl: float):
-        def val(t, dl=dl):
-            return t * (t * t + dl * dl) ** ((p - 2.0) / 2.0)
+    D, c = _incidence(g)
+    q = p / (p - 1.0)
+    phi_q = PhiSpec.power(q)
+    df = D @ f
+    gram = eps * (D @ D.T)
 
-        def der(t, dl=dl):
-            return ((t * t + dl * dl) ** ((p - 4.0) / 2.0)
-                    * ((p - 1.0) * t * t + dl * dl))
+    def obj(s: np.ndarray) -> float:
+        u = s @ D
+        return float(c @ phi_q.primitive(s / c) - s @ df + eps * (u @ u) / 2)
 
-        def prim(t, dl=dl):
-            return ((t * t + dl * dl) ** (p / 2.0) - dl ** p) / p
+    def grad(s: np.ndarray) -> np.ndarray:
+        return phi_q(s / c) - df + gram @ s
 
-        return val, der, prim
+    def hess(s: np.ndarray) -> np.ndarray:
+        return gram + np.diag(phi_q.derivative(s / c) / c)
 
-    if x0 is not None:
-        # a warm start usually lands straight in the final stage's basin
-        val, der, prim = stage(1e-15)
-        try:
-            sol, it = _minimize_prox(g, f, eps, value1=val, deriv1=der,
-                                     prim1=prim, x0=x0)
-            return sol, it, "regularized-variational"
-        except SolverError:
-            pass
-    sol = f.copy() if x0 is None else x0.copy()
-    iters = 0
-    delta = 1e-2
-    while True:
-        val, der, prim = stage(delta)
-        stage_tol = GRAD_TOL if delta <= 1e-15 else 1e-8
-        sol, it = _minimize_prox(g, f, eps, value1=val, deriv1=der, prim1=prim,
-                                 grad_tol=stage_tol, x0=sol)
-        iters += it
-        if delta <= 1e-15:
-            return sol, iters, "regularized-variational"
-        delta = max(delta * 1e-2, 1e-15)
+    s0 = c * PhiSpec.power(p)(D @ (f if x0 is None else x0))
+    tol = (1e-12 * max(1.0, float(np.abs(f).max()))
+           + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
+    # a trial step far out overflows |sigma|^q; the damping rejects it
+    with np.errstate(over="ignore"):
+        s, steps = _lm_newton(s0, obj, grad, hess, tol)
+    return f - eps * (s @ D), s, steps
 
 
 def resolvent_phi(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
@@ -493,8 +491,7 @@ def resolvent_phi(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
     if phi.kind == "p-power":
         return resolvent(g, f, phi.p, eps)
     _require_constant_measure(g, "the Delta_phi resolvent")
-    sol, iters = _minimize_prox(
-        g, f, eps, value1=phi, deriv1=phi.derivative, prim1=phi.primitive)
+    sol, iters = _minimize_prox(g, f, eps, phi)
     residual = float(np.max(np.abs(sol - eps * phi_laplacian(g, sol, phi) - f)))
     return ResolventSolution(g=sol, residual=residual, iterations=iters,
                              method="variational")

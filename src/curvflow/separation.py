@@ -42,7 +42,7 @@ from .graphs import (
     laplacian_apply,
     shortest_path_metric,
 )
-from .plaplace import PhiSpec, p_laplacian, resolvent
+from .plaplace import PhiSpec, resolvent
 from .transport import ProbMeasure, _plan_potential, wasserstein
 
 __all__ = [
@@ -366,9 +366,11 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
         s_h = lipschitz_extend(part, d, sol.g[ks], validate=False)
         stage.update(defect=float(np.max(np.abs(sol.g - s_h))), residual=sol.residual)
 
-    # the last stage's solve: h = J_eps S f~ and the g in Delta_p(h) it selects
+    # the last stage's solve: h = J_eps S f~ and the g in Delta_p(h) it
+    # selects, read from the solve (Delta_p h itself is ill-conditioned
+    # near flat edges as p approaches 1)
     h = sol.g
-    g_sub = (h - s_ftilde) / eps_k if p == 1 else p_laplacian(g, h, p)
+    g_sub = (h - s_ftilde) / eps_k
     constant, spread, sign_min_x, sign_max_y = _k_statistics(part, g_sub)
     coeff = max(s["defect"] / s["eps"] for s in stages)
     return SeparationPResult(

@@ -8,10 +8,11 @@ cost-blind northwest-corner start instead of the least-cost one, the
 limit-free Lin-Lu-Yau LP over potentials (scipy's HiGHS, skipped without
 scipy) instead of the slope of a transport tree, scipy's bounded least
 squares on the p = 1 resolvent's dual instead of its own active set,
-per-pair LPs over f for Ric_r instead of Kantorovich potentials, a per-edge scan of
-adjacent lengths instead of per-vertex minima, a triple loop over every
-triangle instead of blocks of k, plain power iteration, and finite
-differences.  None of it shares code with the implementation paths
+the primal regularized-kernel homotopy for 1 < p < 2 instead of its
+conjugate dual, per-pair LPs over f for Ric_r instead of Kantorovich
+potentials, a per-edge scan of adjacent lengths instead of per-vertex
+minima, a triple loop over every triangle instead of blocks of k, plain
+power iteration, and finite differences.  None of it shares code with the implementation paths
 it checks.
 """
 
@@ -230,6 +231,64 @@ def tv_resolvent_dual(g, f: np.ndarray, eps: float) -> np.ndarray:
     B = np.column_stack(cols)
     s = lsq_linear(B, -f, bounds=(-1.0, 1.0), method="bvls", tol=1e-15).x
     return f + B @ s
+
+
+def regularized_homotopy_resolvent(g, f: np.ndarray, p: float, eps: float):
+    """The 1 < p < 2 resolvent by the primal route: damped Newton on
+    sum_e c_e Prim(g_v - g_u) + ||g - f||^2 / (2 eps), c_e = w_e / m,
+    with the regularized kernel t (t^2 + delta^2)^((p-2)/2) and delta
+    driven from 1e-2 down to 1e-15 (constant measure).  The kernel's
+    curvature grows like delta^(p-2) on flat edges, where Newton can
+    stall; the result is None then."""
+    f = np.asarray(f, dtype=float)
+    edges = [(u, v, g.weights[u, v] / g.measure[u])
+             for u, v in itertools.combinations(range(g.n), 2) if g.weights[u, v] > 0]
+    if not edges:
+        return f.copy()
+    iu, iv, c = (np.array(a) for a in zip(*edges))
+    iu, iv = iu.astype(int), iv.astype(int)
+    incidence = np.zeros((len(edges), g.n))
+    incidence[np.arange(len(edges)), iv] = 1.0
+    incidence[np.arange(len(edges)), iu] = -1.0
+
+    def newton(x, dl, tol):
+        def obj(y):
+            t = incidence @ y
+            prim = ((t * t + dl * dl) ** (p / 2) - dl ** p) / p
+            return float(c @ prim + np.sum((y - f) ** 2) / (2 * eps))
+
+        def grad(y):
+            t = incidence @ y
+            return incidence.T @ (c * t * (t * t + dl * dl) ** ((p - 2) / 2)) + (y - f) / eps
+
+        mu, fx, gx = 0.0, obj(x), grad(x)
+        for _ in range(200):
+            if np.max(np.abs(gx)) <= tol:
+                return x
+            t = incidence @ x
+            curv = (t * t + dl * dl) ** ((p - 4) / 2) * ((p - 1) * t * t + dl * dl)
+            H = incidence.T @ (c[:, None] * curv[:, None] * incidence) + np.eye(g.n) / eps
+            base = float(np.max(np.diag(H)))
+            for _ in range(60):
+                cand = x - np.linalg.solve(H + mu * np.eye(g.n), gx)
+                fc = obj(cand)
+                if fc <= fx or (fc <= fx + 1e-14 * max(1.0, abs(fx))
+                                and np.max(np.abs(grad(cand))) < np.max(np.abs(gx))):
+                    x, fx, gx, mu = cand, fc, grad(cand), mu / 3
+                    break
+                mu = max(10 * mu, 1e-12 * base)
+                if mu > 1e15 * base:
+                    return None
+            else:
+                return None
+        return x if np.max(np.abs(gx)) <= tol else None
+
+    x = f.copy()
+    for dl in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15):
+        x = newton(x, dl, 1e-10 if dl == 1e-15 else 1e-8)
+        if x is None:
+            return None
+    return x
 
 
 class LPResult(NamedTuple):

@@ -173,6 +173,16 @@ def test_resolvent_command_p1_is_exact(triangle, capsys):
     assert selection.shape == (3, 3) and np.all(selection == -selection.T)
 
 
+@pytest.mark.parametrize("eps", ["1e-9", "1e-12", "1e-20", "1e-97"])
+def test_resolvent_command_p3_at_small_eps(square, capsys, eps):
+    # the Newton stop test once bounded the raw gradient, whose roundoff
+    # the prox term scales by 1/eps: these exited 5
+    code = main(["resolvent", square[0], "--f", "0,1,2,0.5", "--p", "3", "--eps", eps])
+    assert code == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert np.max(np.abs(np.array(results["g"]) - [0, 1, 2, 0.5])) <= 1e-8
+
+
 @pytest.mark.parametrize("doc", [
     {"X": ["a"], "K": [1], "Y": [2]}, {"X": [[0]], "K": [1], "Y": [2]},
     {"X": [0], "K": [1], "Y": 2}, {"X": [0], "K": [1.0], "Y": [2]}])
@@ -698,3 +708,48 @@ def test_separation_documents_end_in_a_documented_exit(tmp_path_factory, doc, mo
     assert ("error" in result) == (code in (2, 4, 5))
     if code in (0, 3):
         assert result["results"]["status"]
+
+
+# ---------------------------------------------------------------------------
+# failure surface: the resolvent command
+
+
+@st.composite
+def _resolvent_documents(draw):
+    """A graph document with up to five vertices, any edge set and a
+    constant measure, with f in [-1e3, 1e3] on its vertices."""
+    n = draw(st.integers(1, 5))
+    weight = st.floats(0.1, 10.0)
+    edges = [{"u": u, "v": v, "w": draw(weight), "len": 1.0}
+             for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    doc = {"vertices": n, "edges": edges, "measure": [draw(st.floats(0.5, 5.0))] * n}
+    f = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return doc, f
+
+
+def _run_resolvent(work, doc, f, p, eps):
+    graph, out = work / "g.json", work / "out.json"
+    graph.write_text(json.dumps(doc))
+    code = main(["resolvent", str(graph), "--f=" + ",".join(map(repr, f)),
+                 f"--p={p!r}", f"--eps={eps!r}", "-o", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_resolvent_documents(), p=st.floats(1.0, 2.0), eps=st.floats(1e-12, 1e2))
+def test_resolvent_documents_up_to_p_two_solve(tmp_path_factory, case, p, eps):
+    code, result = _run_resolvent(tmp_path_factory.mktemp("res"), *case, p, eps)
+    assert code == 0, result.get("error")
+    assert np.all(np.isfinite(result["results"]["g"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_resolvent_documents(), p=st.floats(2.0, 4.0, exclude_min=True),
+       eps=st.floats(1e-12, 1e2))
+def test_resolvent_documents_above_p_two_solve_or_report(tmp_path_factory, case, p, eps):
+    code, result = _run_resolvent(tmp_path_factory.mktemp("res"), *case, p, eps)
+    assert code in (0, 5)
+    if code == 0:
+        assert np.all(np.isfinite(result["results"]["g"]))
+    else:
+        assert result["error"]

@@ -231,6 +231,16 @@ def test_p_flow_defect_decays_linearly():
         assert res.spread_on_k < 1e-7
 
 
+def test_p_flow_at_p_1_5_converges_on_a_near_flat_input():
+    # the primal resolvent failed at chain step 402 of the first stage,
+    # whose input has two edges flat to 5.8e-8
+    g = cycle_graph(5, weight=1.0, measure=2.134575843061704)
+    part = cycle_partition(g)
+    res = separation_flow_p(g, part, 1.5, eps=0.1, f0=np.array([0.0, 0.820466237994694]))
+    assert res.status == CONVERGED and len(res.stages) == 6
+    assert res.spread_on_k < 1e-7
+
+
 def test_p_flow_p1_membership_of_g_sub():
     g = cycle_graph(4)
     part = cycle_partition(g)
