@@ -3,18 +3,13 @@ Lipschitz-decay estimate for their resolvents.
 
 The resolvent J_eps = (id - eps Delta_p)^(-1) is computed variationally:
 with a constant vertex measure, Delta_p is -1/p times the gradient of
-the energy, so J_eps f minimizes E_p(g)/p + ||g - f||^2 / (2 eps).  How
-it is solved depends on p:
-
-- p > 2: damped Newton on that primal problem;
-- p = 2: the linear system (id - eps Delta) g = f, for any vertex
-  measure;
-- 1 < p < 2: damped Newton on the Fenchel-Rockafellar dual, a smooth
-  problem in one variable per edge whose Hessian stays bounded where
-  the primal curvature |t|^(p-2) blows up;
-- p = 1: the set-valued case, exactly: its dual is a box-constrained
-  least-squares problem in the edge signs, solved by a finite active
-  set, and the optimal signs are the edge sign selection.
+the energy, so J_eps f minimizes E_p(g)/p + ||g - f||^2 / (2 eps).
+p > 2 runs damped Newton on that problem; p = 2 solves (id - eps Delta)
+g = f for any measure; 1 < p < 2 runs damped Newton on the Fenchel-
+Rockafellar dual, one variable per edge with a Hessian that stays
+bounded where the primal curvature |t|^(p-2) blows up; the set-valued
+p = 1 solves its box-constrained dual in the edge signs by a finite
+active set, and the optimal signs are the edge sign selection.
 """
 
 from __future__ import annotations
@@ -49,13 +44,13 @@ __all__ = [
     "lipschitz_decay_bound",
 ]
 
-# the primal Newton stops when eps x its gradient norm, which bounds the
-# error in g, is below G_TOL x max(1, max|f|)
+# error in g allowed to the primal Newton, relative to max(1, max|f|)
 G_TOL = 1e-11
-# damped Newton steps per inner solve: random graphs need up to 26 at
-# p = 1.05, and the 1 < p < 2 dual about 15 more per decade of
-# q = p/(p - 1), up to 265 at p = 1 + 1e-10
-MAX_INNER = 400
+# Fenchel gap certifying the dual's g, relative to max(1, primal objective)
+GAP_TOL = 1e-12
+# damped Newton steps per inner solve (random graphs need up to about 30
+# at 1 < p < 2; p > 2 at eps = 1e100 about 190)
+MAX_INNER = 200
 # optimality slack of the p = 1 active set, relative to the scale of g
 KKT_TOL = 1e-13
 CONST_MEASURE_TOL = 1e-12
@@ -215,81 +210,103 @@ class ResolventSolution:
 # inner solvers
 
 
-def _incidence(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(D, c): (D x)_e = x_v - x_u on each edge e = (u, v), u < v, in
-    row-major order, and c_e = w_e / m0 (constant measure)."""
+def _edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(iu, iv, c): the edges (u, v), u < v, in row-major order, and
+    c_e = w_e / m0 (constant measure)."""
     iu, iv = np.nonzero(np.triu(g.weights, k=1) > 0)
-    D = np.zeros((iu.size, g.n))
-    D[np.arange(iu.size), iv] = 1.0
-    D[np.arange(iu.size), iu] = -1.0
-    return D, g.weights[iu, iv] / float(g.measure[0])
+    return iu, iv, g.weights[iu, iv] / float(g.measure[0])
 
 
 def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float, phi: PhiSpec,
                    x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Minimize sum_e c_e Prim(D g)_e + ||g - f||^2 / (2 eps), where Prim
-    is phi's primitive (the p >= 2 powers and custom phi).
+    """Minimize sum_e c_e Prim(g_v - g_u) + ||g - f||^2 / (2 eps), Prim
+    phi's primitive (the p > 2 powers and custom phi), by ``_lm_newton``.
 
-    The Hessian is at least 1/eps, so eps x the gradient norm bounds
-    the error in g; damped Newton (``_lm_newton``) stops once that is at
-    most G_TOL x max(1, max|f|).  A bound on the raw gradient would not
-    do: the prox term scales its roundoff by 1/eps.
+    It stops once eps |grad| (a bound on the error in g, as the Hessian
+    H >= I/eps) or (1 + mu eps) ||d|| for the last step d, taken with
+    damping mu (a bound on the Newton step H^-1 grad, the error near the
+    optimum) is at most G_TOL max(1, max|f|).  The raw gradient's
+    roundoff scales with 1/eps, and eps |grad| alone overstates the
+    error wherever the energy's Hessian dwarfs 1/eps.
     """
-    D, c = _incidence(g)
-
-    def obj(x: np.ndarray) -> float:
-        return float(c @ phi.primitive(D @ x)) + float(np.sum((x - f) ** 2)) / (2 * eps)
+    iu, iv, c = _edges(g)
+    n = g.n
 
     def grad_obj(x: np.ndarray) -> np.ndarray:
-        return (x - f) / eps + D.T @ (c * phi(D @ x))
+        s = c * phi(x[iv] - x[iu])
+        return (x - f) / eps + np.bincount(iv, s, n) - np.bincount(iu, s, n)
+
+    def obj(x: np.ndarray) -> float:
+        r = x - f
+        return float(c @ phi.primitive(x[iv] - x[iu])) + float(r @ r) / (2 * eps)
 
     def hess(x: np.ndarray) -> np.ndarray:
-        return (D.T * (c * phi.derivative(D @ x))) @ D + np.eye(g.n) / eps
+        H = np.zeros((n, n))
+        dvals = phi.derivative(x[iv] - x[iu]) * c
+        H[iu, iv] = H[iv, iu] = -dvals
+        np.fill_diagonal(H, np.bincount(iu, dvals, n) + np.bincount(iv, dvals, n) + 1.0 / eps)
+        return H
 
-    grad_tol = G_TOL * max(1.0, float(np.max(np.abs(f)))) / eps
-    return _lm_newton(f if x0 is None else x0, obj, grad_obj, hess, grad_tol)
+    tol = G_TOL * max(1.0, float(np.max(np.abs(f))))
+
+    def converged(x: np.ndarray, gx: np.ndarray, last) -> bool:
+        return eps * float(np.abs(gx).max()) <= tol or (
+            last is not None
+            and (1.0 + last[1] * eps) * float(np.linalg.norm(last[0])) <= tol)
+
+    return _lm_newton(f if x0 is None else x0, obj, grad_obj, hess, converged)
 
 
-def _lm_newton(x, obj, grad_obj, hess, grad_tol):
+def _lm_newton(x, obj, grad_obj, hess, converged):
     """Levenberg-Marquardt damped Newton.
 
-    Damping makes every accepted step a descent step, which rides out
-    the far-from-quadratic start of the p > 2 primal and the 1 < p < 2
-    dual (whose power term has exponent q = p/(p-1), 21 at p = 1.05);
-    near the optimum the damping vanishes and convergence is quadratic.
-    At the resolution limit of the objective, steps that still shrink
-    the gradient norm are accepted.  Returns (point, steps_used) once
-    the gradient norm is at most ``grad_tol``; raises SolverError when
-    no damping gives descent or after ``MAX_INNER`` steps.
+    Damping makes every accepted step descend through the far-from-
+    quadratic start of the p > 2 primal and the 1 < p < 2 dual (power
+    q = p/(p-1)) and vanishes near the optimum.  A rejected step is
+    halved before the damping grows, which would linger: a step into the
+    wall of the dual's |sigma|^q needs only shortening.  At the
+    objective's resolution limit, steps that shrink the gradient norm
+    count.  Returns (point, steps) once ``converged(x, gradient, last)``
+    holds, ``last`` being the (direction, damping) of the step to x or
+    None; raises SolverError when no damping descends or after
+    ``MAX_INNER`` steps.
     """
     x = x.copy()
     fx = obj(x)
     gx = grad_obj(x)
     gnorm = float(np.abs(gx).max(initial=0.0))
-    eye = np.eye(x.size)
     mu = 0.0
+    last = None
     for step in range(MAX_INNER + 1):
-        if gnorm <= grad_tol:
+        if converged(x, gx, last):
             return x, step
         if step == MAX_INNER:
             break
         H = hess(x)
-        base = float(H.diagonal().max())
+        diag = H.diagonal().copy()
+        base = float(diag.max())
         ftol = 1e-14 * max(1.0, abs(fx))
         accepted = False
         for _ in range(60):
+            np.fill_diagonal(H, diag + mu)
             try:
-                direction = np.linalg.solve(H + mu * eye, gx)
+                direction = np.linalg.solve(H, gx)
             except np.linalg.LinAlgError:
                 mu = max(2.0 * mu, 1e-12 * base)
                 continue
-            cand = x - direction
-            fc = obj(cand)
-            if fc <= fx or (fc <= fx + ftol
-                            and float(np.abs(grad_obj(cand)).max()) < gnorm):
+            length = 1.0
+            for _ in range(30):
+                cand = x - length * direction
+                fc = obj(cand)
+                if fc <= fx or (fc <= fx + ftol
+                                and float(np.abs(grad_obj(cand)).max()) < gnorm):
+                    accepted = True
+                    break
+                length /= 2.0
+            if accepted:
                 x, fx, gx = cand, fc, grad_obj(cand)
                 gnorm = float(np.abs(gx).max())
-                accepted = True
+                last = (direction, mu)
                 mu /= 3.0
                 break
             mu = max(10.0 * mu, 1e-12 * base)
@@ -298,8 +315,7 @@ def _lm_newton(x, obj, grad_obj, hess, grad_tol):
         if not accepted:
             break
     raise SolverError(
-        f"resolvent inner solver failed to reach gradient norm {grad_tol:g} "
-        f"within {step} Newton steps")
+        f"resolvent inner solver did not converge within {step} Newton steps")
 
 
 def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolution:
@@ -317,9 +333,9 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
     Signs start from the slopes of f along the edges.
     """
     _require_constant_measure(g, "the p = 1 resolvent")
-    D, coef = _incidence(g)
-    A = -eps * (D.T * coef)
-    s = np.sign(D @ f)
+    iu, iv, coef = _edges(g)
+    A = eps * coef * (np.eye(g.n)[:, iu] - np.eye(g.n)[:, iv])
+    s = np.sign(f[iv] - f[iu])
     free = s == 0
     # g - f = A s moves a vertex by at most eps times its degree
     tol = KKT_TOL * max(float(np.max(np.abs(f))), eps * float(np.max(g.degrees())))
@@ -329,7 +345,7 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
             steps += 1
             # random graphs settle within 1.4 E steps; far past that the
             # active set is cycling on roundoff
-            if steps > 4 * coef.size + 10:
+            if steps > 4 * iu.size + 10:
                 raise SolverError(
                     f"p = 1 active set did not settle within {steps - 1} steps")
             idx = np.flatnonzero(free)
@@ -352,14 +368,14 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
         sol = f + A @ s
         # a bound sign against the slope breaks optimality: free the
         # steepest such edge
-        against = -s * (D @ sol)
+        against = -s * (sol[iv] - sol[iu])
         wrong = ~free & (against > tol)
         if not wrong.any():
             break
         free[int(np.argmax(np.where(wrong, coef * against, 0.0)))] = True
-    # s_e at (u, v) and -s_e at (v, u)
-    selection = ((D < 0).T * s) @ (D > 0)
-    selection -= selection.T
+    selection = np.zeros((g.n, g.n))
+    selection[iu, iv] = s
+    selection[iv, iu] = -s
     achieved = np.sum(g.weights * selection, axis=1) / g.measure
     residual = float(np.max(np.abs(sol - eps * achieved - f)))
     return ResolventSolution(g=sol, residual=residual,
@@ -392,20 +408,19 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
     p = 2 solves the linear system (any vertex measure; "linear"); the
     rest need a constant measure: p > 2 runs damped Newton on the primal
     ("variational"), 1 < p < 2 on the conjugate dual
-    ("conjugate-dual-newton", see ``_conjugate_dual``), and p = 1 the
-    exact active set ("tv-dual-active-set").  ``method`` forces "linear"
-    or "variational" at p = 2 for cross-checking.  ``x0`` warm-starts
-    the Newton solves from a nearby solution (the dual from
-    s = c phi_p(D x0)); the exact p = 1 and p = 2 solves do not use it.
+    ("conjugate-dual-newton"), p = 1 the exact active set
+    ("tv-dual-active-set").  ``method`` forces "linear" or "variational"
+    at p = 2 for cross-checking.  ``x0`` warm-starts the Newton solves
+    (the dual from s = c phi_p(D x0), except near p = 1; see
+    ``_conjugate_dual``); the exact p = 1 and p = 2 solves ignore it.
 
     The fixed-point residual ||g - eps Delta_p g - f||_inf is always
     reported; for p = 1 the solution carries the antisymmetric edge sign
     selection realizing it.  As p -> 1 the residual is ill-conditioned,
-    since |t|^(p-1) has an infinite slope at t = 0: at eps = 0.1 it
-    reaches 1e-5 at p = 1.2 and 5e-2 at p = 1.05 on random graphs whose
-    g is right to 1e-11.  For 1 < p < 2 the dual's stop test is the
-    accuracy statement: |phi_q(s/c) - D g| <= 1e-12 max(1, max|f|) +
-    1e-13 q max|D f| on every edge.
+    |t|^(p-1) having an infinite slope at 0: at eps = 0.1 it reaches
+    5e-2 at p = 1.05 on random graphs whose g is right to 1e-11.  For
+    1 < p < 2 the accuracy statement is the Fenchel duality gap, which
+    every returned g meets.
     """
     f = _checked_input(g, f, eps)
     _require_p(p)
@@ -419,8 +434,8 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
         if A.max() <= 1e3:
             sol = np.linalg.solve(A, f)
         else:
-            # eps deg swamps the identity: J f, the m-weighted mean of f on
-            # each component, lifts the kernel of L to eigenvalue 1 + eps
+            # eps deg swamps the identity: J, the m-weighted mean on each
+            # component, lifts the kernel of L to eigenvalue 1 + eps
             J = np.zeros((g.n, g.n))
             for comp in connected_components(g):
                 J[np.ix_(comp, comp)] = g.measure[comp] / np.sum(g.measure[comp])
@@ -451,19 +466,28 @@ def _conjugate_dual(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
     edge e = (u, v), J_eps f = f - eps D^T s, where s minimizes
     sum_e c_e |s_e/c_e|^q / q - <s, D f> + eps ||D^T s||^2 / 2
     (Rockafellar, Convex Analysis, Section 31).  The power term is taken
-    in sigma = s/c, since c^(1-q) overflows for q near 20; the gradient
-    phi_q(sigma) - D g is then in edge-gradient units, and the Hessian
+    in sigma = s/c (c^(1-q) overflows for q near 20), so the gradient
+    phi_q(sigma) - D g is in edge-gradient units and the Hessian
     eps D D^T + diag((q - 1) |sigma|^(q-2) / c) stays bounded on flat
-    edges, where the primal curvature |t|^(p-2) does not.  The start,
-    x0 or else f, maps to s = c phi_p(D x0).  t = phi_q(sigma) carries
-    about q ulps of relative error, so the stop test scales with q and
-    with the size of the edge gradients.  Returns (g, s, Newton steps).
+    edges.  The start is s = c phi_p(D x0), x0 defaulting to f; within
+    1e-6 of p = 1, where phi_p sends flat edges into the wall of
+    |sigma|^q, it is the p = 1 signs, the q -> oo limit.  Newton stops
+    when the gradient is at most 1e-12 max(1, max|f|) + 1e-13 q max|D f|
+    (phi_q(sigma) carries about q ulps of error) and the Fenchel gap
+    P(g) + D(s) = sum_e c_e (|t_e|^p/p + |sigma_e|^q/q - sigma_e t_e),
+    t = D g, which bounds ||g - J_eps f||^2 / (2 eps), is at most
+    GAP_TOL max(1, P(g)) plus 1e-14 sum_e |s_e| max_v (|f_v| +
+    eps sum_{e at v} |s_e|), the roundoff of g; SolverError otherwise.
+    The E x E Newton system makes the cost grow like E^3 and the memory
+    like E^2: this suits sparse graphs.  Returns (g, s, Newton steps).
     """
-    D, c = _incidence(g)
+    iu, iv, c = _edges(g)
+    D = np.eye(g.n)[iv] - np.eye(g.n)[iu]
     q = p / (p - 1.0)
-    phi_q = PhiSpec.power(q)
+    phi_p, phi_q = PhiSpec.power(p), PhiSpec.power(q)
     df = D @ f
     gram = eps * (D @ D.T)
+    gram_diag, abs_d = gram.diagonal().copy(), np.abs(D)
 
     def obj(s: np.ndarray) -> float:
         u = s @ D
@@ -473,14 +497,30 @@ def _conjugate_dual(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
         return phi_q(s / c) - df + gram @ s
 
     def hess(s: np.ndarray) -> np.ndarray:
-        return gram + np.diag(phi_q.derivative(s / c) / c)
+        H = gram.copy()
+        np.fill_diagonal(H, gram_diag + phi_q.derivative(s / c) / c)
+        return H
 
-    s0 = c * PhiSpec.power(p)(D @ (f if x0 is None else x0))
-    tol = (1e-12 * max(1.0, float(np.abs(f).max()))
-           + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
+    grad_tol = (1e-12 * max(1.0, float(np.abs(f).max()))
+                + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
+
+    def converged(s: np.ndarray, gs: np.ndarray, last) -> bool:
+        if float(np.abs(gs).max(initial=0.0)) > grad_tol:
+            return False
+        sigma, u = s / c, s @ D
+        t = D @ (f - eps * u)
+        energy = float(c @ phi_p.primitive(t))
+        gap = energy + float(c @ (phi_q.primitive(sigma) - sigma * t))
+        floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
+        return gap <= GAP_TOL * max(1.0, energy + eps * (u @ u) / 2) + 1e-14 * floor
+
+    if p - 1.0 <= 1e-6:
+        s0 = c * _resolvent_tv(g, f, eps).subgradient_selection[iu, iv]
+    else:
+        s0 = c * phi_p(D @ (f if x0 is None else x0))
     # a trial step far out overflows |sigma|^q; the damping rejects it
     with np.errstate(over="ignore"):
-        s, steps = _lm_newton(s0, obj, grad, hess, tol)
+        s, steps = _lm_newton(s0, obj, grad, hess, converged)
     return f - eps * (s @ D), s, steps
 
 

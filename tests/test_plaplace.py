@@ -308,6 +308,23 @@ def test_subquadratic_resolvent_warm_and_cold_agree():
             assert np.max(np.abs(warm.g - cold.g)) <= 1e-11
 
 
+@pytest.mark.parametrize("p", [np.nextafter(1.0, 2.0), 1 + 1e-12, 1 + 1e-8, 1 + 1e-6])
+def test_subquadratic_resolvent_near_p_one_approaches_the_tv_prox(p):
+    # J_p f - J_1 f is about 0.9 (p - 1) max(1, max|f|) on these inputs;
+    # a stop test that loosened with q = p/(p - 1) once returned a plain
+    # explicit step here, up to 55 max(1, max|f|) away from J_1 f
+    for k in range(60):
+        rng = np.random.default_rng([8, k])
+        n = int(rng.integers(2, 20))
+        g = random_graph_const_measure(rng, n)
+        eps = 10 ** rng.uniform(-12, 2)
+        f = rng.uniform(-1, 1, n) * 10 ** rng.uniform(0, 3)
+        scale = max(1.0, float(np.max(np.abs(f))))
+        sol = resolvent(g, f, p, eps)
+        tv = resolvent(g, f, 1, eps)
+        assert np.max(np.abs(sol.g - tv.g)) <= (2 * (p - 1) + 1e-12) * scale, k
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("bad,message", BAD_INPUTS)
 def test_resolvent_rejects_non_finite_or_out_of_range_input(p, bad, message):
