@@ -251,9 +251,16 @@ def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
         parts = arg.split(",") + [""]
         p = _number(parts[0], 2.0, spec)
         eps = _number(parts[1], 0.1, spec)
+        # built at the first apply, after f's check: errors keep resolvent()'s order
+        solver = functools.cache(lambda: plaplace._Resolvent(graph, p, eps))
+
+        def apply(f: np.ndarray) -> np.ndarray:
+            f = plaplace._checked_input(graph, f, eps)
+            return solver().solve(f)[0]
+
         return chains.ChainOperator(
             dimension=graph.n,
-            apply=lambda f: plaplace.resolvent(graph, f, p, eps).g,
+            apply=apply,
             declared={"monotone": None, "constant-additive": None,
                       "non-expansive": None},
             name=f"resolvent(p={p:g}, eps={eps:g})")

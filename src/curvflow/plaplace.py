@@ -61,6 +61,11 @@ def _require_p(p: float) -> None:
         raise ValidationError(f"p must be finite and at least 1, got {p}")
 
 
+def _require_eps(eps: float) -> None:
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
+
+
 @dataclass(frozen=True, eq=False)
 class PhiSpec:
     """Odd increasing nonlinearity, convex or concave on the positives.
@@ -217,10 +222,10 @@ def _edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, iv, g.weights[iu, iv] / float(g.measure[0])
 
 
-def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float, phi: PhiSpec,
-                   x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Minimize sum_e c_e Prim(g_v - g_u) + ||g - f||^2 / (2 eps), Prim
-    phi's primitive (the p > 2 powers and custom phi), by ``_lm_newton``.
+def _minimize_prox(g: WeightedGraph, eps: float, phi: PhiSpec):
+    """solve(f, x0) = (argmin sum_e c_e Prim(g_v - g_u) + ||g - f||^2 /
+    (2 eps), Newton steps, None), Prim phi's primitive (the p > 2 powers
+    and custom phi), by ``_lm_newton``.
 
     It stops once eps |grad| (a bound on the error in g, as the Hessian
     H >= I/eps) or (1 + mu eps) ||d|| for the last step d, taken with
@@ -232,14 +237,6 @@ def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float, phi: PhiSpec,
     iu, iv, c = _edges(g)
     n = g.n
 
-    def grad_obj(x: np.ndarray) -> np.ndarray:
-        s = c * phi(x[iv] - x[iu])
-        return (x - f) / eps + np.bincount(iv, s, n) - np.bincount(iu, s, n)
-
-    def obj(x: np.ndarray) -> float:
-        r = x - f
-        return float(c @ phi.primitive(x[iv] - x[iu])) + float(r @ r) / (2 * eps)
-
     def hess(x: np.ndarray) -> np.ndarray:
         H = np.zeros((n, n))
         dvals = phi.derivative(x[iv] - x[iu]) * c
@@ -247,14 +244,25 @@ def _minimize_prox(g: WeightedGraph, f: np.ndarray, eps: float, phi: PhiSpec,
         np.fill_diagonal(H, np.bincount(iu, dvals, n) + np.bincount(iv, dvals, n) + 1.0 / eps)
         return H
 
-    tol = G_TOL * max(1.0, float(np.max(np.abs(f))))
+    def solve(f: np.ndarray, x0: np.ndarray | None = None):
+        def grad_obj(x: np.ndarray) -> np.ndarray:
+            s = c * phi(x[iv] - x[iu])
+            return (x - f) / eps + np.bincount(iv, s, n) - np.bincount(iu, s, n)
 
-    def converged(x: np.ndarray, gx: np.ndarray, last) -> bool:
-        return eps * float(np.abs(gx).max()) <= tol or (
-            last is not None
-            and (1.0 + last[1] * eps) * float(np.linalg.norm(last[0])) <= tol)
+        def obj(x: np.ndarray) -> float:
+            r = x - f
+            return float(c @ phi.primitive(x[iv] - x[iu])) + float(r @ r) / (2 * eps)
 
-    return _lm_newton(f if x0 is None else x0, obj, grad_obj, hess, converged)
+        tol = G_TOL * max(1.0, float(np.max(np.abs(f))))
+
+        def converged(x: np.ndarray, gx: np.ndarray, last) -> bool:
+            return eps * float(np.abs(gx).max()) <= tol or (
+                last is not None
+                and (1.0 + last[1] * eps) * float(np.linalg.norm(last[0])) <= tol)
+
+        return *_lm_newton(f if x0 is None else x0, obj, grad_obj, hess, converged), None
+
+    return solve
 
 
 def _lm_newton(x, obj, grad_obj, hess, converged):
@@ -318,8 +326,8 @@ def _lm_newton(x, obj, grad_obj, hess, converged):
         f"resolvent inner solver did not converge within {step} Newton steps")
 
 
-def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolution:
-    """p = 1: the graph total-variation prox, exactly, from its dual.
+def _resolvent_tv(g: WeightedGraph, eps: float):
+    """p = 1: solve(f, x0) = (the total-variation prox, exactly, steps, s).
 
     J_eps f = f + eps B s, where B[:, e] = (w_e / m0)(1_u - 1_v) for each
     edge e = (u, v) and s minimizes ||f + eps B s||^2 over [-1, 1]^E.
@@ -332,55 +340,52 @@ def _resolvent_tv(g: WeightedGraph, f: np.ndarray, eps: float) -> ResolventSolut
     every free edge has g_u = g_v, so s is itself the Delta_1 selection.
     Signs start from the slopes of f along the edges.
     """
-    _require_constant_measure(g, "the p = 1 resolvent")
     iu, iv, coef = _edges(g)
     A = eps * coef * (np.eye(g.n)[:, iu] - np.eye(g.n)[:, iv])
-    s = np.sign(f[iv] - f[iu])
-    free = s == 0
     # g - f = A s moves a vertex by at most eps times its degree
-    tol = KKT_TOL * max(float(np.max(np.abs(f))), eps * float(np.max(g.degrees())))
-    steps = 0
-    while True:
-        while free.any():
-            steps += 1
-            # random graphs settle within 1.4 E steps; far past that the
-            # active set is cycling on roundoff
-            if steps > 4 * iu.size + 10:
-                raise SolverError(
-                    f"p = 1 active set did not settle within {steps - 1} steps")
-            idx = np.flatnonzero(free)
-            z = np.linalg.lstsq(A[:, idx], -(f + A[:, ~free] @ s[~free]),
-                                rcond=None)[0]
-            crossed = np.abs(z) >= 1.0
-            if not crossed.any():
-                s[idx] = z
+    reach = eps * float(np.max(g.degrees()))
+
+    def solve(f: np.ndarray, x0: np.ndarray | None = None):
+        s = np.sign(f[iv] - f[iu])
+        free = s == 0
+        tol = KKT_TOL * max(float(np.max(np.abs(f))), reach)
+        steps = 0
+        while True:
+            while free.any():
+                steps += 1
+                # random graphs settle within 1.4 E steps; far past that the
+                # active set is cycling on roundoff
+                if steps > 4 * iu.size + 10:
+                    raise SolverError(
+                        f"p = 1 active set did not settle within {steps - 1} steps")
+                idx = np.flatnonzero(free)
+                z = np.linalg.lstsq(A[:, idx], -(f + A[:, ~free] @ s[~free]),
+                                    rcond=None)[0]
+                crossed = np.abs(z) >= 1.0
+                if not crossed.any():
+                    s[idx] = z
+                    break
+                bound = np.sign(z[crossed])
+                zc, sc = z[crossed], s[idx[crossed]]
+                # only a just-freed sign can sit on its bound (z == s: no move)
+                alphas = np.divide(bound - sc, zc - sc, out=np.zeros_like(zc),
+                                   where=zc != sc)
+                first = int(np.argmin(alphas))
+                s[idx] += alphas[first] * (z - s[idx])
+                hit = idx[np.flatnonzero(crossed)[first]]
+                s[hit] = bound[first]
+                free[hit] = False
+            sol = f + A @ s
+            # a bound sign against the slope breaks optimality: free the
+            # steepest such edge
+            against = -s * (sol[iv] - sol[iu])
+            wrong = ~free & (against > tol)
+            if not wrong.any():
                 break
-            bound = np.sign(z[crossed])
-            zc, sc = z[crossed], s[idx[crossed]]
-            # only a just-freed sign can sit on its bound (z == s: no move)
-            alphas = np.divide(bound - sc, zc - sc, out=np.zeros_like(zc),
-                               where=zc != sc)
-            first = int(np.argmin(alphas))
-            s[idx] += alphas[first] * (z - s[idx])
-            hit = idx[np.flatnonzero(crossed)[first]]
-            s[hit] = bound[first]
-            free[hit] = False
-        sol = f + A @ s
-        # a bound sign against the slope breaks optimality: free the
-        # steepest such edge
-        against = -s * (sol[iv] - sol[iu])
-        wrong = ~free & (against > tol)
-        if not wrong.any():
-            break
-        free[int(np.argmax(np.where(wrong, coef * against, 0.0)))] = True
-    selection = np.zeros((g.n, g.n))
-    selection[iu, iv] = s
-    selection[iv, iu] = -s
-    achieved = np.sum(g.weights * selection, axis=1) / g.measure
-    residual = float(np.max(np.abs(sol - eps * achieved - f)))
-    return ResolventSolution(g=sol, residual=residual,
-                             subgradient_selection=selection,
-                             iterations=steps, method="tv-dual-active-set")
+            free[int(np.argmax(np.where(wrong, coef * against, 0.0)))] = True
+        return sol, steps, s
+
+    return solve
 
 
 def _require_constant_measure(g: WeightedGraph, why: str) -> None:
@@ -395,9 +400,60 @@ def _checked_input(g: WeightedGraph, f: np.ndarray, eps: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (g.n,) or not np.all(np.isfinite(f)):
         raise ValidationError(f"f must be {g.n} finite values")
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    _require_eps(eps)
     return f
+
+
+class _Resolvent:
+    """J_eps at one (graph, p, eps), checked (eps, p, ``method``) and set up
+    once; ``solve(f, x0)`` maps a finite f to (J_eps f, inner steps, edge
+    dual or None)."""
+
+    def __init__(self, g: WeightedGraph, p: float, eps: float, method: str = "auto"):
+        _require_eps(eps)
+        _require_p(p)
+        if method not in ("auto", "linear", "variational"):
+            raise ValidationError(f"unknown method {method!r}")
+        if method == "linear" and p != 2:
+            raise ValidationError("the linear solve applies only to p = 2")
+        self.graph, self.p, self.eps = g, p, eps
+        if p == 2 and method != "variational":
+            A = np.eye(g.n) - eps * laplacian_matrix(g)
+            self.method, self.solve = "linear", lambda f, x0=None: (np.linalg.solve(A, f), 0, None)
+            if A.max() > 1e3:
+                # eps deg swamps the identity: J, the m-weighted mean on each
+                # component, lifts the kernel of L to eigenvalue 1 + eps
+                J = np.zeros((g.n, g.n))
+                for comp in connected_components(g):
+                    J[np.ix_(comp, comp)] = g.measure[comp] / np.sum(g.measure[comp])
+                lifted = A + eps * J
+                self.solve = lambda f, x0=None: (
+                    np.linalg.solve(lifted, f) + eps / (1.0 + eps) * (J @ f), 0, None)
+            return
+        _require_constant_measure(g, f"the p = {p:g} resolvent")
+        if p == 1:
+            self.method, self.solve = "tv-dual-active-set", _resolvent_tv(g, eps)
+        elif p < 2:
+            self.method, self.solve = "conjugate-dual-newton", _conjugate_dual(g, p, eps)
+        else:
+            self.method, self.solve = "variational", _minimize_prox(g, eps, PhiSpec.power(p))
+
+    def solution(self, f: np.ndarray, x0: np.ndarray | None = None) -> ResolventSolution:
+        """``solve`` plus the fixed-point residual (and p = 1 selection)."""
+        g, selection = self.graph, None
+        sol, steps, s = self.solve(f, x0)
+        if self.p == 1:
+            iu, iv, _ = _edges(g)
+            selection = np.zeros((g.n, g.n))
+            selection[iu, iv], selection[iv, iu] = s, -s
+            lap = np.sum(g.weights * selection, axis=1) / g.measure
+        elif self.method == "linear":
+            lap = laplacian_apply(g, sol)
+        else:
+            lap = p_laplacian(g, sol, self.p)
+        residual = float(np.max(np.abs(sol - self.eps * lap - f)))
+        return ResolventSolution(g=sol, residual=residual, subgradient_selection=selection,
+                                 iterations=steps, method=self.method)
 
 
 def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
@@ -413,6 +469,10 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
     at p = 2 for cross-checking.  ``x0`` warm-starts the Newton solves
     (the dual from s = c phi_p(D x0), except near p = 1; see
     ``_conjugate_dual``); the exact p = 1 and p = 2 solves ignore it.
+    Checks f, then p, then ``method``.  ``_Resolvent`` builds what depends
+    on (graph, p, eps) alone (edges, measure check, I - eps L, the p = 1
+    matrix, D and eps D D^T, PhiSpec.power(p)) once; the chain steps of
+    ``separation_flow_p`` reuse one per eps stage and skip the residual.
 
     The fixed-point residual ||g - eps Delta_p g - f||_inf is always
     reported; for p = 1 the solution carries the antisymmetric edge sign
@@ -423,44 +483,11 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
     every returned g meets.
     """
     f = _checked_input(g, f, eps)
-    _require_p(p)
-    if method not in ("auto", "linear", "variational"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "linear" and p != 2:
-        raise ValidationError("the linear solve applies only to p = 2")
-
-    if p == 2 and method in ("auto", "linear"):
-        A = np.eye(g.n) - eps * laplacian_matrix(g)
-        if A.max() <= 1e3:
-            sol = np.linalg.solve(A, f)
-        else:
-            # eps deg swamps the identity: J, the m-weighted mean on each
-            # component, lifts the kernel of L to eigenvalue 1 + eps
-            J = np.zeros((g.n, g.n))
-            for comp in connected_components(g):
-                J[np.ix_(comp, comp)] = g.measure[comp] / np.sum(g.measure[comp])
-            sol = np.linalg.solve(A + eps * J, f) + eps / (1.0 + eps) * (J @ f)
-        residual = float(np.max(np.abs(sol - eps * laplacian_apply(g, sol) - f)))
-        return ResolventSolution(g=sol, residual=residual, method="linear")
-
-    if p == 1:
-        return _resolvent_tv(g, f, eps)
-
-    _require_constant_measure(g, f"the p = {p:g} resolvent")
-    if p < 2:
-        sol, _, iters = _conjugate_dual(g, f, p, eps, x0)
-        method = "conjugate-dual-newton"
-    else:
-        sol, iters = _minimize_prox(g, f, eps, PhiSpec.power(p), x0)
-        method = "variational"
-    residual = float(np.max(np.abs(sol - eps * p_laplacian(g, sol, p) - f)))
-    return ResolventSolution(g=sol, residual=residual, iterations=iters,
-                             method=method)
+    return _Resolvent(g, p, eps, method).solution(f, x0)
 
 
-def _conjugate_dual(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
-                    x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """1 < p < 2: the prox from its Fenchel-Rockafellar dual.
+def _conjugate_dual(g: WeightedGraph, p: float, eps: float):
+    """1 < p < 2: solve(f, x0) = (the prox, Newton steps, s), from the dual.
 
     With c_e = w_e / m0, q = p/(p - 1) and (D x)_e = x_v - x_u on each
     edge e = (u, v), J_eps f = f - eps D^T s, where s minimizes
@@ -479,49 +506,51 @@ def _conjugate_dual(g: WeightedGraph, f: np.ndarray, p: float, eps: float,
     GAP_TOL max(1, P(g)) plus 1e-14 sum_e |s_e| max_v (|f_v| +
     eps sum_{e at v} |s_e|), the roundoff of g; SolverError otherwise.
     The E x E Newton system makes the cost grow like E^3 and the memory
-    like E^2: this suits sparse graphs.  Returns (g, s, Newton steps).
+    like E^2: this suits sparse graphs.
     """
     iu, iv, c = _edges(g)
     D = np.eye(g.n)[iv] - np.eye(g.n)[iu]
     q = p / (p - 1.0)
     phi_p, phi_q = PhiSpec.power(p), PhiSpec.power(q)
-    df = D @ f
     gram = eps * (D @ D.T)
     gram_diag, abs_d = gram.diagonal().copy(), np.abs(D)
-
-    def obj(s: np.ndarray) -> float:
-        u = s @ D
-        return float(c @ phi_q.primitive(s / c) - s @ df + eps * (u @ u) / 2)
-
-    def grad(s: np.ndarray) -> np.ndarray:
-        return phi_q(s / c) - df + gram @ s
+    signs = _resolvent_tv(g, eps) if p - 1.0 <= 1e-6 else None
 
     def hess(s: np.ndarray) -> np.ndarray:
         H = gram.copy()
         np.fill_diagonal(H, gram_diag + phi_q.derivative(s / c) / c)
         return H
 
-    grad_tol = (1e-12 * max(1.0, float(np.abs(f).max()))
-                + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
+    def solve(f: np.ndarray, x0: np.ndarray | None = None):
+        df = D @ f
 
-    def converged(s: np.ndarray, gs: np.ndarray, last) -> bool:
-        if float(np.abs(gs).max(initial=0.0)) > grad_tol:
-            return False
-        sigma, u = s / c, s @ D
-        t = D @ (f - eps * u)
-        energy = float(c @ phi_p.primitive(t))
-        gap = energy + float(c @ (phi_q.primitive(sigma) - sigma * t))
-        floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
-        return gap <= GAP_TOL * max(1.0, energy + eps * (u @ u) / 2) + 1e-14 * floor
+        def obj(s: np.ndarray) -> float:
+            u = s @ D
+            return float(c @ phi_q.primitive(s / c) - s @ df + eps * (u @ u) / 2)
 
-    if p - 1.0 <= 1e-6:
-        s0 = c * _resolvent_tv(g, f, eps).subgradient_selection[iu, iv]
-    else:
-        s0 = c * phi_p(D @ (f if x0 is None else x0))
-    # a trial step far out overflows |sigma|^q; the damping rejects it
-    with np.errstate(over="ignore"):
-        s, steps = _lm_newton(s0, obj, grad, hess, converged)
-    return f - eps * (s @ D), s, steps
+        def grad(s: np.ndarray) -> np.ndarray:
+            return phi_q(s / c) - df + gram @ s
+
+        grad_tol = (1e-12 * max(1.0, float(np.abs(f).max()))
+                    + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
+
+        def converged(s: np.ndarray, gs: np.ndarray, last) -> bool:
+            if float(np.abs(gs).max(initial=0.0)) > grad_tol:
+                return False
+            sigma, u = s / c, s @ D
+            t = D @ (f - eps * u)
+            energy = float(c @ phi_p.primitive(t))
+            gap = energy + float(c @ (phi_q.primitive(sigma) - sigma * t))
+            floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
+            return gap <= GAP_TOL * max(1.0, energy + eps * (u @ u) / 2) + 1e-14 * floor
+
+        s0 = c * (signs(f)[2] if signs else phi_p(D @ (f if x0 is None else x0)))
+        # a trial step far out overflows |sigma|^q; the damping rejects it
+        with np.errstate(over="ignore"):
+            s, steps = _lm_newton(s0, obj, grad, hess, converged)
+        return f - eps * (s @ D), steps, s
+
+    return solve
 
 
 def resolvent_phi(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
@@ -531,7 +560,7 @@ def resolvent_phi(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
     if phi.kind == "p-power":
         return resolvent(g, f, phi.p, eps)
     _require_constant_measure(g, "the Delta_phi resolvent")
-    sol, iters = _minimize_prox(g, f, eps, phi)
+    sol, iters, _ = _minimize_prox(g, eps, phi)(f)
     residual = float(np.max(np.abs(sol - eps * phi_laplacian(g, sol, phi) - f)))
     return ResolventSolution(g=sol, residual=residual, iterations=iters,
                              method="variational")

@@ -210,7 +210,9 @@ def test_malformed_partition_documents_exit_two(tmp_path, pathgraph, capsys, doc
     ["--mode", "linear", "--eps", "nan"], ["--mode", "linear", "--tol", "nan"],
     ["--mode", "p", "--eps", "nan"], ["--mode", "p", "--tol", "inf"],
     ["--mode", "generic", "--tol", "nan"],
-    ["--mode", "generic", "--operator", "resolvent:2,0.1", "--tol", "nan"]])
+    ["--mode", "generic", "--operator", "resolvent:2,0.1", "--tol", "nan"],
+    # the operator checks its p at the first apply, after tol
+    ["--mode", "generic", "--operator", "resolvent:0.5,0.1", "--tol", "nan"]])
 def test_separation_rejects_non_finite_eps_and_tol(tmp_path, pathgraph, capsys, args):
     # NaN eps once exited 5 at step 0, NaN tol ran to --max-iter (3) and
     # failed the generic gate (4)
@@ -580,6 +582,15 @@ def test_non_finite_operator_arguments_exit_two(triangle, capsys, spec):
     assert main(["ric", triangle, "--operator", spec, "--samples", "4"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert "not a finite number" in doc["error"]
+
+
+def test_resolvent_operator_builds_its_solver_once(triangle, capsys, monkeypatch):
+    from curvflow import plaplace
+
+    built, real = [], plaplace._Resolvent
+    monkeypatch.setattr(plaplace, "_Resolvent", lambda *args: built.append(args) or real(*args))
+    assert main(["ric", triangle, "--operator", "resolvent:1.5,0.1", "--samples", "4"]) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("args,name", [

@@ -25,7 +25,7 @@ from curvflow import (
     p_laplacian,
     resolvent,
 )
-from curvflow.plaplace import _conjugate_dual, phi_laplacian, resolvent_phi
+from curvflow.plaplace import _conjugate_dual, _Resolvent, phi_laplacian, resolvent_phi
 
 
 def two_vertex():
@@ -287,7 +287,7 @@ def test_subquadratic_resolvent_sweep_is_certified_by_its_duality_gap(p):
         f = rng.uniform(-2.0, 2.0, n)
         sol = resolvent(g, f, p, eps)
         assert sol.method == "conjugate-dual-newton" and sol.subgradient_selection is None
-        x, s, _ = _conjugate_dual(g, f, p, eps)
+        x, _, s = _conjugate_dual(g, p, eps)(f)
         np.testing.assert_array_equal(x, sol.g)
         primal, gap = _duality_gap(g, f, p, eps, x, s)
         assert abs(gap) <= 1e-12 * max(1.0, primal), (k, gap)
@@ -338,6 +338,39 @@ def test_resolvent_rejects_non_finite_or_out_of_range_input(p, bad, message):
                     PhiSpec.custom(lambda t: np.sign(t) * np.abs(t) ** 2, "convex")):
             with pytest.raises(ValidationError, match=message):
                 resolvent_phi(g, np.array(args["f"]), phi, args["eps"])
+
+
+def test_resolvent_checks_f_then_p_then_method():
+    g = WeightedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)],
+                                 measure=[1.0, 2.0, 2.0])
+    good, bad = np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 2.0])
+    for f, p, method, message in [
+            (bad, 0.5, "newton", "f must be 3 finite values"),
+            (good, 0.5, "newton", "p must be finite and at least 1, got 0.5"),
+            (good, 1.5, "newton", "unknown method 'newton'"),
+            (good, 1.5, "linear", "the linear solve applies only to p = 2"),
+            (good, 1.5, "auto", "the p = 1.5 resolvent needs a constant vertex measure")]:
+        with pytest.raises(ValidationError, match=message):
+            resolvent(g, f, p, 0.1, method=method)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.0 + 1e-7, 1.5, 2.0, 2.5, 3.0])
+def test_stage_solver_reproduces_resolvent_bit_for_bit(p):
+    # the separation flow's chain steps reuse one solver per eps stage;
+    # call after call, cold and warm, its g must be a fresh resolvent's
+    # (at eps = 1e4, p = 2 takes the kernel lift)
+    for k in range(40):
+        rng = np.random.default_rng([17, k])
+        n = 2 + k % 12
+        g = random_graph_const_measure(rng, n)
+        for eps in (0.1, 1e4):
+            solver = _Resolvent(g, p, eps)
+            for _ in range(3):
+                f = rng.uniform(-2.0, 2.0, n)
+                for x0 in (None, f + rng.normal(scale=0.1, size=n)):
+                    sol = resolvent(g, f, p, eps, x0=x0)
+                    assert solver.solve(f, x0)[0].tobytes() == sol.g.tobytes(), (k, eps)
+                    assert solver.method == sol.method
 
 
 def test_variational_gradient_vanishes_against_finite_differences():

@@ -10,6 +10,7 @@ from conftest import (
 )
 
 from curvflow import (
+    DisconnectedError,
     DistanceMatrix,
     PartitionXKY,
     PreconditionError,
@@ -28,6 +29,7 @@ from curvflow import (
 from curvflow.chains import CONVERGED, ChainOperator
 from curvflow.graphs import laplacian_matrix
 from curvflow.plaplace import resolvent
+from curvflow.separation import _iterate_on_k
 
 
 def path_partition():
@@ -96,6 +98,31 @@ def test_extension_rejects_non_lipschitz():
         lipschitz_extend(two_k, d, np.array([0.0, 5.0]))
 
 
+def _extend_by_vertex(part, d, f):
+    """The extremal extension one X or Y vertex at a time."""
+    ks = np.array(part.k_set)
+    out = np.empty(d.n)
+    out[ks] = f
+    for x in part.x_set:
+        out[x] = np.max(f - d.values[x, ks])
+    for y in part.y_set:
+        out[y] = np.min(f + d.values[y, ks])
+    return out
+
+
+@pytest.mark.parametrize("x_set,y_set,vertex", [
+    ([0, 3, 4], [2], 3),  # the first unreachable X vertex, before Y's
+    ([0], [2, 3, 4], 2),  # then the first unreachable Y vertex
+])
+def test_extension_names_the_first_vertex_without_a_finite_distance_to_k(
+        x_set, y_set, vertex):
+    # 2, 3 and 4 are isolated; 0 is one step from K = {1}
+    g = WeightedGraph.from_edges(5, [(0, 1, 1.0, 1.0)], measure=[1.0] * 5)
+    part = PartitionXKY.build(g, x_set, [1], y_set)
+    with pytest.raises(DisconnectedError, match=f"vertex {vertex} has no finite distance"):
+        lipschitz_extend(part, shortest_path_metric(g), np.array([0.0]))
+
+
 def test_extension_is_one_lipschitz_and_constant_additive():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -120,6 +147,7 @@ def test_extension_is_one_lipschitz_and_constant_additive():
         ks = np.array(part.k_set)
         f = np.min(raw[None, :] + d.values[np.ix_(ks, ks)], axis=1)
         ext = lipschitz_extend(part, d, f)
+        assert ext.tobytes() == _extend_by_vertex(part, d, f).tobytes()
         assert lipschitz_constant(ext, d, "all-pairs") <= 1.0 + 1e-9
         shifted = lipschitz_extend(part, d, f + 3.25)
         np.testing.assert_allclose(shifted, ext + 3.25, atol=1e-12)
@@ -251,6 +279,45 @@ def test_p_flow_p1_membership_of_g_sub():
     member = p_laplacian(g, res.h, 1)
     ok, msg = member.verify(res.g_sub, res.selection, tol=1e-6)
     assert ok, msg
+
+
+def _p_flow_by_public_resolvent(g, part, p, f0, tol, eps=0.1):
+    """separation_flow_p's stages with every chain step a public resolvent
+    call warm from the stage's last g: (stage rows, h, g_sub)."""
+    d = shortest_path_metric(g)
+    ks = np.array(part.k_set)
+    warm, rows, current = {}, [], f0
+    for eps_k in [eps * 0.5 ** k for k in range(6)]:
+        def step(full, eps_k=eps_k):
+            warm[eps_k] = resolvent(g, full, p, eps_k, x0=warm.get(eps_k)).g
+            return warm[eps_k]
+
+        result = _iterate_on_k(part, d, step, current, 0, tol, 100_000, "oracle", {})
+        current = result.limit
+        s_ftilde = lipschitz_extend(part, d, current, tol=1e-6)
+        sol = resolvent(g, s_ftilde, p, eps_k)
+        s_h = lipschitz_extend(part, d, sol.g[ks], validate=False)
+        rows.append((result.iterations, float(np.max(np.abs(sol.g - s_h))), sol.residual))
+    return rows, sol.g, (sol.g - s_ftilde) / eps_k
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_p_flow_matches_one_public_resolvent_per_chain_step(p):
+    # the criterion-5 cycles of p: a solver built once per stage must
+    # leave every stage and the limit bit-identical
+    for i in range(2):
+        rng = np.random.default_rng(20_000 + [1.0, 1.5, 2.0, 3.0].index(p) + 4 * i)
+        n = int(rng.integers(4, 7))
+        weight = float(rng.uniform(0.5, 2.0))
+        g = cycle_graph(n, weight=weight, measure=2.0 * weight * float(rng.uniform(1.0, 2.0)))
+        part = cycle_partition(g)
+        half = float(shortest_path_metric(g).value(part.k_set[0], part.k_set[1]))
+        f0 = np.array([0.0, float(rng.uniform(-half, half))])
+        res = separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
+        rows, h, g_sub = _p_flow_by_public_resolvent(g, part, p, f0, 1e-8)
+        assert res.status == CONVERGED
+        assert [(s["iterations"], s["defect"], s["residual"]) for s in res.stages] == rows
+        assert res.h.tobytes() == h.tobytes() and res.g_sub.tobytes() == g_sub.tobytes()
 
 
 def test_p_flow_gate_on_negative_modified_curvature():
@@ -399,8 +466,6 @@ def test_ric_of_a_one_dimensional_chain_is_one():
 
 def test_ric_requires_connected_distances():
     g = WeightedGraph.from_edges(4, [(0, 1, 1, 1), (2, 3, 1, 1)])
-    from curvflow import DisconnectedError
-
     with pytest.raises(DisconnectedError):
         ric_r(linear_chain_operator(np.eye(4)), shortest_path_metric(g), 1.0)
 
