@@ -143,22 +143,28 @@ class IterationResult:
         return self.status == CONVERGED
 
 
-def _increments_cycle(incs: Sequence[np.ndarray], tol: float) -> bool:
-    """Period-2 cycle in a window of consecutive orbit increments.
+def _period2(tol: float) -> Callable[[np.ndarray], bool]:
+    """push(inc) fires on a period-2 cycle in the last OSCILLATION_WINDOW
+    orbit increments: every second difference vanishes within tol (is not
+    >= tol; NaN counts) while consecutive increments alternate by at least
+    tol, an orbit jumping forever between two behaviors.  Needs four
+    increments; a push costs two reductions."""
+    recent, jumps, calm = deque(maxlen=2), deque(maxlen=OSCILLATION_WINDOW - 1), 0
 
-    Fires when every second difference of increments vanishes within tol
-    while consecutive increments genuinely alternate (differ by at least
-    tol) — the signature of an orbit that forever jumps between two
-    behaviors instead of settling.  Needs at least four increments.
-    """
-    if len(incs) < 4:
-        return False
-    for k in range(len(incs) - 2):
-        if np.max(np.abs(incs[k + 2] - incs[k])) >= tol:
-            return False
-    alternation = max(float(np.max(np.abs(incs[k + 1] - incs[k])))
-                      for k in range(len(incs) - 1))
-    return alternation >= tol
+    def push(inc: np.ndarray) -> bool:
+        nonlocal calm  # the run of calm second differences
+        if recent:
+            jumps.append(float(np.abs(inc - recent[-1]).max()))
+        calm = calm + 1 if len(recent) == 2 and not np.abs(inc - recent[0]).max() >= tol else 0
+        recent.append(inc)
+        return len(jumps) >= 3 and calm >= len(jumps) - 1 and max(jumps) >= tol
+
+    return push
+
+
+def _increments_cycle(incs: Sequence[np.ndarray], tol: float) -> bool:
+    push = _period2(tol)  # a fresh detector, reading the last window of incs
+    return [push(inc) for inc in incs][-1] if len(incs) else False
 
 
 def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
@@ -171,7 +177,8 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
     increment P^{n+1}f(x0) - P^n f(x0).  Reports "diverged-unbounded"
     when the normalized spread leaves ``divergence_bound`` (a missing
     finite accumulation point cannot be certified in advance, so the
-    engine fails loudly) and "oscillating" on a period-2 increment cycle.
+    engine fails loudly) and "oscillating" on a period-2 increment cycle,
+    an O(1) test per step (``_period2``).
     """
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
@@ -184,19 +191,18 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
         raise ValidationError(f"x0 must be a coordinate index, got {x0}")
 
     normalized = f_raw - f_raw[x0]
-    increments: deque[np.ndarray] = deque(maxlen=OSCILLATION_WINDOW)
+    cycle = _period2(tolerance)
     trace: list[TraceRow] = []
 
     for n in range(max_iter):
         f_next = P(f_raw)
-        if not np.all(np.isfinite(f_next)):
+        if not np.isfinite(f_next).all():
             raise SolverError(f"chain operator produced non-finite values at step {n}")
         lf = f_next - f_raw
-        lam_plus = float(lf.max())
-        lam_minus = float(lf.min())
+        lam_plus, lam_minus = float(lf.max()), float(lf.min())
         norm_next = f_next - f_next[x0]
-        increments.append(norm_next - normalized)
-        delta = float(np.max(np.abs(increments[-1])))
+        inc = norm_next - normalized
+        delta = float(np.abs(inc).max())
         trace.append(TraceRow(n=n, lambda_plus=lam_plus, lambda_minus=lam_minus,
                               delta_sup=delta, base_value=float(f_raw[x0])))
 
@@ -205,7 +211,7 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
                 limit=norm_next, growth_constant=float(f_next[x0] - f_raw[x0]),
                 iterations=n + 1, status=CONVERGED, trace=trace,
                 last_normalized=norm_next)
-        if _increments_cycle(increments, tolerance):
+        if cycle(inc):
             return IterationResult(
                 limit=None, growth_constant=None, iterations=n + 1,
                 status=OSCILLATING, trace=trace, last_normalized=norm_next)

@@ -45,7 +45,8 @@ class CurvatureError(SolverError):
 
 
 def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> ProbMeasure:
-    """One-step distribution of the random walk at x.
+    """One-step distribution of the random walk at x, built by array
+    operations on x's weight row.
 
     With ``alpha=None`` each neighbor z gets w(x, z)/m(x) and the
     remainder 1 - deg(x) stays at x, which requires deg(x) <= 1.  With a
@@ -57,21 +58,20 @@ def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> Prob
         if deg > 1.0 + DEG_TOL:
             raise ValidationError(
                 f"vertex {x} has deg = {deg:g} > 1; the non-lazy measure needs deg <= 1")
-        stay = max(1.0 - deg, 0.0)
-        scale = 1.0
+        stay, scale = max(1.0 - deg, 0.0), 1.0
     else:
         if not 0.0 <= alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
         if alpha * deg > 1.0 + DEG_TOL:
             raise ValidationError(
                 f"alpha * deg = {alpha * deg:g} > 1 at vertex {x}")
-        stay = max(1.0 - alpha * deg, 0.0)
-        scale = alpha
-    masses = {int(z): scale * g.weights[x, z] / g.measure[x]
-              for z in g.neighbors(x) if scale > 0.0}
-    if stay > DEG_TOL or not masses:
-        masses[x] = masses.get(x, 0.0) + stay
-    return ProbMeasure.from_dict(masses)
+        stay, scale = max(1.0 - alpha * deg, 0.0), alpha
+    row = g.weights[x] > 0.0 if scale > 0.0 else np.zeros(g.n, dtype=bool)
+    row[x] = stay > DEG_TOL or not row.any()  # w(x, x) = 0: x is no neighbour
+    supp = np.flatnonzero(row)
+    mass = scale * g.weights[x, supp] / g.measure[x]
+    mass[supp == x] = stay  # the remainder, where x is in the support
+    return ProbMeasure._built(supp, mass)
 
 
 def ollivier_kappa(g: WeightedGraph, d: DistanceMatrix, x: int, y: int) -> float:

@@ -116,9 +116,7 @@ class PhiSpec:
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "p-power":
-            if self.p == 2:
-                return np.ones_like(t)
+        if self.kind == "p-power":  # (p - 1) |t|^0 = 1 at p = 2
             a = np.maximum(np.abs(t), 1e-12)
             return (self.p - 1) * a ** (self.p - 2)
         h = 1e-6 * (1.0 + np.abs(t))
@@ -237,35 +235,36 @@ def _minimize_prox(g: WeightedGraph, eps: float, phi: PhiSpec):
     iu, iv, c = _edges(g)
     n = g.n
 
-    def hess(x: np.ndarray) -> np.ndarray:
+    def grad(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+        s = c * phi(t)
+        return r / eps + np.bincount(iv, s, n) - np.bincount(iu, s, n)
+
+    def hess(t: np.ndarray) -> np.ndarray:
         H = np.zeros((n, n))
-        dvals = phi.derivative(x[iv] - x[iu]) * c
+        dvals = phi.derivative(t) * c
         H[iu, iv] = H[iv, iu] = -dvals
         np.fill_diagonal(H, np.bincount(iu, dvals, n) + np.bincount(iv, dvals, n) + 1.0 / eps)
         return H
 
     def solve(f: np.ndarray, x0: np.ndarray | None = None):
-        def grad_obj(x: np.ndarray) -> np.ndarray:
-            s = c * phi(x[iv] - x[iu])
-            return (x - f) / eps + np.bincount(iv, s, n) - np.bincount(iu, s, n)
-
-        def obj(x: np.ndarray) -> float:
-            r = x - f
-            return float(c @ phi.primitive(x[iv] - x[iu])) + float(r @ r) / (2 * eps)
-
         tol = G_TOL * max(1.0, float(np.max(np.abs(f))))
 
-        def converged(x: np.ndarray, gx: np.ndarray, last) -> bool:
-            return eps * float(np.abs(gx).max()) <= tol or (
+        def converged(gnorm: float, last) -> bool:
+            return eps * gnorm <= tol or (
                 last is not None
                 and (1.0 + last[1] * eps) * float(np.linalg.norm(last[0])) <= tol)
 
-        return *_lm_newton(f if x0 is None else x0, obj, grad_obj, hess, converged), None
+        def evaluate(x: np.ndarray):
+            t, r = x[iv] - x[iu], x - f
+            return (float(c @ phi.primitive(t)) + float(r @ r) / (2 * eps),
+                    lambda: grad(t, r), lambda: hess(t), converged)
+
+        return *_lm_newton(f if x0 is None else x0, evaluate), None
 
     return solve
 
 
-def _lm_newton(x, obj, grad_obj, hess, converged):
+def _lm_newton(x, evaluate):
     """Levenberg-Marquardt damped Newton.
 
     Damping makes every accepted step descend through the far-from-
@@ -274,49 +273,51 @@ def _lm_newton(x, obj, grad_obj, hess, converged):
     halved before the damping grows, which would linger: a step into the
     wall of the dual's |sigma|^q needs only shortening.  At the
     objective's resolution limit, steps that shrink the gradient norm
-    count.  Returns (point, steps) once ``converged(x, gradient, last)``
-    holds, ``last`` being the (direction, damping) of the step to x or
-    None; raises SolverError when no damping descends or after
-    ``MAX_INNER`` steps.
+    count.  ``evaluate(x)`` evaluates x once: its objective value, grad(),
+    hess() and converged(gradient norm, last (direction, damping) or None),
+    each run at most once.  Returns (point, steps) once converged; raises
+    SolverError when no damping descends or after ``MAX_INNER`` steps.
     """
     x = x.copy()
-    fx = obj(x)
-    gx = grad_obj(x)
+    fx, grad, hess, converged = evaluate(x)
+    gx = grad()
     gnorm = float(np.abs(gx).max(initial=0.0))
-    mu = 0.0
-    last = None
+    mu, last = 0.0, None
     for step in range(MAX_INNER + 1):
-        if converged(x, gx, last):
+        if converged(gnorm, last):
             return x, step
         if step == MAX_INNER:
             break
-        H = hess(x)
+        H = hess()
         diag = H.diagonal().copy()
-        base = float(diag.max())
         ftol = 1e-14 * max(1.0, abs(fx))
         accepted = False
         for _ in range(60):
-            np.fill_diagonal(H, diag + mu)
+            if mu:  # H's diagonal is diag until damping starts
+                np.fill_diagonal(H, diag + mu)
             try:
                 direction = np.linalg.solve(H, gx)
             except np.linalg.LinAlgError:
-                mu = max(2.0 * mu, 1e-12 * base)
+                mu = max(2.0 * mu, 1e-12 * float(diag.max()))
                 continue
             length = 1.0
             for _ in range(30):
                 cand = x - length * direction
-                fc = obj(cand)
+                point = evaluate(cand)
+                fc, gc = point[0], None
                 if fc <= fx or (fc <= fx + ftol
-                                and float(np.abs(grad_obj(cand)).max()) < gnorm):
+                                and float(np.abs(gc := point[1]()).max()) < gnorm):
                     accepted = True
                     break
                 length /= 2.0
             if accepted:
-                x, fx, gx = cand, fc, grad_obj(cand)
+                x, fx, (_, grad, hess, converged) = cand, fc, point
+                gx = grad() if gc is None else gc
                 gnorm = float(np.abs(gx).max())
                 last = (direction, mu)
                 mu /= 3.0
                 break
+            base = float(diag.max())
             mu = max(10.0 * mu, 1e-12 * base)
             if mu > 1e15 * base:
                 break
@@ -511,43 +512,43 @@ def _conjugate_dual(g: WeightedGraph, p: float, eps: float):
     iu, iv, c = _edges(g)
     D = np.eye(g.n)[iv] - np.eye(g.n)[iu]
     q = p / (p - 1.0)
-    phi_p, phi_q = PhiSpec.power(p), PhiSpec.power(q)
+    phi_p = PhiSpec.power(p)
     gram = eps * (D @ D.T)
     gram_diag, abs_d = gram.diagonal().copy(), np.abs(D)
     signs = _resolvent_tv(g, eps) if p - 1.0 <= 1e-6 else None
 
-    def hess(s: np.ndarray) -> np.ndarray:
+    def hess(a: np.ndarray) -> np.ndarray:
         H = gram.copy()
-        np.fill_diagonal(H, gram_diag + phi_q.derivative(s / c) / c)
+        np.fill_diagonal(H, gram_diag + (q - 1) * np.maximum(a, 1e-12) ** (q - 2) / c)
         return H
 
     def solve(f: np.ndarray, x0: np.ndarray | None = None):
         df = D @ f
-
-        def obj(s: np.ndarray) -> float:
-            u = s @ D
-            return float(c @ phi_q.primitive(s / c) - s @ df + eps * (u @ u) / 2)
-
-        def grad(s: np.ndarray) -> np.ndarray:
-            return phi_q(s / c) - df + gram @ s
-
         grad_tol = (1e-12 * max(1.0, float(np.abs(f).max()))
                     + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
 
-        def converged(s: np.ndarray, gs: np.ndarray, last) -> bool:
-            if float(np.abs(gs).max(initial=0.0)) > grad_tol:
-                return False
-            sigma, u = s / c, s @ D
-            t = D @ (f - eps * u)
-            energy = float(c @ phi_p.primitive(t))
-            gap = energy + float(c @ (phi_q.primitive(sigma) - sigma * t))
-            floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
-            return gap <= GAP_TOL * max(1.0, energy + eps * (u @ u) / 2) + 1e-14 * floor
+        def evaluate(s: np.ndarray):
+            sigma = s / c
+            a, u = np.abs(sigma), s @ D
+            power, half = a ** q / q, eps * (u @ u) / 2
+
+            def converged(gnorm: float, last) -> bool:
+                if gnorm > grad_tol:
+                    return False
+                t = D @ (f - eps * u)
+                energy = float(c @ (np.abs(t) ** p / p))
+                gap = energy + float(c @ (power - sigma * t))
+                floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
+                return gap <= GAP_TOL * max(1.0, energy + half) + 1e-14 * floor
+
+            return (float(c @ power - s @ df + half),
+                    lambda: np.sign(sigma) * a ** (q - 1) - df + gram @ s,
+                    lambda: hess(a), converged)
 
         s0 = c * (signs(f)[2] if signs else phi_p(D @ (f if x0 is None else x0)))
         # a trial step far out overflows |sigma|^q; the damping rejects it
         with np.errstate(over="ignore"):
-            s, steps = _lm_newton(s0, obj, grad, hess, converged)
+            s, steps = _lm_newton(s0, evaluate)
         return f - eps * (s @ D), steps, s
 
     return solve

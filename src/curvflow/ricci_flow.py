@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import OSCILLATION_WINDOW, _increments_cycle
+from .chains import _increments_cycle, _period2  # noqa: F401 (re-exported)
 from .curvature import CurvatureReport, _walks
 from .errors import CertificateError, ValidationError
 from .graphs import DistanceMatrix, WeightedGraph, _component_groups, _path_metric
@@ -471,7 +470,7 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     log, trace, status = [], [], STATUS_MAX_ITER
     # increments of the normalized log metric since the last deletion, in
     # normalize_metric's edge order (fixed while the topology is)
-    lognorm, increments = None, deque(maxlen=OSCILLATION_WINDOW)
+    lognorm, cycle = None, _period2(cfg.tolerance)
     for n in range(cfg.max_iterations):
         topo, new, lengths, row = _step(topo, lengths, cfg.alpha, n, norm)
         deleted, topo, new, row = _delete(topo, new, cfg.deletion_threshold, row)
@@ -480,16 +479,14 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
         if deleted:
             log += [(n + 1, e, lens) for e, lens in deleted]
             lengths = _normalized(topo, new)[0]
-            lognorm, increments = None, deque(maxlen=OSCILLATION_WINDOW)
+            lognorm, cycle = None, _period2(cfg.tolerance)
         elif row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
             # (prev always has this row's edge set, so delta_sup is a number)
             status = STATUS_CONVERGED
             break
         else:
             prev, lognorm = lognorm, np.array([math.log(v) for v in norm.values()])
-            if prev is not None:
-                increments.append(lognorm - prev)
-            if _increments_cycle(increments, cfg.tolerance):
+            if prev is not None and cycle(lognorm - prev):
                 status = STATUS_OSCILLATION
                 break
 

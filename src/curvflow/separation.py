@@ -135,31 +135,40 @@ def _start_on_k(part: PartitionXKY, d: DistanceMatrix, f0: np.ndarray | None,
     return f0, part.k_index(part.k_set[0] if x0 is None else x0)
 
 
+def _extension(part: PartitionXKY, d: DistanceMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """S on finite f on K, d's columns to K taken once; a call names the first
+    X, then Y, vertex with no finite distance to K in a DisconnectedError."""
+    ks, xs = np.array(part.k_set), np.array(part.x_set, dtype=np.intp)
+    to_k = d.values[:, ks]
+    to_k_x, reach = to_k[xs], np.isfinite(to_k).any(axis=1)
+    cut = [v for v in part.x_set + part.y_set if not reach[v]]
+
+    def extend(f: np.ndarray) -> np.ndarray:
+        if cut:
+            raise DisconnectedError(f"vertex {cut[0]} has no finite distance to K")
+        # on 4-6 vertices this beats loops per vertex and np.ix_ fan-outs
+        out = np.minimum.reduce(f + to_k, axis=1)
+        out[xs] = np.maximum.reduce(f - to_k_x, axis=1)
+        out[ks] = f
+        return out
+
+    return extend
+
+
 def lipschitz_extend(part: PartitionXKY, d: DistanceMatrix, f: np.ndarray, *,
                      validate: bool = True, tol: float = 1e-9) -> np.ndarray:
     """Extremal extension: f on K, min_K (f + d) on Y, max_K (f - d) on X.
 
-    Requires f in Lip(1, K) (checked unless ``validate`` is off, with the
-    violating pair reported) and every X or Y vertex at finite distance
-    from K.  The result is 1-Lipschitz on all of V.
+    Requires finite f in Lip(1, K) (checked unless ``validate`` is off,
+    with the violating pair reported) and every X or Y vertex at finite
+    distance from K.  The result is 1-Lipschitz on all of V.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (len(part.k_set),):
-        raise ValidationError(f"f must have one value per K vertex, got {f.shape}")
+    if f.shape != (len(part.k_set),) or not np.isfinite(f).all():
+        raise ValidationError(f"f must be {len(part.k_set)} finite values, one per K vertex")
     if validate:
         _check_lip_on_k(part, d, f, tol)
-    ks, xs = list(part.k_set), list(part.x_set)
-    to_k = d.values[:, ks]
-    # every row's min over K, X's rows' max, then f on K: on 4-6 vertices
-    # this beats both a loop per vertex and np.ix_ fan-outs per side
-    out = np.minimum.reduce(f + to_k, axis=1)
-    out[xs] = np.maximum.reduce(f - to_k[xs], axis=1)
-    out[ks] = f
-    if not np.isfinite(out).all():
-        for v in xs + list(part.y_set):
-            if not np.isfinite(out[v]):
-                raise DisconnectedError(f"vertex {v} has no finite distance to K")
-    return out
+    return _extension(part, d)(f)
 
 
 @dataclass
@@ -201,10 +210,10 @@ def _iterate_on_k(part: PartitionXKY, d: DistanceMatrix,
                   x0k: int, tol: float, max_iter: int, name: str,
                   declared: dict) -> IterationResult:
     """The normalized orbit of fk -> step(S fk)|_K from f0 on K."""
-    ks = np.array(part.k_set)
+    ks, extend = np.array(part.k_set), _extension(part, d)
 
     def apply(fk: np.ndarray) -> np.ndarray:
-        return step(lipschitz_extend(part, d, fk, validate=False))[ks]
+        return step(extend(fk))[ks]
 
     chain = ChainOperator(dimension=len(ks), apply=apply, declared=declared, name=name)
     return iterate_normalized(chain, f0, x0k, tol, max_iter)

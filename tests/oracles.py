@@ -13,7 +13,11 @@ conjugate dual, per-pair LPs over f for Ric_r instead of Kantorovich
 potentials, a per-edge scan of adjacent lengths instead of per-vertex
 minima, a triple loop over every triangle instead of blocks of k, plain
 power iteration, and finite differences.  None of it shares code with the implementation paths
-it checks.
+it checks.  Two oracles are the library's previous formulations, kept to
+check that a faster one changes no bit: the period-2 test that rescans its
+whole window, and the Newton resolvents that evaluate objective, gradient
+and Hessian separately through ``PhiSpec`` (they reuse the library's edge
+list, p = 1 signs and constants, not its Newton loop).
 """
 
 from __future__ import annotations
@@ -289,6 +293,161 @@ def regularized_homotopy_resolvent(g, f: np.ndarray, p: float, eps: float):
         if x is None:
             return None
     return x
+
+
+def increments_cycle_window(incs, tol: float) -> bool:
+    """Period-2 cycle in a window of orbit increments, by rescanning it:
+    every second difference below tol (NaN passes) and some first
+    difference at least tol; needs at least four increments."""
+    if len(incs) < 4:
+        return False
+    for k in range(len(incs) - 2):
+        if np.max(np.abs(incs[k + 2] - incs[k])) >= tol:
+            return False
+    alternation = max(float(np.max(np.abs(incs[k + 1] - incs[k])))
+                      for k in range(len(incs) - 1))
+    return alternation >= tol
+
+
+def _lm_newton_separate(x, obj, grad_obj, hess, converged):
+    """Levenberg-Marquardt damped Newton with separate objective, gradient,
+    Hessian and stop test callables, each recomputing from the point."""
+    from curvflow.errors import SolverError
+    from curvflow.plaplace import MAX_INNER
+
+    x = x.copy()
+    fx = obj(x)
+    gx = grad_obj(x)
+    gnorm = float(np.abs(gx).max(initial=0.0))
+    mu = 0.0
+    last = None
+    for step in range(MAX_INNER + 1):
+        if converged(x, gx, last):
+            return x, step
+        if step == MAX_INNER:
+            break
+        H = hess(x)
+        diag = H.diagonal().copy()
+        base = float(diag.max())
+        ftol = 1e-14 * max(1.0, abs(fx))
+        accepted = False
+        for _ in range(60):
+            np.fill_diagonal(H, diag + mu)
+            try:
+                direction = np.linalg.solve(H, gx)
+            except np.linalg.LinAlgError:
+                mu = max(2.0 * mu, 1e-12 * base)
+                continue
+            length = 1.0
+            for _ in range(30):
+                cand = x - length * direction
+                fc = obj(cand)
+                if fc <= fx or (fc <= fx + ftol
+                                and float(np.abs(grad_obj(cand)).max()) < gnorm):
+                    accepted = True
+                    break
+                length /= 2.0
+            if accepted:
+                x, fx, gx = cand, fc, grad_obj(cand)
+                gnorm = float(np.abs(gx).max())
+                last = (direction, mu)
+                mu /= 3.0
+                break
+            mu = max(10.0 * mu, 1e-12 * base)
+            if mu > 1e15 * base:
+                break
+        if not accepted:
+            break
+    raise SolverError(
+        f"resolvent inner solver did not converge within {step} Newton steps")
+
+
+def conjugate_dual_separate(g, p: float, eps: float):
+    """1 < p < 2: solve(f, x0) = (J_eps f, Newton steps, s) on the conjugate
+    dual, with objective, gradient, Hessian and the Fenchel certificate
+    each evaluating s / c and D^T s through ``PhiSpec`` on their own."""
+    from curvflow.plaplace import GAP_TOL, PhiSpec, _edges, _resolvent_tv
+
+    iu, iv, c = _edges(g)
+    D = np.eye(g.n)[iv] - np.eye(g.n)[iu]
+    q = p / (p - 1.0)
+    phi_p, phi_q = PhiSpec.power(p), PhiSpec.power(q)
+    gram = eps * (D @ D.T)
+    gram_diag, abs_d = gram.diagonal().copy(), np.abs(D)
+    signs = _resolvent_tv(g, eps) if p - 1.0 <= 1e-6 else None
+
+    def hess(s):
+        H = gram.copy()
+        np.fill_diagonal(H, gram_diag + phi_q.derivative(s / c) / c)
+        return H
+
+    def solve(f, x0=None):
+        df = D @ f
+
+        def obj(s):
+            u = s @ D
+            return float(c @ phi_q.primitive(s / c) - s @ df + eps * (u @ u) / 2)
+
+        def grad(s):
+            return phi_q(s / c) - df + gram @ s
+
+        grad_tol = (1e-12 * max(1.0, float(np.abs(f).max()))
+                    + 1e-13 * q * float(np.abs(df).max(initial=0.0)))
+
+        def converged(s, gs, last):
+            if float(np.abs(gs).max(initial=0.0)) > grad_tol:
+                return False
+            sigma, u = s / c, s @ D
+            t = D @ (f - eps * u)
+            energy = float(c @ phi_p.primitive(t))
+            gap = energy + float(c @ (phi_q.primitive(sigma) - sigma * t))
+            floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
+            return gap <= GAP_TOL * max(1.0, energy + eps * (u @ u) / 2) + 1e-14 * floor
+
+        s0 = c * (signs(f)[2] if signs else phi_p(D @ (f if x0 is None else x0)))
+        with np.errstate(over="ignore"):
+            s, steps = _lm_newton_separate(s0, obj, grad, hess, converged)
+        return f - eps * (s @ D), steps, s
+
+    return solve
+
+
+def minimize_prox_separate(g, eps: float, phi):
+    """p > 2 and custom phi: solve(f, x0) = (J_eps f, Newton steps, None)
+    on the primal, with objective, gradient and Hessian each taking
+    x[iv] - x[iu] on their own."""
+    from curvflow.plaplace import G_TOL, _edges
+
+    iu, iv, c = _edges(g)
+    n = g.n
+
+    def hess(x):
+        H = np.zeros((n, n))
+        dvals = phi.derivative(x[iv] - x[iu]) * c
+        H[iu, iv] = H[iv, iu] = -dvals
+        np.fill_diagonal(H, np.bincount(iu, dvals, n) + np.bincount(iv, dvals, n) + 1.0 / eps)
+        return H
+
+    def solve(f, x0=None):
+        def grad_obj(x):
+            s = c * phi(x[iv] - x[iu])
+            return (x - f) / eps + np.bincount(iv, s, n) - np.bincount(iu, s, n)
+
+        def obj(x):
+            r = x - f
+            return float(c @ phi.primitive(x[iv] - x[iu])) + float(r @ r) / (2 * eps)
+
+        tol = G_TOL * max(1.0, float(np.max(np.abs(f))))
+
+        def converged(x, gx, last):
+            return eps * float(np.abs(gx).max()) <= tol or (
+                last is not None
+                and (1.0 + last[1] * eps) * float(np.linalg.norm(last[0])) <= tol)
+
+        return *_lm_newton_separate(f if x0 is None else x0, obj, grad_obj, hess,
+                                    converged), None
+
+    return solve
 
 
 class LPResult(NamedTuple):

@@ -1,7 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import power_iteration
+from oracles import increments_cycle_window, power_iteration
 
 from curvflow import (
     ChainOperator,
@@ -20,7 +24,9 @@ from curvflow.chains import (
     DIVERGED,
     MAX_ITERATIONS,
     OSCILLATING,
+    OSCILLATION_WINDOW,
     _increments_cycle,
+    _period2,
 )
 
 
@@ -322,3 +328,55 @@ def test_increments_cycle_detector():
     assert not _increments_cycle(increments(settling), tol)
     # a constant orbit has equal increments, nothing alternates
     assert not _increments_cycle(increments([np.array([2.0, 3.0])] * 6), tol)
+
+
+def _replay(tol, ops):
+    """Feed ops (an increment, or None for a reset) to the detector and
+    check each answer against the window rule, rescanned from scratch."""
+    push, window = _period2(tol), deque(maxlen=OSCILLATION_WINDOW)
+    answers = []
+    for inc in ops:
+        if inc is None:
+            push, window = _period2(tol), deque(maxlen=OSCILLATION_WINDOW)
+            continue
+        window.append(inc)
+        answers.append(push(inc))
+        assert answers[-1] == increments_cycle_window(list(window), tol)
+        assert _increments_cycle(window, tol) == answers[-1]
+    return answers
+
+
+# increments on a lattice of tol, so that differences land exactly on tol,
+# plus NaN entries (a NaN second difference counts as calm)
+_lattice = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(tol=st.sampled_from([1.0, 0.5, 1e-3, 1e-9]),
+       ops=st.lists(st.one_of(st.none(), st.tuples(_lattice, _lattice)),
+                    min_size=1, max_size=12))
+def test_period2_detector_matches_the_window_rule(tol, ops):
+    _replay(tol, [None if op is None else np.array(op) * tol for op in ops])
+
+
+def test_period2_detector_on_named_orbits():
+    tol = 1.0
+    one = [np.array([v]) for v in (0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)]
+    # first differences exactly tol, second differences 0: fires from the fourth
+    assert _replay(tol, one) == [False] * 3 + [True] * 6
+    # a second difference exactly tol is not calm
+    assert not any(_replay(tol, [np.array([v]) for v in (0.0, 1.0, 1.0, 2.0, 2.0)]))
+    # a NaN second difference counts as calm, as in the window rule
+    assert _replay(tol, [np.array([v]) for v in (0.0, 1.0, 0.0, np.nan)])[-1]
+    # first differences below tol do not alternate
+    assert not any(_replay(tol, [np.array([v]) for v in (0.0, 0.5) * 5]))
+    # a reset empties the window: four more increments are needed
+    assert _replay(tol, one[:4] + [None] + one[:4]) == [False] * 3 + [True] + [False] * 3 + [True]
+    # settling and constant orbits never fire
+    assert not any(_replay(1e-9, [np.array([0.5 ** k, -(0.5 ** k)]) for k in range(12)]))
+    assert not any(_replay(1e-9, [np.array([2.0, 3.0])] * 12))
+    # criterion 3's counterexample still ends oscillating at every tolerance
+    P = counterexample_operator(0.01)
+    for tol in (1e-3, 1e-6, 1e-9):
+        res = iterate_normalized(P, np.array([0.0, 0.0, -0.01, 0.01]), 0, tol, max_iter=1000)
+        assert res.status == OSCILLATING

@@ -5,6 +5,7 @@ from conftest import complete_graph, cycle_graph, random_curvature_graph, random
 from oracles import brute_force_wasserstein, dense_simplex, dense_transport_lp, limit_free_lly
 
 from curvflow import (
+    ProbMeasure,
     SolverError,
     ValidationError,
     WeightedGraph,
@@ -47,6 +48,28 @@ def test_vertex_measure_lazy_and_remainder():
     mu_half = vertex_measure(half, 0)  # deg = 1/2, remainder stays home
     assert dict(zip(mu_half.support.tolist(), mu_half.mass)) == \
         pytest.approx({0: 0.5, 1: 0.5})
+
+
+def test_vertex_measure_equals_the_checked_per_neighbour_measure():
+    # built from array operations and checked for its total only, the walk
+    # measure must be the fully checked ProbMeasure of the per-neighbour
+    # masses, bit for bit and read-only
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = random_flow_graph(rng, int(rng.integers(2, 9)))
+        for x in range(g.n):
+            for alpha in (None, 0.0, 0.3, 1.0):
+                masses = {int(z): (1.0 if alpha is None else alpha) * g.weights[x, z]
+                          / g.measure[x] for z in g.neighbors(x) if alpha != 0.0}
+                stay = max(1.0 - (1.0 if alpha is None else alpha) * g.degree(x), 0.0)
+                if stay > 1e-12 or not masses:
+                    masses[x] = stay
+                ref = ProbMeasure(np.array(sorted(masses)), np.array([masses[z] for z in
+                                                                      sorted(masses)]))
+                mu = vertex_measure(g, x, alpha)
+                assert mu.support.tobytes() == ref.support.tobytes()
+                assert mu.mass.tobytes() == ref.mass.tobytes()
+                assert not (mu.support.flags.writeable or mu.mass.flags.writeable)
 
 
 def test_vertex_measure_rejects_large_degree():

@@ -9,7 +9,9 @@ from conftest import (
     random_graph_const_measure,
 )
 from oracles import (
+    conjugate_dual_separate,
     finite_difference_gradient,
+    minimize_prox_separate,
     regularized_homotopy_resolvent,
     tv_resolvent_dual,
 )
@@ -25,7 +27,13 @@ from curvflow import (
     p_laplacian,
     resolvent,
 )
-from curvflow.plaplace import _conjugate_dual, _Resolvent, phi_laplacian, resolvent_phi
+from curvflow.plaplace import (
+    _conjugate_dual,
+    _minimize_prox,
+    _Resolvent,
+    phi_laplacian,
+    resolvent_phi,
+)
 
 
 def two_vertex():
@@ -371,6 +379,61 @@ def test_stage_solver_reproduces_resolvent_bit_for_bit(p):
                     sol = resolvent(g, f, p, eps, x0=x0)
                     assert solver.solve(f, x0)[0].tobytes() == sol.g.tobytes(), (k, eps)
                     assert solver.method == sol.method
+
+
+def _outcome(solve, f, x0):
+    """(g, steps, s) as bytes, or the SolverError's message."""
+    try:
+        g, steps, s = solve(f, x0)
+    except SolverError as exc:
+        return str(exc)
+    return g.tobytes(), steps, None if s is None else s.tobytes()
+
+
+@pytest.mark.parametrize("p,log_eps", [(p, (-12, 2)) for p in (1 + 1e-7, 1.2, 1.5, 1.9, 2.5, 3.0, 4.0)]
+                         + [(1.05, (0, 6)), (3.0, (6, 20))])  # these two damp some steps
+def test_newton_with_one_evaluation_per_point_matches_separate_evaluations(p, log_eps):
+    # the Newton resolvents evaluate each point once; the oracle evaluates
+    # objective, gradient, Hessian and certificate separately through PhiSpec
+    # (the solver this one replaced): g, steps and s must agree to the bit
+    for k in range(60):
+        rng = np.random.default_rng([8, k])
+        n = int(rng.integers(2, 20))
+        g = random_graph_const_measure(rng, n)
+        eps = 10 ** rng.uniform(*log_eps)
+        f = rng.uniform(-1, 1, n) * 10 ** rng.uniform(0, 3)
+        if p < 2:
+            lean, separate = _conjugate_dual(g, p, eps), conjugate_dual_separate(g, p, eps)
+        else:
+            phi = PhiSpec.power(p)
+            lean, separate = _minimize_prox(g, eps, phi), minimize_prox_separate(g, eps, phi)
+        cold = _outcome(separate, f, None)
+        assert _outcome(lean, f, None) == cold, k
+        if not isinstance(cold, str):
+            x0 = np.frombuffer(cold[0]) + rng.normal(scale=1e-3, size=n)
+            assert _outcome(lean, f, x0) == _outcome(separate, f, x0), k
+
+
+def test_newton_failure_matches_separate_evaluations():
+    # at eps = 1e12 the p = 1.5 dual cannot meet its gradient test
+    g = WeightedGraph.from_edges(4, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0),
+                                     (0, 3, 1.0, 1.0)], measure=[2.0] * 4)
+    f = np.array([0.0, 1.0, 2.0, 0.5])
+    failure = _outcome(conjugate_dual_separate(g, 1.5, 1e12), f, None)
+    assert isinstance(failure, str)
+    assert _outcome(_conjugate_dual(g, 1.5, 1e12), f, None) == failure
+
+
+def test_custom_phi_resolvent_matches_separate_evaluations():
+    phi = PhiSpec.custom(lambda t: np.sign(t) * np.abs(t) ** 2 + t, "convex")
+    for k in range(20):
+        rng = np.random.default_rng([9, k])
+        n = int(rng.integers(2, 12))
+        g = random_graph_const_measure(rng, n)
+        f = rng.uniform(-2.0, 2.0, n)
+        sol = resolvent_phi(g, f, phi, 0.1)
+        ref, steps, _ = minimize_prox_separate(g, 0.1, phi)(f)
+        assert sol.g.tobytes() == ref.tobytes() and sol.iterations == steps, k
 
 
 def test_variational_gradient_vanishes_against_finite_differences():

@@ -123,6 +123,71 @@ def test_extension_names_the_first_vertex_without_a_finite_distance_to_k(
         lipschitz_extend(part, shortest_path_metric(g), np.array([0.0]))
 
 
+def _random_partition(rng, g):
+    """K of 1 to n - 1 random vertices; each component of G - K goes whole
+    to X or to Y, so either may be empty."""
+    k_set = sorted(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False).tolist())
+    side = {}
+    for v in range(g.n):
+        if v in k_set or v in side:
+            continue
+        stack, side[v] = [v], bool(rng.integers(2))
+        while stack:
+            for z in g.neighbors(stack.pop()).tolist():
+                if z not in k_set and z not in side:
+                    side[z] = side[v]
+                    stack.append(z)
+    return PartitionXKY.build(g, [v for v in side if side[v]], k_set,
+                              [v for v in side if not side[v]])
+
+
+def test_chain_extension_equals_the_public_one_bit_for_bit():
+    # _iterate_on_k takes d's columns to K once per flow; every chain step's
+    # extension must be the public lipschitz_extend's, and the per-vertex one's
+    rng = np.random.default_rng(19)
+    empty_x = empty_y = 0
+    for _ in range(60):
+        g = random_flow_graph(rng, int(rng.integers(2, 9)))
+        part = _random_partition(rng, g)
+        d, ks = shortest_path_metric(g), np.array(part.k_set)
+        steps = []
+
+        def step(full):
+            fk = full[ks]
+            assert full.tobytes() == lipschitz_extend(part, d, fk, validate=False).tobytes()
+            assert full.tobytes() == _extend_by_vertex(part, d, fk).tobytes()
+            steps.append(fk)
+            return full + 0.5 * laplacian_apply(g, full)
+
+        _iterate_on_k(part, d, step, rng.normal(size=ks.size), 0, 1e-9, 6, "check", {})
+        assert steps
+        empty_x += not part.x_set
+        empty_y += not part.y_set
+    assert empty_x and empty_y
+
+
+@pytest.mark.parametrize("x_set,y_set,vertex", [([0, 3, 4], [2], 3), ([0], [2, 3, 4], 2)])
+def test_chain_step_names_the_first_vertex_without_a_finite_distance_to_k(
+        x_set, y_set, vertex):
+    g = WeightedGraph.from_edges(5, [(0, 1, 1.0, 1.0)], measure=[1.0] * 5)
+    part = PartitionXKY.build(g, x_set, [1], y_set)
+    d, steps = shortest_path_metric(g), []
+    # the engine checks f0 before its first step, where the extension raises
+    with pytest.raises(ValidationError, match="f0 must be finite"):
+        _iterate_on_k(part, d, steps.append, np.array([np.nan]), 0, 1e-9, 10, "cut", {})
+    with pytest.raises(DisconnectedError, match=f"vertex {vertex} has no finite distance"):
+        _iterate_on_k(part, d, steps.append, np.array([0.0]), 0, 1e-9, 10, "cut", {})
+    assert steps == []
+    with pytest.raises(DisconnectedError, match=f"vertex {vertex} has no finite distance"):
+        separation_flow_linear(g, part, 0.1, waive_curvature=True)
+
+
+def test_extension_rejects_a_non_finite_f():
+    g, part = path_partition()
+    with pytest.raises(ValidationError, match="finite"):
+        lipschitz_extend(part, shortest_path_metric(g), np.array([np.nan]), validate=False)
+
+
 def test_extension_is_one_lipschitz_and_constant_additive():
     rng = np.random.default_rng(0)
     for _ in range(10):
