@@ -71,7 +71,7 @@ def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> Prob
     supp = np.flatnonzero(row)
     mass = scale * g.weights[x, supp] / g.measure[x]
     mass[supp == x] = stay  # the remainder, where x is in the support
-    return ProbMeasure._built(supp, mass)
+    return ProbMeasure(supp, mass)
 
 
 def ollivier_kappa(g: WeightedGraph, d: DistanceMatrix, x: int, y: int) -> float:

@@ -512,14 +512,14 @@ def _conjugate_dual(g: WeightedGraph, p: float, eps: float):
     iu, iv, c = _edges(g)
     D = np.eye(g.n)[iv] - np.eye(g.n)[iu]
     q = p / (p - 1.0)
-    phi_p = PhiSpec.power(p)
+    phi_p, phi_q = PhiSpec.power(p), PhiSpec.power(q)
     gram = eps * (D @ D.T)
     gram_diag, abs_d = gram.diagonal().copy(), np.abs(D)
     signs = _resolvent_tv(g, eps) if p - 1.0 <= 1e-6 else None
 
     def hess(a: np.ndarray) -> np.ndarray:
         H = gram.copy()
-        np.fill_diagonal(H, gram_diag + (q - 1) * np.maximum(a, 1e-12) ** (q - 2) / c)
+        np.fill_diagonal(H, gram_diag + phi_q.derivative(a) / c)
         return H
 
     def solve(f: np.ndarray, x0: np.ndarray | None = None):
@@ -536,7 +536,7 @@ def _conjugate_dual(g: WeightedGraph, p: float, eps: float):
                 if gnorm > grad_tol:
                     return False
                 t = D @ (f - eps * u)
-                energy = float(c @ (np.abs(t) ** p / p))
+                energy = float(c @ phi_p.primitive(t))
                 gap = energy + float(c @ (power - sigma * t))
                 floor = float(np.abs(s).sum() * np.max(np.abs(f) + eps * (np.abs(s) @ abs_d)))
                 return gap <= GAP_TOL * max(1.0, energy + half) + 1e-14 * floor

@@ -90,15 +90,13 @@ class ProbMeasure:
         return cls(np.array([x]), np.array([1.0]))
 
     @classmethod
-    def _built(cls, support: np.ndarray, mass: np.ndarray) -> "ProbMeasure":
-        """Checks the total only: ``vertex_measure``'s flatnonzero support is
-        sorted and distinct, its masses finite and nonnegative."""
-        if abs(mass.sum() - 1.0) > MASS_TOL:
-            raise ValidationError(f"masses must sum to 1, got {mass.sum()!r}")
-        support.flags.writeable = mass.flags.writeable = False
-        self = object.__new__(cls)
-        self.__dict__.update(support=support, mass=mass)
-        return self
+    def from_dict(cls, masses: dict[int, float]) -> "ProbMeasure":
+        items = sorted(masses.items())
+        return cls(np.array([k for k, _ in items]),
+                   np.array([v for _, v in items]))
+
+    def total(self) -> float:
+        return float(self.mass.sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbMeasure):

@@ -51,9 +51,8 @@ def test_vertex_measure_lazy_and_remainder():
 
 
 def test_vertex_measure_equals_the_checked_per_neighbour_measure():
-    # built from array operations and checked for its total only, the walk
-    # measure must be the fully checked ProbMeasure of the per-neighbour
-    # masses, bit for bit and read-only
+    # built from array operations on x's weight row, the walk measure must be
+    # the ProbMeasure of the per-neighbour masses, bit for bit and read-only
     for seed in range(40):
         rng = np.random.default_rng(seed)
         g = random_flow_graph(rng, int(rng.integers(2, 9)))
@@ -64,8 +63,7 @@ def test_vertex_measure_equals_the_checked_per_neighbour_measure():
                 stay = max(1.0 - (1.0 if alpha is None else alpha) * g.degree(x), 0.0)
                 if stay > 1e-12 or not masses:
                     masses[x] = stay
-                ref = ProbMeasure(np.array(sorted(masses)), np.array([masses[z] for z in
-                                                                      sorted(masses)]))
+                ref = ProbMeasure.from_dict(masses)
                 mu = vertex_measure(g, x, alpha)
                 assert mu.support.tobytes() == ref.support.tobytes()
                 assert mu.mass.tobytes() == ref.mass.tobytes()
