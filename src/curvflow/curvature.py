@@ -9,7 +9,7 @@ ball-transport curvature driving the p-Laplace gradient estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -123,9 +123,14 @@ def modified_kappa_phi(g: WeightedGraph, x: int, y: int, phi_shape: str,
 
 
 def _walks(g: WeightedGraph) -> Callable[[int, float | None], ProbMeasure]:
-    """walk(z, alpha) = ``vertex_measure(g, z, alpha)``, built once and kept.
-    Every kind's body takes (g, d, alpha, walk, x, y) to kappa(x, y)."""
-    return lru_cache(maxsize=None)(partial(vertex_measure, g))
+    """walk(z, alpha) = ``vertex_measure(g, z, alpha)``, built once per graph
+    in ``g._walk_measures`` (it holds no graph; ``with_lengths`` copies share
+    it, as walks read no length).  Kind bodies take (g, d, alpha, walk, x, y)."""
+    def walk(z: int, alpha: float | None, memo: dict = g._walk_measures) -> ProbMeasure:
+        if (z, alpha) not in memo:
+            memo[z, alpha] = vertex_measure(g, z, alpha)
+        return memo[z, alpha]
+    return walk
 
 
 def _kappa_walk(g: WeightedGraph, d: DistanceMatrix, alpha: float | None, walk,
@@ -151,7 +156,7 @@ def _kappa_lly(g: WeightedGraph, d: DistanceMatrix, alpha: float, walk,
         alpha /= 2.0
     rates = [sign * (g.weights[v, s] / g.measure[v] if s != v else -g.degree(v))
              for v, sign, support in ((x, 1.0, sx), (y, -1.0, sy)) for s in support]
-    c = d.values[np.ix_(mu.support, nu.support)].tolist()
+    c = d.values[mu.support[:, None], nu.support].tolist()
     slope = sum(f * c[i][j] for (i, j), f in _tree(sorted(flows), c, rates)[2].items())
     if phi is not None:
         gaps = (phi[x] - phi[y] - d.value(x, y), np.dot(rates, phi[sx + sy]) - slope)

@@ -81,6 +81,8 @@ class WeightedGraph:
     weights: np.ndarray
     measure: np.ndarray
     lengths: np.ndarray
+    # ``curvature``'s walk measures; ``with_lengths`` copies share them (no length read)
+    _walk_measures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)

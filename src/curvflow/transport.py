@@ -1,16 +1,16 @@
 """Exact optimal transport between finitely supported measures.
 
 Wasserstein distances, identical measures included, are solved by a
-transportation simplex whose basis is a spanning tree of the supports
-(least-cost or warm start, Bland's rule); the same solver, run in two
-phases, maximizes the ball transport with forbidden cells.  The solver
-returns its final tree, whose duals certify W by Kantorovich duality:
-their c-transform, 1-Lipschitz on any metric (checked once per distance
-matrix), has a dual value matching W, so no tree is rebuilt and no
-second LP solved.  An audit mode certifies every transport solve made
-inside it, and every value the Ricci flow prices from a kept basis,
-which the acceptance suite uses to cross-check all transport work done
-by the flows.
+network simplex whose basis is a spanning tree of the supports: started
+least-cost or warm, priced by Dantzig's rule (Bland's after a degenerate
+pivot), and updated in place, each pivot moving flow on its cycle and
+re-deriving duals on the subtree it re-hangs.  The same solver, run in
+two phases, maximizes the ball transport with forbidden cells.  The
+solver returns its final tree, whose duals certify W by Kantorovich
+duality: their c-transform, 1-Lipschitz on any metric (checked once per
+distance matrix), has a dual value matching W, so no second LP is
+solved.  An audit mode certifies every transport solve made inside it,
+and every value the Ricci flow prices from a kept basis.
 """
 
 from __future__ import annotations
@@ -199,9 +199,9 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray,
     on a line closed later, so the n1 + n2 - 1 cells form a tree."""
     ra, rb = a.tolist(), b.tolist()  # None once the line is closed
     open_rows, open_cols = a.size, b.size
-    cells = []
-    for k in np.argsort(np.ravel(c), kind="stable").tolist():
-        i, j = divmod(k, b.size)
+    cells, order = [], iter(np.argsort(np.ravel(c), kind="stable").tolist())
+    while open_rows:
+        i, j = divmod(next(order), b.size)
         if ra[i] is None or rb[j] is None:
             continue
         cells.append((i, j))
@@ -246,19 +246,6 @@ def _tree(cells, cost: list[list[float]], supply: list[float]):
     return duals, parent, flows
 
 
-def _losing_cells(parent: list[int], i: int, j: int, n1: int) -> list[tuple[int, int]]:
-    """Tree cells whose flow drops when cell (i, j) enters: every other
-    cell of the tree path from column node n1 + j to row node i."""
-    up = [i]
-    while parent[up[-1]] >= 0:
-        up.append(parent[up[-1]])
-    path = [n1 + j]
-    while path[-1] not in up:
-        path.append(parent[path[-1]])
-    path += up[:up.index(path[-1])][::-1]
-    return [(r, c - n1) for c, r in zip(path[0::2], path[1::2])]
-
-
 def _flow_floor(supply: list[float]) -> float:
     """Least flow a feasible tree may carry: -MASS_TOL, widened by the
     supplies' own imbalance (up to 2 x MASS_TOL between two valid
@@ -278,43 +265,93 @@ def _start_tree(cells, c: list[list[float]], supply: list[float]):
     return tree
 
 
+def _entering(c: list, duals: list, tol: float, basic, frozen, bland: bool) -> tuple | None:
+    """The cell off ``basic`` and ``frozen`` of most negative c_ij - u_i - v_j
+    below -tol, first row-major on ties, or with ``bland`` the first below -tol."""
+    best, enter, v = -tol, None, duals[len(c):]
+    for i, row in enumerate(c):
+        ui = duals[i]
+        for j, cij in enumerate(row):
+            if cij - ui - v[j] < best and (i, j) not in basic and (i, j) not in frozen:
+                if bland:
+                    return i, j
+                best, enter = cij - ui - v[j], (i, j)
+    return enter
+
+
 def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                        cells: list[tuple[int, int]],
                        frozen: frozenset | set = frozenset()) -> tuple[tuple, int]:
     """The optimal tree's (duals, parent, flows), as ``_tree`` gives them,
     and the pivot count, from the feasible tree ``cells``.
 
-    Cold starts pass ``_least_cost_basis``, which leaves few pivots.
-    Bland's rule: enter the first cell off the tree and not ``frozen``,
-    row-major, with c_ij - u_i - v_j < -ENTER_TOL x max(1, max c); drop the
-    losing cell of least flow, ties within roundoff relative to that flow
-    to the smallest.  Flows are peeled afresh on every tree, which sheds
-    pivoting roundoff; a final flow below ``_flow_floor`` raises SolverError.
+    Cold starts pass ``_least_cost_basis``, which leaves few pivots.  Cells
+    enter by ``_entering`` below -ENTER_TOL x max(1, max c), by Bland's rule
+    after a degenerate pivot until flow moves; the losing cell of least
+    flow leaves, ties within roundoff relative to it to the smallest, so a
+    degenerate run follows Bland's rule and cannot cycle.  An optimal start
+    returns ``_start_tree``'s tree; else the tree is updated in place: flows
+    move by theta on the cycle, parents reverse from the entering cell to
+    the leaving one, duals are re-derived on the re-hung subtree.  A final
+    flow below ``_flow_floor`` raises SolverError.
     """
     n1 = a.size
     tol = ENTER_TOL * max(1.0, max(map(max, c)))
     supply = a.tolist() + (-b).tolist()
-    tree = _start_tree(cells, c, supply)
-    for pivots in range(MAX_PIVOTS + 1):
-        duals, parent, flows = tree
-        enter = next(((i, j) for i, row in enumerate(c) for j, cij in enumerate(row)
-                      if cij - duals[i] - duals[n1 + j] < -tol and (i, j) not in flows
-                      and (i, j) not in frozen),
-                     None)
-        if enter is None:
-            if min(flows.values()) < _flow_floor(supply):
-                raise SolverError(f"transport simplex ended at a negative flow "
-                                  f"{min(flows.values()):g}")
-            return tree, pivots
+    tree = duals, parent, flows = _start_tree(cells, c, supply)
+    enter, pivots = _entering(c, duals, tol, flows, frozen, False), 0
+    if enter is not None:  # keep the tree as parent, depth, children, parent-cell flow
+        def cell(k):
+            return (k, parent[k] - n1) if k < n1 else (parent[k], k - n1)
+
+        def hang(stack):  # duals and depths below, by dual = c - dual[parent]
+            for k in stack:
+                r, col = cell(k)
+                duals[k] = c[r][col] - duals[parent[k]]
+                depth[k] = depth[parent[k]] + 1
+                stack.extend(children[k])
+
+        nodes, depth, basic = range(len(supply)), [0] * len(supply), set(flows)
+        pflow = [flows[cell(k)] if k else 0.0 for k in nodes]
+        children: list[list[int]] = [[] for _ in nodes]
+        for k in nodes[1:]:
+            children[parent[k]].append(k)
+        hang(list(children[0]))
+    while enter is not None:
+        if (pivots := pivots + 1) > MAX_PIVOTS:
+            raise SolverError(f"transport simplex exceeded {MAX_PIVOTS} pivots")
         i, j = enter
-        losing = _losing_cells(parent, i, j, n1)
-        theta = min(flows[e] for e in losing)
+        # climb from both ends of (i, j) to their common ancestor; every
+        # other cell of the cycle, from the column end on, loses flow
+        sides, ends = ([], []), [i, n1 + j]
+        while ends[0] != ends[1]:
+            s = int(depth[ends[1]] > depth[ends[0]])
+            sides[s].append(ends[s])
+            ends[s] = parent[ends[s]]
+        cycle = [(k, (k < n1) != s) for s in (0, 1) for k in sides[s]]  # (node, loses)
+        theta = min(pflow[k] for k, loses in cycle if loses)
         # an absolute tie window would outsize the masses of an alpha-lazy
         # measure and let a cell above the least ratio leave
-        leave = min(e for e in losing
-                    if flows[e] <= theta + MASS_TOL * abs(theta) + 1e-15)
-        tree = _tree([e for e in flows if e != leave] + [(i, j)], c, supply)
-    raise SolverError(f"transport simplex exceeded {MAX_PIVOTS} pivots")
+        tie = MASS_TOL * abs(theta) + 1e-15
+        leave, out = min((cell(k), k) for k, loses in cycle if loses and pflow[k] <= theta + tie)
+        for k, loses in cycle:
+            pflow[k] += -theta if loses else theta
+        # re-hang the side holding the leaving cell from the entering one
+        s = int(out in sides[1])
+        path, up, f = sides[s][:sides[s].index(out) + 1], (n1 + j, i)[s], theta
+        for k in path:
+            children[parent[k]].remove(k)
+            children[up].append(k)
+            parent[k], pflow[k], up, f = up, f, k, pflow[k]
+        hang([path[0]])
+        basic ^= {leave, enter}
+        enter = _entering(c, duals, tol, basic, frozen, theta <= tie)
+    if pivots:
+        tree = duals, parent, {cell(k): pflow[k] for k in nodes[1:]}
+    if min(tree[2].values()) < _flow_floor(supply):
+        raise SolverError(f"transport simplex ended at a negative flow "
+                          f"{min(tree[2].values()):g}")
+    return tree, pivots
 
 
 def _local_cells(mu1: ProbMeasure, mu2: ProbMeasure, pairs) -> list | None:
@@ -330,7 +367,7 @@ def _local_cells(mu1: ProbMeasure, mu2: ProbMeasure, pairs) -> list | None:
 
 def _check_supports_connected(mu1: ProbMeasure, mu2: ProbMeasure,
                               d: DistanceMatrix) -> np.ndarray:
-    cost = d.values[mu1.support][:, mu2.support]
+    cost = d.values[mu1.support[:, None], mu2.support]
     if np.isinf(cost).any():
         raise DisconnectedError("measure supports lie in different components")
     return cost

@@ -13,11 +13,14 @@ conjugate dual, per-pair LPs over f for Ric_r instead of Kantorovich
 potentials, a per-edge scan of adjacent lengths instead of per-vertex
 minima, a triple loop over every triangle instead of blocks of k, plain
 power iteration, and finite differences.  None of it shares code with the implementation paths
-it checks.  Two oracles are the library's previous formulations, kept to
-check that a faster one changes no bit: the period-2 test that rescans its
-whole window, and the Newton resolvents that evaluate objective, gradient
-and Hessian separately through ``PhiSpec`` (they reuse the library's edge
-list, p = 1 signs and constants, not its Newton loop).
+it checks.  Three oracles are the library's previous formulations, kept to
+check that a faster one changes no bit, or no optimum: the period-2 test
+that rescans its whole window, the Newton resolvents that evaluate
+objective, gradient and Hessian separately through ``PhiSpec`` (they reuse
+the library's edge list, p = 1 signs and constants, not its Newton loop),
+and the transportation simplex that enters by Bland's rule alone and
+re-peels its whole tree after every pivot (it reuses the library's start
+check and tree peel, not its pivot).
 """
 
 from __future__ import annotations
@@ -119,6 +122,52 @@ def northwest_basis(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
             j += 1
         cells.append((i, j))
     return cells
+
+
+def _bland_losing_cells(parent: list[int], i: int, j: int, n1: int) -> list[tuple[int, int]]:
+    """Tree cells whose flow drops when cell (i, j) enters: every other
+    cell of the tree path from column node n1 + j to row node i."""
+    up = [i]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    path = [n1 + j]
+    while path[-1] not in up:
+        path.append(parent[path[-1]])
+    path += up[:up.index(path[-1])][::-1]
+    return [(r, c - n1) for c, r in zip(path[0::2], path[1::2])]
+
+
+def bland_transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
+                            cells: list[tuple[int, int]], frozen=frozenset()):
+    """The library's previous transportation simplex, kept as a reference:
+    ((duals, parent, flows), pivots) like ``transport._transport_simplex``,
+    but every pivot enters the first eligible cell row-major (Bland) and
+    rebuilds and re-peels the whole tree with ``transport._tree``."""
+    from curvflow.errors import SolverError
+    from curvflow.transport import ENTER_TOL, MASS_TOL, MAX_PIVOTS, _flow_floor, _start_tree, _tree
+
+    n1 = a.size
+    tol = ENTER_TOL * max(1.0, max(map(max, c)))
+    supply = a.tolist() + (-b).tolist()
+    tree = _start_tree(cells, c, supply)
+    for pivots in range(MAX_PIVOTS + 1):
+        duals, parent, flows = tree
+        enter = next(((i, j) for i, row in enumerate(c) for j, cij in enumerate(row)
+                      if cij - duals[i] - duals[n1 + j] < -tol and (i, j) not in flows
+                      and (i, j) not in frozen),
+                     None)
+        if enter is None:
+            if min(flows.values()) < _flow_floor(supply):
+                raise SolverError(f"transport simplex ended at a negative flow "
+                                  f"{min(flows.values()):g}")
+            return tree, pivots
+        i, j = enter
+        losing = _bland_losing_cells(parent, i, j, n1)
+        theta = min(flows[e] for e in losing)
+        leave = min(e for e in losing
+                    if flows[e] <= theta + MASS_TOL * abs(theta) + 1e-15)
+        tree = _tree([e for e in flows if e != leave] + [(i, j)], c, supply)
+    raise SolverError(f"transport simplex exceeded {MAX_PIVOTS} pivots")
 
 
 def brute_force_wasserstein(a: np.ndarray, b: np.ndarray,

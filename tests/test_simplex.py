@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_lp_max, dense_simplex, dense_transport_lp, northwest_basis
+from oracles import (
+    bland_transport_simplex,
+    brute_force_lp_max,
+    dense_simplex,
+    dense_transport_lp,
+    northwest_basis,
+)
 
 import curvflow.transport as transport
+from curvflow.errors import SolverError
 from curvflow import (
     ProbMeasure,
     WeightedGraph,
@@ -158,6 +165,119 @@ def test_least_cost_start_on_a_single_row_or_column(n1, n2, zero_costs):
     assert sorted(transport._least_cost_basis(a, b, cost.tolist())) == \
         [(i, j) for i in range(n1) for j in range(n2)]
     _check_both_starts(a, b, cost)
+
+
+@st.composite
+def _degenerate_problems(draw):
+    """a x b transport problems with integer masses (zeros included) and
+    integer costs (ties everywhere), sometimes between identical measures
+    with zero diagonal cost; a least-cost or northwest start tree and, as in
+    phase 2 of the ball transport, a frozen set of cells off that tree."""
+    n1 = draw(st.integers(1, 5))
+    identical = draw(st.booleans())
+    n2 = n1 if identical else draw(st.integers(1, 5))
+
+    def masses(n):
+        m = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        m[draw(st.integers(0, n - 1))] += 1.0  # a positive total
+        return m / m.sum()
+
+    a = masses(n1)
+    b = a.copy() if identical else masses(n2)
+    cost = np.array(draw(st.lists(st.integers(0, 3), min_size=n1 * n2, max_size=n1 * n2)),
+                    dtype=float).reshape(n1, n2)
+    if identical:
+        np.fill_diagonal(cost, 0.0)
+    c = cost.tolist()
+    start = (transport._least_cost_basis(a, b, c) if draw(st.booleans())
+             else northwest_basis(a, b))
+    off_tree = [(i, j) for i in range(n1) for j in range(n2) if (i, j) not in start]
+    frozen = frozenset(e for e in off_tree if draw(st.booleans())) \
+        if draw(st.booleans()) else frozenset()
+    return a, b, cost, start, frozen
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=_degenerate_problems())
+def test_network_simplex_is_optimal_and_matches_the_bland_oracle(problem):
+    # Dantzig pricing on the in-place tree reaches the optimum that the
+    # rebuild-and-Bland solver and the dense tableau reach, over the LP
+    # with the frozen cells' flows fixed at 0
+    a, b, cost, start, frozen = problem
+    c, n1 = cost.tolist(), a.size
+    supply = a.tolist() + (-b).tolist()
+    scale = max(1.0, float(cost.max()))
+    (duals, _, flows), _ = transport._transport_simplex(a, b, c, start, frozen)
+    (_, _, oracle_flows), _ = bland_transport_simplex(a, b, c, start, frozen)
+    value = sum(f * c[i][j] for (i, j), f in flows.items())
+    assert abs(value - sum(f * c[i][j] for (i, j), f in oracle_flows.items())) <= 1e-12 * scale
+    lp_c, lp_a, rhs = dense_transport_lp(a, b, cost)
+    allowed = np.array([(i, j) not in frozen for i in range(n1) for j in range(b.size)])
+    dense = dense_simplex(lp_c[allowed], lp_a[:, allowed], rhs)
+    assert dense.status == "optimal"
+    assert abs(value - dense.value) <= 1e-12 * scale
+    # a spanning tree whose duals price its own cells at cost, none allowed below -tol
+    peel = transport._tree(list(flows), c, supply)
+    assert len(flows) == n1 + b.size - 1 and peel is not None
+    assert peel[0] == duals  # the in-place duals are the fresh peel's, bit for bit
+    for i in range(n1):
+        for j in range(b.size):
+            reduced = c[i][j] - duals[i] - duals[n1 + j]
+            if (i, j) in flows:
+                assert abs(reduced) <= 1e-12 * scale
+            elif (i, j) not in frozen:
+                assert reduced >= -transport.ENTER_TOL * scale
+    # flows moved on the cycles stay feasible and next to a fresh peel
+    assert min(flows.values()) >= transport._flow_floor(supply)
+    assert max(abs(peel[2][e] - f) for e, f in flows.items()) <= 1e-14
+
+
+# 8 of its 11 pivots from the northwest corner are degenerate
+_DEGENERATE = (np.array([2.0, 2.0, 1.0, 2.0]) / 7, np.array([2.0, 1.0, 2.0, 2.0]) / 7,
+               [[3.0, 2.0, 1.0, 2.0], [1.0, 2.0, 1.0, 0.0], [2.0, 0.0, 1.0, 0.0],
+                [2.0, 0.0, 0.0, 2.0]])
+
+
+def test_bland_fallback_after_degenerate_pivots(monkeypatch):
+    a, b, c = _DEGENERATE
+    start = northwest_basis(a, b)
+    rules = []
+    entering = transport._entering
+
+    def counted(*args):
+        rules.append(args[-1])  # True: Bland's rule after a degenerate pivot
+        return entering(*args)
+
+    monkeypatch.setattr(transport, "_entering", counted)
+    (_, _, flows), pivots = transport._transport_simplex(a, b, c, start)
+    assert (pivots, sum(rules)) == (11, 8)
+    (_, _, oracle_flows), oracle_pivots = bland_transport_simplex(a, b, c, start)
+    assert oracle_pivots == 14
+    value = sum(f * c[i][j] for (i, j), f in flows.items())
+    assert abs(value - sum(f * c[i][j] for (i, j), f in oracle_flows.items())) <= 1e-12
+    assert abs(value - dense_simplex(*dense_transport_lp(a, b, np.array(c))).value) <= 1e-12
+
+
+def test_network_simplex_errors(monkeypatch):
+    a, b, c = _DEGENERATE
+    start = northwest_basis(a, b)
+    monkeypatch.setattr(transport, "MAX_PIVOTS", 11)
+    assert transport._transport_simplex(a, b, c, start)[1] == 11
+    monkeypatch.setattr(transport, "MAX_PIVOTS", 10)
+    with pytest.raises(SolverError, match="exceeded 10 pivots"):
+        transport._transport_simplex(a, b, c, start)
+    monkeypatch.undo()
+    # flows are moved, never re-peeled, so the final check must catch a
+    # start tree whose flow went wrong after its own check
+    start_tree = transport._start_tree
+
+    def corrupted(*args):
+        duals, parent, flows = start_tree(*args)
+        return duals, parent, {e: f - 0.5 * (e == (1, 0)) for e, f in flows.items()}
+
+    monkeypatch.setattr(transport, "_start_tree", corrupted)
+    with pytest.raises(SolverError, match="negative flow"):
+        transport._transport_simplex(a, b, c, start)
 
 
 def test_rank_deficient_systems():
