@@ -71,19 +71,30 @@ def _float_array(doc: Any, path: str) -> np.ndarray:
         raise ValidationError(f"{path}: expected an array of numbers: {exc}") from exc
 
 
+def _json_number(x: Any, what: str) -> float:
+    """A JSON number (not a bool or a string) as a float, else ValidationError."""
+    if type(x) not in (int, float):
+        raise ValidationError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{what} is beyond the float range") from None
+
+
 def parse_graph(path: str) -> WeightedGraph:
     """Load and validate the JSON graph format.
 
     Expected document: ``{"vertices": N, "edges": [{"u", "v", "w",
     "len"}, ...], "measure": [N floats]?}`` with 0 <= u < v < N, positive
     weights and lengths, no duplicate pairs, and a positive measure
-    (default all 1.0).
+    (default all 1.0).  Integers and numbers must be JSON integers and
+    numbers: bools and numeric strings are rejected.
     """
     doc = _load_json(path, "graph")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: graph document must be a JSON object")
     n = doc.get("vertices")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValidationError(f"{path}: 'vertices' must be a positive integer")
     edges = doc.get("edges")
     if not isinstance(edges, list):
@@ -94,21 +105,19 @@ def parse_graph(path: str) -> WeightedGraph:
             raise ValidationError(
                 f"{path}: edges[{idx}] needs fields u, v, w, len")
         u, v = e["u"], e["v"]
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n):
+        if not (type(u) is int and type(v) is int and 0 <= u < v < n):
             raise ValidationError(
                 f"{path}: edges[{idx}] must satisfy 0 <= u < v < {n}, "
                 f"got u={u!r}, v={v!r}")
-        try:
-            tuples.append((u, v, float(e["w"]), float(e["len"])))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{path}: edges[{idx}] w and len must be numbers: {exc}") from exc
+        w, ln = (_json_number(e[k], f"{path}: edges[{idx}].{k}") for k in ("w", "len"))
+        tuples.append((u, v, w, ln))
     measure = doc.get("measure")
     if measure is not None:
         if not isinstance(measure, list) or len(measure) != n:
             raise ValidationError(
                 f"{path}: 'measure' must be an array of {n} numbers")
-        if any(not isinstance(x, (int, float)) or x <= 0 for x in measure):
+        measure = [_json_number(x, f"{path}: measure[{i}]") for i, x in enumerate(measure)]
+        if any(x <= 0 for x in measure):
             raise ValidationError(f"{path}: 'measure' entries must be positive")
     try:
         return WeightedGraph.from_edges(n, tuples, measure=measure)

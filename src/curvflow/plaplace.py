@@ -22,7 +22,6 @@ import numpy as np
 from .curvature import curvature_report
 from .errors import SolverError, ValidationError
 from .graphs import (
-    DistanceMatrix,
     WeightedGraph,
     combinatorial_metric,
     connected_components,
@@ -174,9 +173,10 @@ class Delta1Membership:
     f: np.ndarray
 
     def verify(self, h: np.ndarray, selection: np.ndarray, *,
-               tol: float = 1e-7, zero_tol: float = 1e-6) -> tuple[bool, str]:
+               tol: float = 1e-7) -> tuple[bool, str]:
         """Check selection s_xy in sign(f(y) - f(x)), s antisymmetric,
-        and h(x) = (1/m) sum w s_xy, each within tolerance."""
+        and h(x) = (1/m) sum w s_xy, each within ``tol``; a gradient
+        within 1e-6 of zero leaves its sign free."""
         g = self.graph
         h = np.asarray(h, dtype=float)
         s = np.asarray(selection, dtype=float)
@@ -189,9 +189,9 @@ class Delta1Membership:
             val = s[u, v]
             if abs(val) > 1.0 + tol:
                 return False, f"selection at ({u}, {v}) leaves [-1, 1]"
-            if grad[u, v] > zero_tol and abs(val - 1.0) > tol:
+            if grad[u, v] > 1e-6 and abs(val - 1.0) > tol:
                 return False, f"selection at ({u}, {v}) must be 1 on a positive gradient"
-            if grad[u, v] < -zero_tol and abs(val + 1.0) > tol:
+            if grad[u, v] < -1e-6 and abs(val + 1.0) > tol:
                 return False, f"selection at ({u}, {v}) must be -1 on a negative gradient"
         achieved = np.sum(g.weights * s, axis=1) / g.measure
         dev = float(np.max(np.abs(achieved - h)))
@@ -582,20 +582,18 @@ class DecayBound:
 
 
 def lipschitz_decay_bound(g: WeightedGraph, f: np.ndarray, phi: PhiSpec,
-                          eps: float, K: float | None = None, *,
-                          slack: float = 1e-8,
-                          d0: DistanceMatrix | None = None) -> DecayBound:
+                          eps: float, K: float | None = None) -> DecayBound:
     """Check Lip(J_eps f) <= Lip(f) (1 + eps phi(Lip f) K / Lip f)^(-1).
 
     Lipschitz constants are taken over edges of the combinatorial
-    distance.  K defaults to the verified minimum of the modified
-    curvature over all edges (and may not exceed it).  When the
+    distance, and the bound holds with a slack of 1e-8.  K defaults to
+    the verified minimum of the modified curvature over all edges (and
+    may not exceed it).  When the
     positivity precondition 1 + eps phi(L) K / L fails, eps is halved
     until it holds; the effective eps is reported.
     """
     f = np.asarray(f, dtype=float)
-    if d0 is None:
-        d0 = combinatorial_metric(g)
+    d0, slack = combinatorial_metric(g), 1e-8
     kappa_min = curvature_report(g, d0, kind=f"phi-{phi.shape}").min
     if K is None:
         K = kappa_min

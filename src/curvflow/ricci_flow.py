@@ -17,15 +17,8 @@ the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
 maximum on each component after every step (the flow is scale-invariant
 per component); a ``WeightedGraph`` is built only after a deletion and
 for the final state.  The public steps run the same pieces on a graph.
-
-W(e) is one transport LP per edge and step.  While the edge set stays,
-the flow keeps every edge's walk measures and last optimal spanning-tree
-basis in one batch.  A step re-prices all those trees in one numpy pass:
-the tree flows are fixed, so W is a sum over the tree cells, and only
-the off-tree reduced costs need checking.  An edge whose tree is no
-longer optimal is re-solved, warm from that tree.  The values are
-bit-identical to a warm ``wasserstein`` call on every edge, and under
-``transport_audit`` the batch certifies each value from its trees' duals.
+W(e) is one transport LP per edge and step; while the edge set stays,
+``transport._Batch`` re-prices every edge's kept optimal tree at once.
 """
 
 from __future__ import annotations
@@ -36,19 +29,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import _increments_cycle, _period2  # noqa: F401 (re-exported)
+from .chains import _period2
 from .curvature import CurvatureReport, _walks
-from .errors import CertificateError, ValidationError
-from .graphs import DistanceMatrix, WeightedGraph, _component_groups, _path_metric
-from .transport import (
-    _AUDIT,
-    CERTIFY_TOL,
-    ENTER_TOL,
-    ProbMeasure,
-    _require_metric,
-    _start_tree,
-    wasserstein,
-)
+from .errors import ValidationError
+from .graphs import WeightedGraph, _component_groups, _path_metric
+from .transport import _Batch, _edge_tree, wasserstein
 
 __all__ = [
     "FlowConfig",
@@ -110,141 +95,6 @@ class FlowTraceRow:
     lambda_minus: float
     delta_sup: float | None  # None when the edge set just changed
     deleted_edges: tuple[tuple[int, int], ...] = ()
-
-
-def _edge_tree(mu: ProbMeasure, nu: ProbMeasure, basis: tuple) -> tuple:
-    """An edge's optimal basis (the ``basic_cells`` of a ``wasserstein``
-    plan) as the batch keeps it: (basis, its cells as sorted (row, column)
-    support indices, their flows, the parent node of each tree node).
-    These are the flows of a warm start from ``basis``, under the same
-    feasibility check."""
-    cells = list(zip(np.searchsorted(mu.support, [x for x, _ in basis]).tolist(),
-                     np.searchsorted(nu.support, [y for _, y in basis]).tolist()))
-    zero = [[0.0] * nu.support.size] * mu.support.size  # flows ignore costs
-    _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
-    return basis, cells, [flows[c] for c in cells], parent
-
-
-class _Batch:
-    """Every edge's walk measures and current optimal transport tree,
-    concatenated so that one numpy pass per flow step re-prices them all.
-
-    A tree's flows depend on the walk measures alone.  While the tree
-    stays optimal, W(e) is the sum of flow x d over its cells of positive
-    flow, added in ``wasserstein``'s order, so it matches to the bit.
-    The tree's duals solve u_i + v_j = d(x_i, y_j) from u_0 = 0, one tree
-    level at a time, with one subtraction per node as in ``_tree``.
-    ``price`` returns W and the edges with an off-tree cell whose reduced
-    cost is below -ENTER_TOL x max(1, max cost).  The simplex would pivot
-    there, so the flow re-solves those edges from their trees.  Under
-    ``transport_audit`` the same duals certify every other edge, as
-    ``transport._certify`` does.  An edge whose two walk measures coincide
-    keeps its least-cost tree like any other, with W = 0.
-    """
-
-    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
-                 trees: list[tuple]) -> None:
-        self.pairs, self.trees = pairs, trees
-        cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
-        off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
-        moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
-        levels: list[list[tuple]] = []  # per depth: (node, parent cell, parent node)
-        cols, col_node, col_start = [], [], []  # the column nodes, for the duals' c-transform
-        nodes_vertex, supply, node_edge = [], [], []  # every node, for the dual value
-        nodes = basics = 0
-        for p, ((mu, nu), (_, cells, flows, parent)) in enumerate(zip(pairs, trees)):
-            sx, sy = mu.support.tolist(), nu.support.tolist()
-            n1, n2 = len(sx), len(sy)
-            index = {c: basics + t for t, c in enumerate(cells)}
-            cell_start.append(len(cx))
-            for i, x in enumerate(sx):
-                for j, y in enumerate(sy):
-                    cx.append(x)
-                    cy.append(y)
-                    basic.append((i, j) in index)
-                    if not basic[-1]:
-                        off_row.append(nodes + i)
-                        off_col.append(nodes + n1 + j)
-                        off_edge.append(p)
-            for t, f in enumerate(flows):
-                if f > 0:
-                    moved.append(basics + t)
-                    moved_flow.append(f)
-                    moved_edge.append(p)
-            for node in range(1, n1 + n2):
-                depth, up = 0, node
-                while parent[up] >= 0:
-                    depth, up = depth + 1, parent[up]
-                while len(levels) < depth:
-                    levels.append([])
-                up = parent[node]
-                cell = (node, up - n1) if node < n1 else (up, node - n1)
-                levels[depth - 1].append((nodes + node, index[cell], nodes + up))
-            col_start.append(len(cols))
-            cols += sy
-            col_node += range(nodes + n1, nodes + n1 + n2)
-            nodes_vertex += sx + sy
-            supply += mu.mass.tolist() + (-nu.mass).tolist()
-            node_edge += [p] * (n1 + n2)
-            nodes += n1 + n2
-            basics += len(cells)
-
-        def arr(values, dtype=np.intp):
-            return np.array(values, dtype=dtype)
-
-        self.n_nodes = nodes
-        self.cx, self.cy, self.cell_start = arr(cx), arr(cy), arr(cell_start)
-        self.basic = arr(basic, bool)
-        self.off = ~self.basic
-        self.off_row, self.off_col, self.off_edge = arr(off_row), arr(off_col), arr(off_edge)
-        self.moved, self.moved_edge = arr(moved), arr(moved_edge)
-        self.moved_flow = arr(moved_flow, float)
-        self.levels = [arr(level).T for level in levels]
-        self.cols, self.col_node, self.col_start = arr(cols), arr(col_node), arr(col_start)
-        self.nodes_vertex, self.node_edge = arr(nodes_vertex), arr(node_edge)
-        self.supply = arr(supply, float)
-
-    def price(self, d: DistanceMatrix) -> tuple[np.ndarray, list[int]]:
-        """W of every edge under ``d`` and the edges whose tree is no longer
-        optimal there (their W is left to the re-solve)."""
-        cost = d.values[self.cx, self.cy]
-        scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
-        basic = cost[self.basic]
-        dual = np.zeros(self.n_nodes)
-        for node, cell, up in self.levels:
-            dual[node] = basic[cell] - dual[up]
-        reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
-        pivot = np.zeros(len(self.trees), dtype=bool)
-        pivot[self.off_edge[reduced < -(ENTER_TOL * scale[self.off_edge])]] = True
-        # costs are distances, so W >= 0 needs no clamp
-        w = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
-                        minlength=len(self.trees))
-        if _AUDIT.enabled:
-            self._certify(d, dual, w, scale, ~pivot)
-            certified = len(self.trees) - int(pivot.sum())
-            _AUDIT.count += certified
-            _AUDIT.warm += certified
-        return w, np.flatnonzero(pivot).tolist()
-
-    def _certify(self, d: DistanceMatrix, dual: np.ndarray, w: np.ndarray,
-                 scale: np.ndarray, keep: np.ndarray) -> None:
-        """``dual_certificate`` for the kept edges, from their trees' duals:
-        phi_e(z) = min_j d(z, y_j) - v_j is 1-Lipschitz as ``d`` is a
-        metric, and its dual value must match W(e) within CERTIFY_TOL x
-        scale (a NaN gap fails)."""
-        _require_metric(d)
-        phi = np.minimum.reduceat(d.values[:, self.cols] - dual[self.col_node],
-                                  self.col_start, axis=1)
-        phi[np.isinf(phi)] = 0.0  # off the supports' component
-        value = np.bincount(self.node_edge, phi[self.nodes_vertex, self.node_edge] * self.supply)
-        gap = np.where(keep, np.abs(w - value), 0.0)
-        bad = ~(gap <= CERTIFY_TOL * scale)
-        if bad.any():
-            p = bad.argmax()
-            raise CertificateError(
-                f"no optimality certificate within {CERTIFY_TOL:g} x scale "
-                f"{scale[p]:g}: gap={gap[p]:g}")
-        _AUDIT.max_gap = max(_AUDIT.max_gap, float(gap.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -202,21 +202,16 @@ def _k_statistics(part: PartitionXKY, values: np.ndarray
     return constant, spread, sign_min_x, sign_max_y
 
 
-_MONOTONE = {"monotone": None, "strictly-monotone": None, "constant-additive": None}
-
-
 def _iterate_on_k(part: PartitionXKY, d: DistanceMatrix,
                   step: Callable[[np.ndarray], np.ndarray], f0: np.ndarray,
-                  x0k: int, tol: float, max_iter: int, name: str,
-                  declared: dict) -> IterationResult:
+                  x0k: int, tol: float, max_iter: int) -> IterationResult:
     """The normalized orbit of fk -> step(S fk)|_K from f0 on K."""
     ks, extend = np.array(part.k_set), _extension(part, d)
 
     def apply(fk: np.ndarray) -> np.ndarray:
         return step(extend(fk))[ks]
 
-    chain = ChainOperator(dimension=len(ks), apply=apply, declared=declared, name=name)
-    return iterate_normalized(chain, f0, x0k, tol, max_iter)
+    return iterate_normalized(ChainOperator(len(ks), apply), f0, x0k, tol, max_iter)
 
 
 def _separation_result(part: PartitionXKY, d: DistanceMatrix,
@@ -295,8 +290,7 @@ def separation_flow_linear(g: WeightedGraph, part: PartitionXKY, eps: float,
         lip_trace.append(float(np.nanmax(ratios)) if ratios.size else 0.0)
         return out
 
-    result = _iterate_on_k(part, d, step, f0, x0k, tol, max_iter,
-                           "laplacian separation flow", _MONOTONE)
+    result = _iterate_on_k(part, d, step, f0, x0k, tol, max_iter)
     return _separation_result(part, d, result, lambda e: laplacian_apply(g, e),
                               verified, waive_curvature, not waive_curvature,
                               lip_trace)
@@ -357,8 +351,7 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
             warm[eps_k] = solve(full, warm.get(eps_k))[0]
             return warm[eps_k]
 
-        result = _iterate_on_k(part, d, step, current, x0k, tol, max_iter,
-                               f"resolvent separation flow (p={p:g})", _MONOTONE)
+        result = _iterate_on_k(part, d, step, current, x0k, tol, max_iter)
         stage = {"eps": eps_k, "status": result.status,
                  "iterations": result.iterations, "defect": None}
         stages.append(stage)
@@ -521,7 +514,6 @@ def separation_flow_generic(P: ChainOperator, part: PartitionXKY,
                else f"Ric_1 lower bound {bounds.lower:g} is unverified or negative")
         raise PreconditionError(f"{why}; pass allow_unverified=True to run anyway")
 
-    result = _iterate_on_k(part, d, P, f0, x0k, tol, max_iter,
-                           f"generic separation flow ({P.name or 'P'})", {})
+    result = _iterate_on_k(part, d, P, f0, x0k, tol, max_iter)
     return _separation_result(part, d, result, lambda e: P(e) - e, verified,
                               allow_unverified and not verified, verified, [])

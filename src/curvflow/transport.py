@@ -11,6 +11,16 @@ duality: their c-transform, 1-Lipschitz on any metric (checked once per
 distance matrix), has a dual value matching W, so no second LP is
 solved.  An audit mode certifies every transport solve made inside it,
 and every value the Ricci flow prices from a kept basis.
+
+The Ricci flow solves one transport LP per edge and step.  While the
+edge set stays, it keeps every edge's walk measures and last optimal
+spanning-tree basis in one batch (``_Batch``).  A step re-prices all
+those trees in one numpy pass: the tree flows are fixed, so W is a sum
+over the tree cells, and only the off-tree reduced costs need checking.
+An edge whose tree is no longer optimal is re-solved, warm from that
+tree.  The values are bit-identical to a warm ``wasserstein`` call on
+every edge, and under ``transport_audit`` the batch certifies each value
+from its trees' duals.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ __all__ = [
     "dual_certificate",
     "constrained_transport_max",
     "transport_audit",
-    "audit_stats",
 ]
 
 MASS_TOL = 1e-12
@@ -172,18 +181,20 @@ def transport_audit():
     not a metric) raises CertificateError immediately.  The yielded
     ledger's counters and largest gap (``max_gap``) are reset on entry.
     """
-    _AUDIT.enabled = True
-    _AUDIT.count = _AUDIT.pivots = _AUDIT.warm = 0
-    _AUDIT.max_gap = 0.0
+    _AUDIT.__init__(enabled=True)  # the counters and the gap start at 0
     try:
         yield _AUDIT
     finally:
         _AUDIT.enabled = False
 
 
-def audit_stats() -> tuple[int, float]:
-    """(number of certified values, largest certified duality gap)."""
-    return _AUDIT.count, _AUDIT.max_gap
+def _record(count: int, warm: int, pivots: int, gap: float) -> None:
+    """Add ``count`` certified values (``warm`` from a kept basis), their
+    ``pivots`` and their largest ``gap`` to the ledger."""
+    _AUDIT.count += count
+    _AUDIT.warm += warm
+    _AUDIT.pivots += pivots
+    _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +225,12 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray,
     return cells
 
 
+def _cell(k: int, up: int, n1: int) -> tuple[int, int]:
+    """The (row, column) cell joining tree node ``k`` to its parent ``up``:
+    rows are nodes 0..n1-1, column j is node n1 + j."""
+    return (k, up - n1) if k < n1 else (up, k - n1)
+
+
 def _tree(cells, cost: list[list[float]], supply: list[float]):
     """(duals, parent, flows) of the tree of ``cells`` (i, j), joining row
     node i to column node n1 + j; None unless the cells reach every node.
@@ -241,7 +258,7 @@ def _tree(cells, cost: list[list[float]], supply: list[float]):
     net, flows = list(supply), {}
     for k in reversed(order[1:]):
         p = parent[k]
-        flows[(k, p - n1) if k < n1 else (p, k - n1)] = net[k] if k < n1 else -net[k]
+        flows[_cell(k, p, n1)] = net[k] if k < n1 else -net[k]
         net[p] += net[k]
     return duals, parent, flows
 
@@ -301,18 +318,15 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
     tree = duals, parent, flows = _start_tree(cells, c, supply)
     enter, pivots = _entering(c, duals, tol, flows, frozen, False), 0
     if enter is not None:  # keep the tree as parent, depth, children, parent-cell flow
-        def cell(k):
-            return (k, parent[k] - n1) if k < n1 else (parent[k], k - n1)
-
         def hang(stack):  # duals and depths below, by dual = c - dual[parent]
             for k in stack:
-                r, col = cell(k)
+                r, col = _cell(k, parent[k], n1)
                 duals[k] = c[r][col] - duals[parent[k]]
                 depth[k] = depth[parent[k]] + 1
                 stack.extend(children[k])
 
         nodes, depth, basic = range(len(supply)), [0] * len(supply), set(flows)
-        pflow = [flows[cell(k)] if k else 0.0 for k in nodes]
+        pflow = [flows[_cell(k, parent[k], n1)] if k else 0.0 for k in nodes]
         children: list[list[int]] = [[] for _ in nodes]
         for k in nodes[1:]:
             children[parent[k]].append(k)
@@ -333,7 +347,8 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
         # an absolute tie window would outsize the masses of an alpha-lazy
         # measure and let a cell above the least ratio leave
         tie = MASS_TOL * abs(theta) + 1e-15
-        leave, out = min((cell(k), k) for k, loses in cycle if loses and pflow[k] <= theta + tie)
+        leave, out = min((_cell(k, parent[k], n1), k)
+                         for k, loses in cycle if loses and pflow[k] <= theta + tie)
         for k, loses in cycle:
             pflow[k] += -theta if loses else theta
         # re-hang the side holding the leaving cell from the entering one
@@ -347,7 +362,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
         basic ^= {leave, enter}
         enter = _entering(c, duals, tol, basic, frozen, theta <= tie)
     if pivots:
-        tree = duals, parent, {cell(k): pflow[k] for k in nodes[1:]}
+        tree = duals, parent, {_cell(k, parent[k], n1): pflow[k] for k in nodes[1:]}
     if min(tree[2].values()) < _flow_floor(supply):
         raise SolverError(f"transport simplex ended at a negative flow "
                           f"{min(tree[2].values()):g}")
@@ -389,10 +404,7 @@ def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     if _AUDIT.enabled:
         _require_metric(d)
         phi, gap = _certify(mu1, mu2, d, cost, duals[mu1.support.size:], w)
-        _AUDIT.count += 1
-        _AUDIT.pivots += pivots
-        _AUDIT.warm += cells is not None
-        _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
+        _record(1, cells is not None, pivots, gap)
     return max(w, 0.0), flows, phi
 
 
@@ -442,51 +454,54 @@ def _require_metric(d: DistanceMatrix) -> None:
     object.__setattr__(d, "_is_metric", True)
 
 
+def _require_gap(gap: float, scale: float) -> None:
+    """CertificateError unless gap <= CERTIFY_TOL x scale (a NaN gap fails)."""
+    if not gap <= CERTIFY_TOL * scale:
+        raise CertificateError(
+            f"no optimality certificate within {CERTIFY_TOL:g} x scale "
+            f"{scale:g}: gap={gap:g}")
+
+
 def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, cost: np.ndarray,
-             v: list[float], value: float, certify_tol: float = CERTIFY_TOL,
-             require: bool = True) -> tuple[np.ndarray, float]:
+             v: list[float], value: float, require: bool = True) -> tuple[np.ndarray, float]:
     """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals ``v``
     (0 off the supports' component), 1-Lipschitz when ``d`` is a metric,
-    and the gap |value - phi's dual value|; with ``require``, a gap not
-    within ``certify_tol`` x scale (NaN included) raises CertificateError."""
+    and the gap |value - phi's dual value|; with ``require``, the gap must
+    pass ``_require_gap``."""
     # tolerances are relative to the instance scale: beyond unit-scale
     # distances, only relative optimality is resolvable in floats
     scale = max(1.0, float(np.max(cost)))
     phi = np.min(d.values[:, mu2.support] - np.array(v), axis=1)
     phi = np.where(np.isfinite(phi), phi, 0.0)
     gap = abs(value - float(phi[mu1.support] @ mu1.mass - phi[mu2.support] @ mu2.mass))
-    if require and not gap <= certify_tol * scale:
-        raise CertificateError(
-            f"no optimality certificate within {certify_tol:g} x scale "
-            f"{scale:g}: gap={gap:g}")
+    if require:
+        _require_gap(gap, scale)
     return phi, gap
 
 
 def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                     plan: TransportPlan, *, certify_tol: float = CERTIFY_TOL,
-                     require: bool = True) -> tuple[np.ndarray, float]:
+                     plan: TransportPlan, *, require: bool = True) -> tuple[np.ndarray, float]:
     """1-Lipschitz potential certifying optimality of a transport plan.
 
     Returns the potential (on all vertices) and the duality gap
-    ``|cost(plan) - sum phi d(mu1 - mu2)|``.  A gap below ``certify_tol``
-    proves the plan optimal.  The potential is the c-transform of the
-    transport duals of the plan's simplex basis; a plan whose basic cells
-    do not span the supports (a hand-built plan) is measured against the
-    optimal tree of a fresh solve.  The potential is 1-Lipschitz as ``d``
-    is a metric, checked once per distance matrix (else CertificateError).
-    A plan between other measures raises ValidationError; with ``require``
-    set, a gap not within tolerance raises CertificateError — it signals
-    an LP bug.
+    ``|cost(plan) - sum phi d(mu1 - mu2)|``.  A gap within CERTIFY_TOL x
+    max(1, largest support distance) proves the plan optimal.  The
+    potential is the c-transform of the transport duals of the plan's
+    simplex basis; a plan whose basic cells do not span the supports (a
+    hand-built plan) is measured against the optimal tree of a fresh
+    solve.  The potential is 1-Lipschitz as ``d`` is a metric, checked
+    once per distance matrix (else CertificateError).  A plan between
+    other measures raises ValidationError; with ``require`` set, a gap
+    not within tolerance raises CertificateError — it signals an LP bug.
     """
     if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
         raise ValidationError("the plan's marginals are not mu1 and mu2")
     _require_metric(d)
-    return _plan_potential(mu1, mu2, d, plan, certify_tol, require)
+    return _plan_potential(mu1, mu2, d, plan, require)
 
 
 def _plan_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                    plan: TransportPlan, certify_tol: float = CERTIFY_TOL,
-                    require: bool = True) -> tuple[np.ndarray, float]:
+                    plan: TransportPlan, require: bool = True) -> tuple[np.ndarray, float]:
     """``dual_certificate`` on any ``d``: phi is 1-Lipschitz where it is a metric."""
     cost = _check_supports_connected(mu1, mu2, d)
     cells = _local_cells(mu1, mu2, plan.basic_cells or ())
@@ -494,8 +509,132 @@ def _plan_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     if not tree:
         tree, _ = _transport_simplex(mu1.mass, mu2.mass, cost.tolist(),
                                      _least_cost_basis(mu1.mass, mu2.mass, cost))
-    return _certify(mu1, mu2, d, cost, tree[0][mu1.support.size:], plan.cost(d),
-                    certify_tol, require)
+    return _certify(mu1, mu2, d, cost, tree[0][mu1.support.size:], plan.cost(d), require)
+
+
+# ---------------------------------------------------------------------------
+# the Ricci flow's batched tree pricing
+
+
+def _edge_tree(mu: ProbMeasure, nu: ProbMeasure, basis: tuple) -> tuple:
+    """An edge's optimal basis (the ``basic_cells`` of a ``wasserstein``
+    plan) as the batch keeps it: (basis, its cells as sorted (row, column)
+    support indices, their flows, the parent node of each tree node).
+    These are the flows of a warm start from ``basis``, under the same
+    feasibility check."""
+    cells = list(zip(np.searchsorted(mu.support, [x for x, _ in basis]).tolist(),
+                     np.searchsorted(nu.support, [y for _, y in basis]).tolist()))
+    zero = [[0.0] * nu.support.size] * mu.support.size  # flows ignore costs
+    _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
+    return basis, cells, [flows[c] for c in cells], parent
+
+
+class _Batch:
+    """Every edge's walk measures and current optimal transport tree,
+    concatenated so that one numpy pass per flow step re-prices them all.
+
+    A tree's flows depend on the walk measures alone.  While the tree
+    stays optimal, W(e) is the sum of flow x d over its cells of positive
+    flow, added in ``wasserstein``'s order, so it matches to the bit.
+    The tree's duals solve u_i + v_j = d(x_i, y_j) from u_0 = 0, one tree
+    level at a time, with one subtraction per node as in ``_tree``.
+    ``price`` returns W and the edges with an off-tree cell whose reduced
+    cost is below -ENTER_TOL x max(1, max cost).  The simplex would pivot
+    there, so the flow re-solves those edges from their trees.  Under
+    ``transport_audit`` the same duals certify every other edge, as
+    ``_certify`` does.  An edge whose two walk measures coincide
+    keeps its least-cost tree like any other, with W = 0.
+    """
+
+    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
+                 trees: list[tuple]) -> None:
+        self.pairs, self.trees = pairs, trees
+        cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
+        off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
+        moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
+        levels: list[list[tuple]] = []  # per depth: (node, parent cell, parent node)
+        cols, col_node, col_start = [], [], []  # the column nodes, for the duals' c-transform
+        nodes_vertex, supply, node_edge = [], [], []  # every node, for the dual value
+        nodes = basics = 0
+        for p, ((mu, nu), (_, cells, flows, parent)) in enumerate(zip(pairs, trees)):
+            sx, sy = mu.support.tolist(), nu.support.tolist()
+            n1, n2 = len(sx), len(sy)
+            index = {c: basics + t for t, c in enumerate(cells)}
+            cell_start.append(len(cx))
+            for i, x in enumerate(sx):
+                for j, y in enumerate(sy):
+                    cx.append(x)
+                    cy.append(y)
+                    basic.append((i, j) in index)
+                    if not basic[-1]:
+                        off_row.append(nodes + i)
+                        off_col.append(nodes + n1 + j)
+                        off_edge.append(p)
+            for t, f in enumerate(flows):
+                if f > 0:
+                    moved.append(basics + t)
+                    moved_flow.append(f)
+                    moved_edge.append(p)
+            for node in range(1, n1 + n2):
+                depth, up = 0, node
+                while parent[up] >= 0:
+                    depth, up = depth + 1, parent[up]
+                while len(levels) < depth:
+                    levels.append([])
+                up = parent[node]
+                levels[depth - 1].append((nodes + node, index[_cell(node, up, n1)], nodes + up))
+            col_start.append(len(cols))
+            cols += sy
+            col_node += range(nodes + n1, nodes + n1 + n2)
+            nodes_vertex += sx + sy
+            supply += mu.mass.tolist() + (-nu.mass).tolist()
+            node_edge += [p] * (n1 + n2)
+            nodes += n1 + n2
+            basics += len(cells)
+
+        def arr(values, dtype=np.intp):
+            return np.array(values, dtype=dtype)
+
+        self.n_nodes = nodes
+        self.cx, self.cy, self.cell_start = arr(cx), arr(cy), arr(cell_start)
+        self.basic = arr(basic, bool)
+        self.off = ~self.basic
+        self.off_row, self.off_col, self.off_edge = arr(off_row), arr(off_col), arr(off_edge)
+        self.moved, self.moved_edge = arr(moved), arr(moved_edge)
+        self.moved_flow = arr(moved_flow, float)
+        self.levels = [arr(level).T for level in levels]
+        self.cols, self.col_node, self.col_start = arr(cols), arr(col_node), arr(col_start)
+        self.nodes_vertex, self.node_edge = arr(nodes_vertex), arr(node_edge)
+        self.supply = arr(supply, float)
+
+    def price(self, d: DistanceMatrix) -> tuple[np.ndarray, list[int]]:
+        """W of every edge under ``d`` and the edges whose tree is no longer
+        optimal there (their W is left to the re-solve)."""
+        cost = d.values[self.cx, self.cy]
+        scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
+        basic = cost[self.basic]
+        dual = np.zeros(self.n_nodes)
+        for node, cell, up in self.levels:
+            dual[node] = basic[cell] - dual[up]
+        reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
+        pivot = np.zeros(len(self.trees), dtype=bool)
+        pivot[self.off_edge[reduced < -(ENTER_TOL * scale[self.off_edge])]] = True
+        # costs are distances, so W >= 0 needs no clamp
+        w = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
+                        minlength=len(self.trees))
+        if _AUDIT.enabled:  # ``_certify`` for the edges kept, from their trees' duals
+            _require_metric(d)
+            phi = np.minimum.reduceat(d.values[:, self.cols] - dual[self.col_node],
+                                      self.col_start, axis=1)
+            phi[np.isinf(phi)] = 0.0  # off the supports' component
+            value = np.bincount(self.node_edge,
+                                phi[self.nodes_vertex, self.node_edge] * self.supply)
+            gap = np.where(pivot, 0.0, np.abs(w - value))
+            for e_gap, e_scale in zip(gap.tolist(), scale.tolist()):
+                _require_gap(e_gap, e_scale)
+            certified = len(self.trees) - int(pivot.sum())
+            _record(certified, certified, 0, float(gap.max(initial=0.0)))
+        return w, np.flatnonzero(pivot).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from curvflow import (
 )
 from curvflow.chains import CONVERGED, OSCILLATING
 from curvflow.ricci_flow import STATUS_CONVERGED
-from curvflow.transport import audit_stats, transport_audit
+from curvflow.transport import transport_audit
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -288,8 +288,8 @@ def test_criterion_8_ric_consistency():
                f"(max gap {worst:.2e})", worst < 1e-6 and count == 20)
 
 
-def test_criterion_9_transport_certified():
-    count, max_gap = audit_stats()
+def test_criterion_9_transport_certified(_module_audit):
+    count, max_gap = _module_audit.count, _module_audit.max_gap
     rng = np.random.default_rng(90_000)
     worst = 0.0
     for _ in range(30):

@@ -66,6 +66,31 @@ def test_parse_graph_rejections(tmp_path, doc, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+_ODD_NUMBERS = [
+    # bools once passed for integers and numbers, numeric strings for
+    # numbers; {"vertices": true} ended in a TypeError traceback
+    {"vertices": True, "edges": []},
+    {"vertices": 2, "edges": [{"u": False, "v": True, "w": 1.0, "len": 1.0}]},
+    {"vertices": 2, "edges": [{"u": 0, "v": 1, "w": "0.5", "len": 1.0}]},
+    {"vertices": 2, "edges": [{"u": 0, "v": 1, "w": 0.5, "len": "1"}]},
+    {"vertices": 3, "edges": [{"u": 0, "v": 1, "w": 1.0, "len": 1.0}],
+     "measure": [2, True, 2]},
+    # an integer beyond the float range ended in an OverflowError traceback
+    {"vertices": 2, "edges": [{"u": 0, "v": 1, "w": 10 ** 400, "len": 1.0}]},
+]
+
+
+@pytest.mark.parametrize("command", ["curvature", "flow", "resolvent"])
+@pytest.mark.parametrize("doc", _ODD_NUMBERS)
+def test_graph_numbers_must_be_json_numbers(tmp_path, command, doc):
+    graph, out = tmp_path / "g.json", tmp_path / "out.json"
+    graph.write_text(json.dumps(doc))
+    # f fits the vertex count, so a graph read as valid would solve
+    f = ["--f", ",".join(["0"] * int(doc["vertices"]))] if command == "resolvent" else []
+    assert main([command, str(graph), *f, "-o", str(out)]) == 2
+    assert str(graph) in json.loads(out.read_text())["error"]
+
+
 def test_parse_partition(tmp_path, pathgraph):
     g = parse_graph(pathgraph)
     p = tmp_path / "part.json"
@@ -231,6 +256,21 @@ def test_chain_commands_reject_non_finite_tol(tmp_path, capsys, argv):
     mats.write_text("[[[1.0, 1.0], [1.0, 1.0]]]")
     assert main([str(mats) if a == "MATRICES" else a for a in argv]) == 2
     assert "tolerance" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pf", "MATRICES", "--max-iter", "-3"], ["pf", "MATRICES", "--max-iter", "0"],
+    ["separation", "GRAPH", "PARTITION", "--max-iter", "-3"],
+    ["separation", "GRAPH", "PARTITION", "--mode", "p", "--waive-curvature", "--max-iter", "-3"],
+    ["counterexample", "--steps", "-5"]])
+def test_chain_commands_reject_an_iteration_cap_below_one(tmp_path, pathgraph, capsys, argv):
+    # these once exited 3 with a negative "iterations"
+    mats, part = tmp_path / "m.json", tmp_path / "part.json"
+    mats.write_text("[[[1.0, 1.0], [1.0, 1.0]]]")
+    part.write_text('{"X": [0], "K": [1], "Y": [2]}')
+    files = {"MATRICES": str(mats), "GRAPH": pathgraph, "PARTITION": str(part)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert "max_iter must be at least 1" in json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.parametrize("args", [
@@ -654,7 +694,7 @@ def test_pf_tiny_entry_does_not_underflow_lambda(tmp_path):
 # failure surface: arbitrary matrix documents
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 _scalars = st.one_of(st.integers(-3, 3), st.floats(-10.0, 10.0), st.floats(),
@@ -690,6 +730,50 @@ def test_pf_matrix_documents_end_in_a_documented_exit(tmp_path_factory, doc):
     # non-convergence (3) is a result with a status, not an error
     assert ("error" in result) == (code in (2, 4, 5))
     if code in (0, 3):
+        assert result["results"]["status"]
+
+
+# ---------------------------------------------------------------------------
+# failure surface: graph documents for curvature and flow
+
+
+_odd = st.sampled_from([True, False, "1", "0.5", float("nan"), 1e308, None])
+
+
+@st.composite
+def _graph_documents(draw):
+    """A graph with up to five vertices and deg <= 1, any edge set, and in
+    half the documents one value swapped for a bool, a numeric string,
+    NaN, 1e308 or null."""
+    n = draw(st.integers(1, 5))
+    edges = [{"u": u, "v": v, "w": draw(st.floats(0.1, 1.0)), "len": draw(st.floats(0.5, 2.0))}
+             for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    doc = {"vertices": n, "edges": edges, "measure": [draw(st.floats(4.0, 8.0))] * n}
+    if draw(st.booleans()):
+        slots = ([(doc, "vertices")] + [(e, k) for e in edges for k in e]
+                 + [(doc["measure"], i) for i in range(n)])
+        holder, key = draw(st.sampled_from(slots))
+        holder[key] = draw(_odd)
+    return doc
+
+
+_CURVATURE = ["curvature", "--kinds", "ollivier,lly,phi-convex,phi-concave"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(_nested(3), _graph_documents()),
+       command=st.sampled_from([_CURVATURE, ["flow", "--max-iter", "20"]]))
+@example(doc={"vertices": True, "edges": []}, command=_CURVATURE)
+@example(doc={"vertices": True, "edges": []}, command=["flow", "--max-iter", "20"])
+def test_graph_documents_end_in_a_documented_exit(tmp_path_factory, doc, command):
+    work = tmp_path_factory.mktemp("graph")
+    graph, out = work / "g.json", work / "out.json"
+    graph.write_text(json.dumps(doc))
+    code = main([command[0], str(graph), *command[1:], "-o", str(out)])
+    assert code in (0, 2, 3, 4, 5)
+    result = json.loads(out.read_text())
+    assert ("error" in result) == (code in (2, 4, 5))
+    if command[0] == "flow" and code in (0, 3):
         assert result["results"]["status"]
 
 

@@ -22,6 +22,7 @@ from curvflow import (
     shortest_path_metric,
     vertex_measure,
 )
+from curvflow.chains import _increments_cycle
 from curvflow.ricci_flow import (
     STATUS_CONVERGED,
     FlowState,
@@ -359,8 +360,7 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     # off-tree cell (1, 2) has reduced cost -shortfall, and the entering
     # threshold is -ENTER_TOL x 4 = -4e-12
     from curvflow.graphs import DistanceMatrix
-    from curvflow.ricci_flow import _Batch, _edge_tree
-    from curvflow.transport import ProbMeasure, wasserstein
+    from curvflow.transport import ProbMeasure, _Batch, _edge_tree, wasserstein
 
     d = np.zeros((4, 4))
     for (x, y), c in {(0, 2): 1.0, (0, 3): 4.0, (1, 3): 4.0, (1, 2): 1.0 - shortfall}.items():
@@ -595,7 +595,7 @@ def _public_step_loop(g, cfg):
         prev, logs = logs, np.array([math.log(v) for v in row.normalized.values()])
         if prev is not None:
             increments.append(logs - prev)
-        if ricci_flow._increments_cycle(increments, cfg.tolerance):
+        if _increments_cycle(increments, cfg.tolerance):
             return state, ricci_flow.STATUS_OSCILLATION
     return state, ricci_flow.STATUS_MAX_ITER
 

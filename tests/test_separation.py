@@ -159,7 +159,7 @@ def test_chain_extension_equals_the_public_one_bit_for_bit():
             steps.append(fk)
             return full + 0.5 * laplacian_apply(g, full)
 
-        _iterate_on_k(part, d, step, rng.normal(size=ks.size), 0, 1e-9, 6, "check", {})
+        _iterate_on_k(part, d, step, rng.normal(size=ks.size), 0, 1e-9, 6)
         assert steps
         empty_x += not part.x_set
         empty_y += not part.y_set
@@ -174,9 +174,9 @@ def test_chain_step_names_the_first_vertex_without_a_finite_distance_to_k(
     d, steps = shortest_path_metric(g), []
     # the engine checks f0 before its first step, where the extension raises
     with pytest.raises(ValidationError, match="f0 must be finite"):
-        _iterate_on_k(part, d, steps.append, np.array([np.nan]), 0, 1e-9, 10, "cut", {})
+        _iterate_on_k(part, d, steps.append, np.array([np.nan]), 0, 1e-9, 10)
     with pytest.raises(DisconnectedError, match=f"vertex {vertex} has no finite distance"):
-        _iterate_on_k(part, d, steps.append, np.array([0.0]), 0, 1e-9, 10, "cut", {})
+        _iterate_on_k(part, d, steps.append, np.array([0.0]), 0, 1e-9, 10)
     assert steps == []
     with pytest.raises(DisconnectedError, match=f"vertex {vertex} has no finite distance"):
         separation_flow_linear(g, part, 0.1, waive_curvature=True)
@@ -357,7 +357,7 @@ def _p_flow_by_public_resolvent(g, part, p, f0, tol, eps=0.1):
             warm[eps_k] = resolvent(g, full, p, eps_k, x0=warm.get(eps_k)).g
             return warm[eps_k]
 
-        result = _iterate_on_k(part, d, step, current, 0, tol, 100_000, "oracle", {})
+        result = _iterate_on_k(part, d, step, current, 0, tol, 100_000)
         current = result.limit
         s_ftilde = lipschitz_extend(part, d, current, tol=1e-6)
         sol = resolvent(g, s_ftilde, p, eps_k)

@@ -26,7 +26,7 @@ from curvflow import (
     shortest_path_metric,
     wasserstein,
 )
-from curvflow.transport import audit_stats, transport_audit
+from curvflow.transport import transport_audit
 
 
 def random_measure(rng, vertices, k):
@@ -204,14 +204,13 @@ def test_audit_mode_counts_and_certifies():
     g = random_flow_graph(rng, 6)
     comp = max(__import__("curvflow").connected_components(g), key=len)
     d = shortest_path_metric(g)
-    with transport_audit():
+    with transport_audit() as audit:
         for _ in range(5):
             mu1 = random_measure(rng, comp, 3)
             mu2 = random_measure(rng, comp, 3)
             wasserstein(mu1, mu2, d)
-        count, max_gap = audit_stats()
-    assert count == 5
-    assert max_gap < 1e-7
+    assert audit.count == 5
+    assert audit.max_gap < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +643,13 @@ def test_audit_certifies_from_the_basis_alone(monkeypatch):
     with transport_audit() as audit:
         report = curvature_report(g, kind="ollivier")
         res = run_flow(g, FlowConfig(max_iterations=5))
-        count, max_gap = audit_stats()
     # every edge evaluation is one certified value, whether the flow's
     # batch priced it or wasserstein solved it
     evaluations = len(report.values) + sum(len(row.kappa.values) for row in res.final.trace)
-    assert count == audit.count == evaluations
-    assert max_gap < 1e-9
+    assert audit.count == evaluations
+    assert audit.max_gap < 1e-9
     # one primal solve per transport solve: no certificate solved an LP
-    assert len(solves) == len(calls) < count
+    assert len(solves) == len(calls) < audit.count
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +770,7 @@ def test_starting_tree_meets_the_final_flow_bound(shift, feasible):
     # flows (>= -MASS_TOL): a tree 1e-10 infeasible is the caller's error
     # (exit 2), not a solver failure (exit 5); the flow's batch keeps
     # trees under the same rule
-    from curvflow.ricci_flow import _edge_tree
+    from curvflow.transport import _edge_tree
 
     d = shortest_path_metric(complete_graph(4))
     mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
