@@ -25,7 +25,6 @@ from .errors import (
     CurvflowError,
     DisconnectedError,
     InfeasibleError,
-    NonConvergenceError,
     PreconditionError,
     SolverError,
     ValidationError,

@@ -149,7 +149,7 @@ def _kappa_lly(g: WeightedGraph, d: DistanceMatrix, alpha: float, walk,
         raise ValidationError("curvature needs two distinct vertices")
     while True:
         mu, nu = walk(x, alpha), walk(y, alpha)
-        _, flows, phi = _solve(mu, nu, d)
+        _, (_, _, flows), phi = _solve(mu, nu, d)
         sx, sy = mu.support.tolist(), nu.support.tolist()
         if x in sx and y in sy and (sx.index(x), sy.index(y)) in flows:
             break

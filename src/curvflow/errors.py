@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes, so new exception types should
-subclass one of the four roots below rather than ValueError directly.
+subclass one of the three roots below rather than ValueError directly.
 """
 
 
@@ -19,10 +19,6 @@ class DisconnectedError(ValidationError):
 
 class PreconditionError(CurvflowError):
     """A mathematical precondition (e.g. a curvature sign) is unverified."""
-
-
-class NonConvergenceError(CurvflowError):
-    """An iteration ended without reaching its convergence criterion."""
 
 
 class SolverError(CurvflowError):

@@ -44,7 +44,8 @@ def _readonly(a: np.ndarray, dtype: type = float) -> np.ndarray:
 
 def _edge_lengths(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Read-only lengths for the weights ``w``: finite, positive and
-    symmetric on the edge set, 0 off it."""
+    symmetric on the edge set, 0 off it, with a finite total (each edge
+    once), which bounds every path sum."""
     n = w.shape[0]
     ln = np.asarray(lengths, dtype=float)
     if ln.shape != (n, n):
@@ -55,6 +56,8 @@ def _edge_lengths(w: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ln = np.where(adj, ln, 0.0)
     if np.max(np.abs(ln - ln.T)) > _SYM_TOL:
         raise ValidationError("edge lengths must be symmetric")
+    if not np.isfinite(sum(ln[np.triu(adj)].tolist())):  # a Python sum: no numpy warning
+        raise ValidationError("the edge lengths add up past the float range, so path sums overflow")
     ln.setflags(write=False)  # np.where made a fresh array
     return ln
 
@@ -234,8 +237,10 @@ def _path_metric(adj: np.ndarray, lengths: np.ndarray) -> DistanceMatrix:
     """``shortest_path_metric`` of the edge mask ``adj`` with ``lengths``."""
     d = np.where(adj, lengths, np.inf)
     np.fill_diagonal(d, 0.0)
-    for k in range(d.shape[0]):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    # a sum past the float range is longer than every path, so it never wins
+    with np.errstate(over="ignore"):
+        for k in range(d.shape[0]):
+            np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return DistanceMatrix(d, edge_mask=adj)
 
 

@@ -17,8 +17,10 @@ the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
 maximum on each component after every step (the flow is scale-invariant
 per component); a ``WeightedGraph`` is built only after a deletion and
 for the final state.  The public steps run the same pieces on a graph.
-W(e) is one transport LP per edge and step; while the edge set stays,
-``transport._Batch`` re-prices every edge's kept optimal tree at once.
+W(e) is one transport LP per edge and step.  One ``transport._price_edges``
+call per step prices every edge: while the edge set stays, it re-prices
+every edge's kept optimal tree at once and re-solves only those that
+stopped being optimal.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .chains import _period2
 from .curvature import CurvatureReport, _walks
 from .errors import ValidationError
 from .graphs import WeightedGraph, _component_groups, _path_metric
-from .transport import _Batch, _edge_tree, wasserstein
+from .transport import _price_edges, wasserstein  # wasserstein: perfbench's tracer test pins it
 
 __all__ = [
     "FlowConfig",
@@ -101,15 +103,17 @@ class FlowTraceRow:
 class _Topology:
     """What the flow steps share while weights and measure stay: a graph
     with them, the edge list (edge-length vectors follow it) with its
-    endpoints, the per-component groups of edge positions and the batch
-    (None until a flow step builds it)."""
+    endpoints, the per-component groups of edge positions, and each
+    edge's two walk measures with the batch of ``transport._price_edges``
+    (None until a flow step builds them)."""
 
     graph: WeightedGraph
     edges: tuple[tuple[int, int], ...]
     iu: np.ndarray
     iv: np.ndarray
     groups: list[tuple]
-    batch: _Batch | None = None
+    pairs: list | None = None
+    batch: object = None
 
     @classmethod
     def of(cls, g: WeightedGraph) -> "_Topology":
@@ -168,10 +172,11 @@ def _shortest_adjacent(n: int, iu: np.ndarray, iv: np.ndarray, ln: np.ndarray) -
 
 
 def max_adjacent_ratio(g: WeightedGraph) -> float:
-    """max len(e)/len(e') over pairs of edges sharing a vertex."""
+    """max len(e)/len(e') over pairs of edges sharing a vertex (inf past the float range)."""
     iu, iv = np.nonzero(np.triu(g.weights, k=1) > 0)
     ln = g.lengths[iu, iv]
-    return float((ln / _shortest_adjacent(g.n, iu, iv, ln)).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        return float((ln / _shortest_adjacent(g.n, iu, iv, ln)).max(initial=0.0))
 
 
 def _normalized(topo: _Topology, lengths: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -190,21 +195,12 @@ def _step(topo: _Topology, lengths: np.ndarray, alpha: float, n: int,
     batch, the new lengths, the same normalized per component, and trace
     row ``n`` (``delta_sup`` against the normalized metric ``prev``)."""
     d = _path_metric(topo.graph.weights > 0, topo.matrix(lengths))
-    batch = topo.batch
-    if batch is None:  # a new topology: every edge solved cold
+    if topo.batch is None:  # a new topology
         walk = _walks(topo.graph)
-        pairs = [(walk(u, None), walk(v, None)) for u, v in topo.edges]
-        trees: list = [None] * len(pairs)  # filled by the cold solves below
-        cost, solve = np.zeros(len(pairs)), range(len(pairs))
-    else:
-        pairs, trees = batch.pairs, list(batch.trees)
-        cost, solve = batch.price(d)
-    for k in solve:
-        mu, nu = pairs[k]
-        cost[k], plan = wasserstein(mu, nu, d, None if batch is None else trees[k][0])
-        trees[k] = _edge_tree(mu, nu, plan.basic_cells)
-    if batch is None or solve:
-        topo = replace(topo, batch=_Batch(pairs, trees))
+        topo = replace(topo, pairs=[(walk(u, None), walk(v, None)) for u, v in topo.edges])
+    cost, batch = _price_edges(topo.pairs, topo.batch, d)
+    if batch is not topo.batch:
+        topo = replace(topo, batch=batch)
     new = (1.0 - alpha) * lengths + alpha * cost
     kappa = (1.0 - cost / lengths).tolist()
     report = CurvatureReport._from_groups(dict(zip(topo.edges, kappa)), topo.groups)
@@ -310,6 +306,9 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     cfg = cfg or FlowConfig()
     topo, lengths = _edge_vector(initial_state(g))
     ratio = max_adjacent_ratio(g)
+    if not math.isfinite(2.0 * ratio if cfg.deletion_threshold is None else ratio):
+        raise ValidationError(f"the initial max adjacent length ratio {ratio:g} leaves no "
+                              "deletion threshold in the float range")
     if cfg.deletion_threshold is None:
         cfg = replace(cfg, deletion_threshold=max(2.0 * ratio, 1.0))
     elif cfg.deletion_threshold <= ratio:

@@ -43,7 +43,7 @@ from .graphs import (
     shortest_path_metric,
 )
 from .plaplace import PhiSpec, _Resolvent
-from .transport import ProbMeasure, _plan_potential, wasserstein
+from .transport import ProbMeasure, _certify, _solve
 
 __all__ = [
     "PartitionXKY",
@@ -433,10 +433,10 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
         rows = [ProbMeasure(np.flatnonzero(k > 0), k[k > 0]) for k in P.kernel]
         worst = -1.0
         for x, y in zip(iu.tolist(), iv.tolist()):
-            cost, plan = wasserstein(rows[x], rows[y], d)
+            cost, tree, _ = _solve(rows[x], rows[y], d)
             if cost / d.values[x, y] > worst:
-                worst, witness = cost / d.values[x, y], (rows[x], rows[y], d, plan)
-        phi = _plan_potential(*witness, require=False)[0]
+                worst, witness = cost / d.values[x, y], (rows[x], rows[y], d, tree, cost)
+        phi = _certify(*witness)[0]
         best = amplification(r * phi / (lip(phi) or 1.0))  # phi is constant only if W = 0
         if best - worst > 1e-9:  # beyond roundoff the transport LP and its duals disagree
             raise SolverError(f"witness amplification {best:g} exceeds exact {worst:g}")

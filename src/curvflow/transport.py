@@ -12,15 +12,16 @@ distance matrix), has a dual value matching W, so no second LP is
 solved.  An audit mode certifies every transport solve made inside it,
 and every value the Ricci flow prices from a kept basis.
 
-The Ricci flow solves one transport LP per edge and step.  While the
-edge set stays, it keeps every edge's walk measures and last optimal
-spanning-tree basis in one batch (``_Batch``).  A step re-prices all
-those trees in one numpy pass: the tree flows are fixed, so W is a sum
-over the tree cells, and only the off-tree reduced costs need checking.
-An edge whose tree is no longer optimal is re-solved, warm from that
-tree.  The values are bit-identical to a warm ``wasserstein`` call on
-every edge, and under ``transport_audit`` the batch certifies each value
-from its trees' duals.
+The Ricci flow solves one transport LP per edge and step, all through
+one call (``_price_edges``).  While the edge set stays, it keeps every
+edge's last optimal spanning tree, as the solver returned it, in one
+batch (``_Batch``).  A step re-prices all those trees in one numpy pass:
+the tree flows are fixed, so W is a sum over the tree cells, and only
+the off-tree reduced costs need checking.  An edge whose tree is no
+longer optimal is re-solved, warm from that tree.  The values are
+bit-identical to a warm solve of every edge, and under
+``transport_audit`` the batch certifies each value from its trees'
+duals.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ class TransportPlan:
 @dataclass
 class _Audit:
     enabled: bool = False
-    count: int = 0  # certified values: wasserstein calls and flow-priced W(e)
+    count: int = 0  # certified values: transport solves and flow-priced W(e)
     pivots: int = 0  # simplex pivots over those calls
-    warm: int = 0  # values from a caller's basis: warm calls and flow-priced W(e)
+    warm: int = 0  # values from a kept tree: warm solves and flow-priced W(e)
     max_gap: float = 0.0
 
 
@@ -274,7 +275,8 @@ def _start_tree(cells, c: list[list[float]], supply: list[float]):
     """``_tree`` of a starting basis, which must be a spanning tree of the
     supports with no flow below ``_flow_floor`` (the bound the solver's
     final flows meet), else ValidationError."""
-    tree = _tree(cells, c, supply)
+    on = all(0 <= i < len(c) and 0 <= j < len(supply) - len(c) for i, j in cells)
+    tree = _tree(cells, c, supply) if on else None
     if tree is None or len(set(cells)) != len(supply) - 1:
         raise ValidationError("starting basis is not a spanning tree of the supports")
     if min(tree[2].values()) < _flow_floor(supply):
@@ -390,38 +392,34 @@ def _check_supports_connected(mu1: ProbMeasure, mu2: ProbMeasure,
 
 def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
            cells: list[tuple[int, int]] | None = None,
-           ) -> tuple[float, dict, np.ndarray | None]:
-    """W, the optimal tree's flows keyed by (row, column) support indices,
-    and under ``transport_audit`` the potential that certifies W from that
-    tree's own duals (else None).  ``cells`` is the starting tree; None
-    starts from the least-cost tree."""
+           ) -> tuple[float, tuple, np.ndarray | None]:
+    """W, the optimal tree's (duals, parent, flows) as ``_tree`` gives them
+    (nodes and cells by support index), and under ``transport_audit`` the
+    potential that certifies W from that tree's own duals (else None).
+    ``cells`` is the starting tree; None starts from the least-cost tree."""
     cost = _check_supports_connected(mu1, mu2, d)
     c = cost.tolist()
     start = _least_cost_basis(mu1.mass, mu2.mass, cost) if cells is None else cells
-    (duals, _, flows), pivots = _transport_simplex(mu1.mass, mu2.mass, c, start)
-    w = sum(flows[i, j] * c[i][j] for i, j in sorted(flows) if flows[i, j] > 0)
+    tree, pivots = _transport_simplex(mu1.mass, mu2.mass, c, start)
+    w = sum(f * c[i][j] for (i, j), f in sorted(tree[2].items()) if f > 0)
     phi = None
     if _AUDIT.enabled:
         _require_metric(d)
-        phi, gap = _certify(mu1, mu2, d, cost, duals[mu1.support.size:], w)
+        phi, gap = _certify(mu1, mu2, d, tree, w, max(1.0, float(np.max(cost))))
         _record(1, cells is not None, pivots, gap)
-    return max(w, 0.0), flows, phi
+    return max(w, 0.0), tree, phi
 
 
 def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                basis: tuple[tuple[int, int], ...] | None = None,
                 ) -> tuple[float, TransportPlan]:
     """Exact Wasserstein distance and an optimal coupling.
 
     Supports must lie in one connected component of ``d``.  The returned
     plan attains the cost and carries the optimal basis for
-    certification.  ``basis``, the ``basic_cells`` of an earlier plan
-    between the same measures (under any metric), warm-starts the solve;
-    a basis that is not a feasible spanning tree raises ValidationError.
-    Identical measures take no pivot: their least-cost tree is optimal.
+    certification.  Identical measures take no pivot: their least-cost
+    tree is optimal.
     """
-    cells = None if basis is None else _local_cells(mu1, mu2, basis) or []
-    w, flows, _ = _solve(mu1, mu2, d, cells)
+    w, (_, _, flows), _ = _solve(mu1, mu2, d)
     sx, sy = mu1.support.tolist(), mu2.support.tolist()
     basic = sorted(flows)
     plan = TransportPlan({(sx[i], sy[j]): flows[i, j] for i, j in basic if flows[i, j] > 0},
@@ -456,25 +454,24 @@ def _require_metric(d: DistanceMatrix) -> None:
 
 def _require_gap(gap: float, scale: float) -> None:
     """CertificateError unless gap <= CERTIFY_TOL x scale (a NaN gap fails)."""
+    # callers pass max(1, largest cost): beyond unit-scale distances, only
+    # relative optimality is resolvable in floats
     if not gap <= CERTIFY_TOL * scale:
         raise CertificateError(
             f"no optimality certificate within {CERTIFY_TOL:g} x scale "
             f"{scale:g}: gap={gap:g}")
 
 
-def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, cost: np.ndarray,
-             v: list[float], value: float, require: bool = True) -> tuple[np.ndarray, float]:
-    """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals ``v``
-    (0 off the supports' component), 1-Lipschitz when ``d`` is a metric,
-    and the gap |value - phi's dual value|; with ``require``, the gap must
-    pass ``_require_gap``."""
-    # tolerances are relative to the instance scale: beyond unit-scale
-    # distances, only relative optimality is resolvable in floats
-    scale = max(1.0, float(np.max(cost)))
-    phi = np.min(d.values[:, mu2.support] - np.array(v), axis=1)
+def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, tree: tuple,
+             value: float, scale: float | None = None) -> tuple[np.ndarray, float]:
+    """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals v of
+    ``tree`` (0 off the supports' component), 1-Lipschitz when ``d`` is a
+    metric, and the gap |value - phi's dual value|; given a ``scale``, the
+    gap must pass ``_require_gap``."""
+    phi = np.min(d.values[:, mu2.support] - np.array(tree[0][mu1.support.size:]), axis=1)
     phi = np.where(np.isfinite(phi), phi, 0.0)
     gap = abs(value - float(phi[mu1.support] @ mu1.mass - phi[mu2.support] @ mu2.mass))
-    if require:
+    if scale is not None:
         _require_gap(gap, scale)
     return phi, gap
 
@@ -497,58 +494,40 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
         raise ValidationError("the plan's marginals are not mu1 and mu2")
     _require_metric(d)
-    return _plan_potential(mu1, mu2, d, plan, require)
-
-
-def _plan_potential(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                    plan: TransportPlan, require: bool = True) -> tuple[np.ndarray, float]:
-    """``dual_certificate`` on any ``d``: phi is 1-Lipschitz where it is a metric."""
     cost = _check_supports_connected(mu1, mu2, d)
     cells = _local_cells(mu1, mu2, plan.basic_cells or ())
     tree = cells and _tree(cells, cost.tolist(), mu1.mass.tolist() + (-mu2.mass).tolist())
     if not tree:
         tree, _ = _transport_simplex(mu1.mass, mu2.mass, cost.tolist(),
                                      _least_cost_basis(mu1.mass, mu2.mass, cost))
-    return _certify(mu1, mu2, d, cost, tree[0][mu1.support.size:], plan.cost(d), require)
+    scale = max(1.0, float(np.max(cost)))
+    return _certify(mu1, mu2, d, tree, plan.cost(d), scale if require else None)
 
 
 # ---------------------------------------------------------------------------
 # the Ricci flow's batched tree pricing
 
 
-def _edge_tree(mu: ProbMeasure, nu: ProbMeasure, basis: tuple) -> tuple:
-    """An edge's optimal basis (the ``basic_cells`` of a ``wasserstein``
-    plan) as the batch keeps it: (basis, its cells as sorted (row, column)
-    support indices, their flows, the parent node of each tree node).
-    These are the flows of a warm start from ``basis``, under the same
-    feasibility check."""
-    cells = list(zip(np.searchsorted(mu.support, [x for x, _ in basis]).tolist(),
-                     np.searchsorted(nu.support, [y for _, y in basis]).tolist()))
-    zero = [[0.0] * nu.support.size] * mu.support.size  # flows ignore costs
-    _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
-    return basis, cells, [flows[c] for c in cells], parent
-
-
 class _Batch:
-    """Every edge's walk measures and current optimal transport tree,
-    concatenated so that one numpy pass per flow step re-prices them all.
+    """Every edge's current optimal transport tree, concatenated with its
+    walk measures so that one numpy pass per flow step re-prices them all.
 
-    A tree's flows depend on the walk measures alone.  While the tree
-    stays optimal, W(e) is the sum of flow x d over its cells of positive
-    flow, added in ``wasserstein``'s order, so it matches to the bit.
-    The tree's duals solve u_i + v_j = d(x_i, y_j) from u_0 = 0, one tree
-    level at a time, with one subtraction per node as in ``_tree``.
+    ``trees`` holds each edge's sorted cells, their flows and the parent
+    of each tree node.  The flows depend on the walk measures alone.
+    While a tree stays optimal, W(e) is the sum of flow x d over its
+    cells of positive flow, added in ``_solve``'s order, so it matches to
+    the bit.  The duals solve u_i + v_j = d(x_i, y_j) from u_0 = 0, one
+    tree level at a time, with one subtraction per node as in ``_tree``.
     ``price`` returns W and the edges with an off-tree cell whose reduced
-    cost is below -ENTER_TOL x max(1, max cost).  The simplex would pivot
-    there, so the flow re-solves those edges from their trees.  Under
-    ``transport_audit`` the same duals certify every other edge, as
-    ``_certify`` does.  An edge whose two walk measures coincide
+    cost is below -ENTER_TOL x max(1, max cost), where the simplex would
+    pivot.  Under ``transport_audit`` the same duals certify every other
+    edge, as ``_certify`` does.  An edge whose two walk measures coincide
     keeps its least-cost tree like any other, with W = 0.
     """
 
     def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
                  trees: list[tuple]) -> None:
-        self.pairs, self.trees = pairs, trees
+        self.trees = trees
         cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
         off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
         moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
@@ -556,7 +535,7 @@ class _Batch:
         cols, col_node, col_start = [], [], []  # the column nodes, for the duals' c-transform
         nodes_vertex, supply, node_edge = [], [], []  # every node, for the dual value
         nodes = basics = 0
-        for p, ((mu, nu), (_, cells, flows, parent)) in enumerate(zip(pairs, trees)):
+        for p, ((mu, nu), (cells, flows, parent)) in enumerate(zip(pairs, trees)):
             sx, sy = mu.support.tolist(), nu.support.tolist()
             n1, n2 = len(sx), len(sy)
             index = {c: basics + t for t, c in enumerate(cells)}
@@ -635,6 +614,27 @@ class _Batch:
             certified = len(self.trees) - int(pivot.sum())
             _record(certified, certified, 0, float(gap.max(initial=0.0)))
         return w, np.flatnonzero(pivot).tolist()
+
+
+def _price_edges(pairs: list[tuple[ProbMeasure, ProbMeasure]], batch: _Batch | None,
+                 d: DistanceMatrix) -> tuple[np.ndarray, _Batch]:
+    """W under ``d`` of each measure pair and the batch of their optimal
+    trees.  ``batch``, kept from the last call on the same pairs, re-solves
+    only the pairs whose tree stopped being optimal, warm from it; None
+    solves all cold.  A re-solved tree keeps the flows ``_start_tree``
+    peels from its cells, which a warm start from them uses."""
+    if batch is None:
+        w, solve, trees = np.zeros(len(pairs)), range(len(pairs)), [None] * len(pairs)
+    else:
+        (w, solve), trees = batch.price(d), list(batch.trees)
+    for k in solve:
+        mu, nu = pairs[k]
+        w[k], (_, _, flows), _ = _solve(mu, nu, d, None if batch is None else trees[k][0])
+        cells = sorted(flows)
+        zero = [[0.0] * nu.support.size] * mu.support.size  # flows ignore costs
+        _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
+        trees[k] = cells, [flows[c] for c in cells], parent
+    return w, (_Batch(pairs, trees) if batch is None or solve else batch)
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,29 @@ def test_non_finite_flow_parameters_exit_two(tmp_path, capsys, args, name):
     assert trace.read_text().count("\n") == 1  # header only: no step ran
 
 
+@pytest.mark.parametrize("lengths,curvature_code,fragment", [
+    ((1e308, 1e308), 2, "past the float range"),
+    ((1e308, 1.0), 0, "max adjacent length ratio"),
+    ((1e300, 1e-10), 0, "max adjacent length ratio")])
+def test_lengths_past_the_float_range(tmp_path, capsys, lengths, curvature_code, fragment):
+    # a path sum past the float range once read as "measure supports lie in
+    # different components", a default threshold 2 x ratio past it blamed a
+    # deletion threshold never set, and numpy printed overflow warnings
+    graph = tmp_path / "long.json"
+    graph.write_text(json.dumps({"vertices": 3, "edges": [
+        {"u": 0, "v": 1, "w": 1.0, "len": lengths[0]},
+        {"u": 1, "v": 2, "w": 1.0, "len": lengths[1]}], "measure": [2.0, 2.0, 2.0]}))
+    assert main(["curvature", str(graph)]) == curvature_code
+    out = capsys.readouterr()
+    assert out.err == ""
+    if curvature_code:
+        assert str(graph) in json.loads(out.out)["error"]
+    for args in ([], ["--threshold", "1e10"]):
+        assert main(["flow", str(graph), *args]) == 2
+        out = capsys.readouterr()
+        assert fragment in json.loads(out.out)["error"] and out.err == ""
+
+
 def test_infeasible_modified_curvature_gate_exits_four(tmp_path, capsys):
     graph = tmp_path / "edge.json"
     graph.write_text(json.dumps({

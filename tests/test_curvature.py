@@ -207,14 +207,14 @@ def test_lly_audit_rejects_a_corrupted_slope_or_potential(monkeypatch):
         return duals, parent, {e: 2.0 * f for e, f in flows.items()}
 
     def shifted_potential(*args, **kwargs):
-        w, flows, phi = solve(*args, **kwargs)
+        w, tree, phi = solve(*args, **kwargs)
         if phi is not None:
             phi = phi + 1e-3 * (np.arange(phi.size) == 1)  # moves phi(y)
-        return w, flows, phi
+        return w, tree, phi
 
     def nan_potential(*args, **kwargs):
-        w, flows, phi = solve(*args, **kwargs)
-        return w, flows, None if phi is None else phi * np.nan  # NaN gaps fail too
+        w, tree, phi = solve(*args, **kwargs)
+        return w, tree, None if phi is None else phi * np.nan  # NaN gaps fail too
 
     for name, corrupt in (("_tree", doubled_flows), ("_solve", shifted_potential),
                           ("_solve", nan_potential)):

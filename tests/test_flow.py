@@ -280,7 +280,6 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
     # the flow re-prices each edge's last optimal tree until a deletion;
     # solving every edge cold from the least-cost start at every step must
     # give the same run
-    import curvflow.ricci_flow as ricci_flow
     from curvflow.transport import transport_audit
 
     rng = np.random.default_rng(seed)
@@ -289,12 +288,7 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
     with transport_audit() as audit:
         warm = run_flow(g, cfg)
         assert audit.warm > 0
-    # a flow that keeps no batch treats every step as a new topology
-    monkeypatch.setattr(ricci_flow, "_Batch", lambda pairs, trees: None)
-    with transport_audit() as audit:
-        cold = run_flow(g, cfg)
-        assert audit.warm == 0
-        assert audit.count == sum(len(row.kappa.values) for row in cold.final.trace)
+    cold = _cold_flow(monkeypatch, g, cfg)
     assert len(warm.final.deletion_log) >= 4
     assert warm.status == cold.status == STATUS_CONVERGED
     assert warm.final.iteration == cold.final.iteration
@@ -311,6 +305,24 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
         assert abs(warm.growth_rate[root] - cold.growth_rate[root]) <= 1e-12
 
 
+def test_flow_and_linear_ric_build_no_transport_plan(monkeypatch):
+    # both price transport from _solve's own tree, not from a coupling
+    from conftest import random_lazy_kernel
+    from curvflow import ProbMeasure, TransportPlan, ric_r, wasserstein
+    from curvflow.chains import linear_chain_operator
+
+    built, init = [], TransportPlan.__post_init__
+    monkeypatch.setattr(TransportPlan, "__post_init__", lambda plan: built.append(1) or init(plan))
+    rng = np.random.default_rng(45)
+    g = random_flow_graph(rng, int(rng.integers(5, 9)))
+    run_flow(g, FlowConfig(alpha=0.5, tolerance=1e-10))  # cold and warm solves
+    d = shortest_path_metric(g)
+    assert ric_r(linear_chain_operator(random_lazy_kernel(rng, g)), d, 1.0).exact
+    assert built == []
+    wasserstein(ProbMeasure.delta(0), ProbMeasure.delta(1), d)
+    assert built == [1]
+
+
 # ---------------------------------------------------------------------------
 # the batch that re-prices every edge's tree in one numpy pass
 
@@ -320,6 +332,7 @@ def test_warm_started_flow_matches_cold_transport(monkeypatch, seed):
 @example(seed=2, n=9)  # re-solves four edges at its second step
 def test_batch_matches_cold_transport(seed, n):
     import curvflow.ricci_flow as ricci_flow
+    from curvflow.curvature import vertex_measure
     from curvflow.transport import ENTER_TOL, _tree, transport_audit, wasserstein
 
     g = random_flow_graph(np.random.default_rng(seed), n)
@@ -336,11 +349,13 @@ def test_batch_matches_cold_transport(seed, n):
             w, solve = batch.price(d)
         assert audit.count == audit.warm == len(batch.trees) - len(solve)
         expected = []
-        for k, ((mu, nu), tree) in enumerate(zip(batch.pairs, batch.trees)):
+        pairs = [(vertex_measure(state.graph, u, None), vertex_measure(state.graph, v, None))
+                 for u, v in state.topology.edges]
+        for k, ((mu, nu), tree) in enumerate(zip(pairs, batch.trees, strict=True)):
             cost = d.values[np.ix_(mu.support, nu.support)]
             scale = max(1.0, float(cost.max()))
             # the kept tree's reduced costs, from _tree's own duals
-            cells = tree[1]
+            cells = tree[0]
             duals = np.array(_tree(cells, cost.tolist(),
                                    mu.mass.tolist() + (-nu.mass).tolist())[0])
             n1 = mu.support.size
@@ -360,7 +375,7 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     # off-tree cell (1, 2) has reduced cost -shortfall, and the entering
     # threshold is -ENTER_TOL x 4 = -4e-12
     from curvflow.graphs import DistanceMatrix
-    from curvflow.transport import ProbMeasure, _Batch, _edge_tree, wasserstein
+    from curvflow.transport import ProbMeasure, _Batch, _solve, _start_tree
 
     d = np.zeros((4, 4))
     for (x, y), c in {(0, 2): 1.0, (0, 3): 4.0, (1, 3): 4.0, (1, 2): 1.0 - shortfall}.items():
@@ -368,11 +383,13 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     d = DistanceMatrix(d)
     mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     nu = ProbMeasure(np.array([2, 3]), np.array([0.5, 0.5]))
-    basis = ((0, 2), (0, 3), (1, 3))
-    w, solve = _Batch([(mu, nu)], [_edge_tree(mu, nu, basis)]).price(d)
+    cells = [(0, 0), (0, 1), (1, 1)]  # as (row, column) support indices
+    _, parent, flows = _start_tree(cells, d.values[np.ix_(mu.support, nu.support)].tolist(),
+                                   [0.5, 0.5, -0.5, -0.5])
+    w, solve = _Batch([(mu, nu)], [(cells, [flows[c] for c in cells], parent)]).price(d)
     assert solve == ([0] if pivots else [])
-    cost, plan = wasserstein(mu, nu, d, basis)
-    assert (plan.basic_cells != basis) == pivots
+    cost, (_, _, flows), _ = _solve(mu, nu, d, cells)
+    assert (sorted(flows) != cells) == pivots
     if not pivots:
         assert w[0] == cost == 2.5
 
@@ -404,11 +421,17 @@ def test_batch_certificate_rejects_a_wrong_value():
 
 
 def _cold_flow(monkeypatch, g, cfg):
+    """``run_flow`` pricing every step as a new topology: each edge solved
+    cold, once per step, from the least-cost start."""
     import curvflow.ricci_flow as ricci_flow
+    from curvflow.transport import _price_edges, transport_audit
 
-    with monkeypatch.context() as m:
-        m.setattr(ricci_flow, "_Batch", lambda pairs, trees: None)
-        return run_flow(g, cfg)
+    with monkeypatch.context() as m, transport_audit() as audit:
+        m.setattr(ricci_flow, "_price_edges", lambda pairs, batch, d: _price_edges(pairs, None, d))
+        res = run_flow(g, cfg)
+        assert audit.warm == 0
+        assert audit.count == sum(len(row.kappa.values) for row in res.final.trace)
+    return res
 
 
 @pytest.mark.parametrize("case", ["identical-measures", "isolated-vertex", "edgeless"])

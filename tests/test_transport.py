@@ -26,7 +26,7 @@ from curvflow import (
     shortest_path_metric,
     wasserstein,
 )
-from curvflow.transport import transport_audit
+from curvflow.transport import _solve, transport_audit
 
 
 def random_measure(rng, vertices, k):
@@ -707,9 +707,27 @@ def test_tree_simplex_matches_linprog(kind):
         assert abs(value - ref.fun) <= 1e-12 * max(1.0, cost.max())
 
 
+def test_solve_returns_the_tree_of_its_own_cells():
+    # the flow and the linear ric_r read duals and parents off _solve's
+    # tree: they are, bit for bit, what _tree re-derives from its cells
+    from curvflow.transport import _least_cost_basis, _tree
+
+    rng = np.random.default_rng(26)
+    pivoting = 0
+    for kind in ("uniform", "integer", "equal"):
+        for n1, n2 in _SHAPES * 10 + [(6, 6), (7, 5), (5, 8)] * 10:
+            mu1, mu2, d, cost = _cost_instance(rng, n1, n2, kind)
+            _, (duals, parent, flows), _ = _solve(mu1, mu2, d)
+            cells = sorted(flows)
+            peel = _tree(cells, cost.tolist(), mu1.mass.tolist() + (-mu2.mass).tolist())
+            assert peel[0] == duals and peel[1] == parent
+            pivoting += cells != sorted(_least_cost_basis(mu1.mass, mu2.mass, cost))
+    assert pivoting >= 100
+
+
 def test_warm_start_from_a_stale_basis():
-    # the basis that was optimal under one metric is feasible under any
-    # other: from it the solver reaches the cold-start optimum
+    # the tree that was optimal under one metric is feasible under any
+    # other: from its cells the solver reaches the cold-start optimum
     rng = np.random.default_rng(23)
     warm_calls = 0
     for _ in range(20):
@@ -719,15 +737,16 @@ def test_warm_start_from_a_stale_basis():
             continue
         mu1 = random_measure(rng, comp, 4)
         mu2 = random_measure(rng, comp, 5)
-        _, stale = wasserstein(mu1, mu2, shortest_path_metric(g))
+        stale = sorted(_solve(mu1, mu2, shortest_path_metric(g))[1][2])
         lengths = np.where(g.weights > 0, rng.uniform(0.1, 5.0, g.weights.shape), 0.0)
         d2 = shortest_path_metric(g.with_lengths(np.maximum(lengths, lengths.T)))
         cold, _ = wasserstein(mu1, mu2, d2)
         with transport_audit() as audit:
-            warm, plan = wasserstein(mu1, mu2, d2, stale.basic_cells)
+            warm, (_, _, flows), _ = _solve(mu1, mu2, d2, stale)
         assert audit.warm == audit.count == 1
         assert abs(warm - cold) <= 1e-12 * max(1.0, float(d2.values[np.isfinite(d2.values)].max()))
-        assert plan.cost(d2) == pytest.approx(warm, abs=1e-12)
+        cost = d2.values[np.ix_(mu1.support, mu2.support)]
+        assert sum(f * cost[c] for c, f in flows.items()) == pytest.approx(warm, abs=1e-12)
         warm_calls += 1
     assert warm_calls >= 10
 
@@ -737,20 +756,21 @@ def test_starting_basis_must_be_a_feasible_spanning_tree():
     d = shortest_path_metric(g)
     mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     mu2 = ProbMeasure(np.array([2, 3]), np.array([0.9, 0.1]))
-    _, plan = wasserstein(mu1, mu2, d)
-    wasserstein(mu1, mu2, d, plan.basic_cells)
+    cells = sorted(_solve(mu1, mu2, d)[1][2])  # (row, column) support indices
+    _solve(mu1, mu2, d, cells)
     not_a_tree = "not a spanning tree"
     bad = [
-        (plan.basic_cells[:-1], not_a_tree),
-        (plan.basic_cells[:-1] + plan.basic_cells[:1], not_a_tree),  # repeated
-        (plan.basic_cells[:-1] + ((0, 1),), not_a_tree),  # off the supports
-        ((), not_a_tree),
-        # a tree that needs -0.4 on cell (1, 3): row 0 sends 0.5 to 3 alone
-        (((0, 3), (1, 2), (1, 3)), "not primal feasible"),
+        (cells[:-1], not_a_tree),
+        (cells[:-1] + cells[:1], not_a_tree),  # repeated
+        (cells[:-1] + [(0, 2)], not_a_tree),  # off the supports: two columns
+        (cells[:-1] + [(0, -1)], not_a_tree),
+        ([], not_a_tree),
+        # a tree that needs -0.4 on cell (1, 1): row 0 sends 0.5 to column 1 alone
+        ([(0, 1), (1, 0), (1, 1)], "not primal feasible"),
     ]
-    for cells, reason in bad:
+    for start, reason in bad:
         with pytest.raises(ValidationError, match=reason):
-            wasserstein(mu1, mu2, d, cells)
+            _solve(mu1, mu2, d, start)
 
 
 def test_negative_basic_flow_is_not_dropped():
@@ -761,31 +781,34 @@ def test_negative_basic_flow_is_not_dropped():
     mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     mu2 = ProbMeasure(np.array([2, 3]), np.array([0.5 + 1e-10, 0.5 - 1e-10]))
     with pytest.raises(ValidationError, match="not primal feasible"):
-        wasserstein(mu1, mu2, d, ((0, 3), (1, 2), (1, 3)))
+        _solve(mu1, mu2, d, [(0, 1), (1, 0), (1, 1)])
 
 
 @pytest.mark.parametrize("shift,feasible", [(1e-13, True), (1e-11, False), (1e-10, False)])
 def test_starting_tree_meets_the_final_flow_bound(shift, feasible):
     # a warm start is feasible exactly when its flows would pass as final
     # flows (>= -MASS_TOL): a tree 1e-10 infeasible is the caller's error
-    # (exit 2), not a solver failure (exit 5); the flow's batch keeps
-    # trees under the same rule
-    from curvflow.transport import _edge_tree
+    # (exit 2), not a solver failure (exit 5); the flow's batch peels its
+    # trees through the same ``_start_tree``
+    from curvflow.transport import _start_tree
 
     d = shortest_path_metric(complete_graph(4))
     mu1 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     mu2 = ProbMeasure(np.array([2, 3]), np.array([0.5 + shift, 0.5 - shift]))
-    basis = ((0, 3), (1, 2), (1, 3))  # cell (1, 3) carries -shift
+    cells = [(0, 1), (1, 0), (1, 1)]  # cell (1, 1) carries -shift
+    c = d.values[np.ix_(mu1.support, mu2.support)].tolist()
+    supply = mu1.mass.tolist() + (-mu2.mass).tolist()
     if feasible:
-        cost, plan = wasserstein(mu1, mu2, d, basis)
+        cost, (_, _, flows), _ = _solve(mu1, mu2, d, cells)
         assert cost == pytest.approx(1.0, abs=1e-12)  # the -shift flow is left out
-        assert plan.basic_cells == basis
-        assert _edge_tree(mu1, mu2, basis)[2] == pytest.approx([0.5, 0.5 + shift, -shift])
+        assert sorted(flows) == cells
+        flows = _start_tree(cells, c, supply)[2]
+        assert [flows[k] for k in cells] == pytest.approx([0.5, 0.5 + shift, -shift])
     else:
         with pytest.raises(ValidationError, match="not primal feasible"):
-            wasserstein(mu1, mu2, d, basis)
+            _solve(mu1, mu2, d, cells)
         with pytest.raises(ValidationError, match="not primal feasible"):
-            _edge_tree(mu1, mu2, basis)
+            _start_tree(cells, c, supply)
 
 
 def test_least_cost_start_with_a_zero_flow_cell():
@@ -820,7 +843,7 @@ def test_cold_start_absorbs_the_measures_imbalance():
     mu2 = ProbMeasure(np.array([3, 4, 5]), np.array([0.25, 0.25, 0.5000000000009]))
     value, plan = wasserstein(mu1, mu2, d)
     assert value == pytest.approx(3.25, abs=1e-11)
-    assert wasserstein(mu1, mu2, d, plan.basic_cells)[0] == value
+    assert _solve(mu1, mu2, d, sorted(_solve(mu1, mu2, d)[1][2]))[0] == value
     assert dual_certificate(mu1, mu2, d, plan)[1] <= 1e-11
 
 
@@ -841,9 +864,10 @@ def test_measures_at_the_edge_of_the_mass_window(m1, m2, lengths, k1, k2, shift)
     b[k2 % n2] -= shift
     mu1 = ProbMeasure(np.arange(n1), a)
     mu2 = ProbMeasure(np.arange(n1, n1 + n2), b)
-    value, plan = wasserstein(mu1, mu2, d)
+    value, _ = wasserstein(mu1, mu2, d)
     cost = d.values[np.ix_(mu1.support, mu2.support)]
     scale = max(1.0, float(cost.max()))
     dense = dense_simplex(*dense_transport_lp(a, b, cost))
     assert abs(value - dense.value) <= 1e-11 * scale
-    assert abs(wasserstein(mu1, mu2, d, plan.basic_cells)[0] - value) <= 1e-12 * scale
+    cells = sorted(_solve(mu1, mu2, d)[1][2])
+    assert abs(_solve(mu1, mu2, d, cells)[0] - value) <= 1e-12 * scale
