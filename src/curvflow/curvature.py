@@ -102,7 +102,8 @@ def kappa_lly(g: WeightedGraph, d: DistanceMatrix, x: int, y: int, *,
     and -deg at x, minus the same for y).  Under ``transport_audit`` the
     potential phi that certified W certifies the slope too, by the
     limit-free formula: phi(x) - phi(y) = d(x, y) and
-    Delta phi(x) - Delta phi(y) = dW/dalpha, else CertificateError.
+    Delta phi(x) - Delta phi(y) = dW/dalpha, else CertificateError.  A
+    slope over d(x, y) past the float range is a ValidationError.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
@@ -163,7 +164,11 @@ def _kappa_lly(g: WeightedGraph, d: DistanceMatrix, alpha: float, walk,
         if not all(abs(gap) <= CERTIFY_TOL * max(1.0, max(map(max, c))) for gap in gaps):
             raise CertificateError(f"no certificate of the LLY slope at ({x}, {y}): "
                                    f"gaps {gaps[0]:g}, {gaps[1]:g}")
-    return -slope / d.value(x, y)
+    kappa = -float(slope) / float(d.value(x, y))
+    if not np.isfinite(kappa):
+        raise ValidationError(f"kappa_lly at ({x}, {y}) is past the float range: "
+                              f"slope {slope:g} over d = {d.value(x, y):g}")
+    return kappa
 
 
 def _kappa_phi(forbid: str, g: WeightedGraph, d0: DistanceMatrix, alpha: None, walk,

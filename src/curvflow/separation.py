@@ -60,6 +60,12 @@ __all__ = [
 SIGN_TOL = 1e-12
 # coordinate-ascent sweeps per sampled start in ric_r
 RIC_SWEEPS = 200
+# a p-flow stage's Newton start stops at max|R| <= NEWTON_STOP x tol, so the
+# chain's test at tol certifies it in one step, and gives up after
+# NEWTON_STEPS steps or NEWTON_HALVINGS halvings of one step
+NEWTON_STOP = 1e-3
+NEWTON_STEPS = 40
+NEWTON_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,46 @@ def _iterate_on_k(part: PartitionXKY, d: DistanceMatrix,
     return iterate_normalized(ChainOperator(len(ks), apply), f0, x0k, tol, max_iter)
 
 
+def _newton_on_k(part: PartitionXKY, d: DistanceMatrix,
+                 step: Callable[[np.ndarray], np.ndarray], f0: np.ndarray,
+                 x0k: int, tol: float) -> tuple[np.ndarray | None, int]:
+    """Damped Newton on R(f) = (T f - f) - (T f - f)[x0], T f = step(S f)|_K,
+    over f's coordinates off x0 from f0 - f0[x0]: (the point, its steps), or
+    (None, 0) if Newton took no step, failed or left Lip(1, K).  The
+    forward-difference Jacobian costs one step per free coordinate; the
+    fraction t of a Newton step is taken if it lowers max|R| by 1 - t/2."""
+    ks, extend, unit = np.array(part.k_set), _extension(part, d), np.eye(len(part.k_set))
+    free = np.delete(np.arange(len(ks)), x0k)
+    if f0.shape != (len(ks),) or not np.isfinite(f0).all():
+        return None, 0  # the chain reports it
+
+    def residual(f: np.ndarray) -> np.ndarray:
+        lf = step(extend(f))[ks] - f
+        return lf - lf[x0k]
+
+    f, steps = f0 - f0[x0k], 0
+    try:
+        r = residual(f)
+        while np.abs(r).max() > NEWTON_STOP * tol and steps < NEWTON_STEPS:
+            # well above the roundoff of the Newton resolvents, about 1e-12
+            h = 1e-7 * max(1.0, float(np.abs(f).max()))
+            jac = np.column_stack([(residual(f + h * unit[j]) - r)[free] for j in free]) / h
+            move = np.zeros_like(f)
+            move[free] = np.linalg.solve(jac, -r[free])
+            for k in range(NEWTON_HALVINGS):
+                r_new = residual(f + move)
+                if np.abs(r_new).max() <= (1.0 - 0.5 ** (k + 1)) * np.abs(r).max():
+                    break
+                move /= 2.0
+            else:
+                break  # a stall: no halving lowered max|R| enough
+            f, r, steps = f + move, r_new, steps + 1
+        _check_lip_on_k(part, d, f)
+    except (SolverError, ValidationError, np.linalg.LinAlgError):
+        return None, 0
+    return (f, steps) if steps else (None, 0)
+
+
 def _separation_result(part: PartitionXKY, d: DistanceMatrix,
                        result: IterationResult,
                        delta: Callable[[np.ndarray], np.ndarray],
@@ -320,11 +366,19 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
     """Resolvent separation flow (J_eps S)|_K across a decreasing
     eps schedule.
 
-    Each stage runs the chain at its eps to the normalized limit (warm
-    started from the previous stage), computes h_eps = J_eps S f and the
-    defect ||h_eps - S h_eps||, which decays at least linearly in eps.
-    A stage builds its resolvent solver once; its chain steps solve warm
-    from the stage's last g without a residual, its final solve cold.
+    Each stage solves its fixed point T f = f + c 1 on K (T one chain
+    step) by damped Newton from the previous stage's limit, then runs the
+    chain from the Newton point; the chain's own test at tol certifies
+    it, usually in one step, and decides the status.  Where Newton fails
+    (as at p = 1 when its difference Jacobian is singular) or leaves
+    Lip(1, K), the chain runs from the previous limit.  tol bounds the
+    chain's last normalized step, the residual of T f = f + c 1, not the
+    distance to the true limit; Newton drives that residual to 1e-3 tol.
+    The stage then computes h_eps = J_eps S f and the defect
+    ||h_eps - S h_eps||, which decays at least linearly in eps; its row
+    counts ``iterations`` (chain steps) and ``newton_steps``.  A stage
+    builds its resolvent solver once; its Newton and chain steps solve
+    warm from the stage's last g without a residual, its final solve cold.
     The final stage yields g in Delta_p(S h) constant on K with the X/Y
     sign pattern.  Needs nonnegative modified curvature for the shape of
     p (verified or waived).
@@ -351,9 +405,13 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
             warm[eps_k] = solve(full, warm.get(eps_k))[0]
             return warm[eps_k]
 
-        result = _iterate_on_k(part, d, step, current, x0k, tol, max_iter)
-        stage = {"eps": eps_k, "status": result.status,
-                 "iterations": result.iterations, "defect": None}
+        start, newton_steps = _newton_on_k(part, d, step, current, x0k, tol)
+        if start is None:  # the stage's usual start, solved as if Newton never ran
+            start = current
+            warm.pop(eps_k, None)
+        result = _iterate_on_k(part, d, step, start, x0k, tol, max_iter)
+        stage = {"eps": eps_k, "status": result.status, "iterations": result.iterations,
+                 "newton_steps": newton_steps, "defect": None}
         stages.append(stage)
         if result.status != CONVERGED:
             return SeparationPResult(

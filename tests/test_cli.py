@@ -674,6 +674,21 @@ def test_lengths_past_the_float_range(tmp_path, capsys, lengths, curvature_code,
         assert fragment in json.loads(out.out)["error"] and out.err == ""
 
 
+def test_lly_curvature_past_the_float_range_names_the_edge(tmp_path, capsys):
+    # the slope over d(1, 2) = 1e-10 once printed -Infinity, which is not
+    # JSON, and an overflow warning on stderr
+    graph = tmp_path / "long.json"
+    graph.write_text(json.dumps({"vertices": 3, "edges": [
+        {"u": 0, "v": 1, "w": 1.0, "len": 1e300},
+        {"u": 1, "v": 2, "w": 1.0, "len": 1e-10}], "measure": [2.0, 2.0, 2.0]}))
+    assert main(["curvature", str(graph), "--kinds", "lly"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    assert "kappa_lly at (1, 2)" in doc["error"] and "float range" in doc["error"]
+    assert doc["results"] == {}
+
+
 def test_infeasible_modified_curvature_gate_exits_four(tmp_path, capsys):
     graph = tmp_path / "edge.json"
     graph.write_text(json.dumps({

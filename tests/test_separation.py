@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -28,8 +31,8 @@ from curvflow import (
 )
 from curvflow.chains import CONVERGED, ChainOperator
 from curvflow.graphs import laplacian_matrix
-from curvflow.plaplace import resolvent
-from curvflow.separation import _iterate_on_k
+from curvflow.plaplace import _Resolvent, resolvent
+from curvflow.separation import _iterate_on_k, _newton_on_k
 
 
 def path_partition():
@@ -346,9 +349,21 @@ def test_p_flow_p1_membership_of_g_sub():
     assert ok, msg
 
 
+def _criterion_5_cycle(i):
+    """Criterion 5's cycle i: (graph, partition, f0, p)."""
+    rng = np.random.default_rng(20_000 + i)
+    n = int(rng.integers(4, 7))
+    weight = float(rng.uniform(0.5, 2.0))
+    g = cycle_graph(n, weight=weight, measure=2.0 * weight * float(rng.uniform(1.0, 2.0)))
+    part = cycle_partition(g)
+    half = float(shortest_path_metric(g).value(part.k_set[0], part.k_set[1]))
+    return g, part, np.array([0.0, float(rng.uniform(-half, half))]), [1.0, 1.5, 2.0, 3.0][i % 4]
+
+
 def _p_flow_by_public_resolvent(g, part, p, f0, tol, eps=0.1):
-    """separation_flow_p's stages with every chain step a public resolvent
-    call warm from the stage's last g: (stage rows, h, g_sub)."""
+    """separation_flow_p's stages with every chain step, the Newton start's
+    included, a public resolvent call warm from the stage's last g: (stage
+    rows, h, g_sub)."""
     d = shortest_path_metric(g)
     ks = np.array(part.k_set)
     warm, rows, current = {}, [], f0
@@ -357,12 +372,17 @@ def _p_flow_by_public_resolvent(g, part, p, f0, tol, eps=0.1):
             warm[eps_k] = resolvent(g, full, p, eps_k, x0=warm.get(eps_k)).g
             return warm[eps_k]
 
-        result = _iterate_on_k(part, d, step, current, 0, tol, 100_000)
+        start, newton_steps = _newton_on_k(part, d, step, current, 0, tol)
+        if start is None:
+            start = current
+            warm.pop(eps_k, None)
+        result = _iterate_on_k(part, d, step, start, 0, tol, 100_000)
         current = result.limit
         s_ftilde = lipschitz_extend(part, d, current, tol=1e-6)
         sol = resolvent(g, s_ftilde, p, eps_k)
         s_h = lipschitz_extend(part, d, sol.g[ks], validate=False)
-        rows.append((result.iterations, float(np.max(np.abs(sol.g - s_h))), sol.residual))
+        rows.append((result.iterations, newton_steps,
+                     float(np.max(np.abs(sol.g - s_h))), sol.residual))
     return rows, sol.g, (sol.g - s_ftilde) / eps_k
 
 
@@ -371,18 +391,123 @@ def test_p_flow_matches_one_public_resolvent_per_chain_step(p):
     # the criterion-5 cycles of p: a solver built once per stage must
     # leave every stage and the limit bit-identical
     for i in range(2):
-        rng = np.random.default_rng(20_000 + [1.0, 1.5, 2.0, 3.0].index(p) + 4 * i)
-        n = int(rng.integers(4, 7))
-        weight = float(rng.uniform(0.5, 2.0))
-        g = cycle_graph(n, weight=weight, measure=2.0 * weight * float(rng.uniform(1.0, 2.0)))
-        part = cycle_partition(g)
-        half = float(shortest_path_metric(g).value(part.k_set[0], part.k_set[1]))
-        f0 = np.array([0.0, float(rng.uniform(-half, half))])
+        g, part, f0, _ = _criterion_5_cycle([1.0, 1.5, 2.0, 3.0].index(p) + 4 * i)
         res = separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
         rows, h, g_sub = _p_flow_by_public_resolvent(g, part, p, f0, 1e-8)
         assert res.status == CONVERGED
-        assert [(s["iterations"], s["defect"], s["residual"]) for s in res.stages] == rows
+        assert [(s["iterations"], s["newton_steps"], s["defect"], s["residual"])
+                for s in res.stages] == rows
         assert res.h.tobytes() == h.tobytes() and res.g_sub.tobytes() == g_sub.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_p_flow_stage_limit_matches_a_tight_plain_chain(monkeypatch, p):
+    # the Newton start and the chain's one certifying step land on the
+    # stage's limit, which the chain alone approaches only to about
+    # tol / (1 - its contraction rate)
+    import curvflow.separation as separation
+
+    limits = []
+
+    def spy(*args):
+        result = _iterate_on_k(*args)
+        limits.append(result.limit)
+        return result
+
+    monkeypatch.setattr(separation, "_iterate_on_k", spy)
+    for i in range(20):
+        g, part, f0, p_i = _criterion_5_cycle(i)
+        if p_i != p:
+            continue
+        limits.clear()
+        res = separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
+        assert res.status == CONVERGED and res.stages[0]["iterations"] == 1
+        solver = _Resolvent(g, p, 0.1)
+        plain = _iterate_on_k(part, shortest_path_metric(g), lambda full: solver.solve(full)[0],
+                              f0, 0, 1e-13, 200_000)
+        assert plain.status == CONVERGED
+        assert np.max(np.abs(limits[0] - plain.limit)) <= 1e-9
+
+
+@pytest.mark.parametrize("i", [0, 1, 10])
+def test_p3_six_cycle_is_solved_fast_and_near_its_symmetric_limit(i):
+    # the plain chain needed 83,795 steps in the first stage of cycle 0,
+    # ending with |h(k2) - h(k1)| = 8.4e-4, and stopped at max-iterations
+    # (100,000 steps) on cycles 1 and 10
+    g, part, f0, _ = _criterion_5_cycle(i)
+    assert g.n == 6
+    start = time.process_time()
+    res = separation_flow_p(g, part, 3.0, eps=0.1, f0=f0, tol=1e-8)
+    assert time.process_time() - start < 1.0
+    assert res.status == CONVERGED and res.stages[0]["newton_steps"] > 0
+    k1, k2 = part.k_set
+    assert abs(res.h[k2] - res.h[k1]) < 8.4e-4
+
+
+def _without_newton(monkeypatch, g, part, p, f0):
+    import curvflow.separation as separation
+
+    with monkeypatch.context() as m:
+        m.setattr(separation, "_newton_on_k", lambda *args: (None, 0))
+        return separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
+
+
+def _assert_same_flow(res, ref):
+    assert res.status == ref.status == CONVERGED
+    assert res.stages == ref.stages
+    assert res.h.tobytes() == ref.h.tobytes() and res.g_sub.tobytes() == ref.g_sub.tobytes()
+
+
+def test_p1_stage_rejects_its_singular_newton_start(monkeypatch):
+    # p = 1 moves no K value under a small change of f, so the difference
+    # Jacobian is zero and every stage is the plain chain
+    for i in (0, 12, 16):
+        g, part, f0, p = _criterion_5_cycle(i)
+        assert p == 1.0
+        res = separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
+        assert all(s["newton_steps"] == 0 for s in res.stages)
+        _assert_same_flow(res, _without_newton(monkeypatch, g, part, p, f0))
+
+
+def test_newton_start_outside_lip_k_is_rejected(monkeypatch):
+    # a step contracting K toward a target, Newton's zero, which is taken
+    # only if it lies in Lip(1, K)
+    g = WeightedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)],
+                                 measure=[2.0] * 3)
+    part = PartitionXKY.build(g, [], [0, 1], [2])
+    d = shortest_path_metric(g)
+
+    def toward(target):
+        def step(full):
+            out = full.copy()
+            out[1] = 0.5 * (full[1] + target)
+            return out
+        return step
+
+    f, steps = _newton_on_k(part, d, toward(0.75), np.zeros(2), 0, 1e-8)
+    assert steps >= 1 and f == pytest.approx([0.0, 0.75], abs=1e-12)
+    assert _newton_on_k(part, d, toward(1.25), np.zeros(2), 0, 1e-8) == (None, 0)
+
+    # in the flow: Newton runs its steps at p = 1.5, then its point is
+    # refused as if outside Lip(1, K), and the stage ends as the plain chain
+    import curvflow.separation as separation
+
+    g, part, f0, p = _criterion_5_cycle(1)
+    check = separation._check_lip_on_k
+    refused = []
+
+    def lip_check(part, d, f, tol=1e-9):
+        if sys._getframe(1).f_code.co_name == "_newton_on_k":
+            refused.append(f)
+            raise ValidationError("pushed outside Lip(1, K)")
+        check(part, d, f, tol)
+
+    assert separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8).stages[0]["newton_steps"] > 0
+    monkeypatch.setattr(separation, "_check_lip_on_k", lip_check)
+    res = separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
+    assert refused and all(s["newton_steps"] == 0 for s in res.stages)
+    monkeypatch.undo()
+    _assert_same_flow(res, _without_newton(monkeypatch, g, part, p, f0))
 
 
 def test_p_flow_gate_on_negative_modified_curvature():
