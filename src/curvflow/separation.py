@@ -131,12 +131,14 @@ def _check_lip_on_k(part: PartitionXKY, d: DistanceMatrix, f: np.ndarray,
 
 def _start_on_k(part: PartitionXKY, d: DistanceMatrix, f0: np.ndarray | None,
                 x0: int | None, tol: float) -> tuple[np.ndarray, int]:
-    """A separation flow's start on K (zero by default, checked to be in
-    Lip(1, K)) and the K index of its base vertex (K's first by default).
-    Rejects a tol that is not finite and positive."""
+    """A separation flow's start on K (zero by default, checked to be |K|
+    finite values in Lip(1, K)) and the K index of its base vertex (K's
+    first by default).  Rejects a tol that is not finite and positive."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     f0 = np.zeros(len(part.k_set)) if f0 is None else np.asarray(f0, dtype=float)
+    if f0.shape != (len(part.k_set),) or not np.isfinite(f0).all():
+        raise ValidationError(f"f0 must be {len(part.k_set)} finite values on K")
     _check_lip_on_k(part, d, f0)
     return f0, part.k_index(part.k_set[0] if x0 is None else x0)
 
@@ -226,12 +228,19 @@ def _newton_on_k(part: PartitionXKY, d: DistanceMatrix,
     """Damped Newton on R(f) = (T f - f) - (T f - f)[x0], T f = step(S f)|_K,
     over f's coordinates off x0 from f0 - f0[x0]: (the point, its steps), or
     (None, 0) if Newton took no step, failed or left Lip(1, K).  The
-    forward-difference Jacobian costs one step per free coordinate; the
-    fraction t of a Newton step is taken if it lowers max|R| by 1 - t/2."""
+    difference Jacobian costs one step per free coordinate, each differenced
+    to the side on which S draws every X and Y value from the same K vertex,
+    so no column straddles a kink of S.  The step solves the difference
+    system by least squares, so an exactly singular Jacobian (a flat edge
+    at p > 2) still yields one; its fraction t is taken if it lowers max|R|
+    by 1 - t/2."""
     ks, extend, unit = np.array(part.k_set), _extension(part, d), np.eye(len(part.k_set))
     free = np.delete(np.arange(len(ks)), x0k)
-    if f0.shape != (len(ks),) or not np.isfinite(f0).all():
-        return None, 0  # the chain reports it
+    to_x, to_y = (d.values[np.ix_(np.array(vs, dtype=np.intp), ks)]
+                  for vs in (part.x_set, part.y_set))
+
+    def source(f: np.ndarray) -> np.ndarray:  # the K vertex S takes each value from
+        return np.concatenate([np.argmax(f - to_x, axis=1), np.argmin(f + to_y, axis=1)])
 
     def residual(f: np.ndarray) -> np.ndarray:
         lf = step(extend(f))[ks] - f
@@ -243,9 +252,12 @@ def _newton_on_k(part: PartitionXKY, d: DistanceMatrix,
         while np.abs(r).max() > NEWTON_STOP * tol and steps < NEWTON_STEPS:
             # well above the roundoff of the Newton resolvents, about 1e-12
             h = 1e-7 * max(1.0, float(np.abs(f).max()))
-            jac = np.column_stack([(residual(f + h * unit[j]) - r)[free] for j in free]) / h
+            base = source(f)
+            sides = [-h if (source(f + h * unit[j]) != base).any() else h for j in free]
+            jac = np.column_stack([(residual(f + s * unit[j]) - r)[free] / s
+                                   for j, s in zip(free, sides)])
             move = np.zeros_like(f)
-            move[free] = np.linalg.solve(jac, -r[free])
+            move[free] = np.linalg.lstsq(jac, -r[free], rcond=None)[0]
             for k in range(NEWTON_HALVINGS):
                 r_new = residual(f + move)
                 if np.abs(r_new).max() <= (1.0 - 0.5 ** (k + 1)) * np.abs(r).max():
@@ -370,10 +382,13 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
     step) by damped Newton from the previous stage's limit, then runs the
     chain from the Newton point; the chain's own test at tol certifies
     it, usually in one step, and decides the status.  Where Newton fails
-    (as at p = 1 when its difference Jacobian is singular) or leaves
+    (as at p = 1, where its difference Jacobian is zero) or leaves
     Lip(1, K), the chain runs from the previous limit.  tol bounds the
     chain's last normalized step, the residual of T f = f + c 1, not the
-    distance to the true limit; Newton drives that residual to 1e-3 tol.
+    distance to the true limit.  Newton aims at a residual of 1e-3 tol;
+    where it stalls above that, the chain certifies its point at tol
+    alone.  A Newton step costs |K| - 1 solves for its difference
+    Jacobian and one or more for its line search.
     The stage then computes h_eps = J_eps S f and the defect
     ||h_eps - S h_eps||, which decays at least linearly in eps; its row
     counts ``iterations`` (chain steps) and ``newton_steps``.  A stage
