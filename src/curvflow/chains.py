@@ -51,6 +51,8 @@ OSCILLATING = "oscillating"
 MAX_ITERATIONS = "max-iterations"
 # increments of the normalized orbit kept for the period-2 oscillation test
 OSCILLATION_WINDOW = 7
+# normalized spread past which the orbit is reported diverged-unbounded
+DIVERGENCE_BOUND = 1e12
 
 KNOWN_PROPERTIES = frozenset({
     "monotone",
@@ -135,7 +137,6 @@ class IterationResult:
     iterations: int
     status: str
     trace: list[TraceRow]
-    last_normalized: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -161,20 +162,14 @@ def _period2(tol: float) -> Callable[[np.ndarray], bool]:
     return push
 
 
-def _increments_cycle(incs: Sequence[np.ndarray], tol: float) -> bool:
-    push = _period2(tol)  # a fresh detector, reading the last window of incs
-    return [push(inc) for inc in incs][-1] if len(incs) else False
-
-
 def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
-                       tolerance: float, max_iter: int = 100_000, *,
-                       divergence_bound: float = 1e12) -> IterationResult:
+                       tolerance: float, max_iter: int = 100_000) -> IterationResult:
     """Iterate f -> Pf, tracking the normalized orbit P^n f - P^n f(x0).
 
     Converges when the normalized step and the lambda+/lambda- gap both
     fall below ``tolerance``; the growth constant is the stabilized base
     increment P^{n+1}f(x0) - P^n f(x0).  Reports "diverged-unbounded"
-    when the normalized spread leaves ``divergence_bound`` (a missing
+    when the normalized spread leaves ``DIVERGENCE_BOUND`` (a missing
     finite accumulation point cannot be certified in advance, so the
     engine fails loudly) and "oscillating" on a period-2 increment cycle,
     an O(1) test per step (``_period2``).
@@ -210,22 +205,20 @@ def iterate_normalized(P: ChainOperator, f0: np.ndarray, x0: int,
         if delta < tolerance and (lam_plus - lam_minus) < tolerance:
             return IterationResult(
                 limit=norm_next, growth_constant=float(f_next[x0] - f_raw[x0]),
-                iterations=n + 1, status=CONVERGED, trace=trace,
-                last_normalized=norm_next)
+                iterations=n + 1, status=CONVERGED, trace=trace)
         if cycle(inc):
             return IterationResult(
                 limit=None, growth_constant=None, iterations=n + 1,
-                status=OSCILLATING, trace=trace, last_normalized=norm_next)
-        if float(norm_next.max() - norm_next.min()) > divergence_bound:
+                status=OSCILLATING, trace=trace)
+        if float(norm_next.max() - norm_next.min()) > DIVERGENCE_BOUND:
             return IterationResult(
                 limit=None, growth_constant=None, iterations=n + 1,
-                status=DIVERGED, trace=trace, last_normalized=norm_next)
+                status=DIVERGED, trace=trace)
         f_raw = f_next
         normalized = norm_next
 
     return IterationResult(limit=None, growth_constant=None, iterations=max_iter,
-                           status=MAX_ITERATIONS, trace=trace,
-                           last_normalized=normalized)
+                           status=MAX_ITERATIONS, trace=trace)
 
 
 # ---------------------------------------------------------------------------

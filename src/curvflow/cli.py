@@ -171,7 +171,7 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return None if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):

@@ -406,19 +406,15 @@ def _checked_input(g: WeightedGraph, f: np.ndarray, eps: float) -> np.ndarray:
 
 
 class _Resolvent:
-    """J_eps at one (graph, p, eps), checked (eps, p, ``method``) and set up
-    once; ``solve(f, x0)`` maps a finite f to (J_eps f, inner steps, edge
-    dual or None)."""
+    """J_eps at one (graph, p, eps), checked (eps, p) and set up once;
+    ``solve(f, x0)`` maps a finite f to (J_eps f, inner steps, edge dual
+    or None)."""
 
-    def __init__(self, g: WeightedGraph, p: float, eps: float, method: str = "auto"):
+    def __init__(self, g: WeightedGraph, p: float, eps: float):
         _require_eps(eps)
         _require_p(p)
-        if method not in ("auto", "linear", "variational"):
-            raise ValidationError(f"unknown method {method!r}")
-        if method == "linear" and p != 2:
-            raise ValidationError("the linear solve applies only to p = 2")
         self.graph, self.p, self.eps = g, p, eps
-        if p == 2 and method != "variational":
+        if p == 2:
             A = np.eye(g.n) - eps * laplacian_matrix(g)
             self.method, self.solve = "linear", lambda f, x0=None: (np.linalg.solve(A, f), 0, None)
             if A.max() > 1e3:
@@ -448,7 +444,7 @@ class _Resolvent:
             selection = np.zeros((g.n, g.n))
             selection[iu, iv], selection[iv, iu] = s, -s
             lap = np.sum(g.weights * selection, axis=1) / g.measure
-        elif self.method == "linear":
+        elif self.p == 2:
             lap = laplacian_apply(g, sol)
         else:
             lap = p_laplacian(g, sol, self.p)
@@ -458,7 +454,6 @@ class _Resolvent:
 
 
 def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
-              method: str = "auto",
               x0: np.ndarray | None = None) -> ResolventSolution:
     """J_eps f = (id - eps Delta_p)^(-1) f.
 
@@ -466,13 +461,12 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
     rest need a constant measure: p > 2 runs damped Newton on the primal
     ("variational"), 1 < p < 2 on the conjugate dual
     ("conjugate-dual-newton"), p = 1 the exact active set
-    ("tv-dual-active-set").  ``method`` forces "linear" or "variational"
-    at p = 2 for cross-checking.  ``x0`` warm-starts the Newton solves
+    ("tv-dual-active-set").  ``x0`` warm-starts the Newton solves
     (the dual from s = c phi_p(D x0), except near p = 1; see
     ``_conjugate_dual``); the exact p = 1 and p = 2 solves ignore it.
-    Checks f, then p, then ``method``.  ``_Resolvent`` builds what depends
-    on (graph, p, eps) alone (edges, measure check, I - eps L, the p = 1
-    matrix, D and eps D D^T, PhiSpec.power(p)) once; the chain steps of
+    Checks f, then p.  ``_Resolvent`` builds what depends on (graph, p,
+    eps) alone (edges, measure check, I - eps L, the p = 1 matrix, D and
+    eps D D^T, PhiSpec.power(p)) once; the chain steps of
     ``separation_flow_p`` reuse one per eps stage and skip the residual.
 
     The fixed-point residual ||g - eps Delta_p g - f||_inf is always
@@ -484,7 +478,7 @@ def resolvent(g: WeightedGraph, f: np.ndarray, p: float, eps: float, *,
     every returned g meets.
     """
     f = _checked_input(g, f, eps)
-    return _Resolvent(g, p, eps, method).solution(f, x0)
+    return _Resolvent(g, p, eps).solution(f, x0)
 
 
 def _conjugate_dual(g: WeightedGraph, p: float, eps: float):

@@ -284,19 +284,11 @@ def edge_deletion_step(state: FlowState, cfg: FlowConfig) -> FlowState:
                      topo)
 
 
-def _rescale_components(state: FlowState) -> FlowState:
-    """Divide each component's lengths by their maximum, as run_flow does
-    after every step: unscaled, negatively curved components would grow
-    until they swamp double precision."""
-    topo, lengths = _edge_vector(state)
-    unit = _normalized(topo, lengths)[0]
-    return replace(state, graph=state.graph.with_lengths(topo.matrix(unit)), topology=topo)
-
-
 def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
-    """Alternate flow and deletion steps, each followed by
-    ``_rescale_components``, until the normalized metric and the curvature
-    spread settle on every component.
+    """Alternate flow and deletion steps until the normalized metric and
+    the curvature spread settle on every component.  After every step each
+    component's lengths are divided by their maximum: unscaled, negatively
+    curved components would grow until they swamp double precision.
 
     Convergence is declared on the normalized log metric (the raw metric
     may shrink geometrically forever); ``growth_rate`` reports the

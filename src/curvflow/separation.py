@@ -17,7 +17,7 @@ bounds it for nonlinear chains.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -193,7 +193,6 @@ class SeparationResult:
     curvature_verified: bool
     waived: bool
     engine: IterationResult
-    lip_trace: list[float] = field(default_factory=list)
 
 
 def _k_statistics(part: PartitionXKY, values: np.ndarray
@@ -258,6 +257,8 @@ def _newton_on_k(part: PartitionXKY, d: DistanceMatrix,
                                    for j, s in zip(free, sides)])
             move = np.zeros_like(f)
             move[free] = np.linalg.lstsq(jac, -r[free], rcond=None)[0]
+            if not move.any():
+                break  # a zero Jacobian (as at p = 1): no halving can help
             for k in range(NEWTON_HALVINGS):
                 r_new = residual(f + move)
                 if np.abs(r_new).max() <= (1.0 - 0.5 ** (k + 1)) * np.abs(r).max():
@@ -275,8 +276,7 @@ def _newton_on_k(part: PartitionXKY, d: DistanceMatrix,
 def _separation_result(part: PartitionXKY, d: DistanceMatrix,
                        result: IterationResult,
                        delta: Callable[[np.ndarray], np.ndarray],
-                       verified: bool, waived: bool, validate: bool,
-                       lip_trace: list[float]) -> SeparationResult:
+                       verified: bool, waived: bool, validate: bool) -> SeparationResult:
     """On convergence, the limit's extension (checked in Lip(1, K) to 1e-6
     if ``validate``) and the K statistics of ``delta`` of it."""
     g_on_k = extension = None
@@ -291,7 +291,7 @@ def _separation_result(part: PartitionXKY, d: DistanceMatrix,
         spread_on_k=spread, sign_min_x=sign_min_x, sign_max_y=sign_max_y,
         status=result.status, iterations=result.iterations,
         growth_constant=result.growth_constant, curvature_verified=verified,
-        waived=waived, engine=result, lip_trace=lip_trace)
+        waived=waived, engine=result)
 
 
 def _require_nonnegative(g: WeightedGraph, kind: str, label: str,
@@ -335,23 +335,12 @@ def separation_flow_linear(g: WeightedGraph, part: PartitionXKY, eps: float,
         _require_nonnegative(g, "ollivier", "Ollivier curvature", d)
         verified = True
 
-    ks = np.array(part.k_set)
-    lip_trace: list[float] = []
-    d_on_k = d.values[np.ix_(ks, ks)]
-
     def step(full: np.ndarray) -> np.ndarray:
-        out = full + eps * laplacian_apply(g, full)
-        res = out[ks]
-        diffs = np.abs(res[:, None] - res[None, :])
-        with np.errstate(invalid="ignore"):
-            ratios = np.where(d_on_k > 0, diffs / d_on_k, 0.0)
-        lip_trace.append(float(np.nanmax(ratios)) if ratios.size else 0.0)
-        return out
+        return full + eps * laplacian_apply(g, full)
 
     result = _iterate_on_k(part, d, step, f0, x0k, tol, max_iter)
     return _separation_result(part, d, result, lambda e: laplacian_apply(g, e),
-                              verified, waive_curvature, not waive_curvature,
-                              lip_trace)
+                              verified, waive_curvature, not waive_curvature)
 
 
 @dataclass
@@ -589,4 +578,4 @@ def separation_flow_generic(P: ChainOperator, part: PartitionXKY,
 
     result = _iterate_on_k(part, d, P, f0, x0k, tol, max_iter)
     return _separation_result(part, d, result, lambda e: P(e) - e, verified,
-                              allow_unverified and not verified, verified, [])
+                              allow_unverified and not verified, verified)

@@ -20,7 +20,11 @@ objective, gradient and Hessian separately through ``PhiSpec`` (they reuse
 the library's edge list, p = 1 signs and constants, not its Newton loop),
 and the transportation simplex that enters by Bland's rule alone and
 re-peels its whole tree after every pivot (it reuses the library's start
-check and tree peel, not its pivot).
+check and tree peel, not its pivot).  Two helpers are not oracles but
+drive library pieces for the tests: ``increments_cycle`` feeds a window
+to a fresh period-2 detector, and ``rescale_components`` applies the
+flow's per-component rescale to a ``FlowState`` in the hand-driven flow
+loops.
 """
 
 from __future__ import annotations
@@ -358,6 +362,15 @@ def increments_cycle_window(incs, tol: float) -> bool:
     return alternation >= tol
 
 
+def increments_cycle(incs, tol: float) -> bool:
+    """The library's period-2 detector fed the window incs afresh: its
+    answer at the last increment (False on an empty window)."""
+    from curvflow.chains import _period2
+
+    push = _period2(tol)
+    return [push(inc) for inc in incs][-1] if len(incs) else False
+
+
 def _lm_newton_separate(x, obj, grad_obj, hess, converged):
     """Levenberg-Marquardt damped Newton with separate objective, gradient,
     Hessian and stop test callables, each recomputing from the point."""
@@ -650,6 +663,18 @@ def deletion_scan(weights: np.ndarray, lengths: np.ndarray, threshold: float):
         u, v = min(e for e in violating if float(ln[e]) == top_len)
         log.append(((u, v), (float(ln[u, v]), shortest_adjacent[(u, v)])))
         w[u, v] = w[v, u] = ln[u, v] = ln[v, u] = 0.0
+
+
+def rescale_components(state):
+    """Divide each component's lengths by their maximum, as run_flow does
+    after every step."""
+    from dataclasses import replace
+
+    from curvflow.ricci_flow import _edge_vector, _normalized
+
+    topo, lengths = _edge_vector(state)
+    unit = _normalized(topo, lengths)[0]
+    return replace(state, graph=state.graph.with_lengths(topo.matrix(unit)), topology=topo)
 
 
 def power_iteration(A: np.ndarray, iters: int = 20_000,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import increments_cycle_window, power_iteration
+from oracles import increments_cycle, increments_cycle_window, power_iteration
 
 from curvflow import (
     ChainOperator,
@@ -22,10 +22,10 @@ from curvflow import (
 from curvflow.chains import (
     CONVERGED,
     DIVERGED,
+    DIVERGENCE_BOUND,
     MAX_ITERATIONS,
     OSCILLATING,
     OSCILLATION_WINDOW,
-    _increments_cycle,
     _period2,
 )
 
@@ -59,10 +59,11 @@ def test_engine_reports_linear_growth_constant():
 
 
 def test_engine_divergence_guard():
-    blow = ChainOperator(dimension=2, apply=lambda f: np.array([2.0 * f[0], f[1]]))
-    res = iterate_normalized(blow, np.array([1.0, 0.0]), 1, 1e-9,
-                             divergence_bound=1e6)
-    assert res.status == DIVERGED
+    # the spread reads 1e3, 1e6, 1e9, 1e12 and leaves DIVERGENCE_BOUND at 1e15
+    blow = ChainOperator(dimension=2, apply=lambda f: np.array([1e3 * f[0], f[1]]))
+    res = iterate_normalized(blow, np.array([1.0, 0.0]), 1, 1e-9)
+    assert 1e3 ** 4 <= DIVERGENCE_BOUND < 1e3 ** 5
+    assert res.status == DIVERGED and res.iterations == 5
 
 
 def test_engine_rejects_nonfinite():
@@ -319,15 +320,15 @@ def test_increments_cycle_detector():
     for k in range(6):
         step = np.array([1.0, -1.0]) if k % 2 else np.array([-0.5, 0.5])
         alternating.append(alternating[-1] + step)
-    assert _increments_cycle(increments(alternating), tol)
-    assert _increments_cycle(increments(alternating[:5]), tol)
+    assert increments_cycle(increments(alternating), tol)
+    assert increments_cycle(increments(alternating[:5]), tol)
     # fewer than four increments (five orbit entries) never fire
-    assert not _increments_cycle(increments(alternating[:4]), tol)
+    assert not increments_cycle(increments(alternating[:4]), tol)
     # geometrically settling orbit: increments shrink, no period-2 cycle
     settling = [np.array([1.0 - 0.5 ** k, 0.5 ** k]) for k in range(8)]
-    assert not _increments_cycle(increments(settling), tol)
+    assert not increments_cycle(increments(settling), tol)
     # a constant orbit has equal increments, nothing alternates
-    assert not _increments_cycle(increments([np.array([2.0, 3.0])] * 6), tol)
+    assert not increments_cycle(increments([np.array([2.0, 3.0])] * 6), tol)
 
 
 def _replay(tol, ops):
@@ -342,7 +343,7 @@ def _replay(tol, ops):
         window.append(inc)
         answers.append(push(inc))
         assert answers[-1] == increments_cycle_window(list(window), tol)
-        assert _increments_cycle(window, tol) == answers[-1]
+        assert increments_cycle(window, tol) == answers[-1]
     return answers
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvflow import ValidationError
-from curvflow.cli import TRACE_HEADER, emit_trace, main, parse_graph, parse_partition
+from curvflow.cli import TRACE_HEADER, _jsonable, emit_trace, main, parse_graph, parse_partition
 
 
 @pytest.fixture
@@ -912,3 +912,15 @@ def test_resolvent_documents_above_p_two_solve_or_report(tmp_path_factory, case,
         assert np.all(np.isfinite(result["results"]["g"]))
     else:
         assert result["error"]
+
+
+def test_jsonable_writes_numpy_and_python_non_finite_floats_alike():
+    # a numpy inf or NaN was written as Infinity or NaN, which is not JSON
+    values = [np.float64("inf"), -np.float64("inf"), np.float64("nan"), np.float32("inf"),
+              float("inf"), float("-inf"), float("nan"), np.float64(1.5), np.int64(3),
+              np.bool_(True)]
+    out = _jsonable({"row": values, "array": np.array([np.inf, np.nan, 2.0])})
+    assert out == {"row": ["inf", "-inf", None, "inf", "inf", "-inf", None, 1.5, 3, True],
+                   "array": ["inf", None, 2.0]}
+    assert all(type(v) in (str, type(None), float, int, bool) for v in out["row"])
+    json.dumps(out, allow_nan=False)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, path_graph, random_flow_graph
-from oracles import brute_force_wasserstein, deletion_scan
+from oracles import brute_force_wasserstein, deletion_scan, increments_cycle, rescale_components
 
 from curvflow import (
     FlowConfig,
@@ -22,7 +22,6 @@ from curvflow import (
     shortest_path_metric,
     vertex_measure,
 )
-from curvflow.chains import _increments_cycle
 from curvflow.ricci_flow import (
     STATUS_CONVERGED,
     FlowState,
@@ -331,7 +330,6 @@ def test_flow_and_linear_ric_build_no_transport_plan(monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9))
 @example(seed=2, n=9)  # re-solves four edges at its second step
 def test_batch_matches_cold_transport(seed, n):
-    import curvflow.ricci_flow as ricci_flow
     from curvflow.curvature import vertex_measure
     from curvflow.transport import ENTER_TOL, _tree, transport_audit, wasserstein
 
@@ -340,7 +338,7 @@ def test_batch_matches_cold_transport(seed, n):
     state = initial_state(g)
     for _ in range(5):
         state = flow_step(state, cfg)
-        state = ricci_flow._rescale_components(edge_deletion_step(state, cfg))
+        state = rescale_components(edge_deletion_step(state, cfg))
         batch = state.topology.batch
         if batch is None:  # a deletion: the next step solves cold
             continue
@@ -607,7 +605,7 @@ def _public_step_loop(g, cfg):
     logs, increments = None, deque(maxlen=7)
     for _ in range(cfg.max_iterations):
         state = flow_step(state, cfg)
-        state = ricci_flow._rescale_components(edge_deletion_step(state, cfg))
+        state = rescale_components(edge_deletion_step(state, cfg))
         row = state.trace[-1]
         if row.deleted_edges:
             logs = None
@@ -618,7 +616,7 @@ def _public_step_loop(g, cfg):
         prev, logs = logs, np.array([math.log(v) for v in row.normalized.values()])
         if prev is not None:
             increments.append(logs - prev)
-        if _increments_cycle(increments, cfg.tolerance):
+        if increments_cycle(increments, cfg.tolerance):
             return state, ricci_flow.STATUS_OSCILLATION
     return state, ricci_flow.STATUS_MAX_ITER
 

@@ -114,9 +114,10 @@ def test_resolvent_p2_variational_matches_direct_solve():
     for _ in range(5):
         g = random_graph_const_measure(rng, 6)
         f = rng.normal(size=6)
-        lin = resolvent(g, f, 2, 0.1, method="linear")
-        var = resolvent(g, f, 2, 0.1, method="variational")
-        np.testing.assert_allclose(var.g, lin.g, atol=1e-8)
+        lin = resolvent(g, f, 2, 0.1)
+        var = _minimize_prox(g, 0.1, PhiSpec.power(2))(f)[0]
+        assert lin.method == "linear"
+        np.testing.assert_allclose(var, lin.g, atol=1e-8)
 
 
 def test_resolvent_p2_general_measure_direct_solve():
@@ -348,18 +349,16 @@ def test_resolvent_rejects_non_finite_or_out_of_range_input(p, bad, message):
                 resolvent_phi(g, np.array(args["f"]), phi, args["eps"])
 
 
-def test_resolvent_checks_f_then_p_then_method():
+def test_resolvent_checks_f_then_p_then_measure():
     g = WeightedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)],
                                  measure=[1.0, 2.0, 2.0])
     good, bad = np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 2.0])
-    for f, p, method, message in [
-            (bad, 0.5, "newton", "f must be 3 finite values"),
-            (good, 0.5, "newton", "p must be finite and at least 1, got 0.5"),
-            (good, 1.5, "newton", "unknown method 'newton'"),
-            (good, 1.5, "linear", "the linear solve applies only to p = 2"),
-            (good, 1.5, "auto", "the p = 1.5 resolvent needs a constant vertex measure")]:
+    for f, p, message in [
+            (bad, 0.5, "f must be 3 finite values"),
+            (good, 0.5, "p must be finite and at least 1, got 0.5"),
+            (good, 1.5, "the p = 1.5 resolvent needs a constant vertex measure")]:
         with pytest.raises(ValidationError, match=message):
-            resolvent(g, f, p, 0.1, method=method)
+            resolvent(g, f, p, 0.1)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.0 + 1e-7, 1.5, 2.0, 2.5, 3.0])
@@ -442,13 +441,15 @@ def test_variational_gradient_vanishes_against_finite_differences():
     f = rng.normal(size=5)
     eps = 0.1
     for p in (1.5, 2.0, 3.0):
-        sol = resolvent(g, f, p, eps, method="variational" if p == 2 else "auto")
+        # at p = 2 the variational solve, which resolvent leaves to the linear one
+        sol = (_minimize_prox(g, eps, PhiSpec.power(2))(f)[0] if p == 2
+               else resolvent(g, f, p, eps).g)
 
         def objective(x):
             return energy(g, x, p) / p + float(np.sum((x - f) ** 2)) / (2 * eps)
 
-        grad = finite_difference_gradient(objective, sol.g)
-        assert np.max(np.abs(grad)) < 1e-4 * max(1.0, abs(objective(sol.g)))
+        grad = finite_difference_gradient(objective, sol)
+        assert np.max(np.abs(grad)) < 1e-4 * max(1.0, abs(objective(sol)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +538,7 @@ def test_resolvent_continuous_in_p_near_two():
     rng = np.random.default_rng(23)
     g = random_graph_const_measure(rng, 5)
     f = rng.normal(size=5)
-    base = resolvent(g, f, 2.0, 0.1, method="linear").g
+    base = resolvent(g, f, 2.0, 0.1).g
     lo = resolvent(g, f, 2.0 - 1e-4, 0.1).g
     hi = resolvent(g, f, 2.0 + 1e-4, 0.1).g
     assert np.max(np.abs(lo - base)) < 1e-3

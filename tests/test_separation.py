@@ -31,7 +31,7 @@ from curvflow import (
 from curvflow.chains import CONVERGED, ChainOperator
 from curvflow.graphs import laplacian_matrix
 from curvflow.plaplace import _Resolvent, resolvent
-from curvflow.separation import _iterate_on_k, _newton_on_k
+from curvflow.separation import _extension, _iterate_on_k, _newton_on_k
 
 
 def path_partition():
@@ -278,13 +278,26 @@ def test_single_k_vertex_converges_in_one_step():
     assert res.engine.iterations == 1
 
 
-def test_linear_flow_keeps_iterates_lipschitz():
+def test_linear_flow_keeps_iterates_lipschitz(monkeypatch):
+    # every iterate on K passes through the chain's extension
+    import curvflow.separation as separation
+
     g = cycle_graph(6)
     part = cycle_partition(g)
     f0 = np.array([0.0, 1.0])
+    d, ks, iterates = shortest_path_metric(g), np.array(part.k_set), []
+
+    def watched(part, d):
+        extend = _extension(part, d)
+        return lambda fk: iterates.append(fk) or extend(fk)
+
+    monkeypatch.setattr(separation, "_extension", watched)
     res = separation_flow_linear(g, part, eps=0.4, f0=f0, tol=1e-11)
-    assert res.status == CONVERGED
-    assert all(lip <= 1.0 + 1e-9 for lip in res.lip_trace)
+    assert res.status == CONVERGED and len(iterates) >= res.iterations
+    d_on_k = d.values[np.ix_(ks, ks)]
+    off = d_on_k > 0
+    for fk in iterates:
+        assert np.max(np.abs(fk[:, None] - fk[None, :])[off] / d_on_k[off]) <= 1.0 + 1e-9
 
 
 def test_linear_flow_on_random_nonnegative_instances():
@@ -551,6 +564,37 @@ def test_p1_stage_rejects_its_singular_newton_start(monkeypatch):
         res = separation_flow_p(g, part, p, eps=0.1, f0=f0, tol=1e-8)
         assert all(s["newton_steps"] == 0 for s in res.stages)
         _assert_same_flow(res, _without_newton(monkeypatch, g, part, p, f0))
+
+
+@pytest.mark.parametrize("case", [0, 12, 16, "three-cut"])
+def test_p1_newton_stops_on_its_zero_step(monkeypatch, case):
+    # a zero difference Jacobian yields a zero Newton move, which no
+    # halving can improve: such a Newton call costs its residual and |K| - 1
+    # columns, where its line search once added 20 more solves (the first
+    # stages of cycles 12 and 16 and of the three-cut cycle took 22, 22 and
+    # 23, now 2, 2 and 3)
+    import curvflow.separation as separation
+
+    if case == "three-cut":
+        g, part, f0 = _three_cut_six_cycle(0)
+    else:
+        g, part, f0, p = _criterion_5_cycle(case)
+        assert p == 1.0
+    calls = []
+
+    def counted(part, d, step, *args):
+        calls.append(0)
+
+        def counting_step(full):
+            calls[-1] += 1
+            return step(full)
+
+        return _newton_on_k(part, d, counting_step, *args)
+
+    monkeypatch.setattr(separation, "_newton_on_k", counted)
+    res = separation_flow_p(g, part, 1.0, eps=0.1, f0=f0, tol=1e-8)
+    assert res.status == CONVERGED and len(calls) == len(res.stages)
+    assert all(1 <= n <= len(part.k_set) + 1 for n in calls), calls
 
 
 def test_newton_start_outside_lip_k_is_rejected(monkeypatch):
