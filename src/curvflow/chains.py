@@ -17,8 +17,9 @@ a component-wise-min matrix family.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,38 +55,29 @@ OSCILLATION_WINDOW = 7
 # normalized spread past which the orbit is reported diverged-unbounded
 DIVERGENCE_BOUND = 1e12
 
-KNOWN_PROPERTIES = frozenset({
-    "monotone",
-    "strictly-monotone",
-    "uniformly-strictly-monotone",
-    "constant-additive",
-    "non-expansive",
-    "connected",
-    "uniformly-connected",
-})
-
 
 @dataclass(frozen=True, eq=False)
 class ChainOperator:
-    """Self-map of R^N with declared (unverified) structural properties.
+    """Self-map of R^N.
 
-    ``declared`` maps property names to their parameter (epsilon_0 for
-    uniform strict monotonicity, n_0 for connectedness, None otherwise);
-    declarations are claims checked by :func:`verify_properties`, never
-    silently assumed.  ``kernel`` carries the row-stochastic matrix when
-    the chain is linear, unlocking exact transport-based diagnostics.
+    ``epsilon_0``, None or finite and positive, is the one structural
+    claim an operator carries: a constant of uniform strict monotonicity
+    (condition 3).  :func:`verify_properties` holds condition 3's
+    estimate to it, and tests all seven conditions whatever is claimed.
+    ``kernel`` carries the row-stochastic matrix when the chain is
+    linear, unlocking exact transport-based diagnostics.
     """
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
-    declared: dict[str, float | int | None] = field(default_factory=dict)
+    epsilon_0: float | None = None
     kernel: np.ndarray | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
-        unknown = set(self.declared) - KNOWN_PROPERTIES
-        if unknown:
-            raise ValidationError(f"unknown declared properties: {sorted(unknown)}")
+        eps = self.epsilon_0
+        if eps is not None and not (isinstance(eps, numbers.Real) and 0 < eps < np.inf):
+            raise ValidationError(f"epsilon_0 must be None or finite and positive, got {eps!r}")
         if self.kernel is not None:
             k = np.asarray(self.kernel, dtype=float)
             if k.shape != (self.dimension, self.dimension):
@@ -247,20 +239,32 @@ class PropertyReport:
         return self.conditions[condition].passed
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for ``seed``, an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def verify_properties(P: ChainOperator, n_samples: int = 50,
                       magnitude: float = 1.0, seed: int = 0) -> PropertyReport:
     """Statistical check of chain conditions (1)-(7) on random inputs.
 
     Each condition gets ``n_samples`` random draws (with f >= g enforced
     by construction where required) and reports pass/fail counts plus the
-    first counterexample; violations within 1e-9 are forgiven.
+    first counterexample; violations within 1e-9 are forgiven, and
+    condition 3 fails below the operator's ``epsilon_0`` ("declared").
     Connectedness searches the stabilization index n0 up to the
     dimension.  A "fail" is a result, not an error; passing is
-    statistical evidence only.
+    statistical evidence only.  ``magnitude`` must be > 0 with 20 x
+    magnitude finite (condition 4 shifts by up to 10 x magnitude), the
+    seed an integer >= 0.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
+    if not (magnitude > 0 and np.isfinite(20 * magnitude)):
+        raise ValidationError(f"magnitude must be > 0 and 20 x magnitude finite, got {magnitude!r}")
+    rng = _rng(seed)
     N = P.dimension
     cap, slack = max(N, 1), 1e-9
     reports: dict[int, ConditionReport] = {}
@@ -305,7 +309,6 @@ def verify_properties(P: ChainOperator, n_samples: int = 50,
     # (3) uniform strict monotonicity: estimate the best epsilon_0
     fails = []
     eps_est = np.inf
-    declared_eps = P.declared.get("uniformly-strictly-monotone")
     for _ in range(n_samples):
         g = rand_vec()
         h = rng.uniform(0.0, magnitude, N)
@@ -319,11 +322,11 @@ def verify_properties(P: ChainOperator, n_samples: int = 50,
         if np.any(active):
             eps_est = min(eps_est, float(np.min(diff[active] / h[active])))
     passed = (not fails) and eps_est > slack
-    if declared_eps is not None:
-        passed = passed and eps_est >= declared_eps - slack
+    if P.epsilon_0 is not None:
+        passed = passed and eps_est >= P.epsilon_0 - slack
     record(3, "uniform strict monotonicity", fails, n_samples,
            estimate={"epsilon_0": None if np.isinf(eps_est) else eps_est,
-                     "declared": declared_eps},
+                     "declared": P.epsilon_0},
            passed=passed)
 
     # (4) constant additivity
@@ -405,8 +408,8 @@ def extend_operator(P: ChainOperator, eps: float,
     over dominating family members g >= f; since the family is closed
     under adding constants and the objective grows in the shift (eps < 1),
     only the tight shift of each member matters.  Agrees with P on the
-    family and inherits uniform strict monotonicity with constant eps
-    and constant additivity.
+    family and inherits uniform strict monotonicity with constant eps,
+    its ``epsilon_0``, and constant additivity.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0, 1)")
@@ -425,10 +428,8 @@ def extend_operator(P: ChainOperator, eps: float,
             np.minimum(best, P(g) - eps * (g - f), out=best)
         return best
 
-    return ChainOperator(
-        dimension=P.dimension, apply=apply,
-        declared={"uniformly-strictly-monotone": eps, "constant-additive": None},
-        name=f"extension({P.name or 'P'})")
+    return ChainOperator(dimension=P.dimension, apply=apply, epsilon_0=eps,
+                         name=f"extension({P.name or 'P'})")
 
 
 def counterexample_operator(eps0: float = 0.01) -> ChainOperator:
@@ -437,8 +438,8 @@ def counterexample_operator(eps0: float = 0.01) -> ChainOperator:
     On the two-parameter family (n, -n, -+eps0, +-eps0) + c the map bumps
     n and flips the sign pair, so coordinates 1, 2 diverge linearly while
     coordinates 3, 4 jump between +-eps0 forever.  Off the family the
-    tight-shift extension (with eps = 1/2) is evaluated exactly by
-    scanning the finitely many shift regimes in n.
+    tight-shift extension (with eps = 1/2, its ``epsilon_0``) is
+    evaluated exactly by scanning the finitely many shift regimes in n.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValidationError("eps0 must lie in (0, 1)")
@@ -482,10 +483,8 @@ def counterexample_operator(eps0: float = 0.01) -> ChainOperator:
                 np.minimum(best, image(n, shift, offset) - eps * (g - f), out=best)
         return best
 
-    return ChainOperator(
-        dimension=4, apply=apply,
-        declared={"uniformly-strictly-monotone": eps, "constant-additive": None},
-        name=f"counterexample(eps0={eps0})")
+    return ChainOperator(dimension=4, apply=apply, epsilon_0=eps,
+                         name=f"counterexample(eps0={eps0})")
 
 
 def perron_frobenius_operator(family: Sequence[np.ndarray]) -> ChainOperator:
@@ -526,11 +525,8 @@ def perron_frobenius_operator(family: Sequence[np.ndarray]) -> ChainOperator:
             raise SolverError("Lambda left the finite positive cone")
         return 0.5 * (f + log_lam)
 
-    return ChainOperator(
-        dimension=N, apply=apply,
-        declared={"monotone": None, "strictly-monotone": None,
-                  "constant-additive": None},
-        name=f"perron-frobenius({len(mats)} matrices)")
+    return ChainOperator(dimension=N, apply=apply,
+                         name=f"perron-frobenius({len(mats)} matrices)")
 
 
 def linear_chain_operator(matrix: np.ndarray, name: str = "") -> ChainOperator:
@@ -542,9 +538,5 @@ def linear_chain_operator(matrix: np.ndarray, name: str = "") -> ChainOperator:
         raise ValidationError("kernel must be nonnegative")
     if np.max(np.abs(M.sum(axis=1) - 1.0)) > 1e-9:
         raise ValidationError("kernel rows must sum to 1")
-    declared = {"monotone": None, "constant-additive": None, "non-expansive": None}
-    if np.all(np.diag(M) > 0):
-        declared["strictly-monotone"] = None
-    return ChainOperator(dimension=M.shape[0], apply=lambda f: M @ f,
-                         declared=declared, kernel=M,
+    return ChainOperator(dimension=M.shape[0], apply=lambda f: M @ f, kernel=M,
                          name=name or "linear chain")

@@ -233,9 +233,6 @@ def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
         n = _need_graph(g, kind).n
         c = _number(arg, 1.0, spec)
         return chains.ChainOperator(dimension=n, apply=lambda f, c=c: f + c,
-                                    declared={"monotone": None,
-                                              "constant-additive": None,
-                                              "non-expansive": None},
                                     name=f"shift({c:g})")
     if kind == "scale":
         n = _need_graph(g, kind).n
@@ -267,12 +264,8 @@ def _make_operator(spec: str, g: WeightedGraph | None) -> chains.ChainOperator:
             f = plaplace._checked_input(graph, f, eps)
             return solver().solve(f)[0]
 
-        return chains.ChainOperator(
-            dimension=graph.n,
-            apply=apply,
-            declared={"monotone": None, "constant-additive": None,
-                      "non-expansive": None},
-            name=f"resolvent(p={p:g}, eps={eps:g})")
+        return chains.ChainOperator(dimension=graph.n, apply=apply,
+                                    name=f"resolvent(p={p:g}, eps={eps:g})")
     raise ValidationError(f"unknown operator spec {spec!r}")
 
 

@@ -26,6 +26,7 @@ from .chains import (
     CONVERGED,
     ChainOperator,
     IterationResult,
+    _rng,
     iterate_normalized,
 )
 from .curvature import _evaluator
@@ -469,7 +470,8 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
     Lip-r samples (scaled to Lip r where d is not a metric) refined by
     coordinate ascent bound the sup from below, hence Ric_r from above;
     the lower bound is -inf.  One coordinate has no pair: Ric_r = 1.  r
-    must be finite and positive, n_samples >= 0.
+    must be finite and positive with 2 r max(d) finite, n_samples >= 0,
+    and the seed of the samples an integer >= 0.
     """
     if not (isinstance(r, numbers.Real) and np.isfinite(r) and r > 0):
         raise ValidationError(f"r must be finite and positive, got {r!r}")
@@ -480,6 +482,8 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
         raise ValidationError("distance matrix must match the chain dimension")
     if np.any(np.isinf(d.values)):
         raise DisconnectedError("Ric_r needs a connected distance matrix")
+    if not np.isfinite(2 * r * float(np.max(d.values, initial=0.0))):
+        raise ValidationError(f"r must keep 2 r max(d) finite, got r = {r!r}")
     if n < 2:
         return RicBounds(lower=1.0, upper=1.0, sampled_amplification=0.0, exact=True)
     iu, iv = np.triu_indices(n, k=1)
@@ -508,7 +512,7 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
     def project_lip(raw: np.ndarray) -> np.ndarray:
         return np.max(raw[None, :] - r * d.values, axis=1)
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     step, scale = r / 16.0, r * float(np.max(pair_d))
     starts = []
     for z in range(n):

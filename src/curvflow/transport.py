@@ -10,7 +10,8 @@ solver returns its final tree, whose duals certify W by Kantorovich
 duality: their c-transform, 1-Lipschitz on any metric (checked once per
 distance matrix), has a dual value matching W, so no second LP is
 solved.  An audit mode certifies every transport solve made inside it,
-and every value the Ricci flow prices from a kept basis.
+and every value the Ricci flow prices from a kept basis; each value
+counts in every audit context open around it.
 
 The Ricci flow solves one transport LP per edge and step, all through
 one call (``_price_edges``).  While the edge set stays, it keeps every
@@ -19,14 +20,15 @@ batch (``_Batch``).  A step re-prices all those trees in one numpy pass:
 the tree flows are fixed, so W is a sum over the tree cells, and only
 the off-tree reduced costs need checking.  An edge whose tree is no
 longer optimal is re-solved, warm from that tree.  The values are
-bit-identical to a warm solve of every edge, and under
-``transport_audit`` the batch certifies each value from its trees'
-duals.
+bit-identical to a warm solve of every edge.  Under ``transport_audit``
+each kept edge's value is certified by ``_certify``, the check every
+solve gets, from that edge's slice of the batch's duals.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,39 +165,45 @@ class TransportPlan:
 
 @dataclass
 class _Audit:
-    enabled: bool = False
     count: int = 0  # certified values: transport solves and flow-priced W(e)
     pivots: int = 0  # simplex pivots over those calls
     warm: int = 0  # values from a kept tree: warm solves and flow-priced W(e)
     max_gap: float = 0.0
 
 
-_AUDIT = _Audit()
+# the open ledgers, outermost first; a value certified inside counts in all
+_LEDGERS: ContextVar[tuple[_Audit, ...]] = ContextVar("transport_audit", default=())
 
 
 @contextmanager
 def transport_audit():
-    """Certify every transport solve in this context via duality, and
-    every W(e) that a Ricci flow step prices from an edge's kept basis.
+    """Certify by duality (``_certify``) every transport solve in this
+    context and every W(e) that a Ricci flow step prices from an edge's
+    kept basis.
 
     A value that cannot be certified (gap not within 1e-7 x scale, or d
     not a metric) raises CertificateError immediately.  The yielded
-    ledger's counters and largest gap (``max_gap``) are reset on entry.
+    ledger counts, from zero, the values certified, warm starts, pivots
+    and the largest gap (``max_gap``).  Contexts nest: an outer ledger
+    also counts what inner ones certify, and auditing lasts until the
+    outermost context ends.  A context covers its own thread or task.
     """
-    _AUDIT.__init__(enabled=True)  # the counters and the gap start at 0
+    ledger = _Audit()
+    token = _LEDGERS.set(_LEDGERS.get() + (ledger,))
     try:
-        yield _AUDIT
+        yield ledger
     finally:
-        _AUDIT.enabled = False
+        _LEDGERS.reset(token)
 
 
 def _record(count: int, warm: int, pivots: int, gap: float) -> None:
     """Add ``count`` certified values (``warm`` from a kept basis), their
-    ``pivots`` and their largest ``gap`` to the ledger."""
-    _AUDIT.count += count
-    _AUDIT.warm += warm
-    _AUDIT.pivots += pivots
-    _AUDIT.max_gap = max(_AUDIT.max_gap, gap)
+    ``pivots`` and their largest ``gap`` to every open ledger."""
+    for ledger in _LEDGERS.get():
+        ledger.count += count
+        ledger.warm += warm
+        ledger.pivots += pivots
+        ledger.max_gap = max(ledger.max_gap, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +411,7 @@ def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     tree, pivots = _transport_simplex(mu1.mass, mu2.mass, c, start)
     w = sum(f * c[i][j] for (i, j), f in sorted(tree[2].items()) if f > 0)
     phi = None
-    if _AUDIT.enabled:
+    if _LEDGERS.get():
         _require_metric(d)
         phi, gap = _certify(mu1, mu2, d, tree, w, max(1.0, float(np.max(cost))))
         _record(1, cells is not None, pivots, gap)
@@ -452,27 +460,21 @@ def _require_metric(d: DistanceMatrix) -> None:
     object.__setattr__(d, "_is_metric", True)
 
 
-def _require_gap(gap: float, scale: float) -> None:
-    """CertificateError unless gap <= CERTIFY_TOL x scale (a NaN gap fails)."""
-    # callers pass max(1, largest cost): beyond unit-scale distances, only
-    # relative optimality is resolvable in floats
-    if not gap <= CERTIFY_TOL * scale:
-        raise CertificateError(
-            f"no optimality certificate within {CERTIFY_TOL:g} x scale "
-            f"{scale:g}: gap={gap:g}")
-
-
 def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, tree: tuple,
              value: float, scale: float | None = None) -> tuple[np.ndarray, float]:
     """c-transform phi(z) = min_j d(z, y_j) - v_j of the column duals v of
     ``tree`` (0 off the supports' component), 1-Lipschitz when ``d`` is a
-    metric, and the gap |value - phi's dual value|; given a ``scale``, the
-    gap must pass ``_require_gap``."""
+    metric, and the gap |value - phi's dual value|; given a ``scale``, a
+    gap not within CERTIFY_TOL x scale (or NaN) raises CertificateError."""
     phi = np.min(d.values[:, mu2.support] - np.array(tree[0][mu1.support.size:]), axis=1)
     phi = np.where(np.isfinite(phi), phi, 0.0)
     gap = abs(value - float(phi[mu1.support] @ mu1.mass - phi[mu2.support] @ mu2.mass))
-    if scale is not None:
-        _require_gap(gap, scale)
+    # callers pass max(1, largest cost): beyond unit-scale distances, only
+    # relative optimality is resolvable in floats
+    if scale is not None and not gap <= CERTIFY_TOL * scale:
+        raise CertificateError(
+            f"no optimality certificate within {CERTIFY_TOL:g} x scale "
+            f"{scale:g}: gap={gap:g}")
     return phi, gap
 
 
@@ -520,24 +522,24 @@ class _Batch:
     tree level at a time, with one subtraction per node as in ``_tree``.
     ``price`` returns W and the edges with an off-tree cell whose reduced
     cost is below -ENTER_TOL x max(1, max cost), where the simplex would
-    pivot.  Under ``transport_audit`` the same duals certify every other
-    edge, as ``_certify`` does.  An edge whose two walk measures coincide
-    keeps its least-cost tree like any other, with W = 0.
+    pivot.  Under ``transport_audit`` each other edge is certified by
+    ``_certify`` from its own slice of those duals, in edge order.  An
+    edge whose two walk measures coincide keeps its least-cost tree like
+    any other, with W = 0.
     """
 
     def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
                  trees: list[tuple]) -> None:
-        self.trees = trees
+        self.pairs, self.trees = pairs, trees
         cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
         off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
         moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
         levels: list[list[tuple]] = []  # per depth: (node, parent cell, parent node)
-        cols, col_node, col_start = [], [], []  # the column nodes, for the duals' c-transform
-        nodes_vertex, supply, node_edge = [], [], []  # every node, for the dual value
-        nodes = basics = 0
+        node_start = [0]  # each edge's first tree node
+        basics = 0
         for p, ((mu, nu), (cells, flows, parent)) in enumerate(zip(pairs, trees)):
             sx, sy = mu.support.tolist(), nu.support.tolist()
-            n1, n2 = len(sx), len(sy)
+            n1, n2, nodes = len(sx), len(sy), node_start[-1]
             index = {c: basics + t for t, c in enumerate(cells)}
             cell_start.append(len(cx))
             for i, x in enumerate(sx):
@@ -562,19 +564,13 @@ class _Batch:
                     levels.append([])
                 up = parent[node]
                 levels[depth - 1].append((nodes + node, index[_cell(node, up, n1)], nodes + up))
-            col_start.append(len(cols))
-            cols += sy
-            col_node += range(nodes + n1, nodes + n1 + n2)
-            nodes_vertex += sx + sy
-            supply += mu.mass.tolist() + (-nu.mass).tolist()
-            node_edge += [p] * (n1 + n2)
-            nodes += n1 + n2
+            node_start.append(nodes + n1 + n2)
             basics += len(cells)
 
         def arr(values, dtype=np.intp):
             return np.array(values, dtype=dtype)
 
-        self.n_nodes = nodes
+        self.node_start = node_start
         self.cx, self.cy, self.cell_start = arr(cx), arr(cy), arr(cell_start)
         self.basic = arr(basic, bool)
         self.off = ~self.basic
@@ -582,9 +578,6 @@ class _Batch:
         self.moved, self.moved_edge = arr(moved), arr(moved_edge)
         self.moved_flow = arr(moved_flow, float)
         self.levels = [arr(level).T for level in levels]
-        self.cols, self.col_node, self.col_start = arr(cols), arr(col_node), arr(col_start)
-        self.nodes_vertex, self.node_edge = arr(nodes_vertex), arr(node_edge)
-        self.supply = arr(supply, float)
 
     def price(self, d: DistanceMatrix) -> tuple[np.ndarray, list[int]]:
         """W of every edge under ``d`` and the edges whose tree is no longer
@@ -592,7 +585,7 @@ class _Batch:
         cost = d.values[self.cx, self.cy]
         scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
         basic = cost[self.basic]
-        dual = np.zeros(self.n_nodes)
+        dual = np.zeros(self.node_start[-1])
         for node, cell, up in self.levels:
             dual[node] = basic[cell] - dual[up]
         reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
@@ -601,18 +594,12 @@ class _Batch:
         # costs are distances, so W >= 0 needs no clamp
         w = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
                         minlength=len(self.trees))
-        if _AUDIT.enabled:  # ``_certify`` for the edges kept, from their trees' duals
+        if _LEDGERS.get():
             _require_metric(d)
-            phi = np.minimum.reduceat(d.values[:, self.cols] - dual[self.col_node],
-                                      self.col_start, axis=1)
-            phi[np.isinf(phi)] = 0.0  # off the supports' component
-            value = np.bincount(self.node_edge,
-                                phi[self.nodes_vertex, self.node_edge] * self.supply)
-            gap = np.where(pivot, 0.0, np.abs(w - value))
-            for e_gap, e_scale in zip(gap.tolist(), scale.tolist()):
-                _require_gap(e_gap, e_scale)
-            certified = len(self.trees) - int(pivot.sum())
-            _record(certified, certified, 0, float(gap.max(initial=0.0)))
+            start, kept = self.node_start, np.flatnonzero(~pivot).tolist()
+            gaps = [_certify(*self.pairs[k], d, (dual[start[k]:start[k + 1]],),
+                             float(w[k]), float(scale[k]))[1] for k in kept]
+            _record(len(kept), len(kept), 0, max(gaps, default=0.0))
         return w, np.flatnonzero(pivot).tolist()
 
 

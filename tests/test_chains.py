@@ -51,8 +51,7 @@ def test_engine_identity_immediate():
 
 
 def test_engine_reports_linear_growth_constant():
-    shift = ChainOperator(dimension=2, apply=lambda f: f + 1.5,
-                          declared={"constant-additive": None})
+    shift = ChainOperator(dimension=2, apply=lambda f: f + 1.5)
     res = iterate_normalized(shift, np.array([0.0, 0.3]), 0, 1e-9)
     assert res.status == CONVERGED
     assert res.growth_constant == pytest.approx(1.5)
@@ -237,6 +236,11 @@ def test_extension_uniform_strict_monotonicity():
         h = rng.uniform(0.0, 1.0, 2)
         f = g + h
         assert np.all(ext(f) >= ext(g) + eps * h - 1e-10)
+    # the extension claims its eps; a claim must be None or finite and positive
+    assert ext.epsilon_0 == eps
+    for bad in ("0.3", np.nan, 0.0):
+        with pytest.raises(ValidationError, match="epsilon_0"):
+            ChainOperator(dimension=2, apply=base, epsilon_0=bad)
 
 
 def test_extension_rejects_bad_arguments():

@@ -310,7 +310,8 @@ def test_ric_command(triangle, capsys):
 
 @pytest.mark.parametrize("args,fragment", [
     (["--r", "nan"], "r must be"), (["--r", "inf"], "r must be"),
-    (["--r", "0"], "r must be"), (["--samples", "-3"], "n_samples")])
+    (["--r", "0"], "r must be"), (["--samples", "-3"], "n_samples"),
+    (["--r", "1e308"], "2 r max(d) finite")])
 def test_ric_command_rejects_bad_r_and_samples(triangle, capsys, args, fragment):
     for operator in ("lazy-walk:0.2", "resolvent:2,0.1"):
         assert main(["ric", triangle, "--operator", operator] + args) == 2
@@ -328,7 +329,8 @@ def test_ric_command_on_one_vertex(tmp_path, capsys):
 
 def test_ric_command_of_a_linear_operator_ignores_seed_and_samples(triangle, capsys):
     outputs = set()
-    for extra in ([], ["--seed", "5"], ["--samples", "0"], ["--samples", "300", "--seed", "9"]):
+    for extra in ([], ["--seed", "5"], ["--seed", "-4"], ["--samples", "0"],
+                  ["--samples", "300", "--seed", "9"]):
         assert main(["ric", triangle, "--operator", "lazy-walk:0.2"] + extra) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.0 <= doc["results"]["upper"] - doc["results"]["lower"] <= 1e-12
@@ -483,6 +485,30 @@ def test_verify_counterexample_operator(capsys):
     conds = doc["results"]["conditions"]
     assert conds["3"]["passed"] and conds["4"]["passed"]
     assert conds["3"]["estimate"]["epsilon_0"] >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("magnitude", ["nan", "inf", "0", "-1", "9e306"])
+def test_verify_rejects_a_magnitude_out_of_range(triangle, capsys, magnitude):
+    # condition 4 draws c from +-10 magnitude: 20 x magnitude must be finite
+    args = ["verify", "--operator", "lazy-walk:0.2", "--graph", triangle, "--samples", "3"]
+    assert main(args + ["--magnitude", magnitude]) == 2
+    assert "magnitude must be" in json.loads(capsys.readouterr().out)["error"]
+    assert main(args + ["--magnitude", "8e306"]) == 0  # the largest that runs
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--operator", "lazy-walk:0.2", "--samples", "3", "--graph"],
+    ["ric", "--operator", "resolvent:2,0.1", "--samples", "3"]])
+def test_a_negative_seed_exits_two(triangle, capsys, monkeypatch, source, command):
+    args = command + [triangle]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("CURVFLOW_SEED", "-1")
+    assert main(args) == 2
+    assert "seed must be an integer >= 0" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_solver_failure_maps_to_exit_five(capsys, monkeypatch):

@@ -760,7 +760,7 @@ def test_ric_applies_a_kernel_chain_once_and_ignores_the_sampler():
 
 @pytest.mark.parametrize("kwargs", [
     {"r": np.nan}, {"r": np.inf}, {"r": -np.inf}, {"r": 0.0}, {"r": -1.0},
-    {"r": "1"}, {"n_samples": -3}, {"n_samples": 2.0}, {"n_samples": True}])
+    {"r": "1"}, {"r": 1e308}, {"n_samples": -3}, {"n_samples": 2.0}, {"n_samples": True}])
 def test_ric_rejects_bad_r_and_sample_counts(kwargs):
     g = cycle_graph(4)
     args = {"r": 1.0, "n_samples": 4} | kwargs
@@ -768,6 +768,13 @@ def test_ric_rejects_bad_r_and_sample_counts(kwargs):
               ChainOperator(dimension=4, apply=lambda f: f)):
         with pytest.raises(ValidationError):
             ric_r(P, shortest_path_metric(g), args["r"], n_samples=args["n_samples"])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_nonlinear_ric_rejects_a_bad_seed(seed):
+    P = ChainOperator(dimension=4, apply=lambda f: f)
+    with pytest.raises(ValidationError, match="seed must be"):
+        ric_r(P, shortest_path_metric(cycle_graph(4)), 1.0, seed=seed)
 
 
 def test_ric_of_a_one_dimensional_chain_is_one():
@@ -812,7 +819,6 @@ def test_generic_flow_matches_p_flow_resolvent():
 
     P = ChainOperator(dimension=g.n,
                       apply=lambda f: resolvent(g, f, 2, eps).g,
-                      declared={"monotone": None, "constant-additive": None},
                       name="J_eps")
     gen = separation_flow_generic(P, part, d, tol=1e-12, allow_unverified=True)
     assert gen.status == CONVERGED

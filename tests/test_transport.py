@@ -213,6 +213,22 @@ def test_audit_mode_counts_and_certifies():
     assert audit.max_gap < 1e-7
 
 
+def test_audit_ledgers_nest():
+    # an inner context neither resets the outer ledger nor ends the audit
+    d = shortest_path_metric(path_graph([1.0, 1.0, 1.0]))
+    mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
+    nu = ProbMeasure(np.array([2, 3]), np.array([0.25, 0.75]))
+    with transport_audit() as outer:
+        wasserstein(mu, nu, d)
+        with transport_audit() as inner:
+            wasserstein(nu, mu, d)
+        wasserstein(mu, mu, d)
+    assert (outer.count, inner.count) == (3, 1)
+    assert outer.pivots >= inner.pivots and outer.max_gap >= inner.max_gap
+    wasserstein(mu, nu, d)  # no context is open: nothing counts
+    assert (outer.count, inner.count) == (3, 1)
+
+
 # ---------------------------------------------------------------------------
 # constrained ball transport
 
