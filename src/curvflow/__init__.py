@@ -50,10 +50,6 @@ from .ricci_flow import (
     FlowConfig,
     FlowResult,
     FlowState,
-    edge_deletion_step,
-    flow_step,
-    initial_state,
-    normalize_metric,
     run_flow,
 )
 from .separation import (

@@ -322,15 +322,13 @@ def _cmd_flow(args) -> tuple[int, dict, list[dict]]:
             "curvature_min": r.kappa.min, "curvature_max": r.kappa.max,
             "deleted_edge": ";".join(f"{u}-{v}" for u, v in r.deleted_edges) or None,
         })
-    final_spread = (result.final.trace[-1].kappa.max_spread
-                    if result.final.trace else 0.0)
     payload = {
         "status": result.status,
         "iterations": result.final.iteration,
         "limits": {str(root): {f"{u}-{v}": val for (u, v), val in lim.items()}
                    for root, lim in result.limits.items()},
         "growth_rate": {str(k): v for k, v in result.growth_rate.items()},
-        "final_curvature_spread": final_spread,
+        "final_curvature_spread": result.final.trace[-1].kappa.max_spread,
         "deletions": [{"iteration": it, "edge": f"{u}-{v}",
                        "length": ln, "shortest_adjacent": adj}
                       for it, (u, v), (ln, adj) in result.final.deletion_log],

@@ -13,21 +13,20 @@ on each component of the final topology the normalized metric converges
 and its curvature becomes constant; the per-edge log increments furnish
 the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
 
-``run_flow`` steps one edge-length vector per edge set, divided by its
-maximum on each component after every step (the flow is scale-invariant
-per component); a ``WeightedGraph`` is built only after a deletion and
-for the final state.  The public steps run the same pieces on a graph.
-W(e) is one transport LP per edge and step.  One ``transport._price_edges``
-call per step prices every edge: while the edge set stays, it re-prices
-every edge's kept optimal tree at once and re-solves only those that
-stopped being optimal.
+``run_flow`` is the one driver: it steps one edge-length vector per edge
+set, divided by its maximum on each component after every step (the flow
+is scale-invariant per component); a ``WeightedGraph`` is built only
+after a deletion and for the final state.  W(e) is one transport LP per
+edge and step.  One ``transport._price_edges`` call per step prices every
+edge: while the edge set stays, it re-prices every edge's kept optimal
+tree at once and re-solves only those that stopped being optimal.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,10 +41,6 @@ __all__ = [
     "FlowState",
     "FlowTraceRow",
     "FlowResult",
-    "initial_state",
-    "flow_step",
-    "edge_deletion_step",
-    "normalize_metric",
     "max_adjacent_ratio",
     "run_flow",
 ]
@@ -101,11 +96,11 @@ class FlowTraceRow:
 
 @dataclass(frozen=True)
 class _Topology:
-    """What the flow steps share while weights and measure stay: a graph
-    with them, the edge list (edge-length vectors follow it) with its
-    endpoints, the per-component groups of edge positions, and each
-    edge's two walk measures with the batch of ``transport._price_edges``
-    (None until a flow step builds them)."""
+    """What ``run_flow``'s steps share while the edge set stays: a graph
+    with its weights and measure, the edge list (edge-length vectors
+    follow it) with its endpoints, the per-component groups of edge
+    positions, and each edge's two walk measures with the batch of
+    ``transport._price_edges`` (None until ``_step`` builds them)."""
 
     graph: WeightedGraph
     edges: tuple[tuple[int, int], ...]
@@ -130,18 +125,14 @@ class _Topology:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Immutable snapshot of the flow: topology, metric, and history.
-
-    ``topology`` caches what depends on the edge set alone for the next
-    steps; it is ignored for a graph it does not serve, and a deletion
-    replaces it with the new edge set's, without a batch.
-    """
+    """The flow's final state: the graph left, with the last normalized
+    lengths, the number of steps, each deletion as (step, edge, (length,
+    shortest adjacent length)), and one trace row per step."""
 
     graph: WeightedGraph
-    iteration: int = 0
-    deletion_log: tuple[tuple[int, tuple[int, int], tuple[float, float]], ...] = ()
-    trace: tuple[FlowTraceRow, ...] = ()
-    topology: _Topology | None = field(default=None, repr=False, compare=False)
+    iteration: int
+    deletion_log: tuple[tuple[int, tuple[int, int], tuple[float, float]], ...]
+    trace: tuple[FlowTraceRow, ...]
 
 
 @dataclass(frozen=True)
@@ -150,12 +141,6 @@ class FlowResult:
     limits: dict[int, dict[tuple[int, int], float]]
     growth_rate: dict[int, float]
     status: str
-
-
-def initial_state(g: WeightedGraph) -> FlowState:
-    if any(d > 1.0 + 1e-12 for d in g.degrees()):
-        raise ValidationError("the flow needs deg(x) <= 1 at every vertex")
-    return FlowState(graph=g)
 
 
 def _shortest_adjacent(n: int, iu: np.ndarray, iv: np.ndarray, ln: np.ndarray) -> np.ndarray:
@@ -181,7 +166,7 @@ def max_adjacent_ratio(g: WeightedGraph) -> float:
 
 def _normalized(topo: _Topology, lengths: np.ndarray) -> tuple[np.ndarray, dict]:
     """``lengths`` divided by their maximum on each component: as a vector,
-    and as ``normalize_metric``'s dict (component by component)."""
+    and as a dict by edge (component by component)."""
     unit = np.empty_like(lengths)
     for _, _, index in topo.groups:
         unit[index] = lengths[index] / lengths[index].max()
@@ -242,48 +227,6 @@ def _delete(topo: _Topology, lengths: np.ndarray, C: float,
     return deleted, topo, lengths[alive], row
 
 
-def _edge_vector(state: FlowState) -> tuple[_Topology, np.ndarray]:
-    """The state's topology (new for other weights or measure) and lengths."""
-    topo, g = state.topology, state.graph
-    if topo is None or not (np.array_equal(topo.graph.weights, g.weights)
-                            and np.array_equal(topo.graph.measure, g.measure)):
-        topo = _Topology.of(g)
-    return topo, g.lengths[topo.iu, topo.iv]
-
-
-def normalize_metric(state: FlowState) -> dict[tuple[int, int], float]:
-    """Edge lengths divided by the max edge length of their component."""
-    return _normalized(*_edge_vector(state))[1]
-
-
-def flow_step(state: FlowState, cfg: FlowConfig) -> FlowState:
-    """One metric deformation: len(e) <- (1 - alpha) len(e) + alpha W(e)."""
-    topo, lengths = _edge_vector(state)
-    prev = state.trace[-1].normalized if state.trace else _normalized(topo, lengths)[1]
-    topo, new, _, row = _step(topo, lengths, cfg.alpha, state.iteration, prev)
-    return FlowState(state.graph.with_lengths(topo.matrix(new)), state.iteration + 1,
-                     state.deletion_log, state.trace + (row,), topo)
-
-
-def edge_deletion_step(state: FlowState, cfg: FlowConfig) -> FlowState:
-    """Delete threshold-violating edges one at a time, longest first.
-
-    An edge (x, y) violates when some edge (y, z) adjacent to it has
-    len(x, y) > C len(y, z).  After each single deletion the remaining
-    edges are re-checked; ties on length break lexicographically.
-    Requires a resolved threshold in the config.
-    """
-    if cfg.deletion_threshold is None:
-        raise ValidationError("edge deletion needs a resolved deletion threshold")
-    row = state.trace[-1] if state.trace else None
-    deleted, topo, _, row = _delete(*_edge_vector(state), cfg.deletion_threshold, row)
-    if not deleted:
-        return state
-    log = state.deletion_log + tuple((state.iteration, e, lens) for e, lens in deleted)
-    return FlowState(topo.graph, state.iteration, log, state.trace[:-1] + (row,) if row else (),
-                     topo)
-
-
 def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     """Alternate flow and deletion steps until the normalized metric and
     the curvature spread settle on every component.  After every step each
@@ -296,7 +239,10 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     i.e. log(1 - alpha kappa_limit).
     """
     cfg = cfg or FlowConfig()
-    topo, lengths = _edge_vector(initial_state(g))
+    if any(d > 1.0 + 1e-12 for d in g.degrees()):
+        raise ValidationError("the flow needs deg(x) <= 1 at every vertex")
+    topo = _Topology.of(g)
+    lengths = g.lengths[topo.iu, topo.iv]
     ratio = max_adjacent_ratio(g)
     if not math.isfinite(2.0 * ratio if cfg.deletion_threshold is None else ratio):
         raise ValidationError(f"the initial max adjacent length ratio {ratio:g} leaves no "
@@ -310,7 +256,7 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     norm = _normalized(topo, lengths)[1]
     log, trace, status = [], [], STATUS_MAX_ITER
     # increments of the normalized log metric since the last deletion, in
-    # normalize_metric's edge order (fixed while the topology is)
+    # the edge order of row.normalized (fixed while the topology is)
     lognorm, cycle = None, _period2(cfg.tolerance)
     for n in range(cfg.max_iterations):
         topo, new, lengths, row = _step(topo, lengths, cfg.alpha, n, norm)
@@ -334,7 +280,7 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
     kappa = trace[-1].kappa.values  # covers every edge left; norm is the final metric
     return FlowResult(
         final=FlowState(topo.graph.with_lengths(topo.matrix(lengths)), len(trace),
-                        tuple(log), tuple(trace), topo),
+                        tuple(log), tuple(trace)),
         limits={root: {e: norm[e] for e in edges} for root, edges, _ in topo.groups},
         growth_rate={root: float(np.mean([math.log1p(-cfg.alpha * kappa[e]) for e in edges]))
                      for root, edges, _ in topo.groups},

@@ -43,7 +43,7 @@ from .graphs import (
     laplacian_apply,
     shortest_path_metric,
 )
-from .plaplace import PhiSpec, _Resolvent
+from .plaplace import GAP_TOL, PhiSpec, _Resolvent
 from .transport import ProbMeasure, _certify, _solve
 
 __all__ = [
@@ -386,12 +386,16 @@ def separation_flow_p(g: WeightedGraph, part: PartitionXKY, p: float,
     warm from the stage's last g without a residual, its final solve cold.
     The final stage yields g in Delta_p(S h) constant on K with the X/Y
     sign pattern.  Needs nonnegative modified curvature for the shape of
-    p (verified or waived).
+    p (verified or waived).  tol may not fall below ``plaplace.GAP_TOL``:
+    a smaller chain step is the resolvents' own roundoff.
     """
     part.validate_for(g)
     phi_shape = PhiSpec.power(p).shape  # p must be finite and at least 1
     if not (np.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
+    if 0 < tol < GAP_TOL:
+        raise ValidationError(f"tol {tol:g} is below the p-flow's floor plaplace.GAP_TOL = "
+                              f"{GAP_TOL:g}, the resolvents' own roundoff")
     d = shortest_path_metric(g)
     f0, x0k = _start_on_k(part, d, f0, x0, tol)
     verified = False

@@ -20,11 +20,9 @@ objective, gradient and Hessian separately through ``PhiSpec`` (they reuse
 the library's edge list, p = 1 signs and constants, not its Newton loop),
 and the transportation simplex that enters by Bland's rule alone and
 re-peels its whole tree after every pivot (it reuses the library's start
-check and tree peel, not its pivot).  Two helpers are not oracles but
-drive library pieces for the tests: ``increments_cycle`` feeds a window
-to a fresh period-2 detector, and ``rescale_components`` applies the
-flow's per-component rescale to a ``FlowState`` in the hand-driven flow
-loops.
+check and tree peel, not its pivot).  One helper is not an oracle but
+drives a library piece for the tests: ``increments_cycle`` feeds a window
+to a fresh period-2 detector.
 """
 
 from __future__ import annotations
@@ -663,18 +661,6 @@ def deletion_scan(weights: np.ndarray, lengths: np.ndarray, threshold: float):
         u, v = min(e for e in violating if float(ln[e]) == top_len)
         log.append(((u, v), (float(ln[u, v]), shortest_adjacent[(u, v)])))
         w[u, v] = w[v, u] = ln[u, v] = ln[v, u] = 0.0
-
-
-def rescale_components(state):
-    """Divide each component's lengths by their maximum, as run_flow does
-    after every step."""
-    from dataclasses import replace
-
-    from curvflow.ricci_flow import _edge_vector, _normalized
-
-    topo, lengths = _edge_vector(state)
-    unit = _normalized(topo, lengths)[0]
-    return replace(state, graph=state.graph.with_lengths(topo.matrix(unit)), topology=topo)
 
 
 def power_iteration(A: np.ndarray, iters: int = 20_000,

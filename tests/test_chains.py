@@ -212,6 +212,25 @@ def test_verify_scaling_fails_non_expansion():
     assert ce is not None and ce["expansion"] > 0
 
 
+@pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e8, 1e12, 8e306])
+def test_verify_slack_scales_with_the_operands(magnitude):
+    # the lazy walk on the unit triangle is linear, so its only condition 4
+    # deviation is the rounding of f + c, which grows with |c| <= 10 x
+    # magnitude; a relative 1e-6 excess still fails at every magnitude
+    from conftest import complete_graph
+    from curvflow.graphs import laplacian_matrix
+
+    lazy = linear_chain_operator(np.eye(3) + 0.2 * laplacian_matrix(complete_graph(3, measure=2.0)))
+    for seed in range(5):
+        rep = verify_properties(lazy, n_samples=50, magnitude=magnitude, seed=seed)
+        for cond in range(1, 8):
+            assert rep.passed(cond), (seed, rep.conditions[cond])
+    for a in (2.0, 1.000001):
+        scale = ChainOperator(dimension=3, apply=lambda f, a=a: a * f)
+        rep = verify_properties(scale, n_samples=50, magnitude=magnitude, seed=0)
+        assert not any(rep.passed(cond) for cond in (4, 5, 6, 7)), a
+
+
 # ---------------------------------------------------------------------------
 # extension
 

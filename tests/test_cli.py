@@ -237,7 +237,8 @@ def test_malformed_partition_documents_exit_two(tmp_path, pathgraph, capsys, doc
     ["--mode", "generic", "--tol", "nan"],
     ["--mode", "generic", "--operator", "resolvent:2,0.1", "--tol", "nan"],
     # the operator checks its p at the first apply, after tol
-    ["--mode", "generic", "--operator", "resolvent:0.5,0.1", "--tol", "nan"]])
+    ["--mode", "generic", "--operator", "resolvent:0.5,0.1", "--tol", "nan"],
+    ["--mode", "p", "--tol", "1e-13"]])  # below the p-flow's floor
 def test_separation_rejects_non_finite_eps_and_tol(tmp_path, pathgraph, capsys, args):
     # NaN eps once exited 5 at step 0, NaN tol ran to --max-iter (3) and
     # failed the generic gate (4)
@@ -245,7 +246,8 @@ def test_separation_rejects_non_finite_eps_and_tol(tmp_path, pathgraph, capsys, 
     part.write_text('{"X": [0], "K": [1], "Y": [2]}')
     assert main(["separation", pathgraph, str(part), *args]) == 2
     doc = json.loads(capsys.readouterr().out)
-    assert "must be finite and positive" in doc["error"]
+    expected = "floor plaplace.GAP_TOL" if "1e-13" in args else "must be finite and positive"
+    assert expected in doc["error"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,5 @@
 import math
 import sys
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -9,26 +8,49 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, path_graph, random_flow_graph
-from oracles import brute_force_wasserstein, deletion_scan, increments_cycle, rescale_components
+from oracles import brute_force_wasserstein, deletion_scan
 
 from curvflow import (
     FlowConfig,
     ValidationError,
     WeightedGraph,
     curvature_report,
-    initial_state,
-    normalize_metric,
     run_flow,
     shortest_path_metric,
     vertex_measure,
 )
 from curvflow.ricci_flow import (
     STATUS_CONVERGED,
-    FlowState,
-    edge_deletion_step,
-    flow_step,
+    _delete,
+    _normalized,
+    _step,
+    _Topology,
     max_adjacent_ratio,
 )
+
+
+def _edge_vector(g):
+    """``run_flow``'s start on ``g``: its topology and edge-length vector."""
+    topo = _Topology.of(g)
+    return topo, g.lengths[topo.iu, topo.iv]
+
+
+def _steps(g, alpha, k):
+    """``k`` flow steps on ``g`` without deletion or rescaling: per step,
+    the topology, the graph with the new lengths, and the trace row."""
+    topo, lengths = _edge_vector(g)
+    norm = _normalized(topo, lengths)[1]
+    for n in range(k):
+        topo, lengths, _, row = _step(topo, lengths, alpha, n, norm)
+        norm = row.normalized
+        yield topo, topo.graph.with_lengths(topo.matrix(lengths)), row
+
+
+def _deletion(g, threshold):
+    """One threshold deletion on ``g``: the deleted edges, each with its
+    (length, shortest adjacent length), and the graph left."""
+    deleted, topo, _, _ = _delete(*_edge_vector(g), threshold, None)
+    return deleted, topo.graph
 
 
 def test_config_validation():
@@ -61,14 +83,14 @@ def test_config_rejects_non_finite_tolerance_and_threshold(value):
 
 def test_degree_precondition():
     heavy = WeightedGraph.from_edges(2, [(0, 1, 2.0, 1.0)], measure=[1.0, 1.0])
-    with pytest.raises(ValidationError):
-        initial_state(heavy)
+    with pytest.raises(ValidationError, match=r"deg\(x\) <= 1"):
+        run_flow(heavy)
 
 
 def test_two_vertex_is_fixed_point():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0, 3.0)])
-    state = flow_step(initial_state(g), FlowConfig())
-    assert state.graph.edge_length(0, 1) == pytest.approx(3.0, abs=1e-15)
+    (_, step, _), = _steps(g, FlowConfig().alpha, 1)
+    assert step.edge_length(0, 1) == pytest.approx(3.0, abs=1e-15)
     result = run_flow(g, FlowConfig(tolerance=1e-12))
     assert result.status == STATUS_CONVERGED
     assert result.growth_rate[0] == pytest.approx(0.0, abs=1e-12)
@@ -78,9 +100,9 @@ def test_two_vertex_is_fixed_point():
 def test_equilateral_triangle_one_step():
     g = complete_graph(3, measure=2.0)
     cfg = FlowConfig(alpha=0.5, tolerance=1e-12)
-    state = flow_step(initial_state(g), cfg)
+    (_, step, _), = _steps(g, cfg.alpha, 1)
     for u, v in g.edges():
-        assert state.graph.edge_length(u, v) == pytest.approx(1.0 - 0.25, abs=1e-12)
+        assert step.edge_length(u, v) == pytest.approx(1.0 - 0.25, abs=1e-12)
     result = run_flow(g, cfg)
     assert result.status == STATUS_CONVERGED
     assert result.final.iteration == 1
@@ -100,43 +122,39 @@ def test_asymmetric_path_single_step_matches_hand_oracle():
         w_cost = brute_force_wasserstein(mus[u].mass, mus[v].mass, sub)
         ln = g.edge_length(u, v)
         expected[(u, v)] = ln - cfg.alpha * (1.0 - w_cost / ln) * ln
-    state = flow_step(initial_state(g), cfg)
+    (_, step, _), = _steps(g, cfg.alpha, 1)
     for e, val in expected.items():
-        assert state.graph.edge_length(*e) == pytest.approx(val, abs=1e-12)
+        assert step.edge_length(*e) == pytest.approx(val, abs=1e-12)
 
 
 def test_deletion_rule_examples():
-    cfg = FlowConfig(deletion_threshold=2.0)
     # lengths (3, 1): 3 > 2 * 1, delete the long edge
-    g = path_graph([3.0, 1.0])
-    state = edge_deletion_step(initial_state(g), cfg)
-    assert list(state.graph.edges()) == [(1, 2)]
-    assert state.deletion_log[0][1] == (0, 1)
+    deleted, left = _deletion(path_graph([3.0, 1.0]), 2.0)
+    assert list(left.edges()) == [(1, 2)]
+    assert deleted == [((0, 1), (3.0, 1.0))]
     # lengths (3, 2): 3 <= 4, keep both
-    g2 = path_graph([3.0, 2.0])
-    state2 = edge_deletion_step(initial_state(g2), cfg)
-    assert state2.graph.edge_count() == 2
+    deleted, left = _deletion(path_graph([3.0, 2.0]), 2.0)
+    assert deleted == [] and left.edge_count() == 2
     # isolated single edge never violates
     g3 = WeightedGraph.from_edges(2, [(0, 1, 1.0, 9.0)])
-    assert edge_deletion_step(initial_state(g3), cfg).graph.edge_count() == 1
+    assert _deletion(g3, 2.0)[1].edge_count() == 1
 
 
 def test_star_deletes_longest_then_stops():
     star = WeightedGraph.from_edges(
         4, [(0, 1, 1.0, 5.0), (0, 2, 1.0, 1.0), (0, 3, 1.0, 1.0)],
         measure=[3.0, 3.0, 3.0, 3.0])
-    cfg = FlowConfig(deletion_threshold=2.0)
-    state = edge_deletion_step(initial_state(star), cfg)
-    assert (0, 1) not in set(state.graph.edges())
-    assert state.graph.edge_count() == 2
-    assert len(state.deletion_log) == 1
+    deleted, left = _deletion(star, 2.0)
+    assert (0, 1) not in set(left.edges())
+    assert left.edge_count() == 2
+    assert len(deleted) == 1
 
 
 def test_normalize_metric_per_component():
     g = WeightedGraph.from_edges(
         5, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 2.0), (3, 4, 1.0, 8.0)],
         measure=[2.0] * 5)
-    norm = normalize_metric(initial_state(g))
+    norm = _normalized(*_edge_vector(g))[1]
     assert norm[(0, 1)] == pytest.approx(0.5)
     assert norm[(1, 2)] == pytest.approx(1.0)
     assert norm[(3, 4)] == pytest.approx(1.0)
@@ -192,8 +210,9 @@ def test_stationarity_one_more_step_keeps_normalized_metric():
     cfg = FlowConfig(alpha=0.5, tolerance=1e-11)
     res = run_flow(g, cfg)
     assert res.status == STATUS_CONVERGED
-    before = normalize_metric(res.final)
-    after = normalize_metric(flow_step(res.final, cfg))
+    before = {e: v for lim in res.limits.values() for e, v in lim.items()}
+    after = run_flow(res.final.graph, replace(cfg, max_iterations=1)).final.trace[0].normalized
+    assert after.keys() == before.keys()
     for e, v in before.items():
         assert after[e] == pytest.approx(v, abs=1e-9)
 
@@ -256,10 +275,8 @@ def test_multi_step_trajectory_matches_oracle():
     # five full steps recomputed edge by edge with the enumeration oracle
     rng = np.random.default_rng(31)
     g = random_flow_graph(rng, 6)
-    cfg = FlowConfig(alpha=0.4, deletion_threshold=1e9)
-    state = initial_state(g)
-    for _ in range(5):
-        cur = state.graph
+    alpha, cur = 0.4, g
+    for _, step, _ in _steps(g, alpha, 5):
         d = shortest_path_metric(cur)
         mus = {x: vertex_measure(cur, x) for x in range(cur.n)
                if cur.neighbors(x).size}
@@ -267,11 +284,10 @@ def test_multi_step_trajectory_matches_oracle():
         for u, v in cur.edges():
             sub = d.values[np.ix_(mus[u].support, mus[v].support)]
             w_cost = brute_force_wasserstein(mus[u].mass, mus[v].mass, sub)
-            expected[(u, v)] = (1 - cfg.alpha) * cur.edge_length(u, v) \
-                + cfg.alpha * w_cost
-        state = flow_step(state, cfg)
+            expected[(u, v)] = (1 - alpha) * cur.edge_length(u, v) + alpha * w_cost
         for e, val in expected.items():
-            assert state.graph.edge_length(*e) == pytest.approx(val, abs=1e-10)
+            assert step.edge_length(*e) == pytest.approx(val, abs=1e-10)
+        cur = step
 
 
 @pytest.mark.parametrize("seed", [45, 91])
@@ -334,21 +350,24 @@ def test_batch_matches_cold_transport(seed, n):
     from curvflow.transport import ENTER_TOL, _tree, transport_audit, wasserstein
 
     g = random_flow_graph(np.random.default_rng(seed), n)
-    cfg = FlowConfig(alpha=0.5, deletion_threshold=max(2.0 * max_adjacent_ratio(g), 1.0))
-    state = initial_state(g)
-    for _ in range(5):
-        state = flow_step(state, cfg)
-        state = rescale_components(edge_deletion_step(state, cfg))
-        batch = state.topology.batch
-        if batch is None:  # a deletion: the next step solves cold
+    threshold = max(2.0 * max_adjacent_ratio(g), 1.0)
+    topo, lengths = _edge_vector(g)
+    norm = _normalized(topo, lengths)[1]
+    for i in range(5):  # run_flow's loop
+        topo, new, lengths, row = _step(topo, lengths, 0.5, i, norm)
+        deleted, topo, new, row = _delete(topo, new, threshold, row)
+        norm = row.normalized
+        if deleted:  # a new topology without a batch: the next step solves cold
+            lengths = _normalized(topo, new)[0]
             continue
-        d = shortest_path_metric(state.graph)
+        batch = topo.batch
+        d = shortest_path_metric(topo.graph.with_lengths(topo.matrix(lengths)))
         with transport_audit() as audit:
             w, solve = batch.price(d)
         assert audit.count == audit.warm == len(batch.trees) - len(solve)
         expected = []
-        pairs = [(vertex_measure(state.graph, u, None), vertex_measure(state.graph, v, None))
-                 for u, v in state.topology.edges]
+        pairs = [(vertex_measure(topo.graph, u, None), vertex_measure(topo.graph, v, None))
+                 for u, v in topo.edges]
         for k, ((mu, nu), tree) in enumerate(zip(pairs, batch.trees, strict=True)):
             cost = d.values[np.ix_(mu.support, nu.support)]
             scale = max(1.0, float(cost.max()))
@@ -397,10 +416,9 @@ def test_batch_certificate_rejects_a_wrong_value():
     from curvflow.graphs import DistanceMatrix
     from curvflow.transport import transport_audit
 
-    state = flow_step(initial_state(random_flow_graph(np.random.default_rng(3), 6)),
-                      FlowConfig(alpha=0.5))
-    batch = state.topology.batch
-    d = shortest_path_metric(state.graph)
+    (topo, step, _), = _steps(random_flow_graph(np.random.default_rng(3), 6), 0.5, 1)
+    batch = topo.batch
+    d = shortest_path_metric(step)
     with transport_audit() as audit:
         batch.price(d)
         assert audit.count == len(batch.trees) and audit.max_gap < 1e-12
@@ -447,12 +465,9 @@ def test_batch_edge_cases(monkeypatch, case):
     else:
         g = WeightedGraph.from_edges(3, [], measure=[1.0] * 3)
     cfg = FlowConfig(alpha=0.5, tolerance=1e-10, deletion_threshold=10.0)
-    state = initial_state(g)
     with transport_audit() as audit:
-        for _ in range(3):
-            state = flow_step(state, cfg)
+        kappas = [row.kappa.values for _, _, row in _steps(g, cfg.alpha, 3)]
         assert audit.count == 3 * g.edge_count()
-    kappas = [row.kappa.values for row in state.trace]
     if case == "identical-measures":
         assert kappas == [{e: 1.0 for e in g.edges()}] * 3
     res = run_flow(g, cfg)
@@ -500,23 +515,19 @@ _PATH = WeightedGraph.from_edges(  # three deletions, re-checked after each
 @example(g=_PATH, threshold=2.0)
 @example(g=_PATH, threshold=0.75)  # below 1 an edge must not count itself
 def test_deletion_step_matches_per_edge_scan(g, threshold):
-    state = replace(initial_state(g), iteration=7)
-    out = edge_deletion_step(state, FlowConfig(deletion_threshold=threshold))
+    deleted, left = _deletion(g, threshold)
     log, weights, lengths = deletion_scan(g.weights, g.lengths, threshold)
-    assert list(out.deletion_log) == [(7, e, vals) for e, vals in log]
-    assert np.array_equal(out.graph.weights, weights)
-    assert np.array_equal(out.graph.lengths, lengths)
+    assert deleted == log
+    assert np.array_equal(left.weights, weights)
+    assert np.array_equal(left.lengths, lengths)
 
 
 def test_deletion_step_examples_reach_ties_and_chains():
     # the explicit examples above really exercise what they claim
-    star = edge_deletion_step(initial_state(_STAR), FlowConfig(deletion_threshold=2.0))
-    assert [e for _, e, _ in star.deletion_log] == [(0, 1), (0, 2)]
-    path = edge_deletion_step(initial_state(_PATH), FlowConfig(deletion_threshold=2.0))
-    assert [e for _, e, _ in path.deletion_log] == [(0, 1), (1, 2), (3, 4)]
+    assert [e for e, _ in _deletion(_STAR, 2.0)[0]] == [(0, 1), (0, 2)]
+    assert [e for e, _ in _deletion(_PATH, 2.0)[0]] == [(0, 1), (1, 2), (3, 4)]
     # (2, 3) is the shortest edge at both its endpoints
-    low = edge_deletion_step(initial_state(_PATH), FlowConfig(deletion_threshold=0.75))
-    assert (2, 3) in set(low.graph.edges())
+    assert (2, 3) in set(_deletion(_PATH, 0.75)[1].edges())
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +572,14 @@ def test_components_computed_once_per_topology(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("change", ["weights", "edges"])
-def test_stale_topology_is_not_used(change):
+def test_step_curvature_equals_curvature_report(change):
     g = _surgery_graph()
-    cfg = FlowConfig(alpha=0.5, deletion_threshold=6.0)
-    state = flow_step(initial_state(g), cfg)
-    assert state.topology is not None
+    (_, step, _), = _steps(g, 0.5, 1)
     if change == "weights":
-        other = WeightedGraph(g.n, g.weights * 0.9, g.measure, state.graph.lengths)
+        other = WeightedGraph(g.n, g.weights * 0.9, g.measure, step.lengths)
     else:
-        other = state.graph.drop_edge(2, 3)
-    stale = replace(state, graph=other)
-    fresh = FlowState(graph=other)
-    assert normalize_metric(stale) == normalize_metric(fresh)
-    row = flow_step(stale, cfg).trace[-1]
-    assert row.kappa == flow_step(fresh, cfg).trace[-1].kappa
+        other = step.drop_edge(2, 3)
+    (_, _, row), = _steps(other, 0.5, 1)
     report = curvature_report(other)
     assert row.kappa.component_stats.keys() == report.component_stats.keys()
     for root, stats in report.component_stats.items():
@@ -597,49 +602,29 @@ def _flow_cases():
     yield WeightedGraph.from_edges(3, [], measure=[1.0] * 3), None
 
 
-def _public_step_loop(g, cfg):
-    """run_flow's loop driven by hand through the public steps."""
-    import curvflow.ricci_flow as ricci_flow
-
-    state = initial_state(g)
-    logs, increments = None, deque(maxlen=7)
-    for _ in range(cfg.max_iterations):
-        state = flow_step(state, cfg)
-        state = rescale_components(edge_deletion_step(state, cfg))
-        row = state.trace[-1]
-        if row.deleted_edges:
-            logs = None
-            increments.clear()
-            continue
-        if row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
-            return state, ricci_flow.STATUS_CONVERGED
-        prev, logs = logs, np.array([math.log(v) for v in row.normalized.values()])
-        if prev is not None:
-            increments.append(logs - prev)
-        if increments_cycle(increments, cfg.tolerance):
-            return state, ricci_flow.STATUS_OSCILLATION
-    return state, ricci_flow.STATUS_MAX_ITER
-
-
-def test_run_flow_equals_the_public_step_loop_bit_for_bit():
+def test_run_flow_prefixes_match_the_full_run():
+    # a run cut at k steps is the full run's first k steps: the same rows,
+    # the same deletions, and limits that are its last normalized metric
     deleting = 0
     for g, threshold in _flow_cases():
-        if threshold is None:
-            threshold = max(2.0 * max_adjacent_ratio(g), 1.0)
         cfg = FlowConfig(alpha=0.5, tolerance=1e-10, deletion_threshold=threshold)
-        res = run_flow(g, cfg)
-        state, status = _public_step_loop(g, cfg)
-        assert res.status == status
-        assert res.final.iteration == state.iteration == len(state.trace)
-        for row, hand in zip(res.final.trace, state.trace, strict=True):
-            assert row == hand  # kappa, stats, lambdas, delta_sup, deletions
-            assert list(row.normalized) == list(hand.normalized)
-        assert res.final.deletion_log == state.deletion_log
-        assert np.array_equal(res.final.graph.lengths, state.graph.lengths)
-        assert np.array_equal(res.final.graph.weights, state.graph.weights)
-        norm = normalize_metric(state)
-        assert {e: v for lim in res.limits.values() for e, v in lim.items()} == norm
-        deleting += bool(state.deletion_log)
+        full = run_flow(g, cfg)
+        iters = full.final.iteration
+        for k in sorted({1, math.ceil(iters / 2), iters}):
+            res = run_flow(g, replace(cfg, max_iterations=k))
+            assert res.final.iteration == len(res.final.trace) == k
+            assert res.final.trace == full.final.trace[:k]  # kappa, lambdas, delta_sup, deletions
+            for row, full_row in zip(res.final.trace, full.final.trace):
+                assert list(row.normalized) == list(full_row.normalized)
+            assert res.final.deletion_log == tuple(entry for entry in full.final.deletion_log
+                                                   if entry[0] <= k)
+            limits = [(e, v) for lim in res.limits.values() for e, v in lim.items()]
+            assert limits == list(res.final.trace[-1].normalized.items())
+            if k == iters:
+                assert res.status == full.status
+                assert np.array_equal(res.final.graph.lengths, full.final.graph.lengths)
+                assert np.array_equal(res.final.graph.weights, full.final.graph.weights)
+        deleting += bool(full.final.deletion_log)
     assert deleting >= 5
 
 

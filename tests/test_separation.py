@@ -871,7 +871,8 @@ def test_generic_gate_runs_no_sampler_for_a_chain_without_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0},
-                                 {"eps": np.nan}, {"eps": np.inf}, {"eps": -0.1}])
+                                 {"eps": np.nan}, {"eps": np.inf}, {"eps": -0.1},
+                                 {"tol": 1e-13}])  # below the p-flow's floor alone
 def test_separation_flows_reject_bad_eps_and_tol_before_any_gate(monkeypatch, bad):
     # a NaN eps once ran the linear flow into a non-finite SolverError, and
     # a NaN tol failed the generic gate as if Ric_1 were negative
@@ -886,11 +887,13 @@ def test_separation_flows_reject_bad_eps_and_tol_before_any_gate(monkeypatch, ba
     part = cycle_partition(g)
     d = shortest_path_metric(g)
     kw = {"eps": 0.1, "tol": 1e-9} | bad
-    with pytest.raises(ValidationError):
-        separation_flow_linear(g, part, kw["eps"], tol=kw["tol"])
-    with pytest.raises(ValidationError):
+    floor = kw["tol"] == 1e-13
+    if not floor:
+        with pytest.raises(ValidationError):
+            separation_flow_linear(g, part, kw["eps"], tol=kw["tol"])
+    with pytest.raises(ValidationError, match="floor plaplace.GAP_TOL = 1e-12" if floor else None):
         separation_flow_p(g, part, 1.5, kw["eps"], tol=kw["tol"])
-    if "tol" in bad:
+    if "tol" in bad and not floor:
         P = linear_chain_operator(np.eye(g.n) + 0.1 * laplacian_matrix(g))
         with pytest.raises(ValidationError):
             separation_flow_generic(P, part, d, tol=kw["tol"])
