@@ -123,6 +123,8 @@ def parse_graph(path: str) -> WeightedGraph:
         return WeightedGraph.from_edges(n, tuples, measure=measure)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    except (MemoryError, ValueError) as exc:  # numpy refuses the n x n matrices
+        raise ValidationError(f"{path}: {n} vertices are too many: {exc}") from exc
 
 
 def parse_partition(path: str, g: WeightedGraph) -> separation.PartitionXKY:

@@ -17,9 +17,10 @@ the lambda+/lambda- diagnostics whose monotonicity the proofs rely on.
 set, divided by its maximum on each component after every step (the flow
 is scale-invariant per component); a ``WeightedGraph`` is built only
 after a deletion and for the final state.  W(e) is one transport LP per
-edge and step.  One ``transport._price_edges`` call per step prices every
-edge: while the edge set stays, it re-prices every edge's kept optimal
-tree at once and re-solves only those that stopped being optimal.
+edge and step.  Each edge set gets one ``transport._Batch``, built from
+its edges' walk measures, and one ``price`` call per step prices every
+edge: it re-prices every edge's kept optimal tree at once and re-solves
+only those that stopped being optimal.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .chains import _period2
 from .curvature import CurvatureReport, _walks
 from .errors import ValidationError
 from .graphs import WeightedGraph, _component_groups, _path_metric
-from .transport import _price_edges, wasserstein  # wasserstein: perfbench's tracer test pins it
+from .transport import _Batch, wasserstein  # wasserstein: perfbench's tracer test pins it
 
 __all__ = [
     "FlowConfig",
@@ -90,7 +91,7 @@ class FlowTraceRow:
     normalized: dict[tuple[int, int], float]
     lambda_plus: float
     lambda_minus: float
-    delta_sup: float | None  # None when the edge set just changed
+    delta_sup: float  # sup over edges of |log change| of the normalized metric
     deleted_edges: tuple[tuple[int, int], ...] = ()
 
 
@@ -99,16 +100,15 @@ class _Topology:
     """What ``run_flow``'s steps share while the edge set stays: a graph
     with its weights and measure, the edge list (edge-length vectors
     follow it) with its endpoints, the per-component groups of edge
-    positions, and each edge's two walk measures with the batch of
-    ``transport._price_edges`` (None until ``_step`` builds them)."""
+    positions, and the ``transport._Batch`` that prices the edges (None
+    until ``_step`` builds it)."""
 
     graph: WeightedGraph
     edges: tuple[tuple[int, int], ...]
     iu: np.ndarray
     iv: np.ndarray
     groups: list[tuple]
-    pairs: list | None = None
-    batch: object = None
+    batch: _Batch | None = None
 
     @classmethod
     def of(cls, g: WeightedGraph) -> "_Topology":
@@ -178,21 +178,19 @@ def _step(topo: _Topology, lengths: np.ndarray, alpha: float, n: int,
           prev: dict) -> tuple[_Topology, np.ndarray, np.ndarray, FlowTraceRow]:
     """One flow step on the edge vector ``lengths``: the topology with its
     batch, the new lengths, the same normalized per component, and trace
-    row ``n`` (``delta_sup`` against the normalized metric ``prev``)."""
+    row ``n`` (``delta_sup`` against the normalized metric ``prev``, on
+    the same edges: the last row's, after its deletions)."""
     d = _path_metric(topo.graph.weights > 0, topo.matrix(lengths))
     if topo.batch is None:  # a new topology
         walk = _walks(topo.graph)
-        topo = replace(topo, pairs=[(walk(u, None), walk(v, None)) for u, v in topo.edges])
-    cost, batch = _price_edges(topo.pairs, topo.batch, d)
-    if batch is not topo.batch:
-        topo = replace(topo, batch=batch)
+        topo = replace(topo, batch=_Batch([(walk(u, None), walk(v, None)) for u, v in topo.edges]))
+    cost = topo.batch.price(d)
     new = (1.0 - alpha) * lengths + alpha * cost
     kappa = (1.0 - cost / lengths).tolist()
     report = CurvatureReport._from_groups(dict(zip(topo.edges, kappa)), topo.groups)
     log_inc = [math.log1p(-alpha * k) for k in kappa]
     unit, norm = _normalized(topo, new)
-    delta = (max((abs(math.log(norm[e]) - math.log(prev[e])) for e in norm), default=0.0)
-             if set(prev) == set(norm) else None)
+    delta = max((abs(math.log(norm[e]) - math.log(prev[e])) for e in norm), default=0.0)
     row = FlowTraceRow(n, report, norm, max(log_inc, default=0.0), min(log_inc, default=0.0),
                        delta)
     return topo, new, unit, row
@@ -268,7 +266,6 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
             lengths = _normalized(topo, new)[0]
             lognorm, cycle = None, _period2(cfg.tolerance)
         elif row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
-            # (prev always has this row's edge set, so delta_sup is a number)
             status = STATUS_CONVERGED
             break
         else:

@@ -13,16 +13,14 @@ solved.  An audit mode certifies every transport solve made inside it,
 and every value the Ricci flow prices from a kept basis; each value
 counts in every audit context open around it.
 
-The Ricci flow solves one transport LP per edge and step, all through
-one call (``_price_edges``).  While the edge set stays, it keeps every
-edge's last optimal spanning tree, as the solver returned it, in one
-batch (``_Batch``).  A step re-prices all those trees in one numpy pass:
-the tree flows are fixed, so W is a sum over the tree cells, and only
-the off-tree reduced costs need checking.  An edge whose tree is no
-longer optimal is re-solved, warm from that tree.  The values are
-bit-identical to a warm solve of every edge.  Under ``transport_audit``
-each kept edge's value is certified by ``_certify``, the check every
-solve gets, from that edge's slice of the batch's duals.
+The Ricci flow prices one transport LP per edge and step through one
+``_Batch`` per edge set.  It keeps every edge's last optimal spanning
+tree and re-prices them all in one numpy pass: the tree flows are fixed,
+so W is a sum over the tree cells, and only the reduced costs need
+checking.  An edge whose tree is no longer optimal is re-solved warm from
+it, and only its arrays are rebuilt.  The values are bit-identical to a
+warm solve of every edge.  Under ``transport_audit`` each kept edge's
+value is certified by ``_certify`` from its slice of the batch's duals.
 """
 
 from __future__ import annotations
@@ -479,7 +477,7 @@ def _certify(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix, tree: tuple,
 
 
 def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
-                     plan: TransportPlan, *, require: bool = True) -> tuple[np.ndarray, float]:
+                     plan: TransportPlan) -> tuple[np.ndarray, float]:
     """1-Lipschitz potential certifying optimality of a transport plan.
 
     Returns the potential (on all vertices) and the duality gap
@@ -490,8 +488,8 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     hand-built plan) is measured against the optimal tree of a fresh
     solve.  The potential is 1-Lipschitz as ``d`` is a metric, checked
     once per distance matrix (else CertificateError).  A plan between
-    other measures raises ValidationError; with ``require`` set, a gap
-    not within tolerance raises CertificateError — it signals an LP bug.
+    other measures raises ValidationError; a gap not within tolerance (or
+    NaN) raises CertificateError, naming the gap.
     """
     if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
         raise ValidationError("the plan's marginals are not mu1 and mu2")
@@ -502,8 +500,7 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     if not tree:
         tree, _ = _transport_simplex(mu1.mass, mu2.mass, cost.tolist(),
                                      _least_cost_basis(mu1.mass, mu2.mass, cost))
-    scale = max(1.0, float(np.max(cost)))
-    return _certify(mu1, mu2, d, tree, plan.cost(d), scale if require else None)
+    return _certify(mu1, mu2, d, tree, plan.cost(d), max(1.0, float(np.max(cost))))
 
 
 # ---------------------------------------------------------------------------
@@ -511,117 +508,105 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
 
 
 class _Batch:
-    """Every edge's current optimal transport tree, concatenated with its
-    walk measures so that one numpy pass per flow step re-prices them all.
+    """Every edge's optimal transport tree between its two walk measures,
+    for one topology, re-priced for all edges in one numpy pass per step.
 
-    ``trees`` holds each edge's sorted cells, their flows and the parent
-    of each tree node.  The flows depend on the walk measures alone.
-    While a tree stays optimal, W(e) is the sum of flow x d over its
-    cells of positive flow, added in ``_solve``'s order, so it matches to
-    the bit.  The duals solve u_i + v_j = d(x_i, y_j) from u_0 = 0, one
-    tree level at a time, with one subtraction per node as in ``_tree``.
-    ``price`` returns W and the edges with an off-tree cell whose reduced
-    cost is below -ENTER_TOL x max(1, max cost), where the simplex would
-    pivot.  Under ``transport_audit`` each other edge is certified by
-    ``_certify`` from its own slice of those duals, in edge order.  An
-    edge whose two walk measures coincide keeps its least-cost tree like
-    any other, with W = 0.
+    The walk measures fix the layout: edge k's n1 x n2 cells, row-major
+    from ``cell_start[k]``, with their vertices (``cx``, ``cy``), edge
+    (``edge``) and tree nodes (``row``, ``col``: n1 + n2 nodes from
+    ``node_start[k]``, rows first).  ``trees[k]`` holds edge k's sorted
+    tree cells, its levels (node, parent cell, parent node, depth) and its
+    cells of positive flow with the flows ``_start_tree`` peels from them.
+
+    ``price`` solves every edge cold on its first call.  Later calls solve
+    the duals one tree level at a time, one subtraction per node as in
+    ``_tree``, and re-solve, warm, each edge with a cell of reduced cost
+    below -ENTER_TOL x max(1, max cost), where the simplex would pivot (a
+    tree cell's own is a few ulps of the cost scale).  Each other edge's W
+    adds flow x d over its cells of positive flow in ``_solve``'s order,
+    so it matches a warm solve to the bit; under ``transport_audit``
+    ``_certify`` certifies it from the edge's slice of the duals.
     """
 
-    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]],
-                 trees: list[tuple]) -> None:
-        self.pairs, self.trees = pairs, trees
-        cx, cy, basic, cell_start = [], [], [], []  # every cell, row-major per edge
-        off_row, off_col, off_edge = [], [], []  # the tree nodes of off-tree cells
-        moved, moved_flow, moved_edge = [], [], []  # tree cells of positive flow
-        levels: list[list[tuple]] = []  # per depth: (node, parent cell, parent node)
-        node_start = [0]  # each edge's first tree node
-        basics = 0
-        for p, ((mu, nu), (cells, flows, parent)) in enumerate(zip(pairs, trees)):
-            sx, sy = mu.support.tolist(), nu.support.tolist()
-            n1, n2, nodes = len(sx), len(sy), node_start[-1]
-            index = {c: basics + t for t, c in enumerate(cells)}
-            cell_start.append(len(cx))
-            for i, x in enumerate(sx):
-                for j, y in enumerate(sy):
-                    cx.append(x)
-                    cy.append(y)
-                    basic.append((i, j) in index)
-                    if not basic[-1]:
-                        off_row.append(nodes + i)
-                        off_col.append(nodes + n1 + j)
-                        off_edge.append(p)
-            for t, f in enumerate(flows):
-                if f > 0:
-                    moved.append(basics + t)
-                    moved_flow.append(f)
-                    moved_edge.append(p)
-            for node in range(1, n1 + n2):
-                depth, up = 0, node
-                while parent[up] >= 0:
-                    depth, up = depth + 1, parent[up]
-                while len(levels) < depth:
-                    levels.append([])
-                up = parent[node]
-                levels[depth - 1].append((nodes + node, index[_cell(node, up, n1)], nodes + up))
-            node_start.append(nodes + n1 + n2)
-            basics += len(cells)
+    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]]) -> None:
+        self.pairs, self.trees, self.levels = pairs, [None] * len(pairs), None
+        n1 = np.array([mu.support.size for mu, _ in pairs], dtype=np.intp)
+        n2 = np.array([nu.support.size for _, nu in pairs], dtype=np.intp)
+        self.cell_start = np.cumsum(np.r_[0, n1 * n2])
+        self.node_start = np.cumsum(np.r_[0, n1 + n2])
+        self.edge = np.repeat(np.arange(len(pairs)), n1 * n2)
+        i, j = np.divmod(np.arange(self.cell_start[-1]) - self.cell_start[self.edge],
+                         n2[self.edge])
+        self.row = self.node_start[self.edge] + i
+        self.col = self.node_start[self.edge] + n1[self.edge] + j
+        self.cx = _join([np.repeat(mu.support, nu.support.size) for mu, nu in pairs])
+        self.cy = _join([np.tile(nu.support, mu.support.size) for mu, nu in pairs])
 
-        def arr(values, dtype=np.intp):
-            return np.array(values, dtype=dtype)
+    def _keep(self, trees: dict[int, list[tuple[int, int]]]) -> None:
+        """Make each ``trees[k]``, the sorted cells of a spanning tree of
+        edge k's supports, edge k's tree, and lay out every tree again."""
+        for k, cells in trees.items():
+            mu, nu = self.pairs[k]
+            n1, n2 = mu.support.size, nu.support.size
+            zero = [[0.0] * n2] * n1  # the peeled flows ignore costs
+            _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
+            parent = np.array(parent)
+            parent[0] = 0
+            depth, up = np.zeros(n1 + n2, dtype=np.intp), np.arange(n1 + n2)
+            while up.any():
+                depth += up > 0
+                up = parent[up]
+            node = np.arange(1, n1 + n2)
+            i, j = np.where(node < n1, node, parent[1:]), np.where(node < n1, parent[1:], node) - n1
+            cell = self.cell_start[k] + i * n2 + j
+            first = self.node_start[k]
+            flow = np.array([flows[c] for c in cells])
+            at = self.cell_start[k] + np.array(cells) @ [n2, 1]
+            self.trees[k] = (cells, np.array([first + node, cell, first + parent[1:], depth[1:]]),
+                             at[flow > 0], flow[flow > 0])
+        level = np.concatenate([np.zeros((4, 0), np.intp)] + [t[1] for t in self.trees], axis=1)
+        level = level[:, np.argsort(level[3], kind="stable")]
+        self.levels = np.split(level[:3], np.flatnonzero(np.diff(level[3])) + 1, axis=1)
+        self.moved = _join([t[2] for t in self.trees])
+        self.moved_flow = _join([t[3] for t in self.trees], float)
+        self.moved_edge = np.repeat(np.arange(len(self.trees)), [t[2].size for t in self.trees])
 
-        self.node_start = node_start
-        self.cx, self.cy, self.cell_start = arr(cx), arr(cy), arr(cell_start)
-        self.basic = arr(basic, bool)
-        self.off = ~self.basic
-        self.off_row, self.off_col, self.off_edge = arr(off_row), arr(off_col), arr(off_edge)
-        self.moved, self.moved_edge = arr(moved), arr(moved_edge)
-        self.moved_flow = arr(moved_flow, float)
-        self.levels = [arr(level).T for level in levels]
-
-    def price(self, d: DistanceMatrix) -> tuple[np.ndarray, list[int]]:
-        """W of every edge under ``d`` and the edges whose tree is no longer
-        optimal there (their W is left to the re-solve)."""
+    def price(self, d: DistanceMatrix) -> np.ndarray:
+        """W of every edge under ``d``; an edge whose tree stopped being
+        optimal there is re-solved, and its tree replaced."""
         cost = d.values[self.cx, self.cy]
-        scale = np.maximum(np.maximum.reduceat(cost, self.cell_start), 1.0)
-        basic = cost[self.basic]
-        dual = np.zeros(self.node_start[-1])
-        for node, cell, up in self.levels:
-            dual[node] = basic[cell] - dual[up]
-        reduced = cost[self.off] - dual[self.off_row] - dual[self.off_col]
-        pivot = np.zeros(len(self.trees), dtype=bool)
-        pivot[self.off_edge[reduced < -(ENTER_TOL * scale[self.off_edge])]] = True
-        # costs are distances, so W >= 0 needs no clamp
-        w = np.bincount(self.moved_edge, basic[self.moved] * self.moved_flow,
-                        minlength=len(self.trees))
-        if _LEDGERS.get():
-            _require_metric(d)
-            start, kept = self.node_start, np.flatnonzero(~pivot).tolist()
-            gaps = [_certify(*self.pairs[k], d, (dual[start[k]:start[k + 1]],),
-                             float(w[k]), float(scale[k]))[1] for k in kept]
-            _record(len(kept), len(kept), 0, max(gaps, default=0.0))
-        return w, np.flatnonzero(pivot).tolist()
+        w, solve = np.zeros(len(self.pairs)), range(len(self.pairs))
+        if self.levels is not None:
+            scale = np.maximum(np.maximum.reduceat(cost, self.cell_start[:-1]), 1.0)
+            dual = np.zeros(self.node_start[-1])
+            for node, cell, up in self.levels:
+                dual[node] = cost[cell] - dual[up]
+            reduced = cost - dual[self.row] - dual[self.col]
+            pivot = np.zeros(len(self.pairs), dtype=bool)
+            pivot[self.edge[reduced < -(ENTER_TOL * scale[self.edge])]] = True
+            # costs are distances, so W >= 0 needs no clamp
+            w = np.bincount(self.moved_edge, cost[self.moved] * self.moved_flow,
+                            minlength=len(self.pairs))
+            solve = np.flatnonzero(pivot).tolist()
+            if _LEDGERS.get():
+                _require_metric(d)
+                start, kept = self.node_start, np.flatnonzero(~pivot).tolist()
+                gaps = [_certify(*self.pairs[k], d, (dual[start[k]:start[k + 1]],),
+                                 float(w[k]), float(scale[k]))[1] for k in kept]
+                _record(len(kept), len(kept), 0, max(gaps, default=0.0))
+        trees = {}
+        for k in solve:
+            cells = self.trees[k] and self.trees[k][0]  # None on the first call: cold
+            w[k], (_, _, flows), _ = _solve(*self.pairs[k], d, cells)
+            trees[k] = sorted(flows)
+        if trees:
+            self._keep(trees)
+        return w
 
 
-def _price_edges(pairs: list[tuple[ProbMeasure, ProbMeasure]], batch: _Batch | None,
-                 d: DistanceMatrix) -> tuple[np.ndarray, _Batch]:
-    """W under ``d`` of each measure pair and the batch of their optimal
-    trees.  ``batch``, kept from the last call on the same pairs, re-solves
-    only the pairs whose tree stopped being optimal, warm from it; None
-    solves all cold.  A re-solved tree keeps the flows ``_start_tree``
-    peels from its cells, which a warm start from them uses."""
-    if batch is None:
-        w, solve, trees = np.zeros(len(pairs)), range(len(pairs)), [None] * len(pairs)
-    else:
-        (w, solve), trees = batch.price(d), list(batch.trees)
-    for k in solve:
-        mu, nu = pairs[k]
-        w[k], (_, _, flows), _ = _solve(mu, nu, d, None if batch is None else trees[k][0])
-        cells = sorted(flows)
-        zero = [[0.0] * nu.support.size] * mu.support.size  # flows ignore costs
-        _, parent, flows = _start_tree(cells, zero, mu.mass.tolist() + (-nu.mass).tolist())
-        trees[k] = cells, [flows[c] for c in cells], parent
-    return w, (_Batch(pairs, trees) if batch is None or solve else batch)
+def _join(parts: list[np.ndarray], dtype=np.intp) -> np.ndarray:
+    """The 1-d arrays ``parts`` end to end (empty for no parts)."""
+    return np.concatenate([np.zeros(0, dtype), *parts])
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_graph_numbers_must_be_json_numbers(tmp_path, command, doc):
     assert str(graph) in json.loads(out.read_text())["error"]
 
 
+@pytest.mark.parametrize("n", [10 ** 9, 5 * 10 ** 9, 10 ** 20])
+def test_absurd_vertex_count_exits_2(tmp_path, n):
+    # numpy refuses the n x n matrices before allocating anything
+    # (MemoryError, then ValueError); both ended in a traceback
+    graph, out = tmp_path / "g.json", tmp_path / "out.json"
+    graph.write_text(json.dumps({"vertices": n, "edges": []}))
+    assert main(["flow", str(graph), "-o", str(out)]) == 2
+    assert f"{n} vertices" in json.loads(out.read_text())["error"]
+
+
 def test_parse_partition(tmp_path, pathgraph):
     g = parse_graph(pathgraph)
     p = tmp_path / "part.json"

@@ -362,13 +362,16 @@ def test_batch_matches_cold_transport(seed, n):
             continue
         batch = topo.batch
         d = shortest_path_metric(topo.graph.with_lengths(topo.matrix(lengths)))
+        trees = list(batch.trees)  # price replaces the re-solved edges' trees
         with transport_audit() as audit:
-            w, solve = batch.price(d)
-        assert audit.count == audit.warm == len(batch.trees) - len(solve)
+            w = batch.price(d)
+        # kept trees and warm re-solves alike
+        assert audit.count == audit.warm == len(trees)
+        solve = [k for k, tree in enumerate(trees) if batch.trees[k] is not tree]
         expected = []
         pairs = [(vertex_measure(topo.graph, u, None), vertex_measure(topo.graph, v, None))
                  for u, v in topo.edges]
-        for k, ((mu, nu), tree) in enumerate(zip(pairs, batch.trees, strict=True)):
+        for k, ((mu, nu), tree) in enumerate(zip(pairs, trees, strict=True)):
             cost = d.values[np.ix_(mu.support, nu.support)]
             scale = max(1.0, float(cost.max()))
             # the kept tree's reduced costs, from _tree's own duals
@@ -381,8 +384,7 @@ def test_batch_matches_cold_transport(seed, n):
             off_tree[tuple(np.array(cells).T)] = False
             if (reduced[off_tree] < -ENTER_TOL * scale).any():
                 expected.append(k)
-            else:
-                assert abs(w[k] - wasserstein(mu, nu, d)[0]) <= 1e-12 * scale
+            assert abs(w[k] - wasserstein(mu, nu, d)[0]) <= 1e-12 * scale
         assert solve == expected
 
 
@@ -392,7 +394,7 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     # off-tree cell (1, 2) has reduced cost -shortfall, and the entering
     # threshold is -ENTER_TOL x 4 = -4e-12
     from curvflow.graphs import DistanceMatrix
-    from curvflow.transport import ProbMeasure, _Batch, _solve, _start_tree
+    from curvflow.transport import ProbMeasure, _Batch, _solve
 
     d = np.zeros((4, 4))
     for (x, y), c in {(0, 2): 1.0, (0, 3): 4.0, (1, 3): 4.0, (1, 2): 1.0 - shortfall}.items():
@@ -401,14 +403,48 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     nu = ProbMeasure(np.array([2, 3]), np.array([0.5, 0.5]))
     cells = [(0, 0), (0, 1), (1, 1)]  # as (row, column) support indices
-    _, parent, flows = _start_tree(cells, d.values[np.ix_(mu.support, nu.support)].tolist(),
-                                   [0.5, 0.5, -0.5, -0.5])
-    w, solve = _Batch([(mu, nu)], [(cells, [flows[c] for c in cells], parent)]).price(d)
-    assert solve == ([0] if pivots else [])
+    batch = _Batch([(mu, nu)])
+    batch._keep({0: cells})
+    seeded = batch.trees[0]
+    w = batch.price(d)
+    assert (batch.trees[0] is not seeded) == pivots
     cost, (_, _, flows), _ = _solve(mu, nu, d, cells)
     assert (sorted(flows) != cells) == pivots
+    assert batch.trees[0][0] == sorted(flows)
+    assert w[0] == cost
     if not pivots:
-        assert w[0] == cost == 2.5
+        assert cost == 2.5
+
+
+def test_batch_rebuilds_only_the_re_solved_edges():
+    # 63 edges on 40 vertices: steps 1-9 re-solve 40 edges in all, and
+    # each re-solve must leave every other edge's arrays alone
+    from curvflow.transport import _Batch, _solve
+
+    g = random_flow_graph(np.random.default_rng(2), 40)
+    topo, lengths = _edge_vector(g)
+    pairs = [(vertex_measure(g, u, None), vertex_measure(g, v, None)) for u, v in topo.edges]
+    batch = _Batch(pairs)
+    names = ("cx", "cy", "row", "col", "edge", "cell_start", "node_start")
+    layout = [getattr(batch, name) for name in names]
+    kept = re_solved = 0
+    for n in range(10):
+        d = shortest_path_metric(g.with_lengths(topo.matrix(lengths)))
+        trees = list(batch.trees)
+        w = batch.price(d)
+        assert all(getattr(batch, name) is a for name, a in zip(names, layout))
+        for k, ((mu, nu), old, tree) in enumerate(zip(pairs, trees, batch.trees, strict=True)):
+            cost, (_, _, flows), _ = _solve(mu, nu, d, old and old[0])
+            assert w[k] == cost  # bit for bit
+            assert tree[0] == sorted(flows)
+            if n and tree[0] == old[0]:
+                kept += 1
+                assert all(a is b for a, b in zip(tree, old, strict=True))
+            else:
+                re_solved += n > 0
+                assert old is None or not any(a is b for a, b in zip(tree[1:], old[1:]))
+        lengths = 0.5 * lengths + 0.5 * w
+    assert re_solved >= 20 and kept >= 400
 
 
 def test_batch_certificate_rejects_a_wrong_value():
@@ -437,13 +473,17 @@ def test_batch_certificate_rejects_a_wrong_value():
 
 
 def _cold_flow(monkeypatch, g, cfg):
-    """``run_flow`` pricing every step as a new topology: each edge solved
+    """``run_flow`` pricing every step with a fresh batch: each edge solved
     cold, once per step, from the least-cost start."""
     import curvflow.ricci_flow as ricci_flow
-    from curvflow.transport import _price_edges, transport_audit
+    from curvflow.transport import _Batch, transport_audit
+
+    class Cold(_Batch):
+        def price(self, d):
+            return _Batch(self.pairs).price(d)
 
     with monkeypatch.context() as m, transport_audit() as audit:
-        m.setattr(ricci_flow, "_price_edges", lambda pairs, batch, d: _price_edges(pairs, None, d))
+        m.setattr(ricci_flow, "_Batch", Cold)
         res = run_flow(g, cfg)
         assert audit.warm == 0
         assert audit.count == sum(len(row.kappa.values) for row in res.final.trace)

@@ -193,10 +193,8 @@ def test_certificate_rejects_suboptimal_plan():
     mu2 = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     # feasible but wasteful: swap the halves instead of keeping them
     bad = TransportPlan({(0, 1): 0.5, (1, 0): 0.5}, mu1, mu2)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="gap=1$"):
         dual_certificate(mu1, mu2, d, bad)
-    _, gap = dual_certificate(mu1, mu2, d, bad, require=False)
-    assert gap == pytest.approx(1.0)
 
 
 def test_audit_mode_counts_and_certifies():
@@ -529,10 +527,8 @@ def test_certificate_fails_a_nan_gap(monkeypatch):
     nu = ProbMeasure(np.array([1, 2]), np.array([0.5, 0.5]))
     _, plan = wasserstein(mu, nu, d)
     monkeypatch.setattr(TransportPlan, "cost", lambda self, d: float("nan"))
-    with pytest.raises(CertificateError, match="gap=nan"):
+    with pytest.raises(CertificateError, match="gap=nan$"):
         dual_certificate(mu, nu, d, plan)
-    _, gap = dual_certificate(mu, nu, d, plan, require=False)
-    assert np.isnan(gap)
 
 
 @pytest.mark.parametrize("block", [None, 1, 500])
