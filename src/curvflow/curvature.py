@@ -71,7 +71,10 @@ def vertex_measure(g: WeightedGraph, x: int, alpha: float | None = None) -> Prob
     supp = np.flatnonzero(row)
     mass = scale * g.weights[x, supp] / g.measure[x]
     mass[supp == x] = stay  # the remainder, where x is in the support
-    return ProbMeasure(supp, mass)
+    # sorted distinct ids and finite masses >= 0 of a validated graph: of
+    # the constructor's checks only the total can fail (alpha deg just
+    # under 1 + DEG_TOL)
+    return ProbMeasure._trusted(supp, mass)
 
 
 def ollivier_kappa(g: WeightedGraph, d: DistanceMatrix, x: int, y: int) -> float:
@@ -150,18 +153,17 @@ def _kappa_lly(g: WeightedGraph, d: DistanceMatrix, alpha: float, walk,
         raise ValidationError("curvature needs two distinct vertices")
     while True:
         mu, nu = walk(x, alpha), walk(y, alpha)
-        _, (_, _, flows), phi = _solve(mu, nu, d)
+        _, (_, _, flows), phi, c, scale = _solve(mu, nu, d)
         sx, sy = mu.support.tolist(), nu.support.tolist()
         if x in sx and y in sy and (sx.index(x), sy.index(y)) in flows:
             break
         alpha /= 2.0
     rates = [sign * (g.weights[v, s] / g.measure[v] if s != v else -g.degree(v))
              for v, sign, support in ((x, 1.0, sx), (y, -1.0, sy)) for s in support]
-    c = d.values[mu.support[:, None], nu.support].tolist()
     slope = sum(f * c[i][j] for (i, j), f in _tree(sorted(flows), c, rates)[2].items())
     if phi is not None:
         gaps = (phi[x] - phi[y] - d.value(x, y), np.dot(rates, phi[sx + sy]) - slope)
-        if not all(abs(gap) <= CERTIFY_TOL * max(1.0, max(map(max, c))) for gap in gaps):
+        if not all(abs(gap) <= CERTIFY_TOL * scale for gap in gaps):
             raise CertificateError(f"no certificate of the LLY slope at ({x}, {y}): "
                                    f"gaps {gaps[0]:g}, {gaps[1]:g}")
     kappa = -float(slope) / float(d.value(x, y))

@@ -86,6 +86,9 @@ class WeightedGraph:
     lengths: np.ndarray
     # ``curvature``'s walk measures; ``with_lengths`` copies share them (no length read)
     _walk_measures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # ``shortest_path_metric``'s result; ``with_lengths`` copies start without it
+    _metric: "DistanceMatrix | None" = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -166,9 +169,11 @@ class WeightedGraph:
         return self.weights.sum(axis=1) / self.measure
 
     def with_lengths(self, lengths: np.ndarray) -> "WeightedGraph":
-        """Copy with new lengths; it shares the validated weights and measure."""
+        """Copy with new lengths; it shares the validated weights and measure
+        (and the walk measures), not the path metric."""
         g = copy.copy(self)
         object.__setattr__(g, "lengths", _edge_lengths(self.weights, lengths))
+        object.__setattr__(g, "_metric", None)
         return g
 
     def drop_edge(self, u: int, v: int) -> "WeightedGraph":
@@ -228,9 +233,15 @@ def shortest_path_metric(g: WeightedGraph) -> DistanceMatrix:
     """Path metric induced by the edge lengths (Floyd-Warshall).
 
     Disconnected pairs come out as ``np.inf``.  The result records the edge
-    mask so edge-restricted quantities can be computed from it alone.
+    mask so edge-restricted quantities can be computed from it alone.  It
+    is computed once per graph and kept on it: every later call returns
+    the same (immutable) object, so the audit's triangle check, kept on it
+    as ``_is_metric``, also runs once per graph.  A ``with_lengths`` copy
+    computes its own.
     """
-    return _path_metric(g.weights > 0, g.lengths)
+    if g._metric is None:
+        object.__setattr__(g, "_metric", _path_metric(g.weights > 0, g.lengths))
+    return g._metric
 
 
 def _path_metric(adj: np.ndarray, lengths: np.ndarray) -> DistanceMatrix:

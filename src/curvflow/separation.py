@@ -503,7 +503,7 @@ def ric_r(P: ChainOperator, d: DistanceMatrix, r: float, n_samples: int = 64,
         rows = [ProbMeasure(np.flatnonzero(k > 0), k[k > 0]) for k in P.kernel]
         worst = -1.0
         for x, y in zip(iu.tolist(), iv.tolist()):
-            cost, tree, _ = _solve(rows[x], rows[y], d)
+            cost, tree, *_ = _solve(rows[x], rows[y], d)
             if cost / d.values[x, y] > worst:
                 worst, witness = cost / d.values[x, y], (rows[x], rows[y], d, tree, cost)
         phi = _certify(*witness)[0]

@@ -67,33 +67,51 @@ _TRIANGLE_BLOCK = 1 << 14
 class ProbMeasure:
     """Finitely supported measure: distinct vertex ids with masses.
 
-    Total mass must be 1 within 1e-12.
+    Vertex ids are nonnegative integers; an integral float counts as one,
+    a bool, a fractional or a negative id is a ValidationError.  Whether
+    an id is a vertex of the metric is checked by ``wasserstein`` and
+    ``dual_certificate``.  Total mass must be 1 within 1e-12.
     """
 
     support: np.ndarray
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        supp = np.asarray(self.support, dtype=int)
+        ids = np.asarray(self.support)
         mass = np.asarray(self.mass, dtype=float)
-        if supp.ndim != 1 or supp.shape != mass.shape:
+        if ids.ndim != 1 or ids.shape != mass.shape:
             raise ValidationError("support and mass must be matching 1-d arrays")
-        if supp.size == 0:
+        if ids.size == 0:
             raise ValidationError("measure needs nonempty support")
+        with np.errstate(invalid="ignore"):  # NaN and huge floats cast to garbage, caught below
+            supp = ids.astype(int) if ids.dtype.kind in "iuf" else ids
+        if (ids.dtype.kind not in "iuf" or np.any(supp < 0) or np.any(supp != ids)
+                or not isinstance(self.support, np.ndarray)
+                and any(isinstance(s, (bool, np.bool_)) for s in self.support)):
+            raise ValidationError("vertex ids must be nonnegative integers, not bools")
         if np.unique(supp).size != supp.size:
             raise ValidationError("support entries must be distinct")
         if np.any(mass < -MASS_TOL) or not np.all(np.isfinite(mass)):
             raise ValidationError("masses must be nonnegative")
         mass = np.maximum(mass, 0.0)
-        if abs(mass.sum() - 1.0) > MASS_TOL:
-            raise ValidationError(f"masses must sum to 1, got {mass.sum()!r}")
+        _check_total(mass)
         order = np.argsort(supp)
-        supp = supp[order]
-        mass = mass[order]
+        self._freeze(supp[order], mass[order])
+
+    def _freeze(self, supp: np.ndarray, mass: np.ndarray) -> None:
         supp.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "support", supp)
         object.__setattr__(self, "mass", mass)
+
+    @classmethod
+    def _trusted(cls, supp: np.ndarray, mass: np.ndarray) -> "ProbMeasure":
+        """``cls(supp, mass)`` checking only the total: for fresh arrays of
+        sorted distinct vertex ids and finite masses >= 0."""
+        _check_total(mass)
+        measure = object.__new__(cls)
+        measure._freeze(supp, mass)
+        return measure
 
     @classmethod
     def delta(cls, x: int) -> "ProbMeasure":
@@ -102,8 +120,7 @@ class ProbMeasure:
     @classmethod
     def from_dict(cls, masses: dict[int, float]) -> "ProbMeasure":
         items = sorted(masses.items())
-        return cls(np.array([k for k, _ in items]),
-                   np.array([v for _, v in items]))
+        return cls([k for k, _ in items], [v for _, v in items])
 
     def total(self) -> float:
         return float(self.mass.sum())
@@ -113,6 +130,11 @@ class ProbMeasure:
             return NotImplemented
         return (np.array_equal(self.support, other.support)
                 and np.array_equal(self.mass, other.mass))
+
+
+def _check_total(mass: np.ndarray) -> None:
+    if abs(mass.sum() - 1.0) > MASS_TOL:
+        raise ValidationError(f"masses must sum to 1, got {mass.sum()!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,19 +238,19 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray,
     both, until the last cell closes the last row.  Each closed line hangs
     on a line closed later, so the n1 + n2 - 1 cells form a tree."""
     ra, rb = a.tolist(), b.tolist()  # None once the line is closed
-    open_rows, open_cols = a.size, b.size
-    cells, order = [], iter(np.argsort(np.ravel(c), kind="stable").tolist())
-    while open_rows:
-        i, j = divmod(next(order), b.size)
-        if ra[i] is None or rb[j] is None:
+    n2, open_rows, open_cols, cells = b.size, a.size, b.size, []
+    for cell in np.argsort(np.ravel(c), kind="stable").tolist():
+        i, j = divmod(cell, n2)
+        ai, bj = ra[i], rb[j]
+        if ai is None or bj is None:
             continue
         cells.append((i, j))
-        if (ra[i] <= rb[j] and open_rows > 1) or open_cols == 1:
-            rb[j] -= ra[i]
-            ra[i], open_rows = None, open_rows - 1
+        if (ai <= bj and open_rows > 1) or open_cols == 1:
+            rb[j], ra[i], open_rows = bj - ai, None, open_rows - 1
+            if not open_rows:
+                return cells
         else:
-            ra[i] -= rb[j]
-            rb[j], open_cols = None, open_cols - 1
+            ra[i], rb[j], open_cols = ai - bj, None, open_cols - 1
     return cells
 
 
@@ -304,14 +326,20 @@ def _entering(c: list, duals: list, tol: float, basic, frozen, bland: bool) -> t
     return enter
 
 
+def _scale(c: list[list[float]]) -> float:
+    """max(1, largest cost): the scale of the entering and certificate
+    tolerances."""
+    return max(1.0, max(map(max, c)))
+
+
 def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
-                       cells: list[tuple[int, int]],
+                       cells: list[tuple[int, int]], scale: float,
                        frozen: frozenset | set = frozenset()) -> tuple[tuple, int]:
     """The optimal tree's (duals, parent, flows), as ``_tree`` gives them,
     and the pivot count, from the feasible tree ``cells``.
 
     Cold starts pass ``_least_cost_basis``, which leaves few pivots.  Cells
-    enter by ``_entering`` below -ENTER_TOL x max(1, max c), by Bland's rule
+    enter by ``_entering`` below -ENTER_TOL x ``scale`` (``_scale(c)``), by Bland's rule
     after a degenerate pivot until flow moves; the losing cell of least
     flow leaves, ties within roundoff relative to it to the smallest, so a
     degenerate run follows Bland's rule and cannot cycle.  An optimal start
@@ -320,8 +348,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
     the leaving one, duals are re-derived on the re-hung subtree.  A final
     flow below ``_flow_floor`` raises SolverError.
     """
-    n1 = a.size
-    tol = ENTER_TOL * max(1.0, max(map(max, c)))
+    n1, tol = a.size, ENTER_TOL * scale
     supply = a.tolist() + (-b).tolist()
     tree = duals, parent, flows = _start_tree(cells, c, supply)
     enter, pivots = _entering(c, duals, tol, flows, frozen, False), 0
@@ -333,12 +360,14 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                 depth[k] = depth[parent[k]] + 1
                 stack.extend(children[k])
 
-        nodes, depth, basic = range(len(supply)), [0] * len(supply), set(flows)
-        pflow = [flows[_cell(k, parent[k], n1)] if k else 0.0 for k in nodes]
+        nodes, basic = range(len(supply)), set(flows)
+        depth, pflow = [0] * len(supply), [0.0] * len(supply)
         children: list[list[int]] = [[] for _ in nodes]
-        for k in nodes[1:]:
+        # ``_tree`` peels leaves first, so its flows run root first in reverse
+        for (i, j), f in reversed(flows.items()):
+            k = i if parent[i] == n1 + j else n1 + j
+            depth[k], pflow[k] = depth[parent[k]] + 1, f
             children[parent[k]].append(k)
-        hang(list(children[0]))
     while enter is not None:
         if (pivots := pivots + 1) > MAX_PIVOTS:
             raise SolverError(f"transport simplex exceeded {MAX_PIVOTS} pivots")
@@ -398,22 +427,33 @@ def _check_supports_connected(mu1: ProbMeasure, mu2: ProbMeasure,
 
 def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
            cells: list[tuple[int, int]] | None = None,
-           ) -> tuple[float, tuple, np.ndarray | None]:
+           ) -> tuple[float, tuple, np.ndarray | None, list[list[float]], float]:
     """W, the optimal tree's (duals, parent, flows) as ``_tree`` gives them
-    (nodes and cells by support index), and under ``transport_audit`` the
-    potential that certifies W from that tree's own duals (else None).
-    ``cells`` is the starting tree; None starts from the least-cost tree."""
+    (nodes and cells by support index), under ``transport_audit`` the
+    potential that certifies W from that tree's own duals (else None), and
+    the cost list with its ``_scale``.  ``cells`` is the starting tree;
+    None starts from the least-cost tree.  Vertex ids are not checked
+    against ``d``."""
     cost = _check_supports_connected(mu1, mu2, d)
     c = cost.tolist()
+    scale = _scale(c)
     start = _least_cost_basis(mu1.mass, mu2.mass, cost) if cells is None else cells
-    tree, pivots = _transport_simplex(mu1.mass, mu2.mass, c, start)
+    tree, pivots = _transport_simplex(mu1.mass, mu2.mass, c, start, scale)
     w = sum(f * c[i][j] for (i, j), f in sorted(tree[2].items()) if f > 0)
     phi = None
     if _LEDGERS.get():
         _require_metric(d)
-        phi, gap = _certify(mu1, mu2, d, tree, w, max(1.0, float(np.max(cost))))
+        phi, gap = _certify(mu1, mu2, d, tree, w, scale)
         _record(1, cells is not None, pivots, gap)
-    return max(w, 0.0), tree, phi
+    return max(w, 0.0), tree, phi, c, scale
+
+
+def _check_vertices(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix) -> None:
+    """ValidationError unless both supports are vertices of ``d``."""
+    top = int(max(mu1.support[-1], mu2.support[-1]))  # supports are sorted
+    if top >= d.n:
+        raise ValidationError(f"vertex {top} of a support is not among the {d.n} "
+                              "vertices of d")
 
 
 def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
@@ -423,9 +463,10 @@ def wasserstein(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     Supports must lie in one connected component of ``d``.  The returned
     plan attains the cost and carries the optimal basis for
     certification.  Identical measures take no pivot: their least-cost
-    tree is optimal.
+    tree is optimal.  A support vertex outside ``d`` is a ValidationError.
     """
-    w, (_, _, flows), _ = _solve(mu1, mu2, d)
+    _check_vertices(mu1, mu2, d)
+    w, (_, _, flows), *_ = _solve(mu1, mu2, d)
     sx, sy = mu1.support.tolist(), mu2.support.tolist()
     basic = sorted(flows)
     plan = TransportPlan({(sx[i], sy[j]): flows[i, j] for i, j in basic if flows[i, j] > 0},
@@ -488,19 +529,23 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     hand-built plan) is measured against the optimal tree of a fresh
     solve.  The potential is 1-Lipschitz as ``d`` is a metric, checked
     once per distance matrix (else CertificateError).  A plan between
-    other measures raises ValidationError; a gap not within tolerance (or
-    NaN) raises CertificateError, naming the gap.
+    other measures, or a support vertex outside ``d``, raises
+    ValidationError; a gap not within tolerance (or NaN) raises
+    CertificateError, naming the gap.
     """
     if not (plan.source_marginal == mu1 and plan.target_marginal == mu2):
         raise ValidationError("the plan's marginals are not mu1 and mu2")
+    _check_vertices(mu1, mu2, d)
     _require_metric(d)
     cost = _check_supports_connected(mu1, mu2, d)
+    c = cost.tolist()
+    scale = _scale(c)  # _require_metric has refused a NaN, so this is np.max's
     cells = _local_cells(mu1, mu2, plan.basic_cells or ())
-    tree = cells and _tree(cells, cost.tolist(), mu1.mass.tolist() + (-mu2.mass).tolist())
+    tree = cells and _tree(cells, c, mu1.mass.tolist() + (-mu2.mass).tolist())
     if not tree:
-        tree, _ = _transport_simplex(mu1.mass, mu2.mass, cost.tolist(),
-                                     _least_cost_basis(mu1.mass, mu2.mass, cost))
-    return _certify(mu1, mu2, d, tree, plan.cost(d), max(1.0, float(np.max(cost))))
+        tree, _ = _transport_simplex(mu1.mass, mu2.mass, c,
+                                     _least_cost_basis(mu1.mass, mu2.mass, cost), scale)
+    return _certify(mu1, mu2, d, tree, plan.cost(d), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +642,7 @@ class _Batch:
         trees = {}
         for k in solve:
             cells = self.trees[k] and self.trees[k][0]  # None on the first call: cold
-            w[k], (_, _, flows), _ = _solve(*self.pairs[k], d, cells)
+            w[k], (_, _, flows), *_ = _solve(*self.pairs[k], d, cells)
             trees[k] = sorted(flows)
         if trees:
             self._keep(trees)
@@ -652,7 +697,8 @@ def constrained_transport_max(
     n1, n2 = len(sx), len(sy)
     c1 = [[float((i, j) in barred) for j in range(n2)] for i in range(n1)]
     (duals, _, flows), _ = _transport_simplex(mu.mass, nu.mass, c1,
-                                              _least_cost_basis(mu.mass, nu.mass, c1))
+                                              _least_cost_basis(mu.mass, nu.mass, c1),
+                                              _scale(c1))
     if sum(f for e, f in flows.items() if e in barred) > FEAS_TOL:
         raise InfeasibleError(blocked)
     # phase-1 duals are sums of 0/1 costs, so zero reduced costs are exact
@@ -660,7 +706,8 @@ def constrained_transport_max(
               if (i, j) in barred or duals[i] + duals[n1 + j] != 0.0}
     dxy = d0.value(x, y)
     c2 = [[h / dxy - 1.0 for h in row] for row in hop]
-    (_, _, flows), _ = _transport_simplex(mu.mass, nu.mass, c2, list(flows), frozen)
+    (_, _, flows), _ = _transport_simplex(mu.mass, nu.mass, c2, list(flows), _scale(c2),
+                                          frozen)
 
     plan = TransportPlan({(sx[i], sy[j]): f for (i, j), f in flows.items() if f > 0},
                          mu, nu)

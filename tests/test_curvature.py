@@ -73,6 +73,58 @@ def test_vertex_measure_equals_the_checked_per_neighbour_measure():
                 assert not (mu.support.flags.writeable or mu.mass.flags.writeable)
 
 
+def _walk_graph(rng, n: int, degree: float) -> WeightedGraph:
+    """A path plus random chords on vertices 0..n-2 with deg = ``degree``
+    (m = w / degree), and vertex n-1 isolated."""
+    edges = [(v - 1, v, float(rng.uniform(0.5, 2.0)), 1.0) for v in range(1, n - 1)]
+    edges += [(u, v, float(rng.uniform(0.5, 2.0)), 1.0) for u in range(n - 1)
+              for v in range(u + 2, n - 1) if rng.uniform() < 0.3]
+    w = np.zeros((n, n))
+    for u, v, wt, _ in edges:
+        w[u, v] = w[v, u] = wt
+    return WeightedGraph.from_edges(n, edges, measure=np.r_[w.sum(axis=1)[:-1] / degree, 1.0])
+
+
+@pytest.mark.parametrize("degree", [0.8, 1.0])
+@pytest.mark.parametrize("alpha", [None, 1e-3, 1.0])
+def test_vertex_measure_equals_the_validating_constructor(degree, alpha):
+    # the walk measure skips the constructor's checks; what it builds must be
+    # what the constructor builds from the same ids and masses, bit for bit
+    for seed in range(10):
+        rng = np.random.default_rng([seed, int(degree * 10)])
+        g = _walk_graph(rng, int(rng.integers(3, 12)), degree)
+        for x in range(g.n):
+            scale = 1.0 if alpha is None else alpha
+            supp = [int(z) for z in g.neighbors(x)]
+            mass = [scale * g.weights[x, z] / g.measure[x] for z in supp]
+            stay = max(1.0 - scale * g.degree(x), 0.0)
+            if stay > curvature.DEG_TOL or not supp:
+                supp, mass = supp + [x], mass + [stay]
+            ref = ProbMeasure(np.array(supp), np.array(mass))
+            mu = vertex_measure(g, x, alpha)
+            for got, want in ((mu.support, ref.support), (mu.mass, ref.mass)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        assert vertex_measure(g, g.n - 1, alpha) == ProbMeasure.delta(g.n - 1)
+
+
+def test_vertex_measure_keeps_the_total_check():
+    # deg(0) lies within DEG_TOL of 1, but the rounded masses sum past
+    # 1 + MASS_TOL: the walk measure raises what the constructor raises
+    w = [0.9046800706458055, 0.5614602859042921, 0.5247914532927936,
+         1.7199053588004087, 1.8691333659165825]
+    g = WeightedGraph.from_edges(6, [(0, i + 1, wt, 1.0) for i, wt in enumerate(w)],
+                                 measure=[5.579970534554302] + [10.0] * 5)
+    assert g.degree(0) <= 1.0 + curvature.DEG_TOL
+    with pytest.raises(ValidationError) as full:
+        ProbMeasure(np.arange(1, 6), g.weights[0, 1:] / g.measure[0])
+    assert "masses must sum to 1" in str(full.value)
+    for alpha in (None, 1.0):
+        with pytest.raises(ValidationError) as lean:
+            vertex_measure(g, 0, alpha)
+        assert str(lean.value) == str(full.value)
+
+
 def test_vertex_measure_rejects_large_degree():
     heavy = WeightedGraph.from_edges(2, [(0, 1, 3.0, 1.0)], measure=[1.0, 1.0])
     with pytest.raises(ValidationError):
@@ -207,14 +259,14 @@ def test_lly_audit_rejects_a_corrupted_slope_or_potential(monkeypatch):
         return duals, parent, {e: 2.0 * f for e, f in flows.items()}
 
     def shifted_potential(*args, **kwargs):
-        w, tree, phi = solve(*args, **kwargs)
+        w, tree, phi, *costs = solve(*args, **kwargs)
         if phi is not None:
             phi = phi + 1e-3 * (np.arange(phi.size) == 1)  # moves phi(y)
-        return w, tree, phi
+        return w, tree, phi, *costs
 
     def nan_potential(*args, **kwargs):
-        w, tree, phi = solve(*args, **kwargs)
-        return w, tree, None if phi is None else phi * np.nan  # NaN gaps fail too
+        w, tree, phi, *costs = solve(*args, **kwargs)
+        return w, tree, None if phi is None else phi * np.nan, *costs  # NaN gaps fail too
 
     for name, corrupt in (("_tree", doubled_flows), ("_solve", shifted_potential),
                           ("_solve", nan_potential)):
@@ -270,7 +322,7 @@ def test_lly_audit_certifies_each_value_once(monkeypatch):
                 mu, nu = vertex_measure(g, u, alpha), vertex_measure(g, v, alpha)
                 assert transport._solve(mu, nu, d)[2] is None  # unaudited
                 with transport_audit():
-                    _, _, phi = transport._solve(mu, nu, d)
+                    _, _, phi, *_ = transport._solve(mu, nu, d)
                 _, plan = wasserstein(mu, nu, d)
                 assert np.array_equal(phi, dual_certificate(mu, nu, d, plan)[0])
                 checked += 1

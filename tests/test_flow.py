@@ -408,7 +408,7 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     seeded = batch.trees[0]
     w = batch.price(d)
     assert (batch.trees[0] is not seeded) == pivots
-    cost, (_, _, flows), _ = _solve(mu, nu, d, cells)
+    cost, (_, _, flows), *_ = _solve(mu, nu, d, cells)
     assert (sorted(flows) != cells) == pivots
     assert batch.trees[0][0] == sorted(flows)
     assert w[0] == cost
@@ -434,7 +434,7 @@ def test_batch_rebuilds_only_the_re_solved_edges():
         w = batch.price(d)
         assert all(getattr(batch, name) is a for name, a in zip(names, layout))
         for k, ((mu, nu), old, tree) in enumerate(zip(pairs, trees, batch.trees, strict=True)):
-            cost, (_, _, flows), _ = _solve(mu, nu, d, old and old[0])
+            cost, (_, _, flows), *_ = _solve(mu, nu, d, old and old[0])
             assert w[k] == cost  # bit for bit
             assert tree[0] == sorted(flows)
             if n and tree[0] == old[0]:

@@ -251,3 +251,31 @@ def test_with_lengths_equals_constructor_and_shares_arrays():
     assert g.lengths is not lean.lengths
     assert not lean.lengths.flags.writeable
     assert not lean.weights.flags.writeable and not lean.measure.flags.writeable
+
+
+def test_path_metric_is_kept_per_graph(monkeypatch):
+    from curvflow import curvature_report, kappa_lly, transport
+    from curvflow.transport import transport_audit
+
+    g = random_flow_graph(np.random.default_rng(6), 9)
+    d = shortest_path_metric(g)
+    assert shortest_path_metric(g) is d
+    # a copy with other lengths has the metric of its own lengths, not g's
+    lengths = 2.0 * g.lengths
+    copy = g.with_lengths(lengths)
+    fresh = shortest_path_metric(WeightedGraph(g.n, g.weights, g.measure, lengths))
+    assert np.array_equal(shortest_path_metric(copy).values, fresh.values)
+    assert np.array_equal(shortest_path_metric(copy).values, 2.0 * d.values)
+    assert shortest_path_metric(g) is d
+    # one triangle scan per graph across a report and per-edge kappa_lly calls
+    scans = []
+    require = transport._require_metric
+    monkeypatch.setattr(transport, "_require_metric",
+                        lambda m: (m._is_metric or scans.append(m), require(m)))
+    h = random_flow_graph(np.random.default_rng(7), 9)
+    with transport_audit():
+        curvature_report(h, kind="lly")
+        for u, v in h.edges():
+            kappa_lly(h, shortest_path_metric(h), u, v)
+        curvature_report(h)
+    assert scans == [shortest_path_metric(h)]

@@ -140,7 +140,7 @@ def _check_both_starts(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> None:
     assert dense.status == "optimal"
     values = []
     for cells in (start, northwest_basis(a, b)):
-        (_, _, flows), _ = transport._transport_simplex(a, b, c, cells)
+        (_, _, flows), _ = transport._transport_simplex(a, b, c, cells, scale)
         values.append(sum(f * c[i][j] for (i, j), f in flows.items()))
     assert abs(values[0] - values[1]) <= 1e-12 * scale
     assert abs(values[0] - dense.value) <= 1e-12 * scale
@@ -207,7 +207,7 @@ def test_network_simplex_is_optimal_and_matches_the_bland_oracle(problem):
     c, n1 = cost.tolist(), a.size
     supply = a.tolist() + (-b).tolist()
     scale = max(1.0, float(cost.max()))
-    (duals, _, flows), _ = transport._transport_simplex(a, b, c, start, frozen)
+    (duals, _, flows), _ = transport._transport_simplex(a, b, c, start, scale, frozen)
     (_, _, oracle_flows), _ = bland_transport_simplex(a, b, c, start, frozen)
     value = sum(f * c[i][j] for (i, j), f in flows.items())
     assert abs(value - sum(f * c[i][j] for (i, j), f in oracle_flows.items())) <= 1e-12 * scale
@@ -249,7 +249,7 @@ def test_bland_fallback_after_degenerate_pivots(monkeypatch):
         return entering(*args)
 
     monkeypatch.setattr(transport, "_entering", counted)
-    (_, _, flows), pivots = transport._transport_simplex(a, b, c, start)
+    (_, _, flows), pivots = transport._transport_simplex(a, b, c, start, transport._scale(c))
     assert (pivots, sum(rules)) == (11, 8)
     (_, _, oracle_flows), oracle_pivots = bland_transport_simplex(a, b, c, start)
     assert oracle_pivots == 14
@@ -262,10 +262,10 @@ def test_network_simplex_errors(monkeypatch):
     a, b, c = _DEGENERATE
     start = northwest_basis(a, b)
     monkeypatch.setattr(transport, "MAX_PIVOTS", 11)
-    assert transport._transport_simplex(a, b, c, start)[1] == 11
+    assert transport._transport_simplex(a, b, c, start, transport._scale(c))[1] == 11
     monkeypatch.setattr(transport, "MAX_PIVOTS", 10)
     with pytest.raises(SolverError, match="exceeded 10 pivots"):
-        transport._transport_simplex(a, b, c, start)
+        transport._transport_simplex(a, b, c, start, transport._scale(c))
     monkeypatch.undo()
     # flows are moved, never re-peeled, so the final check must catch a
     # start tree whose flow went wrong after its own check
@@ -277,7 +277,7 @@ def test_network_simplex_errors(monkeypatch):
 
     monkeypatch.setattr(transport, "_start_tree", corrupted)
     with pytest.raises(SolverError, match="negative flow"):
-        transport._transport_simplex(a, b, c, start)
+        transport._transport_simplex(a, b, c, start, transport._scale(c))
 
 
 def test_rank_deficient_systems():

@@ -44,6 +44,41 @@ def test_measure_validation():
         ProbMeasure(np.array([0, 1]), np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("ids", [[-1], [0.7], [True], [np.True_], [True, 2], np.array([True]),
+                                 [np.nan], [np.inf], [1e30], np.array([2**63], dtype=np.uint64),
+                                 ["1"]])
+def test_measure_rejects_bad_vertex_ids(ids):
+    # on the path 0-1-2 they used to wrap to vertex 2, truncate to 0 or
+    # read True as 1; a bool mixed into ints is refused as well
+    mass = np.full(len(ids), 1.0 / len(ids))
+    with pytest.raises(ValidationError, match="nonnegative integers"):
+        ProbMeasure(ids, mass)
+    if len(ids) == 1 and isinstance(ids, list):
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            ProbMeasure.from_dict({ids[0]: 1.0})
+
+
+def test_measure_takes_integral_ids_of_any_integer_or_float_type():
+    for ids in ([2, 0], (2, 0), np.array([2, 0], dtype=np.uint8), np.array([2.0, 0.0])):
+        mu = ProbMeasure(ids, [0.25, 0.75])
+        assert mu.support.tolist() == [0, 2] and mu.support.dtype == np.array([0]).dtype
+        assert mu.mass.tolist() == [0.75, 0.25]
+
+
+def test_transport_rejects_ids_outside_the_metric():
+    g = path_graph([1.0, 2.0])
+    d = shortest_path_metric(g)
+    far = ProbMeasure([5], [1.0])
+    mu, nu = ProbMeasure.delta(0), ProbMeasure.from_dict({0: 0.5, 2: 0.5})
+    _, plan = wasserstein(mu, nu, d)
+    for pair in ((far, mu), (mu, far), (ProbMeasure([0, 3], [0.5, 0.5]), nu)):
+        with pytest.raises(ValidationError, match="not among the 3 vertices"):
+            wasserstein(*pair, d)
+    with pytest.raises(ValidationError, match="vertex 2 of a support is not among the 2"):
+        dual_certificate(mu, nu, DistanceMatrix(d.values[:2, :2]), plan)
+    assert wasserstein(ProbMeasure([2.0], [1.0]), mu, d)[0] == 3.0
+
+
 def test_plan_marginal_validation():
     mu = ProbMeasure.delta(0)
     nu = ProbMeasure.delta(1)
@@ -612,8 +647,10 @@ def test_metric_check_runs_once_per_distance_matrix(monkeypatch):
             _, plan = wasserstein(mus[0], mu, d)
             dual_certificate(mus[0], mu, d, plan)
         assert len(checks) == 1 and audit.count == g.n
-        curvature_report(g)  # one evaluator, one metric of its own
-        assert len(checks) == 2 and audit.count == g.n + g.edge_count()
+        curvature_report(g)  # the graph's kept metric is d itself: no new check
+        assert len(checks) == 1 and audit.count == g.n + g.edge_count()
+        curvature_report(g.with_lengths(g.lengths))  # a copy's metric is its own
+        assert len(checks) == 2 and audit.count == g.n + 2 * g.edge_count()
         wasserstein(mus[0], mus[1], d.scaled(2.0))
     assert len(checks) == 3
 
@@ -729,7 +766,7 @@ def test_solve_returns_the_tree_of_its_own_cells():
     for kind in ("uniform", "integer", "equal"):
         for n1, n2 in _SHAPES * 10 + [(6, 6), (7, 5), (5, 8)] * 10:
             mu1, mu2, d, cost = _cost_instance(rng, n1, n2, kind)
-            _, (duals, parent, flows), _ = _solve(mu1, mu2, d)
+            _, (duals, parent, flows), *_ = _solve(mu1, mu2, d)
             cells = sorted(flows)
             peel = _tree(cells, cost.tolist(), mu1.mass.tolist() + (-mu2.mass).tolist())
             assert peel[0] == duals and peel[1] == parent
@@ -754,7 +791,7 @@ def test_warm_start_from_a_stale_basis():
         d2 = shortest_path_metric(g.with_lengths(np.maximum(lengths, lengths.T)))
         cold, _ = wasserstein(mu1, mu2, d2)
         with transport_audit() as audit:
-            warm, (_, _, flows), _ = _solve(mu1, mu2, d2, stale)
+            warm, (_, _, flows), *_ = _solve(mu1, mu2, d2, stale)
         assert audit.warm == audit.count == 1
         assert abs(warm - cold) <= 1e-12 * max(1.0, float(d2.values[np.isfinite(d2.values)].max()))
         cost = d2.values[np.ix_(mu1.support, mu2.support)]
@@ -811,7 +848,7 @@ def test_starting_tree_meets_the_final_flow_bound(shift, feasible):
     c = d.values[np.ix_(mu1.support, mu2.support)].tolist()
     supply = mu1.mass.tolist() + (-mu2.mass).tolist()
     if feasible:
-        cost, (_, _, flows), _ = _solve(mu1, mu2, d, cells)
+        cost, (_, _, flows), *_ = _solve(mu1, mu2, d, cells)
         assert cost == pytest.approx(1.0, abs=1e-12)  # the -shift flow is left out
         assert sorted(flows) == cells
         flows = _start_tree(cells, c, supply)[2]
