@@ -153,7 +153,7 @@ def emit_trace(rows: list[dict], fmt: str, path: str) -> None:
         if fmt == "csv":
             lines = [TRACE_HEADER]
             for row in rows:
-                lines.append(",".join(_fmt(row.get(k)) for k in TRACE_KEYS))
+                lines.append(",".join(map(_fmt, map(row.get, TRACE_KEYS))))
             payload = "\n".join(lines) + "\n"
         elif fmt == "json":
             payload = _dump_json([{k: row.get(k) for k in TRACE_KEYS} for row in rows])
@@ -316,14 +316,11 @@ def _cmd_flow(args) -> tuple[int, dict, list[dict]]:
                                 tolerance=args.tol,
                                 max_iterations=args.max_iter)
     result = ricci_flow.run_flow(g, cfg)
-    rows = []
-    for r in result.final.trace:
-        rows.append({
-            "n": r.n, "lambda_plus": r.lambda_plus, "lambda_minus": r.lambda_minus,
-            "delta_sup": r.delta_sup,
-            "curvature_min": r.kappa.min, "curvature_max": r.kappa.max,
-            "deleted_edge": ";".join(f"{u}-{v}" for u, v in r.deleted_edges) or None,
-        })
+    rows = [{"n": r.n, "lambda_plus": r.lambda_plus, "lambda_minus": r.lambda_minus,
+             "delta_sup": r.delta_sup,
+             "curvature_min": r.curvature_min, "curvature_max": r.curvature_max,
+             "deleted_edge": ";".join(f"{u}-{v}" for u, v in r.deleted_edges) or None}
+            for r in result.final.trace]
     payload = {
         "status": result.status,
         "iterations": result.final.iteration,

@@ -240,24 +240,30 @@ def shortest_path_metric(g: WeightedGraph) -> DistanceMatrix:
     computes its own.
     """
     if g._metric is None:
-        object.__setattr__(g, "_metric", _path_metric(g.weights > 0, g.lengths))
+        adj = _readonly(g.weights > 0, bool)
+        object.__setattr__(g, "_metric", _path_metric(adj, np.where(adj, g.lengths, np.inf)))
     return g._metric
 
 
-def _path_metric(adj: np.ndarray, lengths: np.ndarray) -> DistanceMatrix:
-    """``shortest_path_metric`` of the edge mask ``adj`` with ``lengths``."""
-    d = np.where(adj, lengths, np.inf)
+def _path_metric(adj: np.ndarray, d: np.ndarray) -> DistanceMatrix:
+    """The path metric of the fresh array ``d`` of edge lengths on the
+    read-only edge mask ``adj``, inf off it: Floyd-Warshall in ``d``, which
+    the result keeps (no copies)."""
     np.fill_diagonal(d, 0.0)
     # a sum past the float range is longer than every path, so it never wins
     with np.errstate(over="ignore"):
         for k in range(d.shape[0]):
             np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return DistanceMatrix(d, edge_mask=adj)
+    d.setflags(write=False)
+    metric = object.__new__(DistanceMatrix)
+    metric.__dict__.update(values=d, edge_mask=adj, _is_metric=False)
+    return metric
 
 
 def combinatorial_metric(g: WeightedGraph) -> DistanceMatrix:
     """Path metric with every edge length set to one (hop distance)."""
-    return _path_metric(g.weights > 0, np.ones((g.n, g.n)))
+    adj = _readonly(g.weights > 0, bool)
+    return _path_metric(adj, np.where(adj, 1.0, np.inf))
 
 
 def laplacian_apply(g: WeightedGraph, f: np.ndarray) -> np.ndarray:

@@ -347,9 +347,12 @@ def _resolvent_tv(g: WeightedGraph, eps: float):
     reach = eps * float(np.max(g.degrees()))
 
     def solve(f: np.ndarray, x0: np.ndarray | None = None):
+        scale = max(float(np.max(np.abs(f))), reach)
+        if not np.isfinite(4.0 * scale):  # bounds every |f_v - f_u| and |g_v - g_u|
+            raise ValidationError(f"the p = 1 resolvent at eps = {eps:g} is past the float range")
         s = np.sign(f[iv] - f[iu])
         free = s == 0
-        tol = KKT_TOL * max(float(np.max(np.abs(f))), reach)
+        tol = KKT_TOL * scale
         steps = 0
         while True:
             while free.any():

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .chains import _period2
 from .curvature import CurvatureReport, _walks
 from .errors import ValidationError
-from .graphs import WeightedGraph, _component_groups, _path_metric
+from .graphs import WeightedGraph, _component_groups, _path_metric, _readonly
 from .transport import _Batch, wasserstein  # wasserstein: perfbench's tracer test pins it
 
 __all__ = [
@@ -86,39 +87,62 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowTraceRow:
+    """Step ``n``'s scalars and deleted edges, which rows compare by;
+    ``kappa`` and ``normalized`` (the metric left after the deletions, by
+    edge, component by component) are built from vectors when first read."""
+
     n: int
-    kappa: CurvatureReport
-    normalized: dict[tuple[int, int], float]
-    lambda_plus: float
+    lambda_plus: float  # the extremes of log(1 - alpha kappa) over the step's edges
     lambda_minus: float
     delta_sup: float  # sup over edges of |log change| of the normalized metric
-    deleted_edges: tuple[tuple[int, int], ...] = ()
+    curvature_min: float
+    curvature_max: float
+    deleted_edges: tuple[tuple[int, int], ...]
+    _kappa: tuple = field(repr=False, compare=False)  # the step's (edges, groups, kappa)
+    _unit: tuple = field(repr=False, compare=False)  # the same of the normalized metric left
+
+    @cached_property
+    def kappa(self) -> CurvatureReport:
+        edges, groups, kappa = self._kappa
+        return CurvatureReport._from_groups(dict(zip(edges, kappa.tolist())), groups)
+
+    @cached_property
+    def normalized(self) -> dict[tuple[int, int], float]:
+        _, groups, unit = self._unit
+        return {e: v for _, edges, index in groups for e, v in zip(edges, unit[index].tolist())}
+
+    def _max_spread(self) -> float:  # ``kappa.max_spread``, from the vector
+        _, groups, kappa = self._kappa
+        return max((float(np.ptp(kappa[index])) for _, _, index in groups), default=0.0)
 
 
 @dataclass(frozen=True)
 class _Topology:
-    """What ``run_flow``'s steps share while the edge set stays: a graph
-    with its weights and measure, the edge list (edge-length vectors
-    follow it) with its endpoints, the per-component groups of edge
-    positions, and the ``transport._Batch`` that prices the edges (None
-    until ``_step`` builds it)."""
+    """What ``run_flow``'s steps share while the edge set stays: a graph with
+    its weights and measure, the edge list (edge-length vectors follow it) with
+    its endpoints, the per-component groups of edge positions, the read-only
+    edge mask, an (n, n) inf array, and the ``transport._Batch`` that prices
+    the edges (None until ``_step`` builds it)."""
 
     graph: WeightedGraph
     edges: tuple[tuple[int, int], ...]
     iu: np.ndarray
     iv: np.ndarray
     groups: list[tuple]
+    adj: np.ndarray
+    far: np.ndarray
     batch: _Batch | None = None
 
     @classmethod
     def of(cls, g: WeightedGraph) -> "_Topology":
         edges = tuple(g.edges())
         iu, iv = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-        return cls(g, edges, iu, iv, _component_groups(g, edges))
+        adj, far = _readonly(g.weights > 0, bool), np.full(g.weights.shape, np.inf)
+        return cls(g, edges, iu, iv, _component_groups(g, edges), adj, far)
 
-    def matrix(self, lengths: np.ndarray) -> np.ndarray:
-        """The (n, n) array holding ``lengths`` on the edges, 0 elsewhere."""
-        out = np.zeros(self.graph.weights.shape)
+    def matrix(self, lengths: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+        """A copy of ``base`` (by default (n, n) zeros) holding ``lengths`` on the edges."""
+        out = np.zeros(self.graph.weights.shape) if base is None else base.copy()
         out[self.iu, self.iv] = out[self.iv, self.iu] = lengths
         return out
 
@@ -164,43 +188,41 @@ def max_adjacent_ratio(g: WeightedGraph) -> float:
         return float((ln / _shortest_adjacent(g.n, iu, iv, ln)).max(initial=0.0))
 
 
-def _normalized(topo: _Topology, lengths: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``lengths`` divided by their maximum on each component: as a vector,
-    and as a dict by edge (component by component)."""
+def _normalized(topo: _Topology, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lengths`` divided by their maximum on each component, and the
+    ``math.log`` of each (``np.log`` may differ in the last ulp)."""
     unit = np.empty_like(lengths)
     for _, _, index in topo.groups:
         unit[index] = lengths[index] / lengths[index].max()
-    return unit, {e: v for _, edges, index in topo.groups
-                  for e, v in zip(edges, unit[index].tolist())}
+    return unit, np.fromiter(map(math.log, unit.tolist()), float, unit.size)
 
 
 def _step(topo: _Topology, lengths: np.ndarray, alpha: float, n: int,
-          prev: dict) -> tuple[_Topology, np.ndarray, np.ndarray, FlowTraceRow]:
+          logs: np.ndarray) -> tuple[_Topology, np.ndarray, np.ndarray, np.ndarray, FlowTraceRow]:
     """One flow step on the edge vector ``lengths``: the topology with its
-    batch, the new lengths, the same normalized per component, and trace
-    row ``n`` (``delta_sup`` against the normalized metric ``prev``, on
-    the same edges: the last row's, after its deletions)."""
-    d = _path_metric(topo.graph.weights > 0, topo.matrix(lengths))
+    batch, the new lengths, the same normalized per component, their logs,
+    and trace row ``n`` before deletion (``delta_sup`` against ``logs``,
+    the last row's normalized metric), all vectors in edge order."""
     if topo.batch is None:  # a new topology
         walk = _walks(topo.graph)
-        topo = replace(topo, batch=_Batch([(walk(u, None), walk(v, None)) for u, v in topo.edges]))
-    cost = topo.batch.price(d)
+        topo = replace(topo, batch=_Batch([(walk(u, None), walk(v, None)) for u, v in topo.edges],
+                                          topo.graph.n))
+    cost = topo.batch.price(_path_metric(topo.adj, topo.matrix(lengths, topo.far)))
     new = (1.0 - alpha) * lengths + alpha * cost
-    kappa = (1.0 - cost / lengths).tolist()
-    report = CurvatureReport._from_groups(dict(zip(topo.edges, kappa)), topo.groups)
-    log_inc = [math.log1p(-alpha * k) for k in kappa]
-    unit, norm = _normalized(topo, new)
-    delta = max((abs(math.log(norm[e]) - math.log(prev[e])) for e in norm), default=0.0)
-    row = FlowTraceRow(n, report, norm, max(log_inc, default=0.0), min(log_inc, default=0.0),
-                       delta)
-    return topo, new, unit, row
+    kappa = 1.0 - cost / lengths
+    unit, new_logs = _normalized(topo, new)
+    lo, hi = (float(kappa.min()), float(kappa.max())) if kappa.size else (0.0, 0.0)
+    # log1p is monotone: lambda+ and lambda- come from the extreme curvatures
+    lam = (math.log1p(-alpha * lo), math.log1p(-alpha * hi)) if kappa.size else (0.0, 0.0)
+    row = FlowTraceRow(n, *lam, float(np.abs(new_logs - logs).max(initial=0.0)), lo, hi, (),
+                       (topo.edges, topo.groups, kappa), (topo.edges, topo.groups, unit))
+    return topo, new, unit, new_logs, row
 
 
-def _delete(topo: _Topology, lengths: np.ndarray, C: float,
-            row: FlowTraceRow | None) -> tuple[list, _Topology, np.ndarray, FlowTraceRow | None]:
+def _delete(topo: _Topology, lengths: np.ndarray, C: float) -> tuple[list, _Topology, np.ndarray]:
     """Threshold deletion on the edge vector ``lengths``: the deleted edges,
     each with (length, shortest adjacent length), the topology left (a new
-    graph carries ``lengths``), ``lengths`` on it, and ``row`` updated."""
+    graph carries ``lengths``), and ``lengths`` on it."""
     alive, deleted, ln = np.arange(lengths.size), [], lengths
     # no edge can violate while max <= C x min, as C x min <= C x any adjacent length
     while ln.size and ln.max() > C * ln.min():
@@ -214,15 +236,12 @@ def _delete(topo: _Topology, lengths: np.ndarray, C: float,
         alive = np.delete(alive, k)
         ln = lengths[alive]
     if not deleted:
-        return deleted, topo, lengths, row
+        return deleted, topo, lengths
     w, ln = topo.graph.weights.copy(), topo.matrix(lengths)
     for (u, v), _ in deleted:
         w[u, v] = w[v, u] = ln[u, v] = ln[v, u] = 0.0
     topo = _Topology.of(WeightedGraph(topo.graph.n, w, topo.graph.measure, ln))
-    if row is not None:
-        row = replace(row, deleted_edges=row.deleted_edges + tuple(e for e, _ in deleted),
-                      normalized=_normalized(topo, lengths[alive])[1])
-    return deleted, topo, lengths[alive], row
+    return deleted, topo, lengths[alive]
 
 
 def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
@@ -251,34 +270,34 @@ def run_flow(g: WeightedGraph, cfg: FlowConfig | None = None) -> FlowResult:
         raise ValidationError(f"deletion threshold {cfg.deletion_threshold:g} must exceed "
                               f"the initial max adjacent length ratio {ratio:g}")
 
-    norm = _normalized(topo, lengths)[1]
+    logs = _normalized(topo, lengths)[1]
     log, trace, status = [], [], STATUS_MAX_ITER
-    # increments of the normalized log metric since the last deletion, in
-    # the edge order of row.normalized (fixed while the topology is)
+    # the last step's log metric, None after a deletion: increments stay on one topology
     lognorm, cycle = None, _period2(cfg.tolerance)
     for n in range(cfg.max_iterations):
-        topo, new, lengths, row = _step(topo, lengths, cfg.alpha, n, norm)
-        deleted, topo, new, row = _delete(topo, new, cfg.deletion_threshold, row)
+        topo, new, lengths, logs, row = _step(topo, lengths, cfg.alpha, n, logs)
+        deleted, topo, new = _delete(topo, new, cfg.deletion_threshold)
         trace.append(row)
-        norm = row.normalized
         if deleted:
             log += [(n + 1, e, lens) for e, lens in deleted]
-            lengths = _normalized(topo, new)[0]
+            lengths, logs = _normalized(topo, new)
+            trace[-1] = replace(row, deleted_edges=tuple(e for e, _ in deleted),
+                                _unit=(topo.edges, topo.groups, lengths))
             lognorm, cycle = None, _period2(cfg.tolerance)
-        elif row.delta_sup < cfg.tolerance and row.kappa.max_spread < cfg.tolerance:
+        elif row.delta_sup < cfg.tolerance and row._max_spread() < cfg.tolerance:
             status = STATUS_CONVERGED
             break
         else:
-            prev, lognorm = lognorm, np.array([math.log(v) for v in norm.values()])
+            prev, lognorm = lognorm, logs
             if prev is not None and cycle(lognorm - prev):
                 status = STATUS_OSCILLATION
                 break
 
-    kappa = trace[-1].kappa.values  # covers every edge left; norm is the final metric
+    kappa = trace[-1].kappa.values  # covers every edge left; lengths is the final metric
     return FlowResult(
         final=FlowState(topo.graph.with_lengths(topo.matrix(lengths)), len(trace),
                         tuple(log), tuple(trace)),
-        limits={root: {e: norm[e] for e in edges} for root, edges, _ in topo.groups},
+        limits={root: dict(zip(edges, lengths[i].tolist())) for root, edges, i in topo.groups},
         growth_rate={root: float(np.mean([math.log1p(-cfg.alpha * kappa[e]) for e in edges]))
                      for root, edges, _ in topo.groups},
         status=status)

@@ -299,13 +299,13 @@ def _flow_floor(supply: list[float]) -> float:
     return -MASS_TOL - abs(sum(supply))
 
 
-def _start_tree(cells, c: list[list[float]], supply: list[float]):
-    """``_tree`` of a starting basis, which must be a spanning tree of the
-    supports with no flow below ``_flow_floor`` (the bound the solver's
-    final flows meet), else ValidationError."""
-    on = all(0 <= i < len(c) and 0 <= j < len(supply) - len(c) for i, j in cells)
+def _start_tree(cells, c: list[list[float]], supply: list[float], spanning: bool = False):
+    """``_tree`` of a starting basis, which must be a spanning tree of the supports
+    (``spanning``: one by construction) with no flow below ``_flow_floor`` (the
+    bound the solver's final flows meet), else ValidationError."""
+    on = spanning or all(0 <= i < len(c) and 0 <= j < len(supply) - len(c) for i, j in cells)
     tree = _tree(cells, c, supply) if on else None
-    if tree is None or len(set(cells)) != len(supply) - 1:
+    if tree is None or not spanning and len(set(cells)) != len(supply) - 1:
         raise ValidationError("starting basis is not a spanning tree of the supports")
     if min(tree[2].values()) < _flow_floor(supply):
         raise ValidationError("starting basis is not primal feasible")
@@ -334,23 +334,24 @@ def _scale(c: list[list[float]]) -> float:
 
 def _transport_simplex(a: np.ndarray, b: np.ndarray, c: list[list[float]],
                        cells: list[tuple[int, int]], scale: float,
-                       frozen: frozenset | set = frozenset()) -> tuple[tuple, int]:
+                       frozen: frozenset | set = frozenset(),
+                       spanning: bool = False) -> tuple[tuple, int]:
     """The optimal tree's (duals, parent, flows), as ``_tree`` gives them,
     and the pivot count, from the feasible tree ``cells``.
 
-    Cold starts pass ``_least_cost_basis``, which leaves few pivots.  Cells
-    enter by ``_entering`` below -ENTER_TOL x ``scale`` (``_scale(c)``), by Bland's rule
-    after a degenerate pivot until flow moves; the losing cell of least
-    flow leaves, ties within roundoff relative to it to the smallest, so a
-    degenerate run follows Bland's rule and cannot cycle.  An optimal start
-    returns ``_start_tree``'s tree; else the tree is updated in place: flows
-    move by theta on the cycle, parents reverse from the entering cell to
-    the leaving one, duals are re-derived on the re-hung subtree.  A final
-    flow below ``_flow_floor`` raises SolverError.
+    Cold starts pass ``_least_cost_basis`` (``spanning``), which leaves few
+    pivots.  Cells enter by ``_entering`` below -ENTER_TOL x ``scale``
+    (``_scale(c)``), by Bland's rule after a degenerate pivot until flow
+    moves; the losing cell of least flow leaves, ties within roundoff relative
+    to it to the smallest, so a degenerate run follows Bland's rule and cannot
+    cycle.  An optimal start returns ``_start_tree``'s tree; else the tree is
+    updated in place: flows move by theta on the cycle, parents reverse from
+    the entering cell to the leaving one, duals are re-derived on the re-hung
+    subtree.  A final flow below ``_flow_floor`` raises SolverError.
     """
     n1, tol = a.size, ENTER_TOL * scale
     supply = a.tolist() + (-b).tolist()
-    tree = duals, parent, flows = _start_tree(cells, c, supply)
+    tree = duals, parent, flows = _start_tree(cells, c, supply, spanning)
     enter, pivots = _entering(c, duals, tol, flows, frozen, False), 0
     if enter is not None:  # keep the tree as parent, depth, children, parent-cell flow
         def hang(stack):  # duals and depths below, by dual = c - dual[parent]
@@ -438,7 +439,7 @@ def _solve(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     c = cost.tolist()
     scale = _scale(c)
     start = _least_cost_basis(mu1.mass, mu2.mass, cost) if cells is None else cells
-    tree, pivots = _transport_simplex(mu1.mass, mu2.mass, c, start, scale)
+    tree, pivots = _transport_simplex(mu1.mass, mu2.mass, c, start, scale, spanning=cells is None)
     w = sum(f * c[i][j] for (i, j), f in sorted(tree[2].items()) if f > 0)
     phi = None
     if _LEDGERS.get():
@@ -543,8 +544,8 @@ def dual_certificate(mu1: ProbMeasure, mu2: ProbMeasure, d: DistanceMatrix,
     cells = _local_cells(mu1, mu2, plan.basic_cells or ())
     tree = cells and _tree(cells, c, mu1.mass.tolist() + (-mu2.mass).tolist())
     if not tree:
-        tree, _ = _transport_simplex(mu1.mass, mu2.mass, c,
-                                     _least_cost_basis(mu1.mass, mu2.mass, cost), scale)
+        start = _least_cost_basis(mu1.mass, mu2.mass, cost)
+        tree, _ = _transport_simplex(mu1.mass, mu2.mass, c, start, scale, spanning=True)
     return _certify(mu1, mu2, d, tree, plan.cost(d), scale)
 
 
@@ -556,12 +557,12 @@ class _Batch:
     """Every edge's optimal transport tree between its two walk measures,
     for one topology, re-priced for all edges in one numpy pass per step.
 
-    The walk measures fix the layout: edge k's n1 x n2 cells, row-major
-    from ``cell_start[k]``, with their vertices (``cx``, ``cy``), edge
-    (``edge``) and tree nodes (``row``, ``col``: n1 + n2 nodes from
-    ``node_start[k]``, rows first).  ``trees[k]`` holds edge k's sorted
-    tree cells, its levels (node, parent cell, parent node, depth) and its
-    cells of positive flow with the flows ``_start_tree`` peels from them.
+    The walk measures fix the layout: edge k's n1 x n2 cells, row-major from
+    ``cell_start[k]``, with their vertex pairs as flat indices into an n x n
+    distance array (``flat``) and their tree nodes (``row``, ``col``: n1 + n2
+    nodes from ``node_start[k]``, rows first).  ``trees[k]`` holds edge k's
+    sorted tree cells, its levels (node, parent cell, parent node, depth) and
+    its cells of positive flow with the flows ``_start_tree`` peels from them.
 
     ``price`` solves every edge cold on its first call.  Later calls solve
     the duals one tree level at a time, one subtraction per node as in
@@ -573,19 +574,18 @@ class _Batch:
     ``_certify`` certifies it from the edge's slice of the duals.
     """
 
-    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]]) -> None:
+    def __init__(self, pairs: list[tuple[ProbMeasure, ProbMeasure]], n: int) -> None:
         self.pairs, self.trees, self.levels = pairs, [None] * len(pairs), None
         n1 = np.array([mu.support.size for mu, _ in pairs], dtype=np.intp)
         n2 = np.array([nu.support.size for _, nu in pairs], dtype=np.intp)
         self.cell_start = np.cumsum(np.r_[0, n1 * n2])
         self.node_start = np.cumsum(np.r_[0, n1 + n2])
-        self.edge = np.repeat(np.arange(len(pairs)), n1 * n2)
-        i, j = np.divmod(np.arange(self.cell_start[-1]) - self.cell_start[self.edge],
-                         n2[self.edge])
-        self.row = self.node_start[self.edge] + i
-        self.col = self.node_start[self.edge] + n1[self.edge] + j
-        self.cx = _join([np.repeat(mu.support, nu.support.size) for mu, nu in pairs])
-        self.cy = _join([np.tile(nu.support, mu.support.size) for mu, nu in pairs])
+        edge = np.repeat(np.arange(len(pairs)), n1 * n2)
+        i, j = np.divmod(np.arange(self.cell_start[-1]) - self.cell_start[edge], n2[edge])
+        self.row = self.node_start[edge] + i
+        self.col = self.node_start[edge] + n1[edge] + j
+        self.flat = (_join([np.repeat(mu.support, nu.support.size) for mu, nu in pairs]) * n
+                     + _join([np.tile(nu.support, mu.support.size) for mu, nu in pairs]))
 
     def _keep(self, trees: dict[int, list[tuple[int, int]]]) -> None:
         """Make each ``trees[k]``, the sorted cells of a spanning tree of
@@ -611,7 +611,8 @@ class _Batch:
                              at[flow > 0], flow[flow > 0])
         level = np.concatenate([np.zeros((4, 0), np.intp)] + [t[1] for t in self.trees], axis=1)
         level = level[:, np.argsort(level[3], kind="stable")]
-        self.levels = np.split(level[:3], np.flatnonzero(np.diff(level[3])) + 1, axis=1)
+        cuts = np.flatnonzero(np.diff(level[3])) + 1  # contiguous pieces: twice as fast to index
+        self.levels = list(zip(*(np.split(a, cuts) for a in level[:3])))
         self.moved = _join([t[2] for t in self.trees])
         self.moved_flow = _join([t[3] for t in self.trees], float)
         self.moved_edge = np.repeat(np.arange(len(self.trees)), [t[2].size for t in self.trees])
@@ -619,7 +620,7 @@ class _Batch:
     def price(self, d: DistanceMatrix) -> np.ndarray:
         """W of every edge under ``d``; an edge whose tree stopped being
         optimal there is re-solved, and its tree replaced."""
-        cost = d.values[self.cx, self.cy]
+        cost = d.values.take(self.flat)
         w, solve = np.zeros(len(self.pairs)), range(len(self.pairs))
         if self.levels is not None:
             scale = np.maximum(np.maximum.reduceat(cost, self.cell_start[:-1]), 1.0)
@@ -627,12 +628,11 @@ class _Batch:
             for node, cell, up in self.levels:
                 dual[node] = cost[cell] - dual[up]
             reduced = cost - dual[self.row] - dual[self.col]
-            pivot = np.zeros(len(self.pairs), dtype=bool)
-            pivot[self.edge[reduced < -(ENTER_TOL * scale[self.edge])]] = True
+            pivot = np.minimum.reduceat(reduced, self.cell_start[:-1]) < -(ENTER_TOL * scale)
             # costs are distances, so W >= 0 needs no clamp
             w = np.bincount(self.moved_edge, cost[self.moved] * self.moved_flow,
                             minlength=len(self.pairs))
-            solve = np.flatnonzero(pivot).tolist()
+            solve = pivot.nonzero()[0].tolist()
             if _LEDGERS.get():
                 _require_metric(d)
                 start, kept = self.node_start, np.flatnonzero(~pivot).tolist()
@@ -698,7 +698,7 @@ def constrained_transport_max(
     c1 = [[float((i, j) in barred) for j in range(n2)] for i in range(n1)]
     (duals, _, flows), _ = _transport_simplex(mu.mass, nu.mass, c1,
                                               _least_cost_basis(mu.mass, nu.mass, c1),
-                                              _scale(c1))
+                                              _scale(c1), spanning=True)
     if sum(f for e, f in flows.items() if e in barred) > FEAS_TOL:
         raise InfeasibleError(blocked)
     # phase-1 duals are sums of 0/1 costs, so zero reduced costs are exact

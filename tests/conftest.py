@@ -12,15 +12,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from curvflow import PartitionXKY, WeightedGraph
 
 
-def random_flow_graph(rng: np.random.Generator, n: int) -> WeightedGraph:
-    """Connected graph with random weights/lengths and deg(x) <= 1."""
+def random_flow_graph(rng: np.random.Generator, n: int,
+                      extra_draws: int | None = None) -> WeightedGraph:
+    """Connected graph with random weights/lengths and deg(x) <= 1: a
+    random tree plus ``extra_draws`` edge draws (by default 0 to n - 1)."""
     edges = []
     present = set()
     for v in range(1, n):
         u = int(rng.integers(v))
         present.add((u, v))
         edges.append((u, v, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))))
-    for _ in range(int(rng.integers(0, n))):
+    for _ in range(int(rng.integers(0, n)) if extra_draws is None else extra_draws):
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         if (u, v) not in present:
             present.add((u, v))

@@ -875,21 +875,37 @@ _fine = st.sampled_from([0.1, 0.2, 1e-8, 1e-12])
 _numbers = st.one_of(_fine, _fine, st.floats())
 
 
-@settings(max_examples=100, deadline=None)
-@given(doc=_partitions, mode=_modes, eps=_numbers, tol=_numbers)
-def test_separation_documents_end_in_a_documented_exit(tmp_path_factory, doc, mode, eps, tol):
-    work = tmp_path_factory.mktemp("sep")
+def _separation_on_the_4_cycle(work, doc, mode, eps, tol):
     graph, part, out = work / "g.json", work / "part.json", work / "out.json"
     graph.write_text(json.dumps({"vertices": 4, "measure": [2.0] * 4, "edges": [
         {"u": u, "v": v, "w": 1.0, "len": 1.0} for u, v in ((0, 1), (1, 2), (2, 3), (0, 3))]}))
     part.write_text(json.dumps(doc))
     code = main(["separation", str(graph), str(part), *mode, f"--eps={eps!r}",
                  f"--tol={tol!r}", "--max-iter", "20", "-o", str(out)])
+    return code, json.loads(out.read_text())
+
+
+_P1_OVERFLOW = {"doc": {"X": [0], "K": [1, 3], "Y": [2]}, "mode": ["--mode", "p", "--p", "1"],
+                "eps": 1.1984620899082107e+308, "tol": 0.1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_partitions, mode=_modes, eps=_numbers, tol=_numbers)
+@example(**_P1_OVERFLOW)
+def test_separation_documents_end_in_a_documented_exit(tmp_path_factory, doc, mode, eps, tol):
+    code, result = _separation_on_the_4_cycle(tmp_path_factory.mktemp("sep"), doc, mode, eps, tol)
     assert code in (0, 2, 3, 4, 5)
-    result = json.loads(out.read_text())
     assert ("error" in result) == (code in (2, 4, 5))
     if code in (0, 3):
         assert result["results"]["status"]
+
+
+def test_p1_separation_past_the_float_range_exits_2(tmp_path):
+    # eps x degree near the float maximum: the p = 1 resolvent's vertex
+    # differences overflowed (a numpy warning, then a diverged chain)
+    code, result = _separation_on_the_4_cycle(tmp_path, **_P1_OVERFLOW)
+    assert code == 2
+    assert "past the float range" in result["error"]
 
 
 # ---------------------------------------------------------------------------

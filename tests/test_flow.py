@@ -39,17 +39,16 @@ def _steps(g, alpha, k):
     """``k`` flow steps on ``g`` without deletion or rescaling: per step,
     the topology, the graph with the new lengths, and the trace row."""
     topo, lengths = _edge_vector(g)
-    norm = _normalized(topo, lengths)[1]
+    logs = _normalized(topo, lengths)[1]
     for n in range(k):
-        topo, lengths, _, row = _step(topo, lengths, alpha, n, norm)
-        norm = row.normalized
+        topo, lengths, _, logs, row = _step(topo, lengths, alpha, n, logs)
         yield topo, topo.graph.with_lengths(topo.matrix(lengths)), row
 
 
 def _deletion(g, threshold):
     """One threshold deletion on ``g``: the deleted edges, each with its
     (length, shortest adjacent length), and the graph left."""
-    deleted, topo, _, _ = _delete(*_edge_vector(g), threshold, None)
+    deleted, topo, _ = _delete(*_edge_vector(g), threshold)
     return deleted, topo.graph
 
 
@@ -154,7 +153,8 @@ def test_normalize_metric_per_component():
     g = WeightedGraph.from_edges(
         5, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 2.0), (3, 4, 1.0, 8.0)],
         measure=[2.0] * 5)
-    norm = _normalized(*_edge_vector(g))[1]
+    topo, lengths = _edge_vector(g)
+    norm = dict(zip(topo.edges, _normalized(topo, lengths)[0].tolist()))
     assert norm[(0, 1)] == pytest.approx(0.5)
     assert norm[(1, 2)] == pytest.approx(1.0)
     assert norm[(3, 4)] == pytest.approx(1.0)
@@ -227,6 +227,20 @@ def test_disconnected_input_converges_per_component():
     assert sorted(res.limits) == [0, 3]
     for stats in res.final.trace[-1].kappa.component_stats.values():
         assert stats[2] < 1e-10
+
+
+def test_components_converge_to_their_own_curvatures():
+    # a triangle (kappa 1/2 in the limit) beside an edge whose two walk
+    # measures coincide (kappa 1): each component settles, while the
+    # spread over all edges stays near 1/2
+    g = WeightedGraph.from_edges(
+        5, [(0, 1, 1, 1.0), (1, 2, 1, 1.3), (0, 2, 1, 0.9), (3, 4, 1, 2.0)],
+        measure=[2.0] * 5)
+    res = run_flow(g, FlowConfig(alpha=0.5, tolerance=1e-10, max_iterations=300))
+    assert res.status == STATUS_CONVERGED
+    kappa = res.final.trace[-1].kappa
+    assert sorted(kappa.component_stats) == [0, 3] and kappa.max_spread < 1e-10
+    assert kappa.max - kappa.min == pytest.approx(0.5)
 
 
 def test_surgery_splits_multiscale_graph():
@@ -352,13 +366,12 @@ def test_batch_matches_cold_transport(seed, n):
     g = random_flow_graph(np.random.default_rng(seed), n)
     threshold = max(2.0 * max_adjacent_ratio(g), 1.0)
     topo, lengths = _edge_vector(g)
-    norm = _normalized(topo, lengths)[1]
+    logs = _normalized(topo, lengths)[1]
     for i in range(5):  # run_flow's loop
-        topo, new, lengths, row = _step(topo, lengths, 0.5, i, norm)
-        deleted, topo, new, row = _delete(topo, new, threshold, row)
-        norm = row.normalized
+        topo, new, lengths, logs, row = _step(topo, lengths, 0.5, i, logs)
+        deleted, topo, new = _delete(topo, new, threshold)
         if deleted:  # a new topology without a batch: the next step solves cold
-            lengths = _normalized(topo, new)[0]
+            lengths, logs = _normalized(topo, new)
             continue
         batch = topo.batch
         d = shortest_path_metric(topo.graph.with_lengths(topo.matrix(lengths)))
@@ -403,7 +416,7 @@ def test_batch_pivots_where_the_simplex_does(shortfall, pivots):
     mu = ProbMeasure(np.array([0, 1]), np.array([0.5, 0.5]))
     nu = ProbMeasure(np.array([2, 3]), np.array([0.5, 0.5]))
     cells = [(0, 0), (0, 1), (1, 1)]  # as (row, column) support indices
-    batch = _Batch([(mu, nu)])
+    batch = _Batch([(mu, nu)], 4)
     batch._keep({0: cells})
     seeded = batch.trees[0]
     w = batch.price(d)
@@ -424,8 +437,8 @@ def test_batch_rebuilds_only_the_re_solved_edges():
     g = random_flow_graph(np.random.default_rng(2), 40)
     topo, lengths = _edge_vector(g)
     pairs = [(vertex_measure(g, u, None), vertex_measure(g, v, None)) for u, v in topo.edges]
-    batch = _Batch(pairs)
-    names = ("cx", "cy", "row", "col", "edge", "cell_start", "node_start")
+    batch = _Batch(pairs, g.n)
+    names = ("flat", "row", "col", "cell_start", "node_start")
     layout = [getattr(batch, name) for name in names]
     kept = re_solved = 0
     for n in range(10):
@@ -480,7 +493,7 @@ def _cold_flow(monkeypatch, g, cfg):
 
     class Cold(_Batch):
         def price(self, d):
-            return _Batch(self.pairs).price(d)
+            return _Batch(self.pairs, d.n).price(d)
 
     with monkeypatch.context() as m, transport_audit() as audit:
         m.setattr(ricci_flow, "_Batch", Cold)
@@ -653,9 +666,10 @@ def test_run_flow_prefixes_match_the_full_run():
         for k in sorted({1, math.ceil(iters / 2), iters}):
             res = run_flow(g, replace(cfg, max_iterations=k))
             assert res.final.iteration == len(res.final.trace) == k
-            assert res.final.trace == full.final.trace[:k]  # kappa, lambdas, delta_sup, deletions
+            assert res.final.trace == full.final.trace[:k]  # lambdas, delta_sup, deletions
             for row, full_row in zip(res.final.trace, full.final.trace):
-                assert list(row.normalized) == list(full_row.normalized)
+                assert row.kappa == full_row.kappa
+                assert list(row.normalized.items()) == list(full_row.normalized.items())
             assert res.final.deletion_log == tuple(entry for entry in full.final.deletion_log
                                                    if entry[0] <= k)
             limits = [(e, v) for lim in res.limits.values() for e, v in lim.items()]
@@ -695,3 +709,57 @@ def test_graphs_built_once_per_topology(monkeypatch, seed):
     topologies = 1 + len({n for n, _, _ in res.final.deletion_log})
     assert topologies >= 2 and res.final.iteration > topologies + 1  # a graph per step fails
     assert len(calls) <= topologies + 1
+
+
+# ---------------------------------------------------------------------------
+# trace rows: scalars from the step's vectors, dicts built when read
+
+
+def test_trace_rows_match_their_per_edge_definitions():
+    # bit for bit on the 50 criterion-1 graphs: lambda+- and the extreme
+    # curvatures over row.kappa by math.log1p, and delta_sup over the
+    # normalized metric by math.log (rows that deleted an edge carry the
+    # metric after it, so their delta_sup is not read off it)
+    checked = 0
+    for i in range(50):
+        rng = np.random.default_rng(10_000 + i)
+        g = random_flow_graph(rng, int(rng.integers(4, 11)))
+        res = run_flow(g, FlowConfig(alpha=0.5, tolerance=1e-10))
+        top = max(g.edge_length(*e) for e in g.edges())  # the graphs are connected
+        prev = {e: g.edge_length(*e) / top for e in g.edges()}
+        for row in res.final.trace:
+            kappa = list(row.kappa.values.values())
+            inc = [math.log1p(-0.5 * k) for k in kappa]
+            got = [row.lambda_plus, row.lambda_minus, row.curvature_min, row.curvature_max]
+            assert [x.hex() for x in got] == \
+                [x.hex() for x in (max(inc), min(inc), min(kappa), max(kappa))]
+            if not row.deleted_edges:
+                delta = max(abs(math.log(v) - math.log(prev[e])) for e, v in row.normalized.items())
+                assert row.delta_sup.hex() == delta.hex()
+                checked += 1
+            prev = row.normalized
+    assert checked > 5000
+
+
+def test_cli_flow_builds_at_most_one_curvature_report(monkeypatch, tmp_path):
+    # rows keep kappa as a vector: only the last row's report is read
+    import json
+
+    from curvflow.cli import main
+    from curvflow.curvature import CurvatureReport
+
+    built, real = [], CurvatureReport._from_groups.__func__
+    monkeypatch.setattr(CurvatureReport, "_from_groups",
+                        classmethod(lambda cls, *args: built.append(1) or real(cls, *args)))
+    rng = np.random.default_rng(45)  # deletes four edges
+    g = random_flow_graph(rng, int(rng.integers(5, 9)))
+    graph, out = tmp_path / "g.json", tmp_path / "out.json"
+    graph.write_text(json.dumps({
+        "vertices": g.n, "measure": g.measure.tolist(),
+        "edges": [{"u": u, "v": v, "w": float(g.weights[u, v]), "len": g.edge_length(u, v)}
+                  for u, v in g.edges()]}))
+    assert main(["flow", str(graph), "--alpha", "0.5", "--tol", "1e-10",
+                 "--trace", str(tmp_path / "trace.csv"), "-o", str(out)]) == 0
+    result = json.loads(out.read_text())["results"]
+    assert result["iterations"] > 20 and result["deletions"]
+    assert len(built) <= 1

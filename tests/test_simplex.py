@@ -168,6 +168,37 @@ def test_least_cost_start_on_a_single_row_or_column(n1, n2, zero_costs):
 
 
 @st.composite
+def _least_cost_inputs(draw):
+    """1 x 1 to 12 x 12 masses, tiny or zero ones included, and costs
+    that tie often or are any floats in [0, 10]."""
+    n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    weight = st.one_of(st.sampled_from([0.0, 1e-300, 1e-17, 1e-12, 1.0]), st.floats(0.0, 1.0))
+
+    def masses(n):
+        m = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        m[draw(st.integers(0, n - 1))] += 1.0  # a positive total
+        return m / m.sum()
+
+    costs = st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 10.0))
+    cost = draw(st.lists(costs, min_size=n1 * n2, max_size=n1 * n2))
+    return masses(n1), masses(n2), np.array(cost).reshape(n1, n2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_least_cost_inputs())
+def test_least_cost_basis_is_a_spanning_tree(inst):
+    # ``_start_tree`` checks only the flows of a least-cost start: its cells
+    # must be n1 + n2 - 1 distinct cells in range that reach every node
+    a, b, cost = inst
+    c, supply = cost.tolist(), a.tolist() + (-b).tolist()
+    cells = transport._least_cost_basis(a, b, cost)
+    assert len(set(cells)) == len(cells) == a.size + b.size - 1
+    assert all(0 <= i < a.size and 0 <= j < b.size for i, j in cells)
+    assert transport._tree(cells, c, supply) is not None
+    assert transport._start_tree(cells, c, supply) == transport._start_tree(cells, c, supply, True)
+
+
+@st.composite
 def _degenerate_problems(draw):
     """a x b transport problems with integer masses (zeros included) and
     integer costs (ties everywhere), sometimes between identical measures

@@ -5,10 +5,11 @@ byte-identity checks.
 
 SRC_DIR is a curvflow checkout, whose ``src/`` runs the flows and
 curvatures.  The flow graphs are the 50 criterion-1 graphs of the
-acceptance suite and ``random_flow_graph`` seeds 700-759 (4 to 30
-vertices); the curvature graphs are 20 ``random_curvature_graph``
-graphs of 20 to 100 vertices with n to 2n extra edge draws.  OUT_DIR
-receives:
+acceptance suite, ``random_flow_graph`` seeds 700-759 (4 to 30
+vertices) and, at 100 vertices, ``random_flow_graph`` with 500 extra
+edge draws, seeds 1-3 (559-569 edges; flows only, no curvature
+tables); the curvature graphs are 20 ``random_curvature_graph`` graphs
+of 20 to 100 vertices with n to 2n extra edge draws.  OUT_DIR receives:
 
 - ``graphs/``: the graph files;
 - ``flow/``: the CLI ``flow --alpha 0.5 --tol 1e-10`` result and CSV
@@ -16,7 +17,8 @@ receives:
 - ``ledgers.json``: per flow graph, the ``transport_audit`` ledger
   (count, warm, pivots, max_gap) of the same flow through ``run_flow``;
 - ``curvature/``: the CLI ``curvature --kinds
-  ollivier,lly,phi-convex,phi-concave`` table of every graph;
+  ollivier,lly,phi-convex,phi-concave`` table of every graph but the
+  100-vertex flow graphs;
 - ``curvature_ledgers.json``: per graph, the ledgers of
   ``curvature_report`` with kind "ollivier" and with kind "lly", or the
   error that ended the report.
@@ -66,6 +68,8 @@ for name in sorted(os.listdir("graphs")):
         with transport_audit() as audit:
             run_flow(cli.parse_graph(graph), FlowConfig(alpha=0.5, tolerance=1e-10))
         ledgers[stem] = ledger(audit)
+    if stem.startswith("flow100-"):
+        continue
     cli.main(["curvature", graph, "--kinds", "ollivier,lly,phi-convex,phi-concave",
               "-o", os.path.join("curvature", stem + ".json")])
     curvature_ledgers[stem] = {}
@@ -94,6 +98,8 @@ def _graphs():
     for seed in range(700, 760):
         rng = np.random.default_rng(seed)
         yield f"seed-{seed}", random_flow_graph(rng, int(rng.integers(4, 31)))
+    for seed in (1, 2, 3):
+        yield f"flow100-seed-{seed}", random_flow_graph(np.random.default_rng(seed), 100, 500)
     for i in range(20):
         rng = np.random.default_rng(20_000 + i)
         n = int(rng.integers(20, 101))
